@@ -13,7 +13,7 @@ from .dataset import (
     save_dataset,
     synthesize_trace,
 )
-from .decision import DecisionModel, build_allocation_labels, rank_models, train_decision
+from .decision import DecisionModel, rank_models, train_decision
 from .learners import TrainConfig, VectorClassifier, embed, forward, gradient, predict, train
 from .profiling import (
     ModelRepository,

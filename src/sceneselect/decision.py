@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import learners
 from .artifacts import read_artifact, require_match, write_artifact
-from .errors import ConfigError, DivergedError
+from .errors import ConfigError
 from .learners import TrainConfig, VectorClassifier
 
 
@@ -31,53 +30,6 @@ class DecisionModel:
         return self.head.output_dim
 
 
-def build_allocation_labels(state):
-    """Pools -> (sample_indices, 0/1 label matrix), one row per distinct probed sample."""
-    pools = state.pools
-    if not pools:
-        raise ConfigError("no pools to build labels from")
-    length = len(pools[0])
-    for pool in pools:
-        if len(pool) != length:
-            raise ConfigError("pools disagree in length")
-    indices = np.array([entry[0] for entry in pools[0]], dtype=int)
-    for pool in pools:
-        if any(pool[r][0] != indices[r] for r in range(length)):
-            raise ConfigError("pools disagree on sample order")
-    labels = np.zeros((length, len(pools)))
-    for j, pool in enumerate(pools):
-        labels[:, j] = [1.0 if bit else 0.0 for _, bit in pool]
-    return indices, labels
-
-
-def _head_forward(head: VectorClassifier, E: np.ndarray):
-    Z1 = E @ head.W1.T + head.b1
-    H = np.maximum(Z1, 0.0)
-    Z2 = H @ head.W2.T + head.b2
-    return Z1, H, Z2
-
-
-def _bce_loss(head, E, V, l2):
-    _, _, Z2 = _head_forward(head, E)
-    # log(1 + e^z) - v z, summed over coordinates, mean over rows
-    per = np.logaddexp(0.0, Z2) - V * Z2
-    penalty = 0.5 * l2 * (np.sum(head.W1**2) + np.sum(head.W2**2))
-    return float(per.sum(axis=1).mean() + penalty)
-
-
-def _bce_gradient(head, E, V, l2):
-    n = E.shape[0]
-    Z1, H, Z2 = _head_forward(head, E)
-    delta = (expit(Z2) - V) / n
-    dW2 = delta.T @ H + l2 * head.W2
-    db2 = delta.sum(axis=0)
-    dH = delta @ head.W2
-    dZ1 = dH * (Z1 > 0.0)
-    dW1 = dZ1.T @ E + l2 * head.W1
-    db1 = dZ1.sum(axis=0)
-    return dW1, db1, dW2, db2
-
-
 def train_decision(
     encoder: VectorClassifier,
     ds,
@@ -86,43 +38,30 @@ def train_decision(
     head_hidden: int,
     cfg: TrainConfig,
 ) -> DecisionModel:
-    """Train the head on frozen-backbone embeddings; the encoder is never touched."""
-    cfg.validate()
-    if len(sample_indices) == 0:
-        raise ConfigError("no labeled rows to train the decision model")
+    """Train the head on frozen-backbone embeddings; the encoder is never touched.
+
+    ``labels`` holds one 0/1 allocation vector per sample, so the head is
+    trained with independent sigmoid outputs.
+    """
     labels = np.asarray(labels, dtype=float)
     if labels.ndim != 2 or labels.shape[0] != len(sample_indices):
         raise ConfigError("labels must be one allocation vector per sample")
-    E = learners.embed_batch(encoder, ds.features[np.asarray(sample_indices, dtype=int)])
+    E = learners.embed(encoder, ds.features[np.asarray(sample_indices, dtype=int)])
     head = learners.new_classifier(encoder.hidden_dim, head_hidden, labels.shape[1], cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-    n = E.shape[0]
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            dW1, db1, dW2, db2 = _bce_gradient(head, E[idx], labels[idx], cfg.l2)
-            head.W1 -= cfg.learning_rate * dW1
-            head.b1 -= cfg.learning_rate * db1
-            head.W2 -= cfg.learning_rate * dW2
-            head.b2 -= cfg.learning_rate * db2
-        loss = _bce_loss(head, E, labels, cfg.l2)
-        if not np.isfinite(loss):
-            raise DivergedError(epoch, loss)
+    learners.train(head, E, labels, cfg)
     return DecisionModel(backbone=encoder, head=head)
 
 
-def decision_probs(decision: DecisionModel, features: np.ndarray) -> np.ndarray:
-    """Per-model suitability probabilities for one sample, each in (0, 1)."""
-    e = learners.embed(decision.backbone, features)
-    _, _, z = _head_forward(decision.head, e[None, :])
-    return expit(z[0])
+def decision_probs(decision: DecisionModel, X: np.ndarray) -> np.ndarray:
+    """Per-model suitability probabilities (n, models) for a batch, each in (0, 1)."""
+    return learners.sigmoid_probs(decision.head, learners.embed(decision.backbone, X))
 
 
-def rank_models(decision: DecisionModel, features: np.ndarray):
-    """(suitability vector, ranking): indices by descending probability, ties by index."""
-    probs = decision_probs(decision, features)
-    ranking = np.argsort(-probs, kind="stable")
+def rank_models(decision: DecisionModel, X: np.ndarray):
+    """(suitability matrix, rankings) for a batch: each row's model indices
+    by descending probability, ties by index."""
+    probs = decision_probs(decision, X)
+    ranking = np.argsort(-probs, axis=1, kind="stable")
     return probs, ranking
 
 

@@ -1,9 +1,14 @@
-"""One-hidden-layer softmax classifiers trained by mini-batch gradient descent.
+"""One-hidden-layer networks trained by mini-batch gradient descent.
 
 The same architecture plays every model role in the pipeline: the scene
 encoder, the per-scene compressed models, the decision head, and the deep
-baseline. Capacity is the only dial, set through ``hidden_dim``. The hidden
+baseline. Capacity is the only dial, set through ``hidden_dim``; the output
+is a softmax over classes, or independent sigmoids when the model is
+trained on a 0/1 target matrix (the decision head). The hidden
 (penultimate) activation doubles as the embedding of the input.
+
+Every function takes an (n, input_dim) batch; a single sample is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import ConfigError, DivergedError
 
@@ -19,7 +25,7 @@ MODEL_FORMAT = 1
 
 @dataclass
 class VectorClassifier:
-    """x -> relu(W1 x + b1) -> softmax(W2 h + b2).
+    """x -> relu(W1 x + b1) -> softmax or sigmoid of (W2 h + b2).
 
     Parameters are float64; ``W1`` is (hidden, input), ``W2`` is (output, hidden).
     """
@@ -93,71 +99,82 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / np.sum(exp, axis=-1, keepdims=True)
 
 
-def forward(model: VectorClassifier, features: np.ndarray):
-    """Single-sample forward pass returning (hidden activation, class probabilities)."""
-    x = np.asarray(features, dtype=float)
-    if x.shape != (model.input_dim,):
-        raise ConfigError(
-            f"feature vector has shape {x.shape}, expected ({model.input_dim},)"
-        )
-    hidden = np.maximum(model.W1 @ x + model.b1, 0.0)
-    probs = softmax(model.W2 @ hidden + model.b2)
-    return hidden, probs
-
-
-def forward_batch(model: VectorClassifier, X: np.ndarray):
-    """(n, input_dim) batch forward; returns hidden (n, hidden) and probs (n, output)."""
+def _layers(model: VectorClassifier, X: np.ndarray):
+    """(Z1, H, Z2) for an (n, input_dim) batch: hidden pre-activation, hidden
+    activation, output logits. The one place the two layers are computed."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
-        raise ConfigError(f"batch has shape {X.shape}, expected (*, {model.input_dim})")
-    H = np.maximum(X @ model.W1.T + model.b1, 0.0)
-    P = softmax(H @ model.W2.T + model.b2)
-    return H, P
+        raise ConfigError(f"batch has shape {X.shape}, expected (n, {model.input_dim})")
+    Z1 = X @ model.W1.T + model.b1
+    H = np.maximum(Z1, 0.0)
+    return Z1, H, H @ model.W2.T + model.b2
 
 
-def predict(model: VectorClassifier, features: np.ndarray) -> int:
-    """Argmax class; ties resolve to the lowest index."""
-    _, probs = forward(model, features)
-    return int(np.argmax(probs))
+def forward(model: VectorClassifier, X: np.ndarray):
+    """(n, input_dim) batch forward; returns hidden (n, hidden) and softmax probs (n, output)."""
+    _, H, Z2 = _layers(model, X)
+    return H, softmax(Z2)
 
 
-def predict_batch(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
-    _, P = forward_batch(model, X)
+def predict(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
+    """Argmax class per row; ties resolve to the lowest index."""
+    _, P = forward(model, X)
     return np.argmax(P, axis=1)
 
 
-def embed(model: VectorClassifier, features: np.ndarray) -> np.ndarray:
-    hidden, _ = forward(model, features)
-    return hidden
+def embed(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
+    """Hidden activations (n, hidden) of a batch."""
+    return _layers(model, X)[1]
 
 
-def embed_batch(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
-    H, _ = forward_batch(model, X)
-    return H
+def sigmoid_probs(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
+    """Independent per-output probabilities (n, output), each in (0, 1): the
+    outputs a model trained on a 2-D 0/1 target matrix fits."""
+    return expit(_layers(model, X)[2])
+
+
+def _targets(y) -> np.ndarray:
+    """1-D class labels (softmax outputs) or a 2-D 0/1 matrix (sigmoid outputs)."""
+    y = np.asarray(y)
+    if y.ndim == 1:
+        return y.astype(int, copy=False)
+    if y.ndim == 2:
+        return y.astype(float, copy=False)
+    raise ConfigError(f"targets have shape {y.shape}, expected (n,) labels or an (n, output) matrix")
 
 
 def cross_entropy(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> float:
-    """Mean cross-entropy over the batch plus (l2/2)*||W||^2 on the weight matrices."""
-    _, P = forward_batch(model, X)
-    n = X.shape[0]
-    nll = -np.log(np.maximum(P[np.arange(n), y], 1e-300))
+    """Mean per-row loss plus (l2/2)*||W||^2 on the weight matrices.
+
+    1-D labels give softmax cross-entropy; a 2-D 0/1 matrix gives binary
+    cross-entropy of independent sigmoids, summed over the outputs.
+    """
+    _, _, Z2 = _layers(model, X)
+    y = _targets(y)
+    if y.ndim == 2:
+        # log(1 + e^z) - y z, summed over coordinates
+        per_row = (np.logaddexp(0.0, Z2) - y * Z2).sum(axis=1)
+    else:
+        P = softmax(Z2)
+        per_row = -np.log(np.maximum(P[np.arange(Z2.shape[0]), y], 1e-300))
     penalty = 0.5 * l2 * (np.sum(model.W1**2) + np.sum(model.W2**2))
-    return float(np.mean(nll) + penalty)
+    return float(np.mean(per_row) + penalty)
 
 
 def gradient(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> Gradients:
     """Backpropagated gradient of `cross_entropy` (mean over the batch)."""
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
     if X.shape[0] == 0:
         raise ConfigError("gradient needs a non-empty batch")
     n = X.shape[0]
-    Z1 = X @ model.W1.T + model.b1
-    H = np.maximum(Z1, 0.0)
-    P = softmax(H @ model.W2.T + model.b2)
-    delta = P.copy()
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
+    Z1, H, Z2 = _layers(model, X)
+    y = _targets(y)
+    if y.ndim == 2:
+        delta = (expit(Z2) - y) / n
+    else:
+        delta = softmax(Z2)
+        delta[np.arange(n), y] -= 1.0
+        delta /= n
     dW2 = delta.T @ H + l2 * model.W2
     db2 = delta.sum(axis=0)
     dH = delta @ model.W2
@@ -168,20 +185,27 @@ def gradient(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: float = 
 
 
 def train(model: VectorClassifier, X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> TrainReport:
-    """Mini-batch gradient descent on cross-entropy; mutates ``model`` in place.
+    """Mini-batch gradient descent on `cross_entropy`; mutates ``model`` in place.
 
+    The loss follows the targets: 1-D integer labels train softmax outputs,
+    an (n, output_dim) 0/1 matrix trains independent sigmoid outputs.
     Shuffling comes from a PRNG seeded with ``cfg.seed``, so equal seeds give
     bit-identical parameters. The loss recorded for each epoch is the full
     training-set loss after that epoch's updates.
     """
     cfg.validate()
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
+    y = _targets(y)
     if X.shape[0] == 0:
         raise ConfigError("training set is empty")
     if X.shape[0] != y.shape[0]:
         raise ConfigError("features and labels disagree in length")
-    if y.min() < 0 or y.max() >= model.output_dim:
+    if y.ndim == 2:
+        if y.shape[1] != model.output_dim:
+            raise ConfigError(f"targets have {y.shape[1]} columns, expected output_dim {model.output_dim}")
+        if not np.isin(y, (0.0, 1.0)).all():
+            raise ConfigError("target matrix must be 0/1")
+    elif y.min() < 0 or y.max() >= model.output_dim:
         raise ConfigError("labels must lie in [0, output_dim)")
 
     rng = np.random.default_rng(cfg.seed)

@@ -141,7 +141,7 @@ def embed_scenes(encoder: VectorClassifier, scenes, ds: Dataset) -> EmbeddingSet
     per_scene = []
     centroids = np.zeros((len(scenes), encoder.hidden_dim))
     for scene in scenes:
-        H = learners.embed_batch(encoder, ds.features[scene.sample_indices])
+        H = learners.embed(encoder, ds.features[scene.sample_indices])
         per_scene.append(H)
         centroids[scene.scene_id] = H.mean(axis=0)
     return EmbeddingSet(per_scene=per_scene, centroids=centroids)
@@ -156,7 +156,7 @@ def encoder_confusion(encoder: VectorClassifier, scenes, ds: Dataset) -> np.ndar
         true = lookup.get(ds.samples[idx].attrs)
         if true is None:
             continue
-        pred = learners.predict(encoder, ds.samples[idx].features)
+        pred = learners.predict(encoder, ds.samples[idx].features[None])[0]
         counts[true, pred] += 1
     return counts
 
@@ -306,7 +306,7 @@ def build_repository(ds: Dataset, scenes, encoder: VectorClassifier, cfg: Profil
             tc = dataclasses.replace(cfg.model_train, seed=derive_seed(cfg.seed, 3, k, j))
             learners.train(model, ds.features[cluster.train_indices], ds.labels[cluster.train_indices], tc)
             if len(cluster.valid_indices) > 0:
-                preds = learners.predict_batch(model, ds.features[cluster.valid_indices])
+                preds = learners.predict(model, ds.features[cluster.valid_indices])
                 f1 = macro_f1(preds, ds.labels[cluster.valid_indices], ds.schema.num_classes)
             else:
                 f1 = 0.0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,19 +32,17 @@ class CacheEntry:
     load_order: int
 
 
+@dataclass
 class ModelCache:
     """Fixed number of model slots with LFU eviction (ties: oldest load first)."""
 
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ConfigError("cache capacity must be >= 1")
-        self.capacity = capacity
-        self.loaded: dict = {}
-        self._order = 0
+    capacity: int
+    loaded: dict = field(default_factory=dict)  # model index -> CacheEntry
+    loads: int = 0  # loads so far; the next load's load_order
 
-    def _load(self, model_index: int) -> None:
-        self.loaded[model_index] = CacheEntry(use_count=0, load_order=self._order)
-        self._order += 1
+    def __post_init__(self):
+        if self.capacity < 1:
+            raise ConfigError("cache capacity must be >= 1")
 
 
 def cache_request(cache: ModelCache, ranking) -> tuple:
@@ -62,22 +60,21 @@ def cache_request(cache: ModelCache, ranking) -> tuple:
     if top in cache.loaded:
         cache.loaded[top].use_count += 1
         return top, False
-    if not cache.loaded:
-        cache._load(top)
-        cache.loaded[top].use_count += 1
-        return top, True
-    position = {int(m): pos for pos, m in enumerate(ranking)}
-    served = min(cache.loaded, key=lambda m: position[m])
-    victim = None
-    if len(cache.loaded) >= cache.capacity:
-        victim = min(
-            cache.loaded,
-            key=lambda m: (cache.loaded[m].use_count, cache.loaded[m].load_order),
-        )
-    cache.loaded[served].use_count += 1
-    if victim is not None:
-        del cache.loaded[victim]
-    cache._load(top)
+    served = top
+    if cache.loaded:
+        position = {int(m): pos for pos, m in enumerate(ranking)}
+        served = min(cache.loaded, key=lambda m: position[m])
+        victim = None
+        if len(cache.loaded) >= cache.capacity:
+            victim = min(
+                cache.loaded,
+                key=lambda m: (cache.loaded[m].use_count, cache.loaded[m].load_order),
+            )
+        cache.loaded[served].use_count += 1
+        if victim is not None:
+            del cache.loaded[victim]
+    cache.loaded[top] = CacheEntry(use_count=int(served == top), load_order=cache.loads)
+    cache.loads += 1
     return served, True
 
 
@@ -135,7 +132,10 @@ def run_trace(
     if isinstance(decision, DecisionModel):
         if decision.n != len(models):
             raise ConfigError("decision output width does not match the repository size")
-        ranker = lambda s: rank_models(decision, s.features)
+
+        def ranker(sample):
+            probs, ranking = rank_models(decision, sample.features[None])
+            return probs[0], ranking[0]
     else:
         ranker = decision
 
@@ -160,7 +160,7 @@ def run_trace(
         if prev_served is not None and served != prev_served:
             switch_frames.append(frame)
         prev_served = served
-        pred = learners.predict(models[served], sample.features)
+        pred = int(learners.predict(models[served], sample.features[None])[0])
         preds.append(pred)
         records.append(
             FrameRecord(

@@ -22,7 +22,7 @@ at small theta; at theta = 0.9 every arm runs until its scene is drained.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,6 @@ class SamplingConfig:
     theta: float
     kappa: int
     seed: int
-    tau_suit: float | None = None  # reserved for soft suitability rules; unused
 
     def validate(self) -> None:
         if not 0.0 < self.theta < 1.0:
@@ -89,17 +88,20 @@ class SamplingConfig:
 
 @dataclass
 class SamplingState:
+    """Bandit arms plus the probed samples: ``rows`` holds the distinct sample
+    indices in draw order, row r of ``bits`` their suitability for each model."""
+
     arms: list
-    pools: list  # per model: [(sample_index, suitable), ...] in draw order
+    rows: list
+    bits: np.ndarray  # (len(rows), n) bool
     theta: float
     kappa: int
     seed: int
-    probed: dict = field(default_factory=dict)  # sample_index -> [bool per model]
     arm_cap: float = math.inf  # draws after which an arm sits out a round
 
     @property
     def distinct_drawn(self) -> int:
-        return len(self.probed)
+        return len(self.rows)
 
 
 def new_state(repo, theta: float, kappa: int, seed: int) -> SamplingState:
@@ -118,7 +120,8 @@ def new_state(repo, theta: float, kappa: int, seed: int) -> SamplingState:
         )
     return SamplingState(
         arms=arms,
-        pools=[[] for _ in repo.entries],
+        rows=[],
+        bits=np.zeros((0, len(repo.entries)), dtype=bool),
         theta=theta,
         kappa=kappa,
         seed=seed,
@@ -147,27 +150,18 @@ def thompson_round(state: SamplingState, rng: np.random.Generator):
 
 def probe_suitability(model, sample) -> bool:
     """A model suits a sample iff it predicts the sample's label exactly."""
-    return learners.predict(model, sample.features) == sample.label
+    return bool(learners.predict(model, sample.features[None])[0] == sample.label)
 
 
-def _suitability_table(ds, models, indices):
-    """Precomputed probe results for candidate indices; probe_suitability is
-    pure, so batching it changes nothing but speed."""
-    idx = np.asarray(sorted(int(i) for i in indices), dtype=int)
-    X = ds.features[idx]
-    y = ds.labels[idx]
-    table = {}
-    bits = np.stack([learners.predict_batch(m, X) == y for m in models], axis=1)
-    for row, sample_index in enumerate(idx):
-        table[int(sample_index)] = bits[row]
-    return table
+def _probe_rows(ds, models, candidates, rows) -> np.ndarray:
+    """Suitability bits (len(rows), n) of ``rows``, all drawn from ``candidates``.
 
-
-def _record_probe(state, table, sample_index):
-    bits = table[sample_index]
-    state.probed[sample_index] = [bool(b) for b in bits]
-    for j, bit in enumerate(bits):
-        state.pools[j].append((int(sample_index), bool(bit)))
+    The probes run as one batch over the sorted candidates; probe_suitability
+    is pure, so batching it changes nothing but speed.
+    """
+    idx = np.asarray(sorted(candidates), dtype=int)
+    bits = np.stack([learners.predict(m, ds.features[idx]) == ds.labels[idx] for m in models], axis=1)
+    return bits[np.searchsorted(idx, np.asarray(rows, dtype=int))]
 
 
 def adaptive_sampling(ds: Dataset, repo, cfg: SamplingConfig) -> SamplingState:
@@ -175,7 +169,7 @@ def adaptive_sampling(ds: Dataset, repo, cfg: SamplingConfig) -> SamplingState:
 
     On choosing arm i, one not-yet-sampled index is drawn uniformly from that
     model's training scene and probed against every repository model, so each
-    probe fills one coordinate-complete row in all pools. An arm whose scene
+    probe adds one row of bits, one bit per model. An arm whose scene
     is fully drawn is marked exhausted; sampling stops when the budget is
     spent or no arm remains active. Already-probed indices drawn through an
     overlapping arm still count into that arm's sampled set but add no row.
@@ -196,10 +190,10 @@ def adaptive_sampling(ds: Dataset, repo, cfg: SamplingConfig) -> SamplingState:
     union = set()
     for arm in state.arms:
         union.update(int(i) for i in arm.gamma)
-    table = _suitability_table(ds, repo.models, union)
     if cfg.kappa < len(union):
         state.arm_cap = math.ceil(cfg.kappa / len(state.arms))
     remaining = [list(int(i) for i in arm.gamma) for arm in state.arms]
+    probed = set()
     while state.distinct_drawn < cfg.kappa:
         chosen = thompson_round(state, rng)
         if chosen is None:
@@ -217,8 +211,10 @@ def adaptive_sampling(ds: Dataset, repo, cfg: SamplingConfig) -> SamplingState:
         arm.sampled.add(pick)
         if len(arm.sampled) == arm.gamma_size:
             arm.exhausted = True
-        if pick not in state.probed:
-            _record_probe(state, table, pick)
+        if pick not in probed:
+            probed.add(pick)
+            state.rows.append(pick)
+    state.bits = _probe_rows(ds, repo.models, union, state.rows)
     return state
 
 
@@ -237,10 +233,10 @@ def random_sampling(ds: Dataset, repo, kappa: int, seed: int) -> SamplingState:
     order = rng.permutation(len(train))
     take = len(train) if kappa >= len(train) else kappa
     picks = [int(train[pos]) for pos in order[:take]]
-    table = _suitability_table(ds, repo.models, picks)
+    state.rows = picks
+    state.bits = _probe_rows(ds, repo.models, picks, picks)
     gamma_sets = [set(int(i) for i in arm.gamma) for arm in state.arms]
     for idx in picks:
-        _record_probe(state, table, idx)
         for arm, gset in zip(state.arms, gamma_sets):
             if idx in gset:
                 arm.sampled.add(idx)
@@ -249,15 +245,10 @@ def random_sampling(ds: Dataset, repo, kappa: int, seed: int) -> SamplingState:
 
 def positives_per_model(state: SamplingState) -> np.ndarray:
     """Count of suitable probes per model (the balance measure for pools)."""
-    return np.array([sum(1 for _, bit in pool if bit) for pool in state.pools], dtype=int)
+    return state.bits.sum(axis=0)
 
 
 def pools_payload(state: SamplingState, dataset_hash: str, repository_hash: str) -> dict:
-    rows = []
-    if state.pools:
-        for pos in range(len(state.pools[0])):
-            idx = state.pools[0][pos][0]
-            rows.append({"sample_index": idx, "bits": [int(state.pools[j][pos][1]) for j in range(len(state.pools))]})
     return {
         "kind": "pools",
         "dataset_hash": dataset_hash,
@@ -269,7 +260,10 @@ def pools_payload(state: SamplingState, dataset_hash: str, repository_hash: str)
             {"alpha": arm.alpha, "beta": arm.beta, "sampled": len(arm.sampled)}
             for arm in state.arms
         ],
-        "rows": rows,
+        "rows": [
+            {"sample_index": idx, "bits": bits}
+            for idx, bits in zip(state.rows, state.bits.astype(int).tolist())
+        ],
     }
 
 

@@ -58,9 +58,8 @@ def run_pipeline(gen_seed, cfg=None, with_decision=True, with_trace=True):
     state = dm = trace = None
     if with_decision:
         state = sampling.adaptive_sampling(ds, repo, cfg.sampling)
-        idx, labels = decision.build_allocation_labels(state)
         dm = decision.train_decision(
-            encoder, ds, idx, labels, cfg.head_hidden, cfg.decision_train
+            encoder, ds, state.rows, state.bits, cfg.head_hidden, cfg.decision_train
         )
     if with_trace:
         trace = dataset.synthesize_trace(

@@ -65,12 +65,12 @@ def ten_seed_results():
             sl = slice(s * seg, (s + 1) * seg)
             best = max(
                 profiling.macro_f1(
-                    learners.predict_batch(m, X[sl]), y[sl], p.ds.schema.num_classes
+                    learners.predict(m, X[sl]), y[sl], p.ds.schema.num_classes
                 )
                 for m in p.repo.models
             )
             f_sdm = profiling.macro_f1(
-                learners.predict_batch(sdm_model, X[sl]), y[sl], p.ds.schema.num_classes
+                learners.predict(sdm_model, X[sl]), y[sl], p.ds.schema.num_classes
             )
             segments.append((best, f_sdm))
         rows.append(
@@ -219,7 +219,7 @@ def test_06_own_scene_misprediction(bench42):
     for idx, entry in enumerate(bench42.repo.entries):
         X = bench42.ds.features[entry.scene.train_indices]
         y = bench42.ds.labels[entry.scene.train_indices]
-        wrong = np.nonzero(learners.predict_batch(entry.model, X) != y)[0]
+        wrong = np.nonzero(learners.predict(entry.model, X) != y)[0]
         if len(wrong):
             witness = (idx, int(entry.scene.train_indices[wrong[0]]))
             break
@@ -287,8 +287,8 @@ def test_10_decision_competence(bench42):
     valid_idx = dataset.part_indices(ds, "valid")
     hits = 0
     for i in valid_idx:
-        probs, ranking = decision.rank_models(model, ds.samples[i].features)
-        hits += int(ranking[0] == lookup[ds.samples[i].attrs])
+        probs, ranking = decision.rank_models(model, ds.samples[i].features[None])
+        hits += int(ranking[0][0] == lookup[ds.samples[i].attrs])
     accuracy = hits / len(valid_idx)
     assert report("10 decision-competence", accuracy >= 0.9, f"top1 accuracy={accuracy:.4f}")
 
@@ -361,7 +361,7 @@ def test_separability_property():
             i for i in dataset.part_indices(ds, "valid") if ds.samples[i].attrs == scene.attrs
         ]
         f1 = profiling.macro_f1(
-            learners.predict_batch(model, ds.features[valid]), ds.labels[valid], ds.schema.num_classes
+            learners.predict(model, ds.features[valid]), ds.labels[valid], ds.schema.num_classes
         )
         worst = min(worst, f1)
     assert report("00 separability-property", worst >= 0.95, f"worst per-cell F1={worst:.4f}")

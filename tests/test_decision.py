@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from sceneselect import decision, learners, sampling
-from sceneselect.decision import (
-    DecisionModel,
-    build_allocation_labels,
-    decision_probs,
-    rank_models,
-    train_decision,
-)
+from sceneselect.decision import DecisionModel, decision_probs, rank_models, train_decision
 from sceneselect.errors import ArtifactMismatchError, ConfigError
 from sceneselect.learners import TrainConfig
 
@@ -16,9 +10,25 @@ from conftest import params_hash
 
 
 def fake_state(rows, n):
-    """SamplingState stub with pools laid out as given rows of (index, bits)."""
-    pools = [[(idx, bool(bits[j])) for idx, bits in rows] for j in range(n)]
-    return sampling.SamplingState(arms=[], pools=pools, theta=0.9, kappa=10, seed=0)
+    """SamplingState stub holding the given rows of (index, bits)."""
+    bits = np.array([bits for _, bits in rows], dtype=bool).reshape(len(rows), n)
+    return sampling.SamplingState(
+        arms=[], rows=[idx for idx, _ in rows], bits=bits, theta=0.9, kappa=10, seed=0
+    )
+
+
+def allocation_labels(state):
+    """(sample indices, 0/1 label matrix) as train-decision reads them from pools.json."""
+    rows = sampling.pools_payload(state, "dhash", "rhash")["rows"]
+    indices = np.array([r["sample_index"] for r in rows], dtype=int)
+    labels = np.array([r["bits"] for r in rows], dtype=float)
+    return indices, labels
+
+
+def rank_one(model, x):
+    """rank_models on a batch of one sample."""
+    probs, ranking = rank_models(model, x[None])
+    return probs[0], ranking[0]
 
 
 def constant_prob_head(probs):
@@ -36,30 +46,20 @@ def constant_prob_head(probs):
 class TestAllocationLabels:
     def test_membership_bits(self):
         state = fake_state([(5, [1, 0, 1])], n=3)
-        idx, labels = build_allocation_labels(state)
+        idx, labels = allocation_labels(state)
         assert idx.tolist() == [5]
         assert labels.tolist() == [[1.0, 0.0, 1.0]]
 
     def test_all_zero_rows_kept(self):
         state = fake_state([(1, [0, 0]), (2, [1, 1])], n=2)
-        idx, labels = build_allocation_labels(state)
+        idx, labels = allocation_labels(state)
         assert idx.tolist() == [1, 2]
         assert labels[0].tolist() == [0.0, 0.0]
 
     def test_row_count_matches_distinct_samples(self, bench42):
-        idx, labels = build_allocation_labels(bench42.state)
+        idx, labels = allocation_labels(bench42.state)
         assert len(idx) == bench42.state.distinct_drawn
         assert labels.shape == (len(idx), len(bench42.repo.entries))
-
-    def test_inconsistent_pools_rejected(self):
-        state = fake_state([(1, [1, 0]), (2, [0, 1])], n=2)
-        state.pools[1] = state.pools[1][:1]
-        with pytest.raises(ConfigError):
-            build_allocation_labels(state)
-        state = fake_state([(1, [1, 0]), (2, [0, 1])], n=2)
-        state.pools[1][1] = (99, False)
-        with pytest.raises(ConfigError):
-            build_allocation_labels(state)
 
 
 class TestTrainDecision:
@@ -75,7 +75,7 @@ class TestTrainDecision:
         labels = np.ones((30, 3))
         model = train_decision(enc, small_ds, np.arange(30), labels, 8, TrainConfig(0.2, 60, 16, seed=5))
         for i in range(30):
-            probs = decision_probs(model, small_ds.samples[i].features)
+            probs = decision_probs(model, small_ds.samples[i].features[None])[0]
             assert (probs > 0.5).all()
 
     def test_same_seed_identical_head(self, small_ds):
@@ -97,19 +97,19 @@ class TestTrainDecision:
 class TestRanking:
     def test_ranking_with_tie_break(self):
         model = constant_prob_head([0.1, 0.9, 0.9])
-        probs, ranking = rank_models(model, np.zeros(3))
+        probs, ranking = rank_one(model, np.zeros(3))
         assert np.allclose(probs, [0.1, 0.9, 0.9])
         assert ranking.tolist() == [1, 2, 0]
 
     def test_single_model(self):
         model = constant_prob_head([0.42])
-        _, ranking = rank_models(model, np.zeros(3))
+        _, ranking = rank_one(model, np.zeros(3))
         assert ranking.tolist() == [0]
 
     def test_invariant_under_monotone_logit_transform(self, bench42):
         model = bench42.decision
         x = bench42.trace[0].features
-        _, before = rank_models(model, x)
+        _, before = rank_one(model, x)
         scaled = DecisionModel(
             backbone=model.backbone,
             head=learners.VectorClassifier(
@@ -122,12 +122,12 @@ class TestRanking:
                 model.head.b2 * 2.0,
             ),
         )
-        _, after = rank_models(scaled, x)
+        _, after = rank_one(scaled, x)
         assert before.tolist() == after.tolist()
 
     def test_probabilities_strictly_inside_unit_interval(self, bench42):
         for frame in (0, 100, 499):
-            probs = decision_probs(bench42.decision, bench42.trace[frame].features)
+            probs = decision_probs(bench42.decision, bench42.trace[frame].features[None])[0]
             assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
 

@@ -19,18 +19,23 @@ class TestForward:
         m = tiny_model()
         for arr in (m.W1, m.b1, m.W2, m.b2):
             arr[...] = 0.0
-        _, probs = learners.forward(m, np.ones(3))
+        _, probs = learners.forward(m, np.ones((1, 3)))
         assert np.allclose(probs, 1.0 / 3.0)
 
     def test_single_output_is_certain(self):
         m = tiny_model(o=1)
-        _, probs = learners.forward(m, np.array([1.0, -2.0, 0.5]))
+        _, (probs,) = learners.forward(m, np.array([[1.0, -2.0, 0.5]]))
         assert probs.shape == (1,)
         assert probs[0] == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
-            learners.forward(tiny_model(), np.ones(5))
+            learners.forward(tiny_model(), np.ones((1, 5)))
+
+    def test_single_sample_must_be_a_batch_of_one(self):
+        for fn in (learners.forward, learners.predict, learners.embed, learners.sigmoid_probs):
+            with pytest.raises(ConfigError):
+                fn(tiny_model(), np.ones(3))
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(min_value=-500, max_value=500), min_size=2, max_size=6))
@@ -49,42 +54,45 @@ class TestPredictEmbed:
         m.b1[...] = 1.0
         m.W2[...] = 0.0
         m.b2[:] = [0.2, 0.5, 0.3]
-        assert learners.predict(m, np.zeros(3)) == 1
+        assert learners.predict(m, np.zeros((1, 3)))[0] == 1
 
     def test_tie_breaks_to_lowest_index(self):
         m = tiny_model(o=2)
         for arr in (m.W1, m.W2):
             arr[...] = 0.0
         m.b2[:] = [0.5, 0.5]
-        assert learners.predict(m, np.zeros(3)) == 0
+        assert learners.predict(m, np.zeros((1, 3)))[0] == 0
 
     def test_embed_length(self):
         m = tiny_model(h=7)
-        assert learners.embed(m, np.zeros(3)).shape == (7,)
+        assert learners.embed(m, np.zeros((1, 3)))[0].shape == (7,)
 
 
 class TestGradient:
     def test_matches_central_differences(self):
-        # the acceptance suite repeats this over 20 random networks
+        # the acceptance suite repeats the softmax case over 20 random networks;
+        # a 2-D 0/1 target matrix exercises the sigmoid-BCE gradient
         rng = np.random.default_rng(3)
         m = tiny_model(4, 5, 3, seed=9)
         X = rng.normal(size=(4, 4))
-        y = rng.integers(0, 3, size=4)
-        g = learners.gradient(m, X, y, l2=0.01)
-        h = 1e-4
-        for arr, garr in ((m.W1, g.dW1), (m.b1, g.db1), (m.W2, g.dW2), (m.b2, g.db2)):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                ix = it.multi_index
-                old = arr[ix]
-                arr[ix] = old + h
-                up = learners.cross_entropy(m, X, y, 0.01)
-                arr[ix] = old - h
-                dn = learners.cross_entropy(m, X, y, 0.01)
-                arr[ix] = old
-                fd = (up - dn) / (2 * h)
-                rel = abs(garr[ix] - fd) / max(abs(garr[ix]), abs(fd), 1e-8)
-                assert rel < 1e-4
+        labels = rng.integers(0, 3, size=4)
+        bits = (rng.random((4, 3)) < 0.5).astype(float)
+        for y in (labels, bits):
+            g = learners.gradient(m, X, y, l2=0.01)
+            h = 1e-4
+            for arr, garr in ((m.W1, g.dW1), (m.b1, g.db1), (m.W2, g.dW2), (m.b2, g.db2)):
+                it = np.nditer(arr, flags=["multi_index"])
+                for _ in it:
+                    ix = it.multi_index
+                    old = arr[ix]
+                    arr[ix] = old + h
+                    up = learners.cross_entropy(m, X, y, 0.01)
+                    arr[ix] = old - h
+                    dn = learners.cross_entropy(m, X, y, 0.01)
+                    arr[ix] = old
+                    fd = (up - dn) / (2 * h)
+                    rel = abs(garr[ix] - fd) / max(abs(garr[ix]), abs(fd), 1e-8)
+                    assert rel < 1e-4
 
     def test_near_minimum_gradient_vanishes(self):
         m = tiny_model()
@@ -115,7 +123,7 @@ class TestTrain:
         X = np.array([[1.0, 0.0], [-1.0, 0.0]])
         y = np.array([0, 1])
         learners.train(m, X, y, TrainConfig(0.1, 200, 2, seed=5))
-        assert (learners.predict_batch(m, X) == y).all()
+        assert (learners.predict(m, X) == y).all()
 
     def test_zero_learning_rate_is_identity(self):
         m = tiny_model(seed=2)
@@ -162,6 +170,47 @@ class TestTrain:
     def test_label_out_of_range(self):
         with pytest.raises(ConfigError):
             learners.train(tiny_model(), np.ones((2, 3)), np.array([0, 7]), TrainConfig(0.1, 1, 2))
+
+    def test_target_matrix_must_fit_outputs(self):
+        # a 2-D target matrix needs one 0/1 column per output
+        for Y in (np.ones((2, 4)), np.full((2, 3), 0.5)):
+            with pytest.raises(ConfigError):
+                learners.train(tiny_model(o=3), np.ones((2, 3)), Y, TrainConfig(0.1, 1, 2))
+
+
+def reference_row(model, x):
+    """Per-sample reference: relu(W1 x + b1), then softmax(W2 h + b2)."""
+    h = np.maximum(model.W1 @ x + model.b1, 0.0)
+    z = model.W2 @ h + model.b2
+    e = np.exp(z - z.max())
+    return h, e / e.sum()
+
+
+class TestBatchAgainstPerRowReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 6), st.integers(1, 8), st.integers(1, 5), st.integers(1, 9)),
+        seed=st.integers(0, 2**31 - 1),
+        scale=st.floats(0.1, 10.0),
+    )
+    def test_forward_embed_predict_match_reference(self, dims, seed, scale):
+        i, h, o, n = dims
+        rng = np.random.default_rng(seed)
+        m = learners.new_classifier(i, h, o, seed)
+        m.b1[:] = rng.normal(size=h)
+        m.b2[:] = rng.normal(size=o)
+        X = rng.normal(size=(n, i)) * scale
+        H, P = learners.forward(m, X)
+        E = learners.embed(m, X)
+        pred = learners.predict(m, X)
+        assert H.shape == E.shape == (n, h) and P.shape == (n, o) and pred.shape == (n,)
+        for r in range(n):
+            h_ref, p_ref = reference_row(m, X[r])
+            assert np.allclose(H[r], h_ref) and np.allclose(E[r], h_ref)
+            assert np.allclose(P[r], p_ref)
+            top = np.sort(p_ref)[::-1]
+            if o == 1 or top[0] - top[1] > 1e-9:
+                assert pred[r] == int(np.argmax(p_ref))
 
 
 class TestSerialization:

@@ -123,7 +123,7 @@ class TestEmbeddings:
         scenes = segment_semantic_scenes(small_ds)
         enc = train_scene_encoder(small_ds, scenes, 8, quick_train_cfg())
         x = small_ds.samples[0].features
-        assert np.array_equal(learners.embed(enc, x), learners.embed(enc, x.copy()))
+        assert np.array_equal(learners.embed(enc, x[None]), learners.embed(enc, x.copy()[None]))
 
     def test_dimension_mismatch(self, small_ds):
         scenes = segment_semantic_scenes(small_ds)

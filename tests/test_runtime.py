@@ -140,7 +140,7 @@ class TestRunTrace:
         for s in range(5):
             sl = slice(s * seg, (s + 1) * seg)
             scores = [
-                profiling.macro_f1(learners.predict_batch(m, X[sl]), y[sl], ds.schema.num_classes)
+                profiling.macro_f1(learners.predict(m, X[sl]), y[sl], ds.schema.num_classes)
                 for m in repo.models
             ]
             best.append(int(np.argmax(scores)))
@@ -170,7 +170,7 @@ class TestRunTrace:
         assert [r.served_model for r in metrics.frames] == expected_serve
 
         expected_preds = [
-            learners.predict(repo.models[m], trace[i].features)
+            learners.predict(repo.models[m], trace[i].features[None])[0]
             for i, m in enumerate(expected_serve)
         ]
         exp_f1 = [
@@ -264,8 +264,8 @@ class TestBaselines:
         cell0_clips = sorted({s.clip_id for i, s in enumerate(ds.samples) if s.attrs == dominant.attrs})
         test_idx = part_indices(ds, "test", clips=cell0_clips)
         X, y = ds.features[test_idx], ds.labels[test_idx]
-        f_spec = profiling.macro_f1(learners.predict_batch(specialist, X), y, ds.schema.num_classes)
-        f_ssm = profiling.macro_f1(learners.predict_batch(ssm, X), y, ds.schema.num_classes)
+        f_spec = profiling.macro_f1(learners.predict(specialist, X), y, ds.schema.num_classes)
+        f_ssm = profiling.macro_f1(learners.predict(ssm, X), y, ds.schema.num_classes)
         assert abs(f_spec - f_ssm) <= 0.1
 
     def test_run_baselines_shapes(self, bench42):

@@ -71,7 +71,9 @@ def two_arm_state(a0=(3.0, 2.0), a1=(1.0, 1.0), gammas=((0, 1, 2), (3, 4, 5))):
         sampling.ArmState(0, a0[0], a0[1], set(), np.array(gammas[0]), well_sampled_threshold(3, 0.9)),
         sampling.ArmState(1, a1[0], a1[1], set(), np.array(gammas[1]), well_sampled_threshold(3, 0.9)),
     ]
-    return sampling.SamplingState(arms=arms, pools=[[], []], theta=0.9, kappa=10, seed=0)
+    return sampling.SamplingState(
+        arms=arms, rows=[], bits=np.zeros((0, 2), dtype=bool), theta=0.9, kappa=10, seed=0
+    )
 
 
 class TestThompsonRound:
@@ -140,14 +142,14 @@ class TestAdaptive:
     def test_zero_budget(self, small_repo):
         ds, repo = small_repo
         state = adaptive_sampling(ds, repo, SamplingConfig(0.9, 0, 1))
-        assert all(len(pool) == 0 for pool in state.pools)
+        assert state.rows == [] and state.bits.shape == (0, len(repo.entries))
 
     def test_budget_respected_and_pools_aligned(self, small_repo):
         ds, repo = small_repo
         state = adaptive_sampling(ds, repo, SamplingConfig(0.9, 37, 2))
         assert state.distinct_drawn <= 37
-        lengths = {len(pool) for pool in state.pools}
-        assert lengths == {state.distinct_drawn}
+        assert len(state.rows) == state.distinct_drawn
+        assert state.bits.shape == (state.distinct_drawn, len(repo.entries))
 
     def test_budget_fully_spent(self, small_repo):
         # at theta = 0.9 no arm freezes before its scene drains, so the
@@ -199,8 +201,8 @@ class TestAdaptive:
     def test_pool_consistency_reproducible_from_inputs(self, small_repo):
         ds, repo = small_repo
         state = adaptive_sampling(ds, repo, SamplingConfig(0.9, 50, 4))
-        for j, pool in enumerate(state.pools):
-            for idx, bit in pool:
+        for idx, bits in zip(state.rows, state.bits):
+            for j, bit in enumerate(bits):
                 assert bit == probe_suitability(repo.entries[j].model, ds.samples[idx])
 
     def test_sampled_sets_stay_inside_gamma(self, small_repo):
@@ -213,7 +215,7 @@ class TestAdaptive:
         ds, repo = small_repo
         a = adaptive_sampling(ds, repo, SamplingConfig(0.9, 40, 6))
         b = adaptive_sampling(ds, repo, SamplingConfig(0.9, 40, 6))
-        assert a.pools == b.pools
+        assert a.rows == b.rows and np.array_equal(a.bits, b.bits)
         assert [(x.alpha, x.beta) for x in a.arms] == [(x.alpha, x.beta) for x in b.arms]
 
     def test_empty_repository_rejected(self, small_repo):
@@ -227,7 +229,7 @@ class TestRandom:
         ds, repo = small_repo
         train = part_indices(ds, "train")
         state = random_sampling(ds, repo, len(train) + 100, seed=1)
-        drawn = [idx for idx, _ in state.pools[0]]
+        drawn = state.rows
         assert sorted(drawn) == sorted(train.tolist())
         assert len(drawn) == len(set(drawn))
 
@@ -235,7 +237,7 @@ class TestRandom:
         ds, repo = small_repo
         a = random_sampling(ds, repo, 30, seed=9)
         b = random_sampling(ds, repo, 30, seed=9)
-        assert a.pools == b.pools
+        assert a.rows == b.rows and np.array_equal(a.bits, b.bits)
 
     def test_draws_proportional_to_scene_sizes(self):
         # skewed benchmark: cell 0 is 10x larger; pooled draw counts over 20
@@ -254,7 +256,7 @@ class TestRandom:
         counts = np.zeros(len(scenes))
         for seed in range(20):
             state = random_sampling(ds, repo, kappa, seed=seed)
-            for idx, _ in state.pools[0]:
+            for idx in state.rows:
                 counts[lookup[ds.samples[idx].attrs]] += 1
         expected = sizes / sizes.sum() * counts.sum()
         _, pvalue = stats.chisquare(counts, expected)
@@ -288,5 +290,5 @@ class TestPoolsIO:
         assert len(body["rows"]) == state.distinct_drawn
         assert len(body["arms"]) == len(repo.entries)
         for pos, row in enumerate(body["rows"]):
-            assert row["sample_index"] == state.pools[0][pos][0]
-            assert row["bits"] == [int(state.pools[j][pos][1]) for j in range(len(state.pools))]
+            assert row["sample_index"] == state.rows[pos]
+            assert row["bits"] == [int(bit) for bit in state.bits[pos]]
