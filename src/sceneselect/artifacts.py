@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 from .errors import ArtifactMismatchError, ParseError
@@ -29,13 +30,22 @@ def sha256_file(path) -> str:
 
 
 def write_artifact(path, payload: dict) -> str:
-    """Stamp ``payload`` with format version and self-hash, write it, return the hash."""
+    """Stamp ``payload`` with format version and self-hash, write it atomically,
+    return the hash."""
     body = dict(payload)
     body["format_version"] = FORMAT_VERSION
     body.pop("content_hash", None)
     digest = sha256_text(canonical_dumps(body))
     body["content_hash"] = digest
-    Path(path).write_text(canonical_dumps(body) + "\n", encoding="utf-8")
+    path = Path(path)
+    # write beside the target, then rename over it: readers never see a partial file
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(canonical_dumps(body) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return digest
 
 

@@ -355,7 +355,14 @@ def load_dataset(path) -> Dataset:
             samples.append(_parse_sample(obj, schema, lineno))
     if schema is None:
         raise ParseError(1, "missing header line")
-    return Dataset(schema=schema, samples=samples, split=split)
+    ds = Dataset(schema=schema, samples=samples, split=split)
+    if samples:
+        # one check over the cached feature matrix, not one per sample
+        bad = np.flatnonzero(~np.isfinite(ds.features).all(axis=1))
+        if len(bad):
+            s = samples[bad[0]]
+            raise SchemaError(f"sample in clip {s.clip_id} frame {s.frame_index}: non-finite feature")
+    return ds
 
 
 def _parse_header(obj, lineno):

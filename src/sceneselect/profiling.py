@@ -152,12 +152,14 @@ def encoder_confusion(encoder: VectorClassifier, scenes, ds: Dataset) -> np.ndar
     lookup = scene_of_attrs(scenes)
     m = len(scenes)
     counts = np.zeros((m, m), dtype=int)
+    rows, true = [], []
     for idx in part_indices(ds, "valid"):
-        true = lookup.get(ds.samples[idx].attrs)
-        if true is None:
-            continue
-        pred = learners.predict(encoder, ds.samples[idx].features[None])[0]
-        counts[true, pred] += 1
+        scene = lookup.get(ds.samples[idx].attrs)
+        if scene is not None:
+            rows.append(idx)
+            true.append(scene)
+    if rows:
+        np.add.at(counts, (true, learners.predict(encoder, ds.features[rows])), 1)
     return counts
 
 
@@ -246,12 +248,18 @@ def macro_f1(predictions, labels, num_classes: int) -> float:
         raise ConfigError("macro_f1 needs a non-empty label set")
     if len(preds) != len(labs):
         raise ConfigError("predictions and labels disagree in length")
-    scores = []
-    for c in np.unique(labs):
-        tp = int(np.sum((preds == c) & (labs == c)))
-        fp = int(np.sum((preds == c) & (labs != c)))
-        fn = int(np.sum((preds != c) & (labs == c)))
-        scores.append(binary_f1(tp, fp, fn))
+    try:
+        actual = np.bincount(labs, minlength=num_classes)
+        predicted = np.bincount(preds, minlength=len(actual))
+    except ValueError as exc:
+        raise ConfigError("class indices must be non-negative") from exc
+    tp = np.bincount(labs[preds == labs], minlength=len(actual))
+    # predicted may be longer than actual; only classes present in labels count
+    scores = [
+        binary_f1(t, p - t, a - t)
+        for t, p, a in zip(tp.tolist(), predicted.tolist(), actual.tolist())
+        if a
+    ]
     return float(np.mean(scores))
 
 

@@ -1,10 +1,14 @@
-"""Online inference over a trace: per-frame ranking, LFU model cache, metrics.
+"""Online inference over a trace: whole-trace ranking, LFU model cache, metrics.
 
-Every frame is ranked independently (scene changes are not announced). If the
+Every frame is ranked independently (scene changes are not announced), so
+ranking does not depend on cache state and the whole trace is ranked in one
+batch. The cache is the one stateful step and runs frame by frame: if the
 top-ranked model is resident it serves the frame; otherwise the best-ranked
 resident model serves this frame as a fallback and the missing top model is
 loaded afterwards, evicting the least-frequently-used resident if the cache
-is full. Use counts reset on load, so eviction is LFU over residency.
+is full. Use counts reset on load, so eviction is LFU over residency. Once
+the cache has picked every frame's model, each served model predicts its
+frames in one batch.
 """
 
 from __future__ import annotations
@@ -119,84 +123,73 @@ def run_trace(
 ) -> TraceMetrics:
     """Drive a trace through ranking, cache, and inference.
 
-    ``decision`` is either a DecisionModel or a callable sample -> (probs,
-    ranking), which lets baselines and oracle rankers reuse the same loop.
-    F1 is computed per ``window`` frames (macro over classes present; the
-    last window may be short). A max suitability below ``low_confidence``
-    is recorded as a no-suitable-model event; the frame is still served.
+    ``decision`` is either a DecisionModel or a batch ranker, a callable
+    trace -> (probs (F, n), rankings (F, n)), so baselines and oracle
+    rankers take the same path. The whole trace is ranked in one call, the
+    LFU cache runs frame by frame, and each served model then predicts all
+    of its frames in one batch. F1 is computed per ``window`` frames (macro
+    over classes present; the last window may be short). A max suitability
+    below ``low_confidence`` is recorded as a no-suitable-model event; the
+    frame is still served.
     """
     if len(trace) == 0:
         raise ConfigError("trace is empty")
     if hasattr(models, "models"):  # accept a ModelRepository directly
         models = models.models
+    X = np.stack([s.features for s in trace])
     if isinstance(decision, DecisionModel):
         if decision.n != len(models):
             raise ConfigError("decision output width does not match the repository size")
-
-        def ranker(sample):
-            probs, ranking = rank_models(decision, sample.features[None])
-            return probs[0], ranking[0]
+        probs, rankings = rank_models(decision, X)
     else:
-        ranker = decision
+        probs, rankings = decision(trace)
+    frames = len(trace)
+    if probs.shape != (frames, len(models)) or rankings.shape != (frames, len(models)):
+        raise ConfigError(f"ranker must return ({frames}, {len(models)}) probabilities and rankings")
+
+    top1 = rankings[:, 0]
+    low = probs.max(axis=1) < low_confidence
+    for frame in np.flatnonzero(low):
+        log.debug("frame %d: no model above confidence %.2f", frame, low_confidence)
+
+    cache = ModelCache(cache_capacity)
+    served, missed = [], []
+    for ranking in rankings.tolist():
+        model, miss = cache_request(cache, ranking)
+        served.append(model)
+        missed.append(miss)
+
+    served_arr = np.array(served)
+    preds = np.empty(frames, dtype=int)
+    for model in np.unique(served_arr):
+        rows = np.flatnonzero(served_arr == model)
+        preds[rows] = learners.predict(models[model], X[rows])
+    labels = np.array([s.label for s in trace])
 
     num_classes = models[0].output_dim
-    cache = ModelCache(cache_capacity)
-    records = []
-    top1_counts = np.zeros(len(models), dtype=int)
-    misses = 0
-    low_conf = 0
-    prev_served = None
-    switch_frames = []
-    preds = []
-    for frame, sample in enumerate(trace):
-        probs, ranking = ranker(sample)
-        top1 = int(ranking[0])
-        top1_counts[top1] += 1
-        if np.max(probs) < low_confidence:
-            low_conf += 1
-            log.debug("frame %d: no model above confidence %.2f", frame, low_confidence)
-        served, miss = cache_request(cache, ranking)
-        misses += int(miss)
-        if prev_served is not None and served != prev_served:
-            switch_frames.append(frame)
-        prev_served = served
-        pred = int(learners.predict(models[served], sample.features[None])[0])
-        preds.append(pred)
-        records.append(
-            FrameRecord(
-                frame=frame,
-                window_id=frame // window,
-                served_model=served,
-                top1_model=top1,
-                miss=miss,
-                correct=pred == sample.label,
-            )
+    window_f1 = [
+        (w, macro_f1(preds[lo : lo + window], labels[lo : lo + window], num_classes))
+        for w, lo in enumerate(range(0, frames, window))
+    ]
+    records = [
+        FrameRecord(frame=f, window_id=f // window, served_model=m, top1_model=t, miss=miss,
+                    correct=p == y)
+        for f, (m, t, miss, p, y) in enumerate(
+            zip(served, top1.tolist(), missed, preds.tolist(), labels.tolist())
         )
-
-    labels = [s.label for s in trace]
-    window_f1 = []
-    for w in range((len(trace) + window - 1) // window):
-        lo, hi = w * window, min((w + 1) * window, len(trace))
-        if hi <= lo:
-            continue
-        window_f1.append((w, macro_f1(preds[lo:hi], labels[lo:hi], num_classes)))
-
-    durations = []
-    last = 0
-    for f in switch_frames:
-        durations.append(f - last)
-        last = f
-    durations.append(len(trace) - last)
+    ]
+    switch_frames = (np.flatnonzero(served_arr[1:] != served_arr[:-1]) + 1).tolist()
+    durations = np.diff([0, *switch_frames, frames]).tolist()
 
     return TraceMetrics(
         frames=records,
         window_f1=window_f1,
-        cache_misses=misses,
-        cache_accesses=len(trace),
+        cache_misses=sum(missed),
+        cache_accesses=frames,
         switch_frames=switch_frames,
         scene_durations=durations,
-        top1_counts=top1_counts,
-        low_confidence_events=low_conf,
+        top1_counts=np.bincount(top1, minlength=len(models)),
+        low_confidence_events=int(low.sum()),
         window=window,
     )
 
@@ -242,9 +235,13 @@ def write_metrics_csv(metrics: TraceMetrics, path) -> None:
 
 
 def constant_ranker(num_models: int = 1):
-    probs = np.ones(num_models)
-    ranking = np.arange(num_models)
-    return lambda sample: (probs, ranking)
+    """Batch ranker that ranks the models in index order on every frame."""
+
+    def rank(trace):
+        frames = len(trace)
+        return np.ones((frames, num_models)), np.tile(np.arange(num_models), (frames, 1))
+
+    return rank
 
 
 def train_global_model(ds: Dataset, hidden_dim: int, cfg: TrainConfig) -> VectorClassifier:
@@ -263,10 +260,11 @@ class CdgBaseline:
     centroids: np.ndarray
 
     def ranker(self):
-        def rank(sample):
-            d = np.linalg.norm(self.centroids - sample.features, axis=1)
-            ranking = np.argsort(d, kind="stable")  # equidistant -> lowest index
-            return 1.0 / (1.0 + d), ranking
+        def rank(trace):
+            X = np.stack([s.features for s in trace])
+            d = np.linalg.norm(self.centroids[None, :, :] - X[:, None, :], axis=2)
+            rankings = np.argsort(d, axis=1, kind="stable")  # equidistant -> lowest index
+            return 1.0 / (1.0 + d), rankings
 
         return rank
 
@@ -297,13 +295,12 @@ class DmmBaseline:
     def ranker(self):
         index_of = {fam: i for i, fam in enumerate(self.families)}
 
-        def rank(sample):
-            own = index_of[sample.attrs[0]]
-            rest = [i for i in range(len(self.models)) if i != own]
-            ranking = np.array([own] + rest)
-            probs = np.zeros(len(self.models))
-            probs[own] = 1.0
-            return probs, ranking
+        def rank(trace):
+            own = [index_of[s.attrs[0]] for s in trace]
+            probs = np.zeros((len(trace), len(self.models)))
+            probs[np.arange(len(trace)), own] = 1.0
+            # own family first, then the rest by index
+            return probs, np.argsort(-probs, axis=1, kind="stable")
 
         return rank
 

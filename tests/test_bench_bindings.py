@@ -30,3 +30,42 @@ def test_counter_hooks_find_their_fields():
 
     assert isinstance(sampling.SamplingState.distinct_drawn, property)
     assert isinstance(runtime.ModelCache(1).loaded, dict)
+
+
+def test_run_trace_calls_each_traced_layer(small_ds, monkeypatch):
+    # the per-layer metrics count calls through these bindings; a call
+    # inlined into run_trace would silently read as zero
+    import math
+
+    from sceneselect import dataset, decision, learners, runtime
+
+    calls = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    d, c = small_ds.schema.feature_dim, small_ds.schema.num_classes
+    models = [learners.new_classifier(d, 4, c, seed) for seed in range(4)]
+    dm = decision.DecisionModel(
+        backbone=learners.new_classifier(d, 5, 3, 10), head=learners.new_classifier(5, 6, 4, 11)
+    )
+    trace = dataset.synthesize_trace(small_ds, 2, 7, 5, seed=0)
+    for module, name in [(runtime, "rank_models"), (runtime, "cache_request"),
+                         (runtime, "macro_f1"), (learners, "predict")]:
+        counting(module, name)
+
+    metrics = runtime.run_trace(trace, dm, models, 2, window=10)
+    served = {r.served_model for r in metrics.frames}
+    assert calls == {
+        "rank_models": 1,
+        "cache_request": len(trace),
+        "macro_f1": math.ceil(len(trace) / 10),
+        "predict": len(served),
+    }
+    assert len(served) <= len(models)

@@ -188,14 +188,17 @@ class TestSimulate:
             "--encoder", str(workdir["prof"] / "encoder.json"), "--decision", str(workdir["dec"]),
             "--out", str(out),
         ]) == 0
-        assert cli.main([
-            "simulate", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
-            "--baseline", "ssm", "--out", str(out),
-        ]) == 0
+        for baseline in ("ssm", "cdg", "dmm"):
+            assert cli.main([
+                "simulate", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
+                "--baseline", baseline, "--out", str(out),
+            ]) == 0
         anole = read_artifact(out / "summary_anole_cap2.json", "summary")
         ssm = read_artifact(out / "summary_ssm_cap2.json", "summary")
         assert set(anole) >= {"miss_rate", "mean_window_f1", "duration_quartiles", "top1_histogram", "top5_coverage"}
         assert anole["method"] == "anole" and ssm["method"] == "ssm"
+        for baseline in ("cdg", "dmm"):
+            assert read_artifact(out / f"summary_{baseline}_cap2.json", "summary")["method"] == baseline
         assert (out / "frames_anole_cap2.csv").exists()
 
     def test_anole_requires_artifacts(self, workdir, tmp_path, capsys):

@@ -166,6 +166,23 @@ class TestRoundTrip:
             load_dataset(path)
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["NaN", "1e999"])
+    def test_non_finite_feature_names_sample(self, tmp_path, value):
+        header = {
+            "schema": {"feature_dim": 2, "num_classes": 2, "attr_cardinalities": [1]},
+            "splits": {
+                "seen_clips": [3],
+                "unseen_clips": [],
+                "ranges": {"3": {"train": [0, 1], "valid": [1, 1], "test": [1, 1]}},
+            },
+        }
+        sample = '{"f": [0.5, %s], "y": 0, "a": [0], "clip": 3, "frame": 0}' % value
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps(header) + "\n" + sample + "\n")
+        with pytest.raises(SchemaError) as err:
+            load_dataset(path)
+        assert "clip 3 frame 0" in str(err.value)
+
     def test_label_out_of_range(self, tmp_path, small_ds):
         path = tmp_path / "data.jsonl"
         save_dataset(small_ds, path)

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sceneselect import learners, profiling
 from sceneselect.dataset import generate_dataset, part_indices
@@ -193,6 +195,27 @@ class TestMacroF1:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             macro_f1([], [], 2)
+
+    def test_negative_class_rejected(self):
+        with pytest.raises(ConfigError):
+            macro_f1([-1, 0], [0, 0], 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_classes=st.integers(1, 6),
+        pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=40),
+    )
+    def test_matches_per_class_reference(self, num_classes, pairs):
+        # predicted classes may be absent from the labels (and exceed num_classes)
+        preds = np.array([p for p, _ in pairs])
+        labels = np.array([y % num_classes for _, y in pairs])
+        scores = []
+        for c in np.unique(labels):
+            tp = int(np.sum((preds == c) & (labels == c)))
+            fp = int(np.sum((preds == c) & (labels != c)))
+            fn = int(np.sum((preds != c) & (labels == c)))
+            scores.append(binary_f1(tp, fp, fn))
+        assert macro_f1(preds, labels, num_classes) == float(np.mean(scores))
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
@@ -49,6 +52,125 @@ class ReferenceCache:
         self.entries.append([top, 0, self.clock])
         self.clock += 1
         return served, True
+
+
+def reference_run_trace(trace, decision, models, cache_capacity, window=10, low_confidence=0.2):
+    """The per-frame loop run_trace replaced: rank and predict on batches of
+    one, the cache request, then macro F1 per window. ``decision`` is a
+    DecisionModel or a per-sample ranker sample -> (probs, ranking)."""
+    if hasattr(models, "models"):
+        models = models.models
+    if isinstance(decision, runtime.DecisionModel):
+
+        def ranker(sample):
+            probs, ranking = runtime.rank_models(decision, sample.features[None])
+            return probs[0], ranking[0]
+    else:
+        ranker = decision
+
+    num_classes = models[0].output_dim
+    cache = ModelCache(cache_capacity)
+    records = []
+    top1_counts = np.zeros(len(models), dtype=int)
+    misses = 0
+    low_conf = 0
+    prev_served = None
+    switch_frames = []
+    preds = []
+    for frame, sample in enumerate(trace):
+        probs, ranking = ranker(sample)
+        top1 = int(ranking[0])
+        top1_counts[top1] += 1
+        if np.max(probs) < low_confidence:
+            low_conf += 1
+        served, miss = cache_request(cache, ranking)
+        misses += int(miss)
+        if prev_served is not None and served != prev_served:
+            switch_frames.append(frame)
+        prev_served = served
+        pred = int(learners.predict(models[served], sample.features[None])[0])
+        preds.append(pred)
+        records.append(
+            runtime.FrameRecord(
+                frame=frame,
+                window_id=frame // window,
+                served_model=served,
+                top1_model=top1,
+                miss=miss,
+                correct=pred == sample.label,
+            )
+        )
+
+    labels = [s.label for s in trace]
+    window_f1 = []
+    for w in range((len(trace) + window - 1) // window):
+        lo, hi = w * window, min((w + 1) * window, len(trace))
+        window_f1.append((w, profiling.macro_f1(preds[lo:hi], labels[lo:hi], num_classes)))
+    return records, window_f1, switch_frames, top1_counts, low_conf
+
+
+def assert_matches_reference(metrics, reference):
+    records, window_f1, switch_frames, top1_counts, low_conf = reference
+    assert metrics.frames == records
+    assert metrics.window_f1 == window_f1
+    assert metrics.switch_frames == switch_frames
+    assert metrics.top1_counts.tolist() == top1_counts.tolist()
+    assert metrics.low_confidence_events == low_conf
+    assert metrics.cache_misses == sum(r.miss for r in records)
+
+
+def constant_rank_one(sample):
+    return np.ones(1), np.arange(1)
+
+
+def cdg_rank_one(centroids, sample):
+    d = np.linalg.norm(centroids - sample.features, axis=1)
+    return 1.0 / (1.0 + d), np.argsort(d, kind="stable")
+
+
+def dmm_rank_one(families, sample):
+    own = families.index(sample.attrs[0])
+    probs = np.zeros(len(families))
+    probs[own] = 1.0
+    return probs, np.array([own] + [i for i in range(len(families)) if i != own])
+
+
+@pytest.fixture(scope="module")
+def bench42_baselines(bench42):
+    """name -> (batch ranker, per-sample reference ranker, models), built as build_baseline does."""
+    ds, cfg = bench42.ds, bench42.cfg
+    hidden, seeds = cfg.profiling.compressed_hidden, cfg.baseline_seeds
+
+    def train_cfg(name):
+        return dataclasses.replace(cfg.baseline_train, seed=seeds[name])
+
+    sdm = runtime.train_global_model(ds, cfg.deep_hidden, train_cfg("sdm"))
+    cdg = runtime.build_cdg(ds, cfg.profiling.n, hidden, train_cfg("cdg"), seeds["cdg"])
+    dmm = runtime.build_dmm(ds, hidden, train_cfg("dmm"), seeds["dmm"])
+    return {
+        "sdm": (runtime.constant_ranker(1), constant_rank_one, [sdm]),
+        "cdg": (cdg.ranker(), functools.partial(cdg_rank_one, cdg.centroids), cdg.models),
+        "dmm": (dmm.ranker(), functools.partial(dmm_rank_one, dmm.families), dmm.models),
+    }
+
+
+class TestWholeTraceMatchesPerFrame:
+    """run_trace ranks and predicts the whole trace in batches; it must give
+    what the per-frame loop gives."""
+
+    def test_decision_model_every_capacity(self, bench42):
+        cfg = bench42.cfg
+        for cap in range(1, len(bench42.repo.models) + 1):
+            args = (bench42.trace, bench42.decision, bench42.repo, cap, cfg.window, cfg.low_confidence)
+            assert_matches_reference(run_trace(*args), reference_run_trace(*args))
+
+    @pytest.mark.parametrize("name", ["sdm", "cdg", "dmm"])
+    def test_baseline_rankers(self, bench42, bench42_baselines, name):
+        ranker, rank_one, models = bench42_baselines[name]
+        for cap in range(1, len(models) + 1):
+            metrics = run_trace(bench42.trace, ranker, models, cap, bench42.cfg.window, 0.0)
+            reference = reference_run_trace(bench42.trace, rank_one, models, cap, bench42.cfg.window, 0.0)
+            assert_matches_reference(metrics, reference)
 
 
 class TestCacheUnit:
@@ -147,12 +269,16 @@ class TestRunTrace:
 
         frame_of = {id(s): i for i, s in enumerate(trace)}
 
-        def oracle(sample):
+        def oracle_one(sample):
             model = best[frame_of[id(sample)] // seg]
             probs = np.zeros(n)
             probs[model] = 1.0
             ranking = np.array([model] + [j for j in range(n) if j != model])
             return probs, ranking
+
+        def oracle(frames):
+            probs, rankings = zip(*map(oracle_one, frames))
+            return np.stack(probs), np.stack(rankings)
 
         metrics = run_trace(trace, oracle, repo.models, cache_capacity=n)
 
@@ -232,15 +358,16 @@ class TestBaselines:
             centroids=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]),
         )
         sample = type("S", (), {"features": np.array([2.0, 0.0])})()
-        _, ranking = base.ranker()(sample)
-        assert ranking.tolist() == [0, 1, 2]
+        _, rankings = base.ranker()([sample])
+        assert rankings[0].tolist() == [0, 1, 2]
 
     def test_dmm_selects_family_model(self):
         ds = generate_dataset(small_generator_config(num_cells=4, cards=(2, 2)))
         dmm = runtime.build_dmm(ds, 4, quick_train_cfg(epochs=2), seed=3)
         assert dmm.families == [0, 1]
         sample = next(s for s in ds.samples if s.attrs[0] == 1)
-        probs, ranking = dmm.ranker()(sample)
+        probs, rankings = dmm.ranker()([sample])
+        ranking, probs = rankings[0], probs[0]
         assert ranking[0] == 1 and probs[1] == 1.0
 
     def test_ssm_matches_dominant_scene_model(self):
