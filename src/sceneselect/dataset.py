@@ -14,6 +14,7 @@ cell easily.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -362,7 +363,31 @@ def load_dataset(path) -> Dataset:
         if len(bad):
             s = samples[bad[0]]
             raise SchemaError(f"sample in clip {s.clip_id} frame {s.frame_index}: non-finite feature")
+    _check_index(ds)
     return ds
+
+
+def _check_index(ds: Dataset) -> None:
+    """Reject a repeated (clip, frame) pair, a split range outside its clip's
+    frames, and a clip listed as both seen and unseen."""
+    clips, frames = ds.clip_ids, ds.frame_indices
+    order = np.lexsort((frames, clips))
+    clips_sorted, frames_sorted = clips[order], frames[order]
+    repeated = np.flatnonzero(
+        (clips_sorted[1:] == clips_sorted[:-1]) & (frames_sorted[1:] == frames_sorted[:-1])
+    )
+    if len(repeated):
+        i = repeated[0]
+        raise SchemaError(f"clip {clips_sorted[i]} frame {frames_sorted[i]} appears more than once")
+    frame_counts = Counter(clips.tolist())
+    for clip, parts in ds.split.ranges.items():
+        count = frame_counts[clip]
+        for part, bounds in parts.items():
+            if len(bounds) != 2 or not 0 <= bounds[0] <= bounds[1] <= count:
+                raise SchemaError(f"clip {clip} {part} range {list(bounds)} does not fit its {count} frames")
+    both = set(ds.split.seen_clips) & set(ds.split.unseen_clips)
+    if both:
+        raise SchemaError(f"clip {min(both)} is listed as both seen and unseen")
 
 
 def _parse_header(obj, lineno):
@@ -375,7 +400,7 @@ def _parse_header(obj, lineno):
         )
         sp = obj["splits"]
         ranges = {
-            int(clip): {p: tuple(r[p]) for p in PARTS}
+            int(clip): {p: tuple(int(v) for v in r[p]) for p in PARTS}
             for clip, r in sp["ranges"].items()
         }
         split = SplitDataset(

@@ -94,9 +94,17 @@ def new_classifier(input_dim: int, hidden_dim: int, output_dim: int, seed: int) 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Max-subtracted softmax along the last axis; exact for |logit| <= 500."""
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=-1, keepdims=True)
+    logits = np.asarray(logits, dtype=float)
+    # Row max one column at a time: max is exact, so this equals
+    # logits.max(axis=-1) bit for bit, and numpy's reduction over a short
+    # last axis costs far more than a few strided maximum calls.
+    row_max = logits[..., :1].copy()
+    for j in range(1, logits.shape[-1]):
+        np.maximum(row_max, logits[..., j : j + 1], out=row_max)
+    out = logits - row_max
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def _layers(model: VectorClassifier, X: np.ndarray):
@@ -105,9 +113,12 @@ def _layers(model: VectorClassifier, X: np.ndarray):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ConfigError(f"batch has shape {X.shape}, expected (n, {model.input_dim})")
-    Z1 = X @ model.W1.T + model.b1
+    Z1 = X @ model.W1.T
+    Z1 += model.b1
     H = np.maximum(Z1, 0.0)
-    return Z1, H, H @ model.W2.T + model.b2
+    Z2 = H @ model.W2.T
+    Z2 += model.b2
+    return Z1, H, Z2
 
 
 def forward(model: VectorClassifier, X: np.ndarray):
@@ -128,8 +139,10 @@ def embed(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
 
 
 def sigmoid_probs(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
-    """Independent per-output probabilities (n, output), each in (0, 1): the
-    outputs a model trained on a 2-D 0/1 target matrix fits."""
+    """Independent per-output probabilities (n, output) in [0, 1]: the outputs
+    a model trained on a 2-D 0/1 target matrix fits. Each lies in (0, 1)
+    for moderate logits; ``expit`` rounds to exactly 0.0 or 1.0 beyond
+    |logit| of about 37."""
     return expit(_layers(model, X)[2])
 
 
@@ -147,7 +160,9 @@ def cross_entropy(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: flo
     """Mean per-row loss plus (l2/2)*||W||^2 on the weight matrices.
 
     1-D labels give softmax cross-entropy; a 2-D 0/1 matrix gives binary
-    cross-entropy of independent sigmoids, summed over the outputs.
+    cross-entropy of independent sigmoids, summed over the outputs. Labels
+    must lie in [0, output_dim); they are not checked here, `train` checks
+    them once.
     """
     _, _, Z2 = _layers(model, X)
     y = _targets(y)
@@ -156,13 +171,22 @@ def cross_entropy(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: flo
         per_row = (np.logaddexp(0.0, Z2) - y * Z2).sum(axis=1)
     else:
         P = softmax(Z2)
-        per_row = -np.log(np.maximum(P[np.arange(Z2.shape[0]), y], 1e-300))
-    penalty = 0.5 * l2 * (np.sum(model.W1**2) + np.sum(model.W2**2))
+        per_row = -np.log(np.maximum(P.ravel()[_flat_index(y, P.shape[1])], 1e-300))
+    # a zero penalty is still added: it turns the -0.0 mean of certain outputs into 0.0
+    penalty = 0.5 * l2 * (np.sum(model.W1**2) + np.sum(model.W2**2)) if l2 else 0.0
     return float(np.mean(per_row) + penalty)
 
 
+def _flat_index(y: np.ndarray, width: int) -> np.ndarray:
+    """Positions of each row's label in the row-major ravel of an (n, width) array."""
+    flat = np.arange(0, y.shape[0] * width, width)
+    flat += y
+    return flat
+
+
 def gradient(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> Gradients:
-    """Backpropagated gradient of `cross_entropy` (mean over the batch)."""
+    """Backpropagated gradient of `cross_entropy` (mean over the batch), for
+    the same targets."""
     X = np.asarray(X, dtype=float)
     if X.shape[0] == 0:
         raise ConfigError("gradient needs a non-empty batch")
@@ -170,17 +194,21 @@ def gradient(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: float = 
     Z1, H, Z2 = _layers(model, X)
     y = _targets(y)
     if y.ndim == 2:
-        delta = (expit(Z2) - y) / n
+        delta = expit(Z2, out=Z2)
+        delta -= y
     else:
         delta = softmax(Z2)
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
-    dW2 = delta.T @ H + l2 * model.W2
+        delta.ravel()[_flat_index(y, delta.shape[1])] -= 1.0
+    delta /= n
+    dW2 = delta.T @ H
     db2 = delta.sum(axis=0)
-    dH = delta @ model.W2
-    dZ1 = dH * (Z1 > 0.0)
-    dW1 = dZ1.T @ X + l2 * model.W1
+    dZ1 = delta @ model.W2
+    dZ1 *= Z1 > 0.0
+    dW1 = dZ1.T @ X
     db1 = dZ1.sum(axis=0)
+    if l2:
+        dW2 += l2 * model.W2
+        dW1 += l2 * model.W1
     return Gradients(dW1, db1, dW2, db2)
 
 
@@ -210,16 +238,24 @@ def train(model: VectorClassifier, X: np.ndarray, y: np.ndarray, cfg: TrainConfi
 
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
+    # one shuffled copy per epoch, into buffers reused across epochs; the
+    # batches are contiguous row slices of it
+    X_epoch = np.empty(X.shape)
+    y_epoch = np.empty(y.shape, dtype=y.dtype)
+    params = (model.W1, model.b1, model.W2, model.b2)
     losses = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
+        # mode="clip" never clips a permutation; the default mode would
+        # gather into a temporary and copy it into out
+        np.take(X, order, axis=0, out=X_epoch, mode="clip")
+        np.take(y, order, axis=0, out=y_epoch, mode="clip")
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            g = gradient(model, X[idx], y[idx], cfg.l2)
-            model.W1 -= cfg.learning_rate * g.dW1
-            model.b1 -= cfg.learning_rate * g.db1
-            model.W2 -= cfg.learning_rate * g.dW2
-            model.b2 -= cfg.learning_rate * g.db2
+            stop = start + cfg.batch_size
+            g = gradient(model, X_epoch[start:stop], y_epoch[start:stop], cfg.l2)
+            for param, grad in zip(params, (g.dW1, g.db1, g.dW2, g.db2)):
+                grad *= cfg.learning_rate
+                param -= grad
         loss = cross_entropy(model, X, y, cfg.l2)
         if not np.isfinite(loss):
             raise DivergedError(epoch, loss)

@@ -69,3 +69,36 @@ def test_run_trace_calls_each_traced_layer(small_ds, monkeypatch):
         "predict": len(served),
     }
     assert len(served) <= len(models)
+
+
+def test_train_calls_gradient_per_step_and_loss_per_epoch(monkeypatch):
+    # learners.sgd_steps and learners.epoch_loss_s count these bindings; a
+    # step or loss inlined into train would silently read as zero
+    import math
+
+    import numpy as np
+
+    from sceneselect import learners
+
+    calls = {}
+
+    def counting(name):
+        original = getattr(learners, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(learners, name, wrapper)
+
+    for name in ("gradient", "cross_entropy"):
+        counting(name)
+
+    rng = np.random.default_rng(0)
+    n, epochs = 23, 3
+    for batch_size in (5, 23, 1):
+        calls.clear()
+        model = learners.new_classifier(4, 6, 3, 1)
+        cfg = learners.TrainConfig(0.1, epochs, batch_size, seed=2)
+        learners.train(model, rng.normal(size=(n, 4)), rng.integers(0, 3, n), cfg)
+        assert calls == {"gradient": epochs * math.ceil(n / batch_size), "cross_entropy": epochs}

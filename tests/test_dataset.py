@@ -195,6 +195,45 @@ class TestRoundTrip:
             load_dataset(path)
 
 
+
+def edit_saved(small_ds, tmp_path, edit):
+    """Save small_ds, let ``edit`` change the header and the sample rows, write it back."""
+    path = tmp_path / "data.jsonl"
+    save_dataset(small_ds, path)
+    header, *rows = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(header, rows)
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in [header, *rows]))
+    return path
+
+
+class TestIndexChecks:
+    def test_repeated_clip_frame_rejected(self, tmp_path, small_ds):
+        def repeat(header, rows):
+            rows[5]["clip"], rows[5]["frame"] = rows[2]["clip"], rows[2]["frame"]
+
+        with pytest.raises(SchemaError, match="appears more than once"):
+            load_dataset(edit_saved(small_ds, tmp_path, repeat))
+
+    @pytest.mark.parametrize("bounds", [[-1, 3], [5, 4], [0, 10**6]])
+    def test_split_range_outside_clip_rejected(self, tmp_path, small_ds, bounds):
+        clip = small_ds.split.seen_clips[0]
+
+        def stretch(header, rows):
+            header["splits"]["ranges"][str(clip)]["valid"] = bounds
+
+        with pytest.raises(SchemaError, match=f"clip {clip} valid range"):
+            load_dataset(edit_saved(small_ds, tmp_path, stretch))
+
+    def test_clip_both_seen_and_unseen_rejected(self, tmp_path, small_ds):
+        clip = small_ds.split.seen_clips[0]
+
+        def overlap(header, rows):
+            header["splits"]["unseen_clips"].append(clip)
+
+        with pytest.raises(SchemaError, match=f"clip {clip} is listed as both seen and unseen"):
+            load_dataset(edit_saved(small_ds, tmp_path, overlap))
+
+
 @pytest.fixture(scope="module")
 def traceable():
     return generate_dataset(

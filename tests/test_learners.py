@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.special import expit
 
 from sceneselect import learners
 from sceneselect.errors import ConfigError, DivergedError
@@ -211,6 +213,146 @@ class TestBatchAgainstPerRowReference:
             top = np.sort(p_ref)[::-1]
             if o == 1 or top[0] - top[1] > 1e-9:
                 assert pred[r] == int(np.argmax(p_ref))
+
+
+# Reference: the plain form of the training arithmetic (fresh arrays, numpy's
+# row max, one fancy-indexed gather per batch), input validation left out.
+# The in-place loop in `learners` must reproduce it bit for bit.
+def ref_softmax(logits):
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / np.sum(exp, axis=-1, keepdims=True)
+
+
+def ref_layers(model, X):
+    Z1 = X @ model.W1.T + model.b1
+    H = np.maximum(Z1, 0.0)
+    return Z1, H, H @ model.W2.T + model.b2
+
+
+def ref_cross_entropy(model, X, y, l2=0.0):
+    _, _, Z2 = ref_layers(model, X)
+    if y.ndim == 2:
+        per_row = (np.logaddexp(0.0, Z2) - y * Z2).sum(axis=1)
+    else:
+        P = ref_softmax(Z2)
+        per_row = -np.log(np.maximum(P[np.arange(Z2.shape[0]), y], 1e-300))
+    penalty = 0.5 * l2 * (np.sum(model.W1**2) + np.sum(model.W2**2))
+    return float(np.mean(per_row) + penalty)
+
+
+def ref_gradient(model, X, y, l2=0.0):
+    n = X.shape[0]
+    Z1, H, Z2 = ref_layers(model, X)
+    if y.ndim == 2:
+        delta = (expit(Z2) - y) / n
+    else:
+        delta = ref_softmax(Z2)
+        delta[np.arange(n), y] -= 1.0
+        delta /= n
+    dW2 = delta.T @ H + l2 * model.W2
+    db2 = delta.sum(axis=0)
+    dH = delta @ model.W2
+    dZ1 = dH * (Z1 > 0.0)
+    dW1 = dZ1.T @ X + l2 * model.W1
+    db1 = dZ1.sum(axis=0)
+    return dW1, db1, dW2, db2
+
+
+def ref_train(model, X, y, cfg):
+    rng = np.random.default_rng(cfg.seed)
+    n = X.shape[0]
+    losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            dW1, db1, dW2, db2 = ref_gradient(model, X[idx], y[idx], cfg.l2)
+            model.W1 -= cfg.learning_rate * dW1
+            model.b1 -= cfg.learning_rate * db1
+            model.W2 -= cfg.learning_rate * dW2
+            model.b2 -= cfg.learning_rate * db2
+        losses.append(ref_cross_entropy(model, X, y, cfg.l2))
+    return losses
+
+
+class TestLeanLoopMatchesReference:
+    @pytest.mark.parametrize("targets", ["labels", "matrix"])
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 6), st.integers(1, 8), st.integers(1, 9)),
+        batching=st.tuples(st.integers(1, 7), st.integers(1, 5), st.integers(0, 6)),
+        epochs=st.integers(1, 4),
+        lr=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(dims=(3, 4, 3), batching=(4, 3, 0), epochs=2, lr=0.1, seed=0)  # batch divides n
+    @example(dims=(3, 4, 3), batching=(4, 3, 1), epochs=2, lr=0.1, seed=0)  # it does not
+    def test_params_and_losses_bit_identical(self, targets, l2, dims, batching, epochs, lr, seed):
+        i, h, o = dims
+        batch, full_batches, extra = batching
+        n = batch * full_batches + extra % batch  # batch divides n when extra % batch == 0
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, i)) * 3.0
+        if targets == "labels":
+            y = rng.integers(0, o, size=n)
+        else:
+            y = (rng.random((n, o)) < 0.5).astype(float)
+        lean = learners.new_classifier(i, h, o, seed)
+        lean.b1[:] = rng.normal(size=h)
+        lean.b2[:] = rng.normal(size=o)
+        ref = learners.model_from_dict(learners.model_to_dict(lean))
+        cfg = TrainConfig(lr, epochs, batch, l2=l2, seed=seed + 1)
+
+        report = learners.train(lean, X, y, cfg)
+        ref_losses = ref_train(ref, X, y, cfg)
+        for name in ("W1", "b1", "W2", "b2"):
+            assert np.array_equal(getattr(lean, name), getattr(ref, name)), name
+        assert report.losses == ref_losses
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9),
+            elements=st.floats(-500, 500),
+        )
+    )
+    def test_softmax_bit_identical(self, logits):
+        assert np.array_equal(learners.softmax(logits), ref_softmax(logits))
+
+
+class TestExtremeLogits:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9),
+            elements=st.floats(-1e300, 1e300),
+        )
+    )
+    def test_softmax_finite_normalized_and_argmax(self, logits):
+        probs = learners.softmax(logits)
+        assert np.isfinite(probs).all()
+        assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-12)
+        for row, p in zip(logits, probs):
+            top = np.sort(row)[::-1]
+            if len(row) == 1 or top[0] - top[1] > 1e-9:
+                assert np.argmax(p) == np.argmax(row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=9))
+    def test_sigmoid_probs_finite_in_unit_interval(self, logits):
+        # one hidden unit fixed at 1 makes the output logits exactly W2[:, 0]
+        m = learners.new_classifier(2, 1, len(logits), 0)
+        m.W1[...] = 0.0
+        m.b1[:] = 1.0
+        m.W2[:, 0] = logits
+        m.b2[:] = 0.0
+        probs = learners.sigmoid_probs(m, np.zeros((1, 2)))
+        assert probs.shape == (1, len(logits))
+        assert np.isfinite(probs).all() and np.all((probs >= 0.0) & (probs <= 1.0))
 
 
 class TestSerialization:
