@@ -13,6 +13,7 @@ of one.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,29 +96,42 @@ def new_classifier(input_dim: int, hidden_dim: int, output_dim: int, seed: int) 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Max-subtracted softmax along the last axis; exact for |logit| <= 500."""
     logits = np.asarray(logits, dtype=float)
+    width = logits.shape[-1]
     # Row max one column at a time: max is exact, so this equals
     # logits.max(axis=-1) bit for bit, and numpy's reduction over a short
     # last axis costs far more than a few strided maximum calls.
     row_max = logits[..., :1].copy()
-    for j in range(1, logits.shape[-1]):
+    for j in range(1, width):
         np.maximum(row_max, logits[..., j : j + 1], out=row_max)
     out = logits - row_max
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    if width < 8:
+        # numpy sums fewer than 8 terms left to right, so a column-wise sum
+        # is bit-equal; from 8 on its pairwise sum unrolls and differs
+        total = out[..., :1].copy()
+        for j in range(1, width):
+            total += out[..., j : j + 1]
+    else:
+        total = out.sum(axis=-1, keepdims=True)
+    out /= total
     return out
 
 
 def _layers(model: VectorClassifier, X: np.ndarray):
     """(Z1, H, Z2) for an (n, input_dim) batch: hidden pre-activation, hidden
-    activation, output logits. The one place the two layers are computed."""
+    activation, output logits. The one place the two layers are computed.
+
+    A stacked model, whose parameters carry a leading axis of k models,
+    takes a (k, n, input_dim) stack of batches, one per model.
+    """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.input_dim:
+    if X.ndim != model.W1.ndim or X.shape[-1] != model.input_dim:
         raise ConfigError(f"batch has shape {X.shape}, expected (n, {model.input_dim})")
-    Z1 = X @ model.W1.T
-    Z1 += model.b1
+    Z1 = X @ model.W1.swapaxes(-1, -2)
+    Z1 += model.b1[..., None, :]
     H = np.maximum(Z1, 0.0)
-    Z2 = H @ model.W2.T
-    Z2 += model.b2
+    Z2 = H @ model.W2.swapaxes(-1, -2)
+    Z2 += model.b2[..., None, :]
     return Z1, H, Z2
 
 
@@ -146,12 +160,13 @@ def sigmoid_probs(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
     return expit(_layers(model, X)[2])
 
 
-def _targets(y) -> np.ndarray:
-    """1-D class labels (softmax outputs) or a 2-D 0/1 matrix (sigmoid outputs)."""
+def _targets(y, ndim: int = 2) -> np.ndarray:
+    """Class labels (softmax outputs) or a 0/1 matrix (sigmoid outputs), told
+    apart by rank: a matrix has the ``ndim`` of the logits, labels one less."""
     y = np.asarray(y)
-    if y.ndim == 1:
+    if y.ndim == ndim - 1:
         return y.astype(int, copy=False)
-    if y.ndim == 2:
+    if y.ndim == ndim:
         return y.astype(float, copy=False)
     raise ConfigError(f"targets have shape {y.shape}, expected (n,) labels or an (n, output) matrix")
 
@@ -161,8 +176,8 @@ def cross_entropy(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: flo
 
     1-D labels give softmax cross-entropy; a 2-D 0/1 matrix gives binary
     cross-entropy of independent sigmoids, summed over the outputs. Labels
-    must lie in [0, output_dim); they are not checked here, `train` checks
-    them once.
+    must lie in [0, output_dim); they are not checked here, `train_stack`
+    checks them once.
     """
     _, _, Z2 = _layers(model, X)
     y = _targets(y)
@@ -178,34 +193,41 @@ def cross_entropy(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: flo
 
 
 def _flat_index(y: np.ndarray, width: int) -> np.ndarray:
-    """Positions of each row's label in the row-major ravel of an (n, width) array."""
-    flat = np.arange(0, y.shape[0] * width, width)
+    """Positions of each label in the row-major ravel of an array whose last
+    axis has ``width`` entries and whose other axes are ``y``'s."""
+    flat = np.arange(0, y.size * width, width).reshape(y.shape)
     flat += y
     return flat
 
 
 def gradient(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> Gradients:
     """Backpropagated gradient of `cross_entropy` (mean over the batch), for
-    the same targets."""
+    the same targets. Labels are not range-checked here; `train_stack`
+    checks them once.
+
+    A stacked model (see `_layers`) with a (k, n, input_dim) stack of
+    batches and (k, n) labels or a (k, n, output_dim) matrix gives stacked
+    gradients, each equal to that model's own call.
+    """
     X = np.asarray(X, dtype=float)
-    if X.shape[0] == 0:
-        raise ConfigError("gradient needs a non-empty batch")
-    n = X.shape[0]
     Z1, H, Z2 = _layers(model, X)
-    y = _targets(y)
-    if y.ndim == 2:
+    n = X.shape[-2]
+    if n == 0:
+        raise ConfigError("gradient needs a non-empty batch")
+    y = _targets(y, Z2.ndim)
+    if y.ndim == Z2.ndim:
         delta = expit(Z2, out=Z2)
         delta -= y
     else:
         delta = softmax(Z2)
-        delta.ravel()[_flat_index(y, delta.shape[1])] -= 1.0
+        delta.ravel()[_flat_index(y, delta.shape[-1])] -= 1.0
     delta /= n
-    dW2 = delta.T @ H
-    db2 = delta.sum(axis=0)
+    dW2 = delta.swapaxes(-1, -2) @ H
+    db2 = delta.sum(axis=-2)
     dZ1 = delta @ model.W2
     dZ1 *= Z1 > 0.0
-    dW1 = dZ1.T @ X
-    db1 = dZ1.sum(axis=0)
+    dW1 = dZ1.swapaxes(-1, -2) @ X
+    db1 = dZ1.sum(axis=-2)
     if l2:
         dW2 += l2 * model.W2
         dW1 += l2 * model.W1
@@ -219,11 +241,15 @@ def train(model: VectorClassifier, X: np.ndarray, y: np.ndarray, cfg: TrainConfi
     an (n, output_dim) 0/1 matrix trains independent sigmoid outputs.
     Shuffling comes from a PRNG seeded with ``cfg.seed``, so equal seeds give
     bit-identical parameters. The loss recorded for each epoch is the full
-    training-set loss after that epoch's updates.
+    training-set loss after that epoch's updates. A stack of one in
+    `train_stack`.
     """
-    cfg.validate()
-    X = np.asarray(X, dtype=float)
-    y = _targets(y)
+    return train_stack([model], [X], [y], [cfg])[0]
+
+
+def _check_training_set(X: np.ndarray, y: np.ndarray, model: VectorClassifier) -> None:
+    if X.ndim != 2 or X.shape[1] != model.input_dim:
+        raise ConfigError(f"training set has shape {X.shape}, expected (n, {model.input_dim})")
     if X.shape[0] == 0:
         raise ConfigError("training set is empty")
     if X.shape[0] != y.shape[0]:
@@ -236,31 +262,101 @@ def train(model: VectorClassifier, X: np.ndarray, y: np.ndarray, cfg: TrainConfi
     elif y.min() < 0 or y.max() >= model.output_dim:
         raise ConfigError("labels must lie in [0, output_dim)")
 
-    rng = np.random.default_rng(cfg.seed)
-    n = X.shape[0]
-    # one shuffled copy per epoch, into buffers reused across epochs; the
-    # batches are contiguous row slices of it
-    X_epoch = np.empty(X.shape)
-    y_epoch = np.empty(y.shape, dtype=y.dtype)
-    params = (model.W1, model.b1, model.W2, model.b2)
-    losses = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        # mode="clip" never clips a permutation; the default mode would
-        # gather into a temporary and copy it into out
-        np.take(X, order, axis=0, out=X_epoch, mode="clip")
-        np.take(y, order, axis=0, out=y_epoch, mode="clip")
-        for start in range(0, n, cfg.batch_size):
-            stop = start + cfg.batch_size
-            g = gradient(model, X_epoch[start:stop], y_epoch[start:stop], cfg.l2)
-            for param, grad in zip(params, (g.dW1, g.db1, g.dW2, g.db2)):
-                grad *= cfg.learning_rate
-                param -= grad
-        loss = cross_entropy(model, X, y, cfg.l2)
-        if not np.isfinite(loss):
-            raise DivergedError(epoch, loss)
-        losses.append(loss)
-    return TrainReport(final_loss=losses[-1], epochs_run=cfg.epochs, losses=losses)
+
+def train_stack(models: list, Xs: list, ys: list, cfgs: list) -> list:
+    """`train` for k models at once, each on its own data; returns one
+    TrainReport per model and mutates the models in place.
+
+    The models share their dims and every TrainConfig field but ``seed``.
+    Each keeps its own PRNG, per-epoch permutation, ragged last batch,
+    epoch loss and divergence check, so its parameters and losses equal
+    those of training it alone, bit for bit. Only the steps are shared:
+    with the models ordered largest training set first, the ones that
+    still have a full batch at step t form a prefix and take one stacked
+    `gradient` call; each ragged last batch is a stack of one. Every input
+    is checked before any parameter moves. If a model diverges, the first
+    one in input order raises `DivergedError` after that epoch.
+    """
+    k = len(models)
+    if k == 0 or not len(Xs) == len(ys) == len(cfgs) == k:
+        raise ConfigError("train_stack needs at least one model and one X, y and config per model")
+    first = models[0]
+    dims = (first.input_dim, first.hidden_dim, first.output_dim)
+    cfg = cfgs[0]
+    cfg.validate()
+    for model, c in zip(models[1:], cfgs[1:]):
+        if (model.input_dim, model.hidden_dim, model.output_dim) != dims:
+            raise ConfigError("stacked models must share their dims")
+        if dataclasses.replace(c, seed=cfg.seed) != cfg:
+            raise ConfigError("stacked training configs may differ only in seed")
+    Xs = [np.asarray(X, dtype=float) for X in Xs]
+    ys = [_targets(y) for y in ys]
+    if len({y.ndim for y in ys}) > 1:
+        raise ConfigError("stacked targets must be all labels or all 0/1 matrices")
+    for X, y in zip(Xs, ys):
+        _check_training_set(X, y, first)
+
+    order = sorted(range(k), key=lambda i: -len(Xs[i]))  # stable: ties keep input order
+    # from here on, position p in the stack holds model order[p]
+    Xs, ys = [Xs[i] for i in order], [ys[i] for i in order]
+    sizes = [len(X) for X in Xs]
+    W1, b1, W2, b2 = (
+        np.stack([getattr(models[i], name) for i in order]) for name in ("W1", "b1", "W2", "b2")
+    )
+
+    def view(index):
+        return VectorClassifier(*dims, W1[index], b1[index], W2[index], b2[index])
+
+    # An epoch's steps, each with its rows of the permutations, where each
+    # of its models' batches goes, and the stacked model and batches it
+    # trains: at each start, one call for the models that still have a full
+    # batch, then a stack of one per ragged last batch. Every step gathers
+    # its own batches, so the buffers hold one batch per model, not a
+    # shuffled copy of every training set.
+    b = cfg.batch_size
+    X_batch = np.empty((k, min(b, sizes[0]), dims[0]))
+    y_batch = np.empty(X_batch.shape[:2] + ys[0].shape[1:], dtype=ys[0].dtype)
+    steps = []
+    for start in range(0, sizes[0], b):
+        full = sum(1 for n in sizes if n >= start + b)
+        batches = [(range(full), start + b)] if full else []
+        batches += [(range(p, p + 1), n) for p, n in enumerate(sizes) if start < n < start + b]
+        for members, stop in batches:
+            size = stop - start
+            gathers = [(p, X_batch[p, :size], y_batch[p, :size]) for p in members]
+            stacked = slice(members.start, members.stop)
+            steps.append(
+                (slice(start, stop), gathers, view(stacked), X_batch[stacked, :size], y_batch[stacked, :size])
+            )
+    alone = [view(p) for p in range(k)]
+    rngs = [np.random.default_rng(cfgs[i].seed) for i in order]
+    losses = [[] for _ in range(k)]
+    try:
+        for epoch in range(cfg.epochs):
+            perms = [rng.permutation(n) for rng, n in zip(rngs, sizes)]
+            for rows, gathers, model, Xb, yb in steps:
+                for p, X_out, y_out in gathers:
+                    # mode="clip" never clips a permutation; the default mode
+                    # would gather into a temporary and copy it into out
+                    np.take(Xs[p], perms[p][rows], axis=0, out=X_out, mode="clip")
+                    np.take(ys[p], perms[p][rows], axis=0, out=y_out, mode="clip")
+                g = gradient(model, Xb, yb, cfg.l2)
+                params = (model.W1, model.b1, model.W2, model.b2)
+                for param, grad in zip(params, (g.dW1, g.db1, g.dW2, g.db2)):
+                    grad *= cfg.learning_rate
+                    param -= grad
+            epoch_losses = [0.0] * k
+            for p, i in enumerate(order):
+                epoch_losses[i] = cross_entropy(alone[p], Xs[p], ys[p], cfg.l2)
+            for i, loss in enumerate(epoch_losses):
+                if not np.isfinite(loss):
+                    raise DivergedError(epoch, loss)
+                losses[i].append(loss)
+    finally:
+        for p, i in enumerate(order):
+            for name in ("W1", "b1", "W2", "b2"):
+                getattr(models[i], name)[...] = getattr(alone[p], name)
+    return [TrainReport(final_loss=ls[-1], epochs_run=cfg.epochs, losses=ls) for ls in losses]
 
 
 def param_count(model: VectorClassifier) -> int:

@@ -6,7 +6,9 @@ training (classify scene indices), scene embedding (penultimate activations,
 aggregated to per-scene centroids), and multi-level clustering: k-means over
 the scene centroids for k = k_start, k_start+1, ..., training one compressed
 model per cluster and keeping those whose validation macro-F1 clears a
-threshold, until the repository reaches its preset size.
+threshold, until the repository reaches its preset size. The clusters of
+all the levels that could still be needed are trained together, one
+`learners.train_stack` call per round of levels.
 """
 
 from __future__ import annotations
@@ -284,50 +286,72 @@ def build_repository(ds: Dataset, scenes, encoder: VectorClassifier, cfg: Profil
     For each k the scene centroids are clustered; each cluster yields one
     compressed model trained on the cluster's training samples and scored by
     macro-F1 on its validation samples. Models scoring strictly above
-    ``delta`` join the repository in ascending (k, cluster_id) order, and the
-    loop stops the moment the repository holds ``n`` models (mid-k allowed).
+    ``delta`` join the repository in ascending (k, cluster_id) order, and
+    scoring stops the moment the repository holds ``n`` models (mid-k
+    allowed).
+
+    The models are trained in rounds of whole levels, one `train_stack`
+    call per round: from the current k up to the first level that could
+    fill the repository if every model were accepted, capped at ``k_max``
+    and at the number of distinct centroids. Each model has its own seeds,
+    so the repository equals level-by-level training; the last level of a
+    round may train models that are never scored.
     """
     cfg.validate()
     emb = embed_scenes(encoder, scenes, ds)
     centroids = emb.centroids
     distinct = np.unique(centroids, axis=0).shape[0]
     entries = []
-    for k in range(cfg.k_start, cfg.k_max + 1):
-        if len(entries) >= cfg.n:
-            break
+    k = cfg.k_start
+    while len(entries) < cfg.n:
+        if k > cfg.k_max:
+            raise InsufficientModelsError(len(entries), cfg.n, f"exhausted k up to {cfg.k_max}")
         if k > distinct:
             raise InsufficientModelsError(
                 len(entries), cfg.n, f"k={k} exceeds the {distinct} distinct scene centroids"
             )
-        result = kmeans(centroids, k, seed=derive_seed(cfg.seed, 1, k))
-        for j in range(k):
+        last, room = k, k
+        while room < cfg.n - len(entries) and last < min(cfg.k_max, distinct):
+            last += 1
+            room += last
+        sources, clusters = [], []
+        for level in range(k, last + 1):
+            result = kmeans(centroids, level, seed=derive_seed(cfg.seed, 1, level))
+            for j in range(level):
+                members = [i for i in range(len(scenes)) if result.assignments[i] == j]
+                sources.append((level, j))
+                clusters.append(_cluster_scene(ds, scenes, j, members))
+        models = [
+            learners.new_classifier(
+                ds.schema.feature_dim, cfg.compressed_hidden, ds.schema.num_classes,
+                seed=derive_seed(cfg.seed, 2, *source),
+            )
+            for source in sources
+        ]
+        train_cfgs = [
+            dataclasses.replace(cfg.model_train, seed=derive_seed(cfg.seed, 3, *source)) for source in sources
+        ]
+        learners.train_stack(
+            models,
+            [ds.features[c.train_indices] for c in clusters],
+            [ds.labels[c.train_indices] for c in clusters],
+            train_cfgs,
+        )
+        for source, cluster, model in zip(sources, clusters, models):
             if len(entries) >= cfg.n:
                 break
-            members = [i for i in range(len(scenes)) if result.assignments[i] == j]
-            cluster = _cluster_scene(ds, scenes, j, members)
-            model = learners.new_classifier(
-                ds.schema.feature_dim,
-                cfg.compressed_hidden,
-                ds.schema.num_classes,
-                seed=derive_seed(cfg.seed, 2, k, j),
-            )
-            tc = dataclasses.replace(cfg.model_train, seed=derive_seed(cfg.seed, 3, k, j))
-            learners.train(model, ds.features[cluster.train_indices], ds.labels[cluster.train_indices], tc)
             if len(cluster.valid_indices) > 0:
                 preds = learners.predict(model, ds.features[cluster.valid_indices])
                 f1 = macro_f1(preds, ds.labels[cluster.valid_indices], ds.schema.num_classes)
             else:
                 f1 = 0.0
             accepted = f1 > cfg.delta
-            log.debug("k=%d cluster=%d f1=%.4f accepted=%s", k, j, f1, accepted)
+            log.debug("k=%d cluster=%d f1=%.4f accepted=%s", *source, f1, accepted)
             if accepted:
                 entries.append(
-                    RepositoryEntry(model=model, source=(k, j), scene=cluster, validation_f1=f1)
+                    RepositoryEntry(model=model, source=source, scene=cluster, validation_f1=f1)
                 )
-    if len(entries) < cfg.n:
-        raise InsufficientModelsError(
-            len(entries), cfg.n, f"exhausted k up to {cfg.k_max}"
-        )
+        k = last + 1
     return ModelRepository(entries=entries)
 
 

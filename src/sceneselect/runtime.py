@@ -273,15 +273,17 @@ def build_cdg(ds: Dataset, k: int, hidden_dim: int, cfg: TrainConfig, seed: int)
     train = part_indices(ds, "train")
     X = ds.features[train]
     result = kmeans(X, k, seed=seed)
-    models = []
-    for j in range(k):
-        members = train[result.assignments == j]
-        model = learners.new_classifier(
-            ds.schema.feature_dim, hidden_dim, ds.schema.num_classes, seed=seed + j + 1
-        )
-        tc = dataclasses.replace(cfg, seed=seed + j + 1)
-        learners.train(model, ds.features[members], ds.labels[members], tc)
-        models.append(model)
+    members = [train[result.assignments == j] for j in range(k)]
+    models = [
+        learners.new_classifier(ds.schema.feature_dim, hidden_dim, ds.schema.num_classes, seed=seed + j + 1)
+        for j in range(k)
+    ]
+    learners.train_stack(
+        models,
+        [ds.features[m] for m in members],
+        [ds.labels[m] for m in members],
+        [dataclasses.replace(cfg, seed=seed + j + 1) for j in range(k)],
+    )
     return CdgBaseline(models=models, centroids=result.centroids)
 
 
@@ -308,15 +310,17 @@ class DmmBaseline:
 def build_dmm(ds: Dataset, hidden_dim: int, cfg: TrainConfig, seed: int) -> DmmBaseline:
     train = part_indices(ds, "train")
     families = sorted({ds.samples[i].attrs[0] for i in train})
-    models = []
-    for j, fam in enumerate(families):
-        members = np.array([i for i in train if ds.samples[i].attrs[0] == fam])
-        model = learners.new_classifier(
-            ds.schema.feature_dim, hidden_dim, ds.schema.num_classes, seed=seed + j
-        )
-        tc = dataclasses.replace(cfg, seed=seed + j)
-        learners.train(model, ds.features[members], ds.labels[members], tc)
-        models.append(model)
+    members = [np.array([i for i in train if ds.samples[i].attrs[0] == fam]) for fam in families]
+    models = [
+        learners.new_classifier(ds.schema.feature_dim, hidden_dim, ds.schema.num_classes, seed=seed + j)
+        for j in range(len(families))
+    ]
+    learners.train_stack(
+        models,
+        [ds.features[m] for m in members],
+        [ds.labels[m] for m in members],
+        [dataclasses.replace(cfg, seed=seed + j) for j in range(len(families))],
+    )
     return DmmBaseline(models=models, families=families)
 
 

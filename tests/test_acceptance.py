@@ -41,10 +41,10 @@ def ten_seed_results():
         anole = runtime.run_trace(
             p.trace, p.decision, p.repo, cfg.capacity, cfg.window, cfg.low_confidence
         )
-        base = runtime.run_baselines(
+        ssm = runtime.run_baselines(
             p.trace,
             p.ds,
-            ("sdm", "ssm"),
+            ("ssm",),
             compressed_hidden=cfg.profiling.compressed_hidden,
             deep_hidden=cfg.deep_hidden,
             num_models=cfg.profiling.n,
@@ -52,11 +52,18 @@ def ten_seed_results():
             seeds=cfg.baseline_seeds,
             cache_capacity=cfg.capacity,
             window=cfg.window,
+        )["ssm"]
+        # sdm is built once: served over the trace as run_baselines does,
+        # then scored per segment
+        sdm_ranker, sdm_models = runtime.build_baseline(
+            "sdm", p.ds, cfg.profiling.compressed_hidden, cfg.deep_hidden,
+            cfg.profiling.n, cfg.baseline_train, cfg.baseline_seeds["sdm"],
         )
-        sdm_model = None
-        # re-derive the sdm model for per-segment scoring
-        tc = dataclasses.replace(cfg.baseline_train, seed=cfg.baseline_seeds["sdm"])
-        sdm_model = runtime.train_global_model(p.ds, cfg.deep_hidden, tc)
+        sdm = runtime.run_trace(
+            p.trace, sdm_ranker, sdm_models, min(cfg.capacity, len(sdm_models)), cfg.window,
+            low_confidence=0.0,
+        )
+        sdm_model = sdm_models[0]
         seg = cfg.trace.segment_len
         X = np.stack([t.features for t in p.trace])
         y = np.array([t.label for t in p.trace])
@@ -79,8 +86,8 @@ def ten_seed_results():
                 "pipeline": p,
                 "anole": anole,
                 "anole_f1": anole.mean_window_f1,
-                "sdm_f1": base["sdm"].mean_window_f1,
-                "ssm_f1": base["ssm"].mean_window_f1,
+                "sdm_f1": sdm.mean_window_f1,
+                "ssm_f1": ssm.mean_window_f1,
                 "segments": segments,
             }
         )

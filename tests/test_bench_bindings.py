@@ -15,6 +15,17 @@ def load_tracing():
     return module
 
 
+def count_calls(monkeypatch, calls, module, name):
+    """Count calls through ``module.name`` into ``calls[name]``."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_every_traced_binding_resolves():
     missing = []
     for module_name, attribute, _, _ in load_tracing().TARGETS:
@@ -40,16 +51,6 @@ def test_run_trace_calls_each_traced_layer(small_ds, monkeypatch):
     from sceneselect import dataset, decision, learners, runtime
 
     calls = {}
-
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
     d, c = small_ds.schema.feature_dim, small_ds.schema.num_classes
     models = [learners.new_classifier(d, 4, c, seed) for seed in range(4)]
     dm = decision.DecisionModel(
@@ -58,7 +59,7 @@ def test_run_trace_calls_each_traced_layer(small_ds, monkeypatch):
     trace = dataset.synthesize_trace(small_ds, 2, 7, 5, seed=0)
     for module, name in [(runtime, "rank_models"), (runtime, "cache_request"),
                          (runtime, "macro_f1"), (learners, "predict")]:
-        counting(module, name)
+        count_calls(monkeypatch, calls, module, name)
 
     metrics = runtime.run_trace(trace, dm, models, 2, window=10)
     served = {r.served_model for r in metrics.frames}
@@ -81,18 +82,8 @@ def test_train_calls_gradient_per_step_and_loss_per_epoch(monkeypatch):
     from sceneselect import learners
 
     calls = {}
-
-    def counting(name):
-        original = getattr(learners, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(learners, name, wrapper)
-
     for name in ("gradient", "cross_entropy"):
-        counting(name)
+        count_calls(monkeypatch, calls, learners, name)
 
     rng = np.random.default_rng(0)
     n, epochs = 23, 3
@@ -102,3 +93,31 @@ def test_train_calls_gradient_per_step_and_loss_per_epoch(monkeypatch):
         cfg = learners.TrainConfig(0.1, epochs, batch_size, seed=2)
         learners.train(model, rng.normal(size=(n, 4)), rng.integers(0, 3, n), cfg)
         assert calls == {"gradient": epochs * math.ceil(n / batch_size), "cross_entropy": epochs}
+
+
+def test_train_stack_calls_gradient_per_stacked_step(monkeypatch):
+    # per epoch: one stacked call for each step at which any model has a
+    # full batch, one stack-of-one call per ragged batch, one loss per model
+    import numpy as np
+
+    from sceneselect import learners
+
+    calls = {}
+    for name in ("gradient", "cross_entropy"):
+        count_calls(monkeypatch, calls, learners, name)
+
+    rng = np.random.default_rng(0)
+    epochs = 2
+    for sizes, batch_size in [((23, 9, 16, 4), 5), ((20, 10, 15), 5), ((7, 3), 8), ((6,), 1)]:
+        calls.clear()
+        models = [learners.new_classifier(4, 6, 3, j) for j in range(len(sizes))]
+        cfgs = [learners.TrainConfig(0.1, epochs, batch_size, seed=j) for j in range(len(sizes))]
+        Xs = [rng.normal(size=(n, 4)) for n in sizes]
+        ys = [rng.integers(0, 3, n) for n in sizes]
+        learners.train_stack(models, Xs, ys, cfgs)
+        full_steps = max(sizes) // batch_size
+        ragged = sum(1 for n in sizes if n % batch_size)
+        assert calls == {
+            "gradient": epochs * (full_steps + ragged),
+            "cross_entropy": epochs * len(sizes),
+        }

@@ -322,6 +322,82 @@ class TestLeanLoopMatchesReference:
     def test_softmax_bit_identical(self, logits):
         assert np.array_equal(learners.softmax(logits), ref_softmax(logits))
 
+    # below width 8 the normaliser is a column-wise sum, from 8 on numpy's;
+    # many rows, so that a sum in the wrong order shows at every width
+    @pytest.mark.parametrize("width", range(1, 10))
+    @pytest.mark.parametrize("lead", [(400,), (4, 100)])
+    def test_softmax_bit_identical_on_large_stacks(self, width, lead):
+        rng = np.random.default_rng(width)
+        scale = rng.choice([0.1, 3.0, 50.0], size=(*lead, 1))
+        logits = rng.normal(size=(*lead, width)) * scale
+        assert np.array_equal(learners.softmax(logits), ref_softmax(logits))
+
+
+class TestStackMatchesPerModelTrain:
+    @pytest.mark.parametrize("targets", ["labels", "matrix"])
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 6), st.integers(1, 8), st.integers(1, 9)),
+        batch=st.integers(1, 7),
+        sizes=st.lists(st.integers(1, 30), min_size=1, max_size=5),
+        epochs=st.integers(1, 3),
+        lr=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(dims=(3, 4, 3), batch=4, sizes=[12, 8, 4], epochs=2, lr=0.1, seed=0)  # batch divides every n
+    @example(dims=(3, 4, 3), batch=4, sizes=[3, 13, 9, 13, 6], epochs=2, lr=0.1, seed=0)  # it does not
+    def test_params_and_losses_bit_identical(self, targets, l2, dims, batch, sizes, epochs, lr, seed):
+        i, h, o = dims
+        rng = np.random.default_rng(seed)
+        Xs = [rng.normal(size=(n, i)) * 3.0 for n in sizes]
+        if targets == "labels":
+            ys = [rng.integers(0, o, size=n) for n in sizes]
+        else:
+            ys = [(rng.random((n, o)) < 0.5).astype(float) for n in sizes]
+        models = [learners.new_classifier(i, h, o, j) for j in range(len(sizes))]
+        for m in models:
+            m.b1[:] = rng.normal(size=h)
+            m.b2[:] = rng.normal(size=o)
+        alone = [learners.model_from_dict(learners.model_to_dict(m)) for m in models]
+        cfgs = [TrainConfig(lr, epochs, batch, l2=l2, seed=seed + j) for j in range(len(sizes))]
+
+        reports = learners.train_stack(models, Xs, ys, cfgs)
+        for stacked, single, X, y, cfg, report in zip(models, alone, Xs, ys, cfgs, reports):
+            losses = learners.train(single, X, y, cfg).losses
+            for name in ("W1", "b1", "W2", "b2"):
+                assert np.array_equal(getattr(stacked, name), getattr(single, name)), name
+            assert report.losses == losses
+
+    def test_mixed_dims_or_configs_rejected(self):
+        rng = np.random.default_rng(0)
+        X, y = rng.normal(size=(6, 3)), rng.integers(0, 3, 6)
+        cfg = TrainConfig(0.1, 2, 4, seed=1)
+        for other, other_cfg, other_y in [
+            (tiny_model(h=5), cfg, y),  # hidden width differs
+            (tiny_model(o=4), cfg, y),  # output width differs
+            (tiny_model(), TrainConfig(0.1, 2, 3, seed=1), y),  # batch size differs
+            (tiny_model(), TrainConfig(0.1, 2, 4, l2=0.01, seed=2), y),  # l2 differs
+            (tiny_model(), cfg, np.eye(3)[y]),  # labels next to a 0/1 matrix
+        ]:
+            with pytest.raises(ConfigError):
+                learners.train_stack([tiny_model(), other], [X, X], [y, other_y], [cfg, other_cfg])
+        with pytest.raises(ConfigError):
+            learners.train_stack([], [], [], [])
+        with pytest.raises(ConfigError):
+            learners.train_stack([tiny_model()], [X, X], [y], [cfg])
+
+    def test_one_bad_label_model_rejected_before_any_update(self):
+        rng = np.random.default_rng(1)
+        models = [tiny_model(seed=s) for s in range(3)]
+        before = [params_hash(m) for m in models]
+        Xs = [rng.normal(size=(n, 3)) for n in (9, 5, 7)]
+        ys = [rng.integers(0, 3, 9), np.array([0, 1, 3, 2, 0]), rng.integers(0, 3, 7)]
+        cfgs = [TrainConfig(0.1, 2, 4, seed=s) for s in range(3)]
+        with pytest.raises(ConfigError):
+            learners.train_stack(models, Xs, ys, cfgs)
+        assert [params_hash(m) for m in models] == before
+
 
 class TestExtremeLogits:
     @settings(max_examples=100, deadline=None)

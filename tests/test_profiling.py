@@ -284,6 +284,86 @@ class TestRepository:
             assert x.validation_f1 == y.validation_f1
 
 
+def reference_build_repository(ds, scenes, encoder, cfg):
+    """The level-by-level build: one `learners.train` per scored cluster."""
+    centroids = embed_scenes(encoder, scenes, ds).centroids
+    distinct = np.unique(centroids, axis=0).shape[0]
+    entries = []
+    for k in range(cfg.k_start, cfg.k_max + 1):
+        if len(entries) >= cfg.n:
+            break
+        if k > distinct:
+            raise InsufficientModelsError(
+                len(entries), cfg.n, f"k={k} exceeds the {distinct} distinct scene centroids"
+            )
+        result = kmeans(centroids, k, seed=profiling.derive_seed(cfg.seed, 1, k))
+        for j in range(k):
+            if len(entries) >= cfg.n:
+                break
+            members = [i for i in range(len(scenes)) if result.assignments[i] == j]
+            cluster = profiling._cluster_scene(ds, scenes, j, members)
+            model = learners.new_classifier(
+                ds.schema.feature_dim, cfg.compressed_hidden, ds.schema.num_classes,
+                seed=profiling.derive_seed(cfg.seed, 2, k, j),
+            )
+            tc = dataclasses.replace(cfg.model_train, seed=profiling.derive_seed(cfg.seed, 3, k, j))
+            learners.train(model, ds.features[cluster.train_indices], ds.labels[cluster.train_indices], tc)
+            preds = learners.predict(model, ds.features[cluster.valid_indices])
+            f1 = macro_f1(preds, ds.labels[cluster.valid_indices], ds.schema.num_classes)
+            if f1 > cfg.delta:
+                entries.append(profiling.RepositoryEntry(model, (k, j), cluster, f1))
+    if len(entries) < cfg.n:
+        raise InsufficientModelsError(len(entries), cfg.n, f"exhausted k up to {cfg.k_max}")
+    return profiling.ModelRepository(entries)
+
+
+def repository_outcome(build, *args):
+    """(source, F1, parameter hash) per entry, or the error's accepted count and message."""
+    try:
+        repo = build(*args)
+    except InsufficientModelsError as err:
+        return err.accepted, str(err)
+    return [(e.source, e.validation_f1, params_hash(e.model)) for e in repo.entries]
+
+
+class TestStackedRepositoryMatchesLevelByLevel:
+    # the easy dataset has 4 distinct scene centroids; at delta 0.99 the
+    # clusters (2, 0) and (4, 2) are rejected, so n = 5 takes two rounds
+    @pytest.mark.parametrize(
+        "n, delta, k_max",
+        [
+            (3, 0.0, 8),
+            (5, 0.99, 8),
+            (12, 0.0, 8),  # k = 5 exceeds the distinct centroids with 9 accepted
+            (6, 0.0, 3),  # k_max exhausted with 5 accepted
+            (3, 1.0, 3),  # k_max exhausted with none accepted
+        ],
+    )
+    def test_same_entries_and_errors(self, easy, n, delta, k_max):
+        ds, scenes, enc = easy
+        cfg = quick_profiling_cfg(n=n, delta=delta, k_max=k_max)
+        stacked = repository_outcome(build_repository, ds, scenes, enc, cfg)
+        assert stacked == repository_outcome(reference_build_repository, ds, scenes, enc, cfg)
+        if n == 12:
+            assert stacked == (9, "accepted only 9 of 12 requested models: "
+                                  "k=5 exceeds the 4 distinct scene centroids")
+        if (n, k_max) == (6, 3):
+            assert stacked == (5, "accepted only 5 of 6 requested models: exhausted k up to 3")
+
+    def test_one_stacked_training_per_round(self, easy, monkeypatch):
+        ds, scenes, enc = easy
+        stacks = []
+        original = learners.train_stack
+
+        def recording(models, *args):
+            stacks.append(len(models))
+            return original(models, *args)
+
+        monkeypatch.setattr(learners, "train_stack", recording)
+        build_repository(ds, scenes, enc, quick_profiling_cfg(n=5, delta=0.99))
+        assert stacks == [2 + 3, 4]
+
+
 class TestRepositoryIO:
     def test_round_trip(self, tmp_path):
         ds = generate_dataset(small_generator_config())
