@@ -6,8 +6,8 @@ from .dataset import (
     Dataset,
     DatasetSchema,
     GeneratorConfig,
-    Sample,
     SplitDataset,
+    Trace,
     generate_dataset,
     load_dataset,
     save_dataset,

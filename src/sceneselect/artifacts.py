@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import ArtifactMismatchError, ParseError
@@ -37,16 +38,23 @@ def write_artifact(path, payload: dict) -> str:
     body.pop("content_hash", None)
     digest = sha256_text(canonical_dumps(body))
     body["content_hash"] = digest
+    with atomic_path(path) as tmp:
+        tmp.write_text(canonical_dumps(body) + "\n", encoding="utf-8")
+    return digest
+
+
+@contextmanager
+def atomic_path(path):
+    """A temporary path beside ``path`` to write to: renamed over ``path`` on a
+    clean exit, removed on an error, so readers never see a partial file."""
     path = Path(path)
-    # write beside the target, then rename over it: readers never see a partial file
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(canonical_dumps(body) + "\n", encoding="utf-8")
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return digest
 
 
 def read_artifact(path, kind: str) -> dict:

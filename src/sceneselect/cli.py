@@ -130,14 +130,10 @@ def load_run_config(path=None) -> RunConfig:
     parser = configparser.ConfigParser()
     parser.read_dict(DEFAULTS)
     if path is not None:
-        read = parser.read(path)
-        if not read:
+        if not parser.read(path):
             raise ConfigError(f"config file not found: {path}")
 
-    def sec(name):
-        return parser[name]
-
-    ds = sec("dataset")
+    ds = parser["dataset"]
     schema = DatasetSchema(
         feature_dim=ds.getint("feature_dim"),
         num_classes=ds.getint("num_classes"),
@@ -153,7 +149,7 @@ def load_run_config(path=None) -> RunConfig:
         drift_strength=ds.getfloat("drift_strength"),
         seed=ds.getint("seed"),
     )
-    pr = sec("profiling")
+    pr = parser["profiling"]
     prof = profiling.ProfilingConfig(
         n=pr.getint("n"),
         delta=pr.getfloat("delta"),
@@ -161,42 +157,24 @@ def load_run_config(path=None) -> RunConfig:
         k_max=pr.getint("k_max"),
         encoder_hidden=pr.getint("encoder_hidden"),
         compressed_hidden=pr.getint("compressed_hidden"),
-        encoder_train=TrainConfig(
-            learning_rate=pr.getfloat("encoder_lr"),
-            epochs=pr.getint("encoder_epochs"),
-            batch_size=pr.getint("encoder_batch_size"),
-            l2=pr.getfloat("encoder_l2"),
-            seed=pr.getint("encoder_seed"),
-        ),
-        model_train=TrainConfig(
-            learning_rate=pr.getfloat("model_lr"),
-            epochs=pr.getint("model_epochs"),
-            batch_size=pr.getint("model_batch_size"),
-            l2=pr.getfloat("model_l2"),
-            seed=0,  # replaced per model during repository construction
-        ),
+        encoder_train=_train_config(pr, "encoder_"),
+        model_train=_train_config(pr, "model_", seed=0),  # seeded per model when the repository is built
         seed=pr.getint("seed"),
     )
-    sa = sec("sampling")
+    sa = parser["sampling"]
     samp = sampling.SamplingConfig(
         theta=sa.getfloat("theta"), kappa=sa.getint("kappa"), seed=sa.getint("seed")
     )
-    de = sec("decision")
-    tr = sec("trace")
-    ru = sec("runtime")
-    ba = sec("baselines")
+    de = parser["decision"]
+    tr = parser["trace"]
+    ru = parser["runtime"]
+    ba = parser["baselines"]
     return RunConfig(
         generator=generator,
         profiling=prof,
         sampling=samp,
         head_hidden=de.getint("head_hidden"),
-        decision_train=TrainConfig(
-            learning_rate=de.getfloat("lr"),
-            epochs=de.getint("epochs"),
-            batch_size=de.getint("batch_size"),
-            l2=de.getfloat("l2"),
-            seed=de.getint("seed"),
-        ),
+        decision_train=_train_config(de),
         low_confidence=de.getfloat("low_confidence"),
         trace=TraceParams(
             num_source_clips=tr.getint("num_source_clips"),
@@ -207,19 +185,24 @@ def load_run_config(path=None) -> RunConfig:
         capacity=ru.getint("capacity"),
         window=ru.getint("window"),
         deep_hidden=ba.getint("deep_hidden"),
-        baseline_train=TrainConfig(
-            learning_rate=ba.getfloat("lr"),
-            epochs=ba.getint("epochs"),
-            batch_size=ba.getint("batch_size"),
-            l2=ba.getfloat("l2"),
-            seed=0,
-        ),
+        baseline_train=_train_config(ba, seed=0),  # seeded per baseline
         baseline_seeds={
             "sdm": ba.getint("sdm_seed"),
             "ssm": ba.getint("ssm_seed"),
             "cdg": ba.getint("cdg_seed"),
             "dmm": ba.getint("dmm_seed"),
         },
+    )
+
+
+def _train_config(section, prefix="", seed=None) -> TrainConfig:
+    """TrainConfig from ``<prefix>`` + lr, epochs, batch_size, l2 and seed; ``seed`` overrides the last."""
+    return TrainConfig(
+        learning_rate=section.getfloat(prefix + "lr"),
+        epochs=section.getint(prefix + "epochs"),
+        batch_size=section.getint(prefix + "batch_size"),
+        l2=section.getfloat(prefix + "l2"),
+        seed=section.getint(prefix + "seed") if seed is None else seed,
     )
 
 
@@ -234,7 +217,7 @@ def cmd_generate(args) -> int:
     ds = generate_dataset(cfg.generator)
     save_dataset(ds, args.out)
     print(
-        f"wrote {args.out}: {len(ds.samples)} samples, "
+        f"wrote {args.out}: {len(ds)} samples, "
         f"{len(ds.split.seen_clips)} seen clips, {len(ds.split.unseen_clips)} unseen clips"
     )
     return 0
@@ -481,10 +464,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,25 +1,27 @@
 """Synthetic scene-structured classification streams.
 
-A dataset is a flat list of samples organized into clips (simulated video
-segments). Every clip belongs to one semantic cell: a distinct tuple of
-attribute values (weather/location/time analogs). Each cell owns a Gaussian
-mixture in feature space (one component per class) and, crucially, its own
-affine labeling rule: the label is the nearest of the cell's class anchors,
-and anchor-to-class bindings are drawn independently per cell. Labeling
-conflicts across cells therefore exist by construction: no single
-low-capacity model fits every cell, while a per-cell model fits its own
-cell easily.
+A dataset is a table of frames held as columns: features, labels, attribute
+tuples, clip ids and frame indices, one row per frame. Frames are grouped
+into clips (simulated video segments). Every clip belongs to one semantic
+cell: a distinct tuple of attribute values (weather/location/time analogs).
+Each cell owns a Gaussian mixture in feature space (one component per class)
+and, crucially, its own affine labeling rule: the label is the nearest of the
+cell's class anchors, and anchor-to-class bindings are drawn independently
+per cell. Labeling conflicts across cells therefore exist by construction: no
+single low-capacity model fits every cell, while a per-cell model fits its
+own cell easily. A trace is a row subset of a dataset, in replay order.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, fields
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
+from .artifacts import atomic_path
 from .errors import ConfigError, ParseError, SchemaError
 
 SEEN_UNSEEN_RATIO = (9, 1)
@@ -34,6 +36,13 @@ PARTS = ("train", "valid", "test")
 # reasonably centered for gradient descent.
 CELL_RANGE = 1.5
 ANCHOR_SEPARATION = 1.0
+
+# Sample lines per json.loads call when loading, and per write when saving.
+# Parsing the whole file in one call costs more peak memory than it saves.
+_CHUNK_LINES = 256
+
+# One sample line exactly as json.dumps(row, sort_keys=True) writes it.
+_ROW = '{"a": [%s], "clip": %d, "f": [%s], "frame": %d, "y": %d}\n'
 
 
 @dataclass(frozen=True)
@@ -51,15 +60,6 @@ class DatasetSchema:
     @property
     def num_cells(self) -> int:
         return int(np.prod(self.attr_cardinalities))
-
-
-@dataclass
-class Sample:
-    features: np.ndarray
-    label: int
-    attrs: tuple
-    clip_id: int
-    frame_index: int
 
 
 @dataclass
@@ -108,43 +108,40 @@ class GeneratorConfig:
                 raise ConfigError("cell_weights must be positive integers")
 
 
-@dataclass
-class Dataset:
-    schema: DatasetSchema
-    samples: list
-    split: SplitDataset
-    _features: np.ndarray = field(default=None, repr=False, compare=False)
-    _labels: np.ndarray = field(default=None, repr=False, compare=False)
-    _clips: np.ndarray = field(default=None, repr=False, compare=False)
-    _frames: np.ndarray = field(default=None, repr=False, compare=False)
+@dataclass(eq=False)
+class Rows:
+    """Frames as columns: row i is frame ``frame_indices[i]`` of clip ``clip_ids[i]``."""
 
-    # Cached column views; the sample list itself is treated as immutable.
-    @property
-    def features(self) -> np.ndarray:
-        if self._features is None:
-            self._features = np.stack([s.features for s in self.samples])
-        return self._features
-
-    @property
-    def labels(self) -> np.ndarray:
-        if self._labels is None:
-            self._labels = np.array([s.label for s in self.samples], dtype=int)
-        return self._labels
-
-    @property
-    def clip_ids(self) -> np.ndarray:
-        if self._clips is None:
-            self._clips = np.array([s.clip_id for s in self.samples], dtype=int)
-        return self._clips
-
-    @property
-    def frame_indices(self) -> np.ndarray:
-        if self._frames is None:
-            self._frames = np.array([s.frame_index for s in self.samples], dtype=int)
-        return self._frames
+    features: np.ndarray  # (n, feature_dim) float
+    labels: np.ndarray  # (n,) int
+    attrs: np.ndarray  # (n, len(attr_cardinalities)) int
+    clip_ids: np.ndarray  # (n,) int
+    frame_indices: np.ndarray  # (n,) int
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.labels)
+
+
+@dataclass(eq=False)
+class Dataset(Rows):
+    schema: DatasetSchema
+    split: SplitDataset
+
+
+class Frame(NamedTuple):
+    features: np.ndarray
+    label: int
+
+
+@dataclass(eq=False)
+class Trace(Rows):
+    """Dataset rows in replay order; ``rows`` holds their dataset indices."""
+
+    rows: np.ndarray
+
+    def __iter__(self):
+        """(features, label) per frame, for code that walks a trace frame by frame."""
+        return map(Frame, self.features, self.labels.tolist())
 
 
 def box_muller(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -155,15 +152,6 @@ def box_muller(rng: np.random.Generator, n: int) -> np.ndarray:
     radius = np.sqrt(-2.0 * np.log(u1))
     z = np.concatenate([radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)])
     return z[:n]
-
-
-def cell_attrs(cell: int, cardinalities) -> tuple:
-    """Mixed-radix decode, most-significant dimension first (lexicographic in cell index)."""
-    values = []
-    for card in reversed(cardinalities):
-        values.append(cell % card)
-        cell //= card
-    return tuple(reversed(values))
 
 
 def generate_dataset(
@@ -194,11 +182,9 @@ def generate_dataset(
         anchors.append(mu + ANCHOR_SEPARATION * directions)
 
     weights = cfg.cell_weights or tuple([1] * cfg.num_semantic_cells)
-    samples = []
-    clip_id = 0
+    features, labels, clip_cells = [], [], []
     frames = cfg.frames_per_clip
     for cell in range(cfg.num_semantic_cells):
-        attrs = cell_attrs(cell, schema.attr_cardinalities)
         A = anchors[cell]
         for _ in range(cfg.clips_per_cell * weights[cell]):
             if cfg.drift_strength > 0:
@@ -210,17 +196,28 @@ def generate_dataset(
             Z = box_muller(rng, frames * d).reshape(frames, d)
             X = A[comps] + offset + cfg.cluster_spread * Z
             dist2 = ((X[:, None, :] - A[None, :, :]) ** 2).sum(axis=2)
-            labels = dist2.argmin(axis=1)
+            y = dist2.argmin(axis=1)
             if ncls > 1 and cfg.label_rule_noise > 0:
                 flip = rng.random(frames) < cfg.label_rule_noise
                 alt = rng.integers(0, ncls - 1, size=frames)
-                labels = np.where(flip, (labels + 1 + alt) % ncls, labels)
-            for frame in range(frames):
-                samples.append(Sample(X[frame], int(labels[frame]), attrs, clip_id, frame))
-            clip_id += 1
+                y = np.where(flip, (y + 1 + alt) % ncls, y)
+            features.append(X)
+            labels.append(y)
+            clip_cells.append(cell)
 
-    split = _make_split(rng, clip_id, frames, seen_ratio, part_ratio)
-    return Dataset(schema=schema, samples=samples, split=split)
+    num_clips = len(clip_cells)
+    # cell c's attribute tuple: c in mixed radix, most significant dimension first
+    cell_attrs = np.stack(np.unravel_index(clip_cells, schema.attr_cardinalities), axis=1)
+    split = _make_split(rng, num_clips, frames, seen_ratio, part_ratio)
+    return Dataset(
+        schema=schema,
+        split=split,
+        features=np.concatenate(features),
+        labels=np.concatenate(labels).astype(np.int64),
+        attrs=np.repeat(cell_attrs, frames, axis=0),
+        clip_ids=np.repeat(np.arange(num_clips, dtype=np.int64), frames),
+        frame_indices=np.tile(np.arange(frames, dtype=np.int64), num_clips),
+    )
 
 
 def _make_split(rng, num_clips, frames_per_clip, seen_ratio, part_ratio) -> SplitDataset:
@@ -251,17 +248,15 @@ def part_indices(ds: Dataset, part: str, clips=None) -> np.ndarray:
     """Indices of one split part ('train'|'valid'|'test') over seen clips."""
     if part not in PARTS:
         raise ConfigError(f"unknown split part {part!r}")
-    wanted = set(ds.split.seen_clips if clips is None else clips)
-    clip_arr = ds.clip_ids
-    frame_arr = ds.frame_indices
-    mask = np.zeros(len(ds.samples), dtype=bool)
-    for clip in wanted:
-        rng_ = ds.split.ranges.get(clip)
-        if rng_ is None:
-            continue
-        lo, hi = rng_[part]
-        mask |= (clip_arr == clip) & (frame_arr >= lo) & (frame_arr < hi)
-    return np.nonzero(mask)[0]
+    wanted = sorted(set(ds.split.seen_clips if clips is None else clips) & ds.split.ranges.keys())
+    if not wanted:
+        return np.zeros(0, dtype=np.intp)
+    bounds = np.array([ds.split.ranges[clip][part] for clip in wanted], dtype=np.int64)
+    wanted = np.array(wanted, dtype=np.int64)
+    slot = np.minimum(np.searchsorted(wanted, ds.clip_ids), len(wanted) - 1)
+    frames = ds.frame_indices
+    mask = (wanted[slot] == ds.clip_ids) & (frames >= bounds[slot, 0]) & (frames < bounds[slot, 1])
+    return np.flatnonzero(mask)
 
 
 def synthesize_trace(
@@ -270,7 +265,7 @@ def synthesize_trace(
     segment_len: int,
     num_segments: int,
     seed: int,
-) -> list:
+) -> Trace:
     """Fast-changing trace: contiguous test-split segments spliced together.
 
     ``num_source_clips`` seen clips are chosen without replacement; segment s
@@ -287,11 +282,7 @@ def synthesize_trace(
     rng = np.random.default_rng(seed)
     chosen = [seen[i] for i in rng.choice(len(seen), size=num_source_clips, replace=False)]
 
-    by_clip = {}
-    for idx, s in enumerate(ds.samples):
-        by_clip.setdefault(s.clip_id, {})[s.frame_index] = idx
-
-    trace = []
+    clips, starts = [], []
     for seg in range(num_segments):
         clip = chosen[seg % num_source_clips]
         lo, hi = ds.split.ranges[clip]["test"]
@@ -299,15 +290,43 @@ def synthesize_trace(
             raise ConfigError(
                 f"clip {clip} has only {hi - lo} test frames, need {segment_len}"
             )
-        start = lo + int(rng.integers(hi - lo - segment_len + 1))
-        frames = by_clip[clip]
-        for f in range(start, start + segment_len):
-            trace.append(ds.samples[frames[f]])
-    return trace
+        clips.append(clip)
+        starts.append(lo + int(rng.integers(hi - lo - segment_len + 1)))
+    rows = _rows_of(
+        ds, np.repeat(clips, segment_len), (np.array(starts)[:, None] + np.arange(segment_len)).ravel()
+    )
+    return Trace(rows=rows, **{f.name: getattr(ds, f.name)[rows] for f in fields(Rows)})
+
+
+def _rows_of(ds: Dataset, clips: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Dataset row of each (clip, frame) pair, by one sort of the (clip, frame) keys."""
+    low, stride = ds.frame_indices.min(), np.ptp(ds.frame_indices) + 1
+    keys = ds.clip_ids * stride + (ds.frame_indices - low)
+    order = np.argsort(keys)
+    slot = np.minimum(np.searchsorted(keys[order], clips * stride + (frames - low)), len(order) - 1)
+    rows = order[slot]
+    missing = np.flatnonzero((ds.clip_ids[rows] != clips) | (ds.frame_indices[rows] != frames))
+    if len(missing):
+        raise SchemaError(f"clip {clips[missing[0]]} has no frame {frames[missing[0]]}")
+    return rows
+
+
+def _check_finite(ds: Dataset) -> None:
+    bad = np.flatnonzero(~np.isfinite(ds.features).all(axis=1))
+    if len(bad):
+        clip, frame = ds.clip_ids[bad[0]], ds.frame_indices[bad[0]]
+        raise SchemaError(f"sample in clip {clip} frame {frame}: non-finite feature")
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """JSON-lines: header object on line 1, one sample per following line."""
+    """JSON-lines: header object on line 1, one sample per following line.
+
+    Each sample line is what ``json.dumps(row, sort_keys=True)`` writes. The
+    file is written beside ``path`` and renamed over it, so a failed save
+    leaves any earlier file in place. Non-finite features are refused before
+    any byte is written: the loader would refuse them.
+    """
+    _check_finite(ds)
     header = {
         "schema": {
             "feature_dim": ds.schema.feature_dim,
@@ -323,65 +342,84 @@ def save_dataset(ds: Dataset, path) -> None:
             },
         },
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for s in ds.samples:
-            row = {
-                "f": [float(v) for v in s.features],
-                "y": int(s.label),
-                "a": list(s.attrs),
-                "clip": int(s.clip_id),
-                "frame": int(s.frame_index),
-            }
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        for lo in range(0, len(ds), _CHUNK_LINES):
+            columns = [getattr(ds, f.name)[lo : lo + _CHUNK_LINES].tolist() for f in fields(Rows)]
+            fh.write("".join(
+                _ROW % (", ".join(map(str, a)), clip, ", ".join(map(repr, x)), frame, y)
+                for x, y, a, clip, frame in zip(*columns)
+            ))
 
 
 def load_dataset(path) -> Dataset:
-    path = Path(path)
-    samples = []
-    schema = None
-    split = None
+    """Parse a dataset file into columns.
+
+    Sample lines are parsed a chunk at a time: one ``json.loads`` over the
+    chunk as a JSON array, then array checks. A chunk that fails any of them
+    is parsed again line by line, which raises the first bad line's error.
+    Blank lines are skipped but counted.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ParseError(lineno, f"invalid JSON: {exc.msg}") from exc
-            if lineno == 1:
-                schema, split = _parse_header(obj, lineno)
-                continue
-            samples.append(_parse_sample(obj, schema, lineno))
-    if schema is None:
-        raise ParseError(1, "missing header line")
-    ds = Dataset(schema=schema, samples=samples, split=split)
-    if samples:
-        # one check over the cached feature matrix, not one per sample
-        bad = np.flatnonzero(~np.isfinite(ds.features).all(axis=1))
-        if len(bad):
-            s = samples[bad[0]]
-            raise SchemaError(f"sample in clip {s.clip_id} frame {s.frame_index}: non-finite feature")
+        numbered = ((n, text) for n, text in enumerate(map(str.strip, fh), start=1) if text)
+        first = next(numbered, None)
+        if first is None or first[0] != 1:
+            raise ParseError(1, "missing header line")
+        schema, split = _parse_header(_loads(first[1], 1), 1)
+        chunks = [_parse_chunk(c, schema) for c in iter(lambda: list(islice(numbered, _CHUNK_LINES)), [])]
+    features, labels, attrs, clips, frames = (np.concatenate(c) for c in zip(*chunks or [_columns([], schema)]))
+    ds = Dataset(schema=schema, split=split, features=features, labels=labels, attrs=attrs,
+                 clip_ids=clips, frame_indices=frames)
+    _check_finite(ds)
     _check_index(ds)
     return ds
+
+
+def _loads(text, lineno):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(lineno, f"invalid JSON: {exc.msg}") from exc
+
+
+def _parse_chunk(numbered, schema):
+    """Columns of consecutive (line number, text) sample lines."""
+    try:
+        rows = json.loads("[" + ",".join(text for _, text in numbered) + "]")
+        if len(rows) == len(numbered):
+            return _columns(rows, schema)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    return _columns([_parse_sample(_loads(text, n), schema, n) for n, text in numbered], schema)
+
+
+def _columns(rows, schema):
+    """(features, labels, attrs, clips, frames) of parsed sample rows. Integer
+    fields convert as int() does; ValueError if a row fails a per-sample check."""
+    m, d, cards = len(rows), schema.feature_dim, np.array(schema.attr_cardinalities)
+    features = np.array([r["f"] for r in rows], dtype=float)
+    labels, attrs, clips, frames = (
+        np.array([r[k] for r in rows], dtype=np.int64) for k in ("y", "a", "clip", "frame")
+    )
+    if m and (
+        features.shape != (m, d) or attrs.shape != (m, len(cards))
+        or not labels.shape == clips.shape == frames.shape == (m,)
+        or ((labels < 0) | (labels >= schema.num_classes)).any() or ((attrs < 0) | (attrs >= cards)).any()
+    ):
+        raise ValueError("a sample fails a per-sample check")
+    return features.reshape(m, d), labels, attrs.reshape(m, len(cards)), clips, frames
 
 
 def _check_index(ds: Dataset) -> None:
     """Reject a repeated (clip, frame) pair, a split range outside its clip's
     frames, and a clip listed as both seen and unseen."""
-    clips, frames = ds.clip_ids, ds.frame_indices
-    order = np.lexsort((frames, clips))
-    clips_sorted, frames_sorted = clips[order], frames[order]
-    repeated = np.flatnonzero(
-        (clips_sorted[1:] == clips_sorted[:-1]) & (frames_sorted[1:] == frames_sorted[:-1])
-    )
-    if len(repeated):
-        i = repeated[0]
-        raise SchemaError(f"clip {clips_sorted[i]} frame {frames_sorted[i]} appears more than once")
-    frame_counts = Counter(clips.tolist())
+    pairs, repeats = np.unique(np.stack([ds.clip_ids, ds.frame_indices], axis=1), axis=0, return_counts=True)
+    if (repeats > 1).any():
+        clip, frame = pairs[repeats > 1][0]
+        raise SchemaError(f"clip {clip} frame {frame} appears more than once")
+    frame_counts = dict(zip(*(c.tolist() for c in np.unique(ds.clip_ids, return_counts=True))))
     for clip, parts in ds.split.ranges.items():
-        count = frame_counts[clip]
+        count = frame_counts.get(clip, 0)
         for part, bounds in parts.items():
             if len(bounds) != 2 or not 0 <= bounds[0] <= bounds[1] <= count:
                 raise SchemaError(f"clip {clip} {part} range {list(bounds)} does not fit its {count} frames")
@@ -415,6 +453,7 @@ def _parse_header(obj, lineno):
 
 
 def _parse_sample(obj, schema, lineno):
+    """One sample row with its fields converted and checked against the schema."""
     try:
         features = np.asarray(obj["f"], dtype=float)
         label = int(obj["y"])
@@ -437,4 +476,4 @@ def _parse_sample(obj, schema, lineno):
             raise SchemaError(
                 f"sample at line {lineno}: attribute {a} exceeds cardinality {card} in dimension {dim}"
             )
-    return Sample(features, label, attrs, clip, frame)
+    return {"f": features, "y": label, "a": attrs, "clip": clip, "frame": frame}

@@ -30,11 +30,12 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class SemanticScene:
-    """All training samples sharing one exact attribute tuple."""
+    """The training samples sharing one exact attribute tuple, and the validation samples with it."""
 
     scene_id: int
     attrs: tuple
     sample_indices: np.ndarray
+    valid_indices: np.ndarray
 
 
 @dataclass
@@ -111,15 +112,14 @@ def segment_semantic_scenes(ds: Dataset) -> list:
     train = part_indices(ds, "train")
     if len(train) == 0:
         raise ConfigError("training split is empty")
-    groups = {}
-    for idx in train:
-        groups.setdefault(ds.samples[idx].attrs, []).append(int(idx))
-    scenes = []
-    for scene_id, attrs in enumerate(sorted(groups)):
-        scenes.append(
-            SemanticScene(scene_id=scene_id, attrs=attrs, sample_indices=np.array(groups[attrs]))
-        )
-    return scenes
+    keys, scene_of = np.unique(ds.attrs[train], axis=0, return_inverse=True)
+    valid = part_indices(ds, "valid")
+    in_scene = (ds.attrs[valid][:, None, :] == keys[None, :, :]).all(axis=2)  # (valid rows, scenes)
+    return [
+        SemanticScene(scene_id=i, attrs=tuple(attrs), sample_indices=train[scene_of.ravel() == i],
+                      valid_indices=valid[in_scene[:, i]])
+        for i, attrs in enumerate(keys.tolist())
+    ]
 
 
 def scene_of_attrs(scenes) -> dict:
@@ -151,17 +151,10 @@ def embed_scenes(encoder: VectorClassifier, scenes, ds: Dataset) -> EmbeddingSet
 
 def encoder_confusion(encoder: VectorClassifier, scenes, ds: Dataset) -> np.ndarray:
     """Scene confusion counts on the validation split (rows: true, cols: predicted)."""
-    lookup = scene_of_attrs(scenes)
-    m = len(scenes)
-    counts = np.zeros((m, m), dtype=int)
-    rows, true = [], []
-    for idx in part_indices(ds, "valid"):
-        scene = lookup.get(ds.samples[idx].attrs)
-        if scene is not None:
-            rows.append(idx)
-            true.append(scene)
-    if rows:
-        np.add.at(counts, (true, learners.predict(encoder, ds.features[rows])), 1)
+    rows = np.concatenate([s.valid_indices for s in scenes])
+    true = np.concatenate([np.full(len(s.valid_indices), s.scene_id) for s in scenes])
+    counts = np.zeros((len(scenes), len(scenes)), dtype=int)
+    np.add.at(counts, (true, learners.predict(encoder, ds.features[rows])), 1)
     return counts
 
 
@@ -265,18 +258,27 @@ def macro_f1(predictions, labels, num_classes: int) -> float:
     return float(np.mean(scores))
 
 
-def _cluster_scene(ds: Dataset, scenes, cluster_id: int, member_ids) -> ClusterScene:
-    train_idx = np.concatenate([scenes[i].sample_indices for i in member_ids])
-    member_attrs = {scenes[i].attrs for i in member_ids}
-    valid_all = part_indices(ds, "valid")
-    valid_idx = np.array(
-        [int(i) for i in valid_all if ds.samples[i].attrs in member_attrs], dtype=int
+def train_on_row_sets(ds: Dataset, row_sets, hidden_dim: int, cfg: TrainConfig,
+                      init_seeds, train_seeds) -> list:
+    """One classifier per row set of ``ds``, all trained in one `learners.train_stack`
+    call: model j is initialised with ``init_seeds[j]`` and trained with ``train_seeds[j]``."""
+    models = [
+        learners.new_classifier(ds.schema.feature_dim, hidden_dim, ds.schema.num_classes, seed=s)
+        for s in init_seeds
+    ]
+    learners.train_stack(
+        models, [ds.features[r] for r in row_sets], [ds.labels[r] for r in row_sets],
+        [dataclasses.replace(cfg, seed=s) for s in train_seeds],
     )
+    return models
+
+
+def _cluster_scene(scenes, cluster_id: int, member_ids) -> ClusterScene:
     return ClusterScene(
         cluster_id=cluster_id,
         member_scene_ids=tuple(int(i) for i in member_ids),
-        train_indices=np.sort(train_idx),
-        valid_indices=valid_idx,
+        train_indices=np.sort(np.concatenate([scenes[i].sample_indices for i in member_ids])),
+        valid_indices=np.sort(np.concatenate([scenes[i].valid_indices for i in member_ids])),
     )
 
 
@@ -318,24 +320,12 @@ def build_repository(ds: Dataset, scenes, encoder: VectorClassifier, cfg: Profil
         for level in range(k, last + 1):
             result = kmeans(centroids, level, seed=derive_seed(cfg.seed, 1, level))
             for j in range(level):
-                members = [i for i in range(len(scenes)) if result.assignments[i] == j]
+                members = np.flatnonzero(result.assignments == j).tolist()
                 sources.append((level, j))
-                clusters.append(_cluster_scene(ds, scenes, j, members))
-        models = [
-            learners.new_classifier(
-                ds.schema.feature_dim, cfg.compressed_hidden, ds.schema.num_classes,
-                seed=derive_seed(cfg.seed, 2, *source),
-            )
-            for source in sources
-        ]
-        train_cfgs = [
-            dataclasses.replace(cfg.model_train, seed=derive_seed(cfg.seed, 3, *source)) for source in sources
-        ]
-        learners.train_stack(
-            models,
-            [ds.features[c.train_indices] for c in clusters],
-            [ds.labels[c.train_indices] for c in clusters],
-            train_cfgs,
+                clusters.append(_cluster_scene(scenes, j, members))
+        models = train_on_row_sets(
+            ds, [c.train_indices for c in clusters], cfg.compressed_hidden, cfg.model_train,
+            [derive_seed(cfg.seed, 2, *s) for s in sources], [derive_seed(cfg.seed, 3, *s) for s in sources],
         )
         for source, cluster, model in zip(sources, clusters, models):
             if len(entries) >= cfg.n:
@@ -417,9 +407,9 @@ def load_repository(path, ds: Dataset, dataset_hash: str | None = None):
     entries = []
     for rec in body["models"]:
         members = rec["member_scene_ids"]
-        if any(m >= len(scenes) for m in members):
+        if not all(0 <= m < len(scenes) for m in members):
             raise ConfigError("repository references scenes missing from the dataset")
-        cluster = _cluster_scene(ds, scenes, rec["source"][1], members)
+        cluster = _cluster_scene(scenes, rec["source"][1], members)
         entries.append(
             RepositoryEntry(
                 model=learners.model_from_dict(rec["model"]),

@@ -25,7 +25,7 @@ from .dataset import Dataset, part_indices
 from .decision import DecisionModel, rank_models
 from .errors import ConfigError
 from .learners import TrainConfig, VectorClassifier
-from .profiling import kmeans, macro_f1
+from .profiling import kmeans, macro_f1, train_on_row_sets
 
 log = logging.getLogger(__name__)
 
@@ -123,20 +123,20 @@ def run_trace(
 ) -> TraceMetrics:
     """Drive a trace through ranking, cache, and inference.
 
-    ``decision`` is either a DecisionModel or a batch ranker, a callable
-    trace -> (probs (F, n), rankings (F, n)), so baselines and oracle
-    rankers take the same path. The whole trace is ranked in one call, the
-    LFU cache runs frame by frame, and each served model then predicts all
-    of its frames in one batch. F1 is computed per ``window`` frames (macro
-    over classes present; the last window may be short). A max suitability
-    below ``low_confidence`` is recorded as a no-suitable-model event; the
-    frame is still served.
+    ``trace`` is a `dataset.Trace`. ``decision`` is either a DecisionModel or
+    a batch ranker, a callable trace -> (probs (F, n), rankings (F, n)), so
+    baselines and oracle rankers take the same path. The whole trace is
+    ranked in one call, the LFU cache runs frame by frame, and each served
+    model then predicts all of its frames in one batch. F1 is computed per
+    ``window`` frames (macro over classes present; the last window may be
+    short). A max suitability below ``low_confidence`` is recorded as a
+    no-suitable-model event; the frame is still served.
     """
     if len(trace) == 0:
         raise ConfigError("trace is empty")
     if hasattr(models, "models"):  # accept a ModelRepository directly
         models = models.models
-    X = np.stack([s.features for s in trace])
+    X = trace.features
     if isinstance(decision, DecisionModel):
         if decision.n != len(models):
             raise ConfigError("decision output width does not match the repository size")
@@ -164,7 +164,7 @@ def run_trace(
     for model in np.unique(served_arr):
         rows = np.flatnonzero(served_arr == model)
         preds[rows] = learners.predict(models[model], X[rows])
-    labels = np.array([s.label for s in trace])
+    labels = trace.labels
 
     num_classes = models[0].output_dim
     window_f1 = [
@@ -261,8 +261,7 @@ class CdgBaseline:
 
     def ranker(self):
         def rank(trace):
-            X = np.stack([s.features for s in trace])
-            d = np.linalg.norm(self.centroids[None, :, :] - X[:, None, :], axis=2)
+            d = np.linalg.norm(self.centroids[None, :, :] - trace.features[:, None, :], axis=2)
             rankings = np.argsort(d, axis=1, kind="stable")  # equidistant -> lowest index
             return 1.0 / (1.0 + d), rankings
 
@@ -274,16 +273,8 @@ def build_cdg(ds: Dataset, k: int, hidden_dim: int, cfg: TrainConfig, seed: int)
     X = ds.features[train]
     result = kmeans(X, k, seed=seed)
     members = [train[result.assignments == j] for j in range(k)]
-    models = [
-        learners.new_classifier(ds.schema.feature_dim, hidden_dim, ds.schema.num_classes, seed=seed + j + 1)
-        for j in range(k)
-    ]
-    learners.train_stack(
-        models,
-        [ds.features[m] for m in members],
-        [ds.labels[m] for m in members],
-        [dataclasses.replace(cfg, seed=seed + j + 1) for j in range(k)],
-    )
+    seeds = range(seed + 1, seed + k + 1)
+    models = train_on_row_sets(ds, members, hidden_dim, cfg, seeds, seeds)
     return CdgBaseline(models=models, centroids=result.centroids)
 
 
@@ -292,15 +283,17 @@ class DmmBaseline:
     """One model per value of attribute dimension 0 (the coarse source family)."""
 
     models: list
-    families: list  # family value per model slot
+    families: list  # family value per model slot, ascending
 
     def ranker(self):
-        index_of = {fam: i for i, fam in enumerate(self.families)}
+        families = np.array(self.families)
 
         def rank(trace):
-            own = [index_of[s.attrs[0]] for s in trace]
-            probs = np.zeros((len(trace), len(self.models)))
-            probs[np.arange(len(trace)), own] = 1.0
+            family = trace.attrs[:, 0]
+            if not np.isin(family, families).all():
+                raise ConfigError("dmm has no model for a family in the trace")
+            probs = np.zeros((len(family), len(self.models)))
+            probs[np.arange(len(family)), np.searchsorted(families, family)] = 1.0
             # own family first, then the rest by index
             return probs, np.argsort(-probs, axis=1, kind="stable")
 
@@ -309,18 +302,11 @@ class DmmBaseline:
 
 def build_dmm(ds: Dataset, hidden_dim: int, cfg: TrainConfig, seed: int) -> DmmBaseline:
     train = part_indices(ds, "train")
-    families = sorted({ds.samples[i].attrs[0] for i in train})
-    members = [np.array([i for i in train if ds.samples[i].attrs[0] == fam]) for fam in families]
-    models = [
-        learners.new_classifier(ds.schema.feature_dim, hidden_dim, ds.schema.num_classes, seed=seed + j)
-        for j in range(len(families))
-    ]
-    learners.train_stack(
-        models,
-        [ds.features[m] for m in members],
-        [ds.labels[m] for m in members],
-        [dataclasses.replace(cfg, seed=seed + j) for j in range(len(families))],
-    )
+    family = ds.attrs[train, 0]
+    families = np.unique(family).tolist()
+    members = [train[family == fam] for fam in families]
+    seeds = range(seed, seed + len(families))
+    models = train_on_row_sets(ds, members, hidden_dim, cfg, seeds, seeds)
     return DmmBaseline(models=models, families=families)
 
 

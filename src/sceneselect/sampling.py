@@ -148,9 +148,10 @@ def thompson_round(state: SamplingState, rng: np.random.Generator):
     return chosen.model_index
 
 
-def probe_suitability(model, sample) -> bool:
-    """A model suits a sample iff it predicts the sample's label exactly."""
-    return bool(learners.predict(model, sample.features[None])[0] == sample.label)
+def probe_suitability(model, X, y) -> np.ndarray:
+    """A model suits a sample iff it predicts the sample's label exactly:
+    one bool per row of the batch ``X`` with labels ``y``."""
+    return learners.predict(model, X) == y
 
 
 def _probe_rows(ds, models, candidates, rows) -> np.ndarray:
@@ -159,8 +160,8 @@ def _probe_rows(ds, models, candidates, rows) -> np.ndarray:
     The probes run as one batch over the sorted candidates; probe_suitability
     is pure, so batching it changes nothing but speed.
     """
-    idx = np.asarray(sorted(candidates), dtype=int)
-    bits = np.stack([learners.predict(m, ds.features[idx]) == ds.labels[idx] for m in models], axis=1)
+    idx = np.unique(np.asarray(candidates, dtype=int))
+    bits = np.stack([probe_suitability(m, ds.features[idx], ds.labels[idx]) for m in models], axis=1)
     return bits[np.searchsorted(idx, np.asarray(rows, dtype=int))]
 
 
@@ -187,12 +188,10 @@ def adaptive_sampling(ds: Dataset, repo, cfg: SamplingConfig) -> SamplingState:
         raise ConfigError("repository is empty")
     state = new_state(repo, cfg.theta, cfg.kappa, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
-    union = set()
-    for arm in state.arms:
-        union.update(int(i) for i in arm.gamma)
+    union = np.unique(np.concatenate([arm.gamma for arm in state.arms]))
     if cfg.kappa < len(union):
         state.arm_cap = math.ceil(cfg.kappa / len(state.arms))
-    remaining = [list(int(i) for i in arm.gamma) for arm in state.arms]
+    remaining = [arm.gamma.tolist() for arm in state.arms]
     probed = set()
     while state.distinct_drawn < cfg.kappa:
         chosen = thompson_round(state, rng)
@@ -232,14 +231,11 @@ def random_sampling(ds: Dataset, repo, kappa: int, seed: int) -> SamplingState:
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(train))
     take = len(train) if kappa >= len(train) else kappa
-    picks = [int(train[pos]) for pos in order[:take]]
-    state.rows = picks
+    picks = train[order[:take]]
+    state.rows = picks.tolist()
     state.bits = _probe_rows(ds, repo.models, picks, picks)
-    gamma_sets = [set(int(i) for i in arm.gamma) for arm in state.arms]
-    for idx in picks:
-        for arm, gset in zip(state.arms, gamma_sets):
-            if idx in gset:
-                arm.sampled.add(idx)
+    for arm in state.arms:
+        arm.sampled.update(picks[np.isin(picks, arm.gamma)].tolist())
     return state
 
 

@@ -42,7 +42,7 @@ class Pipeline:
     repo: object
     state: object
     decision: object
-    trace: list
+    trace: object  # dataset.Trace
 
 
 def run_pipeline(gen_seed, cfg=None, with_decision=True, with_trace=True):

@@ -286,7 +286,7 @@ def test_10_decision_competence(bench42):
     train_idx = dataset.part_indices(ds, "train")
     labels = np.zeros((len(train_idx), len(scenes)))
     for row, i in enumerate(train_idx):
-        labels[row, lookup[ds.samples[i].attrs]] = 1.0
+        labels[row, lookup[tuple(ds.attrs[i])]] = 1.0
     model = decision.train_decision(
         encoder, ds, train_idx, labels, bench42.cfg.head_hidden,
         TrainConfig(0.2, 60, 128, seed=21),
@@ -294,8 +294,8 @@ def test_10_decision_competence(bench42):
     valid_idx = dataset.part_indices(ds, "valid")
     hits = 0
     for i in valid_idx:
-        probs, ranking = decision.rank_models(model, ds.samples[i].features[None])
-        hits += int(ranking[0][0] == lookup[ds.samples[i].attrs])
+        probs, ranking = decision.rank_models(model, ds.features[i][None])
+        hits += int(ranking[0][0] == lookup[tuple(ds.attrs[i])])
     accuracy = hits / len(valid_idx)
     assert report("10 decision-competence", accuracy >= 0.9, f"top1 accuracy={accuracy:.4f}")
 
@@ -365,7 +365,7 @@ def test_separability_property():
             dataclasses.replace(cfg.profiling.model_train, seed=scene.scene_id + 100),
         )
         valid = [
-            i for i in dataset.part_indices(ds, "valid") if ds.samples[i].attrs == scene.attrs
+            i for i in dataset.part_indices(ds, "valid") if tuple(ds.attrs[i]) == scene.attrs
         ]
         f1 = profiling.macro_f1(
             learners.predict(model, ds.features[valid]), ds.labels[valid], ds.schema.num_classes

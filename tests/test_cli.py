@@ -5,7 +5,16 @@ from pathlib import Path
 import pytest
 
 from sceneselect import cli
-from sceneselect.artifacts import read_artifact
+from sceneselect.artifacts import read_artifact, write_artifact
+from sceneselect.errors import (
+    ArtifactMismatchError,
+    ConfigError,
+    DivergedError,
+    Error,
+    InsufficientModelsError,
+    ParseError,
+    SchemaError,
+)
 
 SMALL_INI = """
 [dataset]
@@ -236,3 +245,97 @@ class TestDefaultsFile:
     def test_checked_in_defaults_match_builtins(self):
         here = Path(__file__).resolve().parent.parent
         assert cli.load_run_config(here / "configs" / "default.ini") == cli.load_run_config(None)
+
+
+def truncated_dataset(workdir, tmp_path):
+    data = tmp_path / "data.jsonl"
+    text = Path(workdir["data"]).read_text()
+    data.write_text(text[: len(text) // 2])
+    return ["profile", "--config", str(workdir["ini"]), "--dataset", str(data), "--out", str(tmp_path / "p")]
+
+
+def label_out_of_range(workdir, tmp_path):
+    data = tmp_path / "data.jsonl"
+    lines = Path(workdir["data"]).read_text().splitlines()
+    lines[5] = lines[5].replace('"y": ', '"y": 9', 1)
+    data.write_text("\n".join(lines) + "\n")
+    return ["profile", "--config", str(workdir["ini"]), "--dataset", str(data), "--out", str(tmp_path / "p")]
+
+
+def diverging_encoder(workdir, tmp_path):
+    ini = tmp_path / "diverge.ini"
+    ini.write_text(SMALL_INI.replace("encoder_lr = 0.2", "encoder_lr = 1e300"))
+    return ["profile", "--config", str(ini), "--dataset", str(workdir["data"]), "--out", str(tmp_path / "p")]
+
+
+def unreachable_delta(workdir, tmp_path):
+    ini = tmp_path / "hard.ini"
+    ini.write_text(SMALL_INI.replace("delta = 0.0", "delta = 1.0").replace("k_max = 8", "k_max = 4"))
+    return ["profile", "--config", str(ini), "--dataset", str(workdir["data"]), "--out", str(tmp_path / "p")]
+
+
+def pools_as_repository(workdir, tmp_path):
+    return [
+        "sample", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
+        "--repository", str(workdir["pools"]), "--out", str(tmp_path / "p.json"),
+    ]
+
+
+def foreign_kind_pools(workdir, tmp_path):
+    foreign = tmp_path / "calibration.json"
+    write_artifact(foreign, {"kind": "calibration", "scale": 1.0})
+    return [
+        "train-decision", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
+        "--repository", str(workdir["prof"] / "repository.json"),
+        "--encoder", str(workdir["prof"] / "encoder.json"), "--pools", str(foreign),
+        "--out", str(tmp_path / "d.json"),
+    ]
+
+
+def truncated_repository(workdir, tmp_path):
+    repo = tmp_path / "repository.json"
+    text = (workdir["prof"] / "repository.json").read_text()
+    repo.write_text(text[: len(text) // 2])
+    return [
+        "sample", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
+        "--repository", str(repo), "--out", str(tmp_path / "p.json"),
+    ]
+
+
+def anole_without_artifacts(workdir, tmp_path):
+    return [
+        "simulate", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
+        "--baseline", "anole", "--out", str(tmp_path / "x"),
+    ]
+
+
+# (argv builder, error class raised by the command, text the message must hold)
+FAILURES = {
+    "truncated dataset": (truncated_dataset, ParseError, "invalid JSON"),
+    "truncated artifact": (truncated_repository, ParseError, "repository.json"),
+    "label out of range": (label_out_of_range, SchemaError, "out of range"),
+    "diverging training": (diverging_encoder, DivergedError, "training diverged"),
+    "insufficient models": (unreachable_delta, InsufficientModelsError, "accepted only"),
+    "pools passed as repository": (pools_as_repository, ArtifactMismatchError, "found 'pools'"),
+    "foreign-kind artifact": (foreign_kind_pools, ArtifactMismatchError, "found 'calibration'"),
+    "missing anole artifacts": (anole_without_artifacts, ConfigError, "needs --repository"),
+}
+
+
+class TestFailureMatrix:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging case overflows
+    @pytest.mark.parametrize("case", sorted(FAILURES))
+    def test_exit_code_and_one_line_message(self, case, workdir, tmp_path, capsys):
+        build, error, text = FAILURES[case]
+        argv = build(workdir, tmp_path)
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(error):
+            args.func(args)
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("\n") and err.count("\n") == 1, err
+        assert err.startswith("error: ") and text in err
+
+    def test_every_error_class_is_covered(self):
+        assert {error for _, error, _ in FAILURES.values()} == set(Error.__subclasses__())

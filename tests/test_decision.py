@@ -75,7 +75,7 @@ class TestTrainDecision:
         labels = np.ones((30, 3))
         model = train_decision(enc, small_ds, np.arange(30), labels, 8, TrainConfig(0.2, 60, 16, seed=5))
         for i in range(30):
-            probs = decision_probs(model, small_ds.samples[i].features[None])[0]
+            probs = decision_probs(model, small_ds.features[i][None])[0]
             assert (probs > 0.5).all()
 
     def test_same_seed_identical_head(self, small_ds):
@@ -108,7 +108,7 @@ class TestRanking:
 
     def test_invariant_under_monotone_logit_transform(self, bench42):
         model = bench42.decision
-        x = bench42.trace[0].features
+        x = bench42.trace.features[0]
         _, before = rank_one(model, x)
         scaled = DecisionModel(
             backbone=model.backbone,
@@ -127,7 +127,7 @@ class TestRanking:
 
     def test_probabilities_strictly_inside_unit_interval(self, bench42):
         for frame in (0, 100, 499):
-            probs = decision_probs(bench42.decision, bench42.trace[frame].features[None])[0]
+            probs = decision_probs(bench42.decision, bench42.trace.features[frame][None])[0]
             assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
 

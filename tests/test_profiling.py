@@ -69,7 +69,7 @@ class TestScenes:
         union = np.concatenate([s.sample_indices for s in scenes])
         assert sorted(union.tolist()) == sorted(part_indices(small_ds, "train").tolist())
         for s in scenes:
-            assert all(small_ds.samples[i].attrs == s.attrs for i in s.sample_indices)
+            assert (small_ds.attrs[s.sample_indices] == s.attrs).all()
 
 
 class TestEncoder:
@@ -88,7 +88,7 @@ class TestEncoder:
         lookup = {s.attrs: s.scene_id for s in scenes}
         counts = np.zeros(4, dtype=int)
         for i in part_indices(small_ds, "valid"):
-            counts[lookup[small_ds.samples[i].attrs]] += 1
+            counts[lookup[tuple(small_ds.attrs[i])]] += 1
         assert (conf.sum(axis=1) == counts).all()
 
     def test_single_scene_rejected(self):
@@ -124,7 +124,7 @@ class TestEmbeddings:
     def test_identical_features_identical_embeddings(self, small_ds):
         scenes = segment_semantic_scenes(small_ds)
         enc = train_scene_encoder(small_ds, scenes, 8, quick_train_cfg())
-        x = small_ds.samples[0].features
+        x = small_ds.features[0]
         assert np.array_equal(learners.embed(enc, x[None]), learners.embed(enc, x.copy()[None]))
 
     def test_dimension_mismatch(self, small_ds):
@@ -273,7 +273,7 @@ class TestRepository:
         entry = bench42.repo.entries[0]
         member_attrs = {bench42.scenes[i].attrs for i in entry.scene.member_scene_ids}
         for i in entry.scene.valid_indices:
-            assert bench42.ds.samples[i].attrs in member_attrs
+            assert tuple(bench42.ds.attrs[i]) in member_attrs
 
     def test_deterministic(self, easy):
         ds, scenes, enc = easy
@@ -285,8 +285,10 @@ class TestRepository:
 
 
 def reference_build_repository(ds, scenes, encoder, cfg):
-    """The level-by-level build: one `learners.train` per scored cluster."""
+    """The level-by-level build: one `learners.train` per scored cluster, whose
+    validation rows are found by a row-by-row attribute lookup."""
     centroids = embed_scenes(encoder, scenes, ds).centroids
+    valid = part_indices(ds, "valid")
     distinct = np.unique(centroids, axis=0).shape[0]
     entries = []
     for k in range(cfg.k_start, cfg.k_max + 1):
@@ -301,7 +303,13 @@ def reference_build_repository(ds, scenes, encoder, cfg):
             if len(entries) >= cfg.n:
                 break
             members = [i for i in range(len(scenes)) if result.assignments[i] == j]
-            cluster = profiling._cluster_scene(ds, scenes, j, members)
+            member_attrs = {scenes[i].attrs for i in members}
+            cluster = profiling.ClusterScene(
+                cluster_id=j,
+                member_scene_ids=tuple(members),
+                train_indices=np.sort(np.concatenate([scenes[i].sample_indices for i in members])),
+                valid_indices=np.array([i for i in valid if tuple(ds.attrs[i]) in member_attrs], dtype=int),
+            )
             model = learners.new_classifier(
                 ds.schema.feature_dim, cfg.compressed_hidden, ds.schema.num_classes,
                 seed=profiling.derive_seed(cfg.seed, 2, k, j),

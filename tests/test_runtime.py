@@ -1,8 +1,11 @@
 import dataclasses
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sceneselect import learners, profiling, runtime
 from sceneselect.dataset import generate_dataset, part_indices
@@ -57,13 +60,13 @@ class ReferenceCache:
 def reference_run_trace(trace, decision, models, cache_capacity, window=10, low_confidence=0.2):
     """The per-frame loop run_trace replaced: rank and predict on batches of
     one, the cache request, then macro F1 per window. ``decision`` is a
-    DecisionModel or a per-sample ranker sample -> (probs, ranking)."""
+    DecisionModel or a per-frame ranker (trace, frame) -> (probs, ranking)."""
     if hasattr(models, "models"):
         models = models.models
     if isinstance(decision, runtime.DecisionModel):
 
-        def ranker(sample):
-            probs, ranking = runtime.rank_models(decision, sample.features[None])
+        def ranker(trace, frame):
+            probs, ranking = runtime.rank_models(decision, trace.features[frame][None])
             return probs[0], ranking[0]
     else:
         ranker = decision
@@ -77,8 +80,8 @@ def reference_run_trace(trace, decision, models, cache_capacity, window=10, low_
     prev_served = None
     switch_frames = []
     preds = []
-    for frame, sample in enumerate(trace):
-        probs, ranking = ranker(sample)
+    for frame in range(len(trace)):
+        probs, ranking = ranker(trace, frame)
         top1 = int(ranking[0])
         top1_counts[top1] += 1
         if np.max(probs) < low_confidence:
@@ -88,7 +91,7 @@ def reference_run_trace(trace, decision, models, cache_capacity, window=10, low_
         if prev_served is not None and served != prev_served:
             switch_frames.append(frame)
         prev_served = served
-        pred = int(learners.predict(models[served], sample.features[None])[0])
+        pred = int(learners.predict(models[served], trace.features[frame][None])[0])
         preds.append(pred)
         records.append(
             runtime.FrameRecord(
@@ -97,11 +100,11 @@ def reference_run_trace(trace, decision, models, cache_capacity, window=10, low_
                 served_model=served,
                 top1_model=top1,
                 miss=miss,
-                correct=pred == sample.label,
+                correct=pred == trace.labels[frame],
             )
         )
 
-    labels = [s.label for s in trace]
+    labels = trace.labels.tolist()
     window_f1 = []
     for w in range((len(trace) + window - 1) // window):
         lo, hi = w * window, min((w + 1) * window, len(trace))
@@ -119,17 +122,17 @@ def assert_matches_reference(metrics, reference):
     assert metrics.cache_misses == sum(r.miss for r in records)
 
 
-def constant_rank_one(sample):
+def constant_rank_one(trace, frame):
     return np.ones(1), np.arange(1)
 
 
-def cdg_rank_one(centroids, sample):
-    d = np.linalg.norm(centroids - sample.features, axis=1)
+def cdg_rank_one(centroids, trace, frame):
+    d = np.linalg.norm(centroids - trace.features[frame], axis=1)
     return 1.0 / (1.0 + d), np.argsort(d, kind="stable")
 
 
-def dmm_rank_one(families, sample):
-    own = families.index(sample.attrs[0])
+def dmm_rank_one(families, trace, frame):
+    own = families.index(trace.attrs[frame][0])
     probs = np.zeros(len(families))
     probs[own] = 1.0
     return probs, np.array([own] + [i for i in range(len(families)) if i != own])
@@ -137,7 +140,7 @@ def dmm_rank_one(families, sample):
 
 @pytest.fixture(scope="module")
 def bench42_baselines(bench42):
-    """name -> (batch ranker, per-sample reference ranker, models), built as build_baseline does."""
+    """name -> (batch ranker, per-frame reference ranker, models), built as build_baseline does."""
     ds, cfg = bench42.ds, bench42.cfg
     hidden, seeds = cfg.profiling.compressed_hidden, cfg.baseline_seeds
 
@@ -217,6 +220,27 @@ class TestCacheUnit:
             misses += int(miss)
         assert misses == len(set(tops))
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_invariants_after_every_request(self, data):
+        n = data.draw(st.integers(1, 6))
+        capacity = data.draw(st.integers(1, n))
+        rankings = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=40))
+        cache = ModelCache(capacity)
+        hits = misses = 0
+        for requests, ranking in enumerate(rankings, start=1):
+            before = set(cache.loaded)
+            served, miss = cache_request(cache, ranking)
+            hits += not miss
+            misses += miss
+            assert len(cache.loaded) <= capacity
+            # served from residency, or a miss that loaded it (only into an empty cache)
+            assert served in before or (miss and not before and served == ranking[0])
+            assert miss == (ranking[0] not in before)
+            assert ranking[0] in cache.loaded
+            assert hits + misses == requests
+            assert cache.loads == misses  # every miss loads exactly one model
+
     def test_matches_reference_on_random_traces(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
@@ -256,8 +280,7 @@ class TestRunTrace:
         # documented serve-then-load fallback serves a resident model.
         ds, repo, trace = bench42.ds, bench42.repo, bench42.trace
         seg, n = 100, len(repo.models)
-        X = np.stack([t.features for t in trace])
-        y = np.array([t.label for t in trace])
+        X, y = trace.features, trace.labels
         best = []
         for s in range(5):
             sl = slice(s * seg, (s + 1) * seg)
@@ -267,17 +290,15 @@ class TestRunTrace:
             ]
             best.append(int(np.argmax(scores)))
 
-        frame_of = {id(s): i for i, s in enumerate(trace)}
-
-        def oracle_one(sample):
-            model = best[frame_of[id(sample)] // seg]
+        def oracle_one(frame):
+            model = best[frame // seg]
             probs = np.zeros(n)
             probs[model] = 1.0
             ranking = np.array([model] + [j for j in range(n) if j != model])
             return probs, ranking
 
         def oracle(frames):
-            probs, rankings = zip(*map(oracle_one, frames))
+            probs, rankings = zip(*map(oracle_one, range(len(frames))))
             return np.stack(probs), np.stack(rankings)
 
         metrics = run_trace(trace, oracle, repo.models, cache_capacity=n)
@@ -296,7 +317,7 @@ class TestRunTrace:
         assert [r.served_model for r in metrics.frames] == expected_serve
 
         expected_preds = [
-            learners.predict(repo.models[m], trace[i].features[None])[0]
+            learners.predict(repo.models[m], trace.features[i][None])[0]
             for i, m in enumerate(expected_serve)
         ]
         exp_f1 = [
@@ -357,16 +378,17 @@ class TestBaselines:
             models=[None, None, None],
             centroids=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]),
         )
-        sample = type("S", (), {"features": np.array([2.0, 0.0])})()
-        _, rankings = base.ranker()([sample])
+        frames = SimpleNamespace(features=np.array([[2.0, 0.0]]))
+        _, rankings = base.ranker()(frames)
         assert rankings[0].tolist() == [0, 1, 2]
 
     def test_dmm_selects_family_model(self):
         ds = generate_dataset(small_generator_config(num_cells=4, cards=(2, 2)))
         dmm = runtime.build_dmm(ds, 4, quick_train_cfg(epochs=2), seed=3)
         assert dmm.families == [0, 1]
-        sample = next(s for s in ds.samples if s.attrs[0] == 1)
-        probs, rankings = dmm.ranker()([sample])
+        row = int(np.flatnonzero(ds.attrs[:, 0] == 1)[0])
+        frames = SimpleNamespace(attrs=ds.attrs[[row]])
+        probs, rankings = dmm.ranker()(frames)
         ranking, probs = rankings[0], probs[0]
         assert ranking[0] == 1 and probs[1] == 1.0
 
@@ -388,7 +410,7 @@ class TestBaselines:
             quick_train_cfg(seed=2, epochs=60),
         )
         ssm = runtime.train_global_model(ds, 8, quick_train_cfg(seed=3, epochs=60))
-        cell0_clips = sorted({s.clip_id for i, s in enumerate(ds.samples) if s.attrs == dominant.attrs})
+        cell0_clips = np.unique(ds.clip_ids[(ds.attrs == dominant.attrs).all(axis=1)]).tolist()
         test_idx = part_indices(ds, "test", clips=cell0_clips)
         X, y = ds.features[test_idx], ds.labels[test_idx]
         f_spec = profiling.macro_f1(learners.predict(specialist, X), y, ds.schema.num_classes)

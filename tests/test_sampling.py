@@ -125,17 +125,22 @@ class TestProbe:
             arr[...] = 0.0
         m.b2[:] = 0.0
         m.b2[0] = 10.0  # always predicts class 0
-        hit = next(s for s in small_ds.samples if s.label == 0)
-        miss = next(s for s in small_ds.samples if s.label != 0)
-        assert probe_suitability(m, hit) is True
-        assert probe_suitability(m, miss) is False
+        bits = probe_suitability(m, small_ds.features, small_ds.labels)
+        assert bits.dtype == bool
+        assert np.array_equal(bits, small_ds.labels == 0)
 
     def test_probe_is_pure(self, small_ds):
         m = learners.new_classifier(small_ds.schema.feature_dim, 4, small_ds.schema.num_classes, 1)
-        s = small_ds.samples[0]
-        first = probe_suitability(m, s)
+        X, y = small_ds.features, small_ds.labels
+        first = probe_suitability(m, X, y)
         for _ in range(3):
-            assert probe_suitability(m, s) == first
+            assert np.array_equal(probe_suitability(m, X, y), first)
+
+    def test_batch_equals_batches_of_one(self, small_ds):
+        m = learners.new_classifier(small_ds.schema.feature_dim, 4, small_ds.schema.num_classes, 2)
+        X, y = small_ds.features[:40], small_ds.labels[:40]
+        one_by_one = [probe_suitability(m, X[i][None], y[i : i + 1])[0] for i in range(len(X))]
+        assert probe_suitability(m, X, y).tolist() == one_by_one
 
 
 class TestAdaptive:
@@ -203,7 +208,7 @@ class TestAdaptive:
         state = adaptive_sampling(ds, repo, SamplingConfig(0.9, 50, 4))
         for idx, bits in zip(state.rows, state.bits):
             for j, bit in enumerate(bits):
-                assert bit == probe_suitability(repo.entries[j].model, ds.samples[idx])
+                assert bit == probe_suitability(repo.entries[j].model, ds.features[idx][None], ds.labels[idx])[0]
 
     def test_sampled_sets_stay_inside_gamma(self, small_repo):
         ds, repo = small_repo
@@ -257,7 +262,7 @@ class TestRandom:
         for seed in range(20):
             state = random_sampling(ds, repo, kappa, seed=seed)
             for idx in state.rows:
-                counts[lookup[ds.samples[idx].attrs]] += 1
+                counts[lookup[tuple(ds.attrs[idx])]] += 1
         expected = sizes / sizes.sum() * counts.sum()
         _, pvalue = stats.chisquare(counts, expected)
         assert pvalue > 0.01
