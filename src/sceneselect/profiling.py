@@ -255,6 +255,10 @@ def macro_f1(predictions, labels, num_classes: int) -> float:
         for t, p, a in zip(tp.tolist(), predicted.tolist(), actual.tolist())
         if a
     ]
+    # below 8 terms numpy's pairwise sum adds left to right, as sum() does,
+    # so this is bit-equal to np.mean and skips its array round trip
+    if len(scores) < 8:
+        return sum(scores) / len(scores)
     return float(np.mean(scores))
 
 

@@ -8,7 +8,8 @@ resident model serves this frame as a fallback and the missing top model is
 loaded afterwards, evicting the least-frequently-used resident if the cache
 is full. Use counts reset on load, so eviction is LFU over residency. Once
 the cache has picked every frame's model, each served model predicts its
-frames in one batch.
+frames in one batch. A run's per-frame results are columns: one array per
+field, indexed by frame.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import learners
+from .artifacts import atomic_path
 from .dataset import Dataset, part_indices
 from .decision import DecisionModel, rank_models
 from .errors import ConfigError
@@ -50,7 +52,8 @@ class ModelCache:
 
 
 def cache_request(cache: ModelCache, ranking) -> tuple:
-    """Serve one frame given a ranking; returns (served_model_index, was_miss).
+    """Serve one frame given a ranking, a permutation of the model indices;
+    returns (served_model_index, was_miss).
 
     Hit: the top-ranked model is resident and serves. Miss: the best-ranked
     resident serves this frame, then the LFU resident is evicted (if the
@@ -61,40 +64,37 @@ def cache_request(cache: ModelCache, ranking) -> tuple:
     counted as a miss.
     """
     top = int(ranking[0])
-    if top in cache.loaded:
-        cache.loaded[top].use_count += 1
+    loaded = cache.loaded
+    entry = loaded.get(top)
+    if entry is not None:
+        entry.use_count += 1
         return top, False
     served = top
-    if cache.loaded:
-        position = {int(m): pos for pos, m in enumerate(ranking)}
-        served = min(cache.loaded, key=lambda m: position[m])
+    if loaded:
+        served = int(next(m for m in ranking if m in loaded))
         victim = None
-        if len(cache.loaded) >= cache.capacity:
-            victim = min(
-                cache.loaded,
-                key=lambda m: (cache.loaded[m].use_count, cache.loaded[m].load_order),
-            )
-        cache.loaded[served].use_count += 1
+        if len(loaded) >= cache.capacity:
+            victim = min(loaded.items(), key=lambda kv: (kv[1].use_count, kv[1].load_order))[0]
+        loaded[served].use_count += 1
         if victim is not None:
-            del cache.loaded[victim]
-    cache.loaded[top] = CacheEntry(use_count=int(served == top), load_order=cache.loads)
+            del loaded[victim]
+    loaded[top] = CacheEntry(use_count=int(served == top), load_order=cache.loads)
     cache.loads += 1
     return served, True
 
 
 @dataclass
-class FrameRecord:
-    frame: int
-    window_id: int
-    served_model: int
-    top1_model: int
-    miss: bool
-    correct: bool
-
-
-@dataclass
 class TraceMetrics:
-    frames: list  # FrameRecord per frame
+    """One trace run. ``served``, ``top1``, ``missed`` and ``correct`` are
+    per-frame columns of length F: the model that served frame f, the model
+    ranked first for it, whether its cache request missed, and whether the
+    served model's prediction was right. Frame f falls in window f // window.
+    """
+
+    served: np.ndarray  # (F,) int
+    top1: np.ndarray  # (F,) int
+    missed: np.ndarray  # (F,) bool
+    correct: np.ndarray  # (F,) bool
     window_f1: list  # (window_id, macro F1) for non-empty windows
     cache_misses: int
     cache_accesses: int
@@ -153,16 +153,12 @@ def run_trace(
         log.debug("frame %d: no model above confidence %.2f", frame, low_confidence)
 
     cache = ModelCache(cache_capacity)
-    served, missed = [], []
-    for ranking in rankings.tolist():
-        model, miss = cache_request(cache, ranking)
-        served.append(model)
-        missed.append(miss)
+    served, missed = zip(*[cache_request(cache, ranking) for ranking in rankings.tolist()])
+    served, missed = np.array(served), np.array(missed)
 
-    served_arr = np.array(served)
     preds = np.empty(frames, dtype=int)
-    for model in np.unique(served_arr):
-        rows = np.flatnonzero(served_arr == model)
+    for model in np.unique(served):
+        rows = np.flatnonzero(served == model)
         preds[rows] = learners.predict(models[model], X[rows])
     labels = trace.labels
 
@@ -171,20 +167,16 @@ def run_trace(
         (w, macro_f1(preds[lo : lo + window], labels[lo : lo + window], num_classes))
         for w, lo in enumerate(range(0, frames, window))
     ]
-    records = [
-        FrameRecord(frame=f, window_id=f // window, served_model=m, top1_model=t, miss=miss,
-                    correct=p == y)
-        for f, (m, t, miss, p, y) in enumerate(
-            zip(served, top1.tolist(), missed, preds.tolist(), labels.tolist())
-        )
-    ]
-    switch_frames = (np.flatnonzero(served_arr[1:] != served_arr[:-1]) + 1).tolist()
+    switch_frames = (np.flatnonzero(served[1:] != served[:-1]) + 1).tolist()
     durations = np.diff([0, *switch_frames, frames]).tolist()
 
     return TraceMetrics(
-        frames=records,
+        served=served,
+        top1=top1,
+        missed=missed,
+        correct=preds == labels,
         window_f1=window_f1,
-        cache_misses=sum(missed),
+        cache_misses=int(missed.sum()),
         cache_accesses=frames,
         switch_frames=switch_frames,
         scene_durations=durations,
@@ -196,7 +188,7 @@ def run_trace(
 
 def summarize(metrics: TraceMetrics) -> dict:
     """Roll a trace run up into the quantities the comparisons are made on."""
-    if not metrics.frames:
+    if not metrics.cache_accesses:
         raise ConfigError("metrics are empty")
     durations = np.array(metrics.scene_durations)
     quartiles = np.percentile(durations, [0, 25, 50, 75, 100])
@@ -208,7 +200,7 @@ def summarize(metrics: TraceMetrics) -> dict:
     total = int(metrics.top1_counts.sum())
     top5 = sum(count for _, count in histogram[:5])
     return {
-        "frames": len(metrics.frames),
+        "frames": metrics.cache_accesses,
         "miss_rate": metrics.miss_rate,
         "mean_window_f1": metrics.mean_window_f1,
         "duration_quartiles": [float(q) for q in quartiles],
@@ -220,13 +212,14 @@ def summarize(metrics: TraceMetrics) -> dict:
 
 
 def write_metrics_csv(metrics: TraceMetrics, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """One row per frame; written to a temporary file and renamed into place."""
+    frame = np.arange(metrics.cache_accesses)
+    columns = (frame, frame // metrics.window, metrics.served, metrics.top1,
+               metrics.missed.astype(int), metrics.correct.astype(int))
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["frame", "window_id", "served_model", "top1_model", "miss", "correct"])
-        for r in metrics.frames:
-            writer.writerow(
-                [r.frame, r.window_id, r.served_model, r.top1_model, int(r.miss), int(r.correct)]
-            )
+        writer.writerows(zip(*(c.tolist() for c in columns)))
 
 
 # ---------------------------------------------------------------------------

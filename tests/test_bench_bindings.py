@@ -5,11 +5,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -28,7 +28,7 @@ def count_calls(monkeypatch, calls, module, name):
 
 def test_every_traced_binding_resolves():
     missing = []
-    for module_name, attribute, _, _ in load_tracing().TARGETS:
+    for module_name, attribute, _, _ in load_bench("tracing").TARGETS:
         module = importlib.import_module(f"sceneselect.{module_name}")
         if not callable(getattr(module, attribute, None)):
             missing.append(f"{module_name}.{attribute}")
@@ -41,6 +41,20 @@ def test_counter_hooks_find_their_fields():
 
     assert isinstance(sampling.SamplingState.distinct_drawn, property)
     assert isinstance(runtime.ModelCache(1).loaded, dict)
+
+
+def test_trace_invariants_find_their_fields(small_ds):
+    # bench/worker.py::trace_invariants checks every serve and baselines op
+    # through TraceMetrics.cache_misses and .cache_accesses and the "frames"
+    # and "mean_window_f1" keys of summarize
+    from sceneselect import dataset, learners, runtime
+
+    d, c = small_ds.schema.feature_dim, small_ds.schema.num_classes
+    models = [learners.new_classifier(d, 4, c, seed) for seed in range(3)]
+    trace = dataset.synthesize_trace(small_ds, 2, 7, 5, seed=0)
+    metrics = runtime.run_trace(trace, runtime.constant_ranker(3), models, 2)
+    summary = runtime.summarize(metrics)
+    assert load_bench("worker").trace_invariants(metrics, summary, len(trace)) is None
 
 
 def test_run_trace_calls_each_traced_layer(small_ds, monkeypatch):
@@ -62,7 +76,7 @@ def test_run_trace_calls_each_traced_layer(small_ds, monkeypatch):
         count_calls(monkeypatch, calls, module, name)
 
     metrics = runtime.run_trace(trace, dm, models, 2, window=10)
-    served = {r.served_model for r in metrics.frames}
+    served = set(metrics.served.tolist())
     assert calls == {
         "rank_models": 1,
         "cache_request": len(trace),

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sceneselect import learners, profiling
@@ -163,6 +163,32 @@ class TestKMeans:
         with pytest.raises(ConfigError):
             kmeans(pts, 3, seed=0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_duplicate_points(self, data):
+        distinct = data.draw(st.integers(2, 6))
+        dim = data.draw(st.integers(1, 3))
+        coord = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+        points = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=distinct,
+                                    max_size=distinct, unique=True))
+        repeats = data.draw(st.lists(st.integers(1, 6), min_size=distinct, max_size=distinct))
+        pts = np.repeat(np.array(points), repeats, axis=0)
+        pts = pts[data.draw(st.permutations(range(len(pts))))]
+        k = data.draw(st.integers(1, distinct))
+        seed = data.draw(st.integers(0, 2**16))
+
+        res = kmeans(pts, k, seed=seed)
+        assert sorted(set(res.assignments.tolist())) == list(range(k))  # no cluster empty
+        assert np.isfinite(res.centroids).all()
+        hist = res.inertia_history
+        assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
+        again = kmeans(pts, k, seed=seed)
+        assert np.array_equal(again.assignments, res.assignments)
+        assert np.array_equal(again.centroids, res.centroids)
+        assert again.inertia_history == hist
+        with pytest.raises(ConfigError):
+            kmeans(pts, distinct + data.draw(st.integers(1, 3)), seed=seed)
+
     def test_partition_covers_all_points(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(30, 4))
@@ -201,12 +227,16 @@ class TestMacroF1:
             macro_f1([-1, 0], [0, 0], 2)
 
     @settings(max_examples=200, deadline=None)
+    @example(  # 8 present classes whose left-to-right sum differs from numpy's pairwise one
+        num_classes=8, pairs=[(7, 7), (1, 1), (5, 5), (7, 6), (3, 3), (0, 0), (8, 2), (4, 4)]
+    )
     @given(
-        num_classes=st.integers(1, 6),
-        pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=40),
+        num_classes=st.integers(1, 12),
+        pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), min_size=1, max_size=60),
     )
     def test_matches_per_class_reference(self, num_classes, pairs):
-        # predicted classes may be absent from the labels (and exceed num_classes)
+        # predicted classes may be absent from the labels (and exceed num_classes);
+        # up to 12 present classes reach both sides of macro_f1's 8-score rule
         preds = np.array([p for p, _ in pairs])
         labels = np.array([y % num_classes for _, y in pairs])
         scores = []

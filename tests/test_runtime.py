@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import functools
 from types import SimpleNamespace
@@ -11,6 +12,7 @@ from sceneselect import learners, profiling, runtime
 from sceneselect.dataset import generate_dataset, part_indices
 from sceneselect.errors import ConfigError
 from sceneselect.runtime import (
+    CacheEntry,
     ModelCache,
     cache_request,
     run_baselines,
@@ -21,6 +23,31 @@ from sceneselect.runtime import (
 
 from conftest import small_generator_config
 from test_profiling import quick_train_cfg
+
+
+def reference_cache_request(cache: ModelCache, ranking) -> tuple:
+    """cache_request as it was before the first-resident fallback: the
+    fallback is the resident with the smallest position in the ranking."""
+    top = int(ranking[0])
+    if top in cache.loaded:
+        cache.loaded[top].use_count += 1
+        return top, False
+    served = top
+    if cache.loaded:
+        position = {int(m): pos for pos, m in enumerate(ranking)}
+        served = min(cache.loaded, key=lambda m: position[m])
+        victim = None
+        if len(cache.loaded) >= cache.capacity:
+            victim = min(
+                cache.loaded,
+                key=lambda m: (cache.loaded[m].use_count, cache.loaded[m].load_order),
+            )
+        cache.loaded[served].use_count += 1
+        if victim is not None:
+            del cache.loaded[victim]
+    cache.loaded[top] = CacheEntry(use_count=int(served == top), load_order=cache.loads)
+    cache.loads += 1
+    return served, True
 
 
 class ReferenceCache:
@@ -55,6 +82,27 @@ class ReferenceCache:
         self.entries.append([top, 0, self.clock])
         self.clock += 1
         return served, True
+
+
+@dataclasses.dataclass
+class FrameRecord:
+    frame: int
+    window_id: int
+    served_model: int
+    top1_model: int
+    miss: bool
+    correct: bool
+
+
+def write_reference_csv(records, path):
+    """The per-frame CSV writer run_trace's columns replaced."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["frame", "window_id", "served_model", "top1_model", "miss", "correct"])
+        for r in records:
+            writer.writerow(
+                [r.frame, r.window_id, r.served_model, r.top1_model, int(r.miss), int(r.correct)]
+            )
 
 
 def reference_run_trace(trace, decision, models, cache_capacity, window=10, low_confidence=0.2):
@@ -94,7 +142,7 @@ def reference_run_trace(trace, decision, models, cache_capacity, window=10, low_
         pred = int(learners.predict(models[served], trace.features[frame][None])[0])
         preds.append(pred)
         records.append(
-            runtime.FrameRecord(
+            FrameRecord(
                 frame=frame,
                 window_id=frame // window,
                 served_model=served,
@@ -112,9 +160,16 @@ def reference_run_trace(trace, decision, models, cache_capacity, window=10, low_
     return records, window_f1, switch_frames, top1_counts, low_conf
 
 
-def assert_matches_reference(metrics, reference):
+def assert_matches_reference(metrics, reference, tmp_path):
     records, window_f1, switch_frames, top1_counts, low_conf = reference
-    assert metrics.frames == records
+    assert metrics.cache_accesses == len(records)
+    assert metrics.served.tolist() == [r.served_model for r in records]
+    assert metrics.top1.tolist() == [r.top1_model for r in records]
+    assert metrics.missed.tolist() == [r.miss for r in records]
+    assert metrics.correct.tolist() == [r.correct for r in records]
+    write_metrics_csv(metrics, tmp_path / "columns.csv")
+    write_reference_csv(records, tmp_path / "records.csv")
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
     assert metrics.window_f1 == window_f1
     assert metrics.switch_frames == switch_frames
     assert metrics.top1_counts.tolist() == top1_counts.tolist()
@@ -161,19 +216,19 @@ class TestWholeTraceMatchesPerFrame:
     """run_trace ranks and predicts the whole trace in batches; it must give
     what the per-frame loop gives."""
 
-    def test_decision_model_every_capacity(self, bench42):
+    def test_decision_model_every_capacity(self, bench42, tmp_path):
         cfg = bench42.cfg
         for cap in range(1, len(bench42.repo.models) + 1):
             args = (bench42.trace, bench42.decision, bench42.repo, cap, cfg.window, cfg.low_confidence)
-            assert_matches_reference(run_trace(*args), reference_run_trace(*args))
+            assert_matches_reference(run_trace(*args), reference_run_trace(*args), tmp_path)
 
     @pytest.mark.parametrize("name", ["sdm", "cdg", "dmm"])
-    def test_baseline_rankers(self, bench42, bench42_baselines, name):
+    def test_baseline_rankers(self, bench42, bench42_baselines, name, tmp_path):
         ranker, rank_one, models = bench42_baselines[name]
         for cap in range(1, len(models) + 1):
             metrics = run_trace(bench42.trace, ranker, models, cap, bench42.cfg.window, 0.0)
             reference = reference_run_trace(bench42.trace, rank_one, models, cap, bench42.cfg.window, 0.0)
-            assert_matches_reference(metrics, reference)
+            assert_matches_reference(metrics, reference, tmp_path)
 
 
 class TestCacheUnit:
@@ -241,6 +296,22 @@ class TestCacheUnit:
             assert hits + misses == requests
             assert cache.loads == misses  # every miss loads exactly one model
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_position_fallback_reference(self, data):
+        # the fast path takes the first resident in ranking order; on
+        # permutations that must equal the smallest-position resident
+        n = data.draw(st.integers(1, 8))
+        capacity = data.draw(st.integers(1, n))
+        rankings = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=60))
+        cache, ref = ModelCache(capacity), ModelCache(capacity)
+        for ranking in rankings:
+            assert cache_request(cache, ranking) == reference_cache_request(ref, ranking)
+            assert {m: (e.use_count, e.load_order) for m, e in cache.loaded.items()} == {
+                m: (e.use_count, e.load_order) for m, e in ref.loaded.items()
+            }
+            assert cache.loads == ref.loads
+
     def test_matches_reference_on_random_traces(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
@@ -270,7 +341,7 @@ class TestRunTrace:
         assert len(metrics.scene_durations) == len(metrics.switch_frames) + 1
         window_ids = [w for w, _ in metrics.window_f1]
         assert window_ids == list(range((n + 9) // 10))
-        assert len(metrics.frames) == n
+        assert len(metrics.served) == len(metrics.top1) == len(metrics.missed) == len(metrics.correct) == n
         assert int(metrics.top1_counts.sum()) == n
 
     def test_oracle_ranking_composes_per_segment_best(self, bench42):
@@ -314,7 +385,7 @@ class TestRunTrace:
                 serve = next(m for m in order if m in loaded)
             loaded.add(want)  # capacity >= n: nothing is ever evicted
             expected_serve.append(serve)
-        assert [r.served_model for r in metrics.frames] == expected_serve
+        assert metrics.served.tolist() == expected_serve
 
         expected_preds = [
             learners.predict(repo.models[m], trace.features[i][None])[0]
@@ -361,6 +432,21 @@ class TestSummarize:
         lines = path.read_text().splitlines()
         assert lines[0] == "frame,window_id,served_model,top1_model,miss,correct"
         assert len(lines) == 501
+
+    def test_csv_failure_mid_write_leaves_target_and_no_temp_file(self, tmp_path, bench42):
+        class Unprintable:
+            def __str__(self):
+                raise ValueError("cannot format")
+
+        metrics = run_trace(bench42.trace, bench42.decision, bench42.repo, 5)
+        served = metrics.served.astype(object)
+        served[-1] = Unprintable()  # fails on the last row, after the earlier rows
+        path = tmp_path / "frames.csv"
+        path.write_text("earlier file\n")
+        with pytest.raises(ValueError, match="cannot format"):
+            write_metrics_csv(dataclasses.replace(metrics, served=served), path)
+        assert path.read_text() == "earlier file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["frames.csv"]
 
 
 class TestBaselines:
