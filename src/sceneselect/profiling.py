@@ -235,31 +235,54 @@ def binary_f1(tp: int, fp: int, fn: int) -> float:
     return 2 * p * r / (p + r) if p + r else 0.0
 
 
-def macro_f1(predictions, labels, num_classes: int) -> float:
-    """Unweighted mean of per-class F1 over classes present in labels."""
+def macro_f1(predictions, labels, num_classes: int, window: int | None = None):
+    """Unweighted mean of per-class F1 over the classes present in labels.
+
+    Without ``window``, one float for the whole sequence. With it, a float64
+    array holding one score per run of ``window`` frames (the last run may
+    be short), each scored as its own sequence. Per-class F1 is `binary_f1`
+    done elementwise on (class, window) count tables, so every score is
+    bit-equal to scoring its slice alone.
+    """
     preds = np.asarray(predictions, dtype=int)
     labs = np.asarray(labels, dtype=int)
-    if len(labs) == 0:
+    frames = len(labs)
+    if frames == 0:
         raise ConfigError("macro_f1 needs a non-empty label set")
-    if len(preds) != len(labs):
+    if len(preds) != frames:
         raise ConfigError("predictions and labels disagree in length")
+    if window is not None and window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
+    span = frames if window is None else window
+    windows = -(-frames // span)
+    # labels past num_classes still count as present classes; predicted classes
+    # at or past `width` are never present, so they share one spare class row.
+    # Cells are class-major, so a negative class gives a negative cell index.
+    width = max(num_classes, int(labs.max()) + 1)
+    cells = (width + 1) * windows
+    window_of = np.arange(frames) // span
+    true_cell = labs * windows + window_of
     try:
-        actual = np.bincount(labs, minlength=num_classes)
-        predicted = np.bincount(preds, minlength=len(actual))
+        actual = np.bincount(true_cell, minlength=cells)
+        predicted = np.bincount(np.minimum(preds, width) * windows + window_of, minlength=cells)
     except ValueError as exc:
         raise ConfigError("class indices must be non-negative") from exc
-    tp = np.bincount(labs[preds == labs], minlength=len(actual))
-    # predicted may be longer than actual; only classes present in labels count
-    scores = [
-        binary_f1(t, p - t, a - t)
-        for t, p, a in zip(tp.tolist(), predicted.tolist(), actual.tolist())
-        if a
-    ]
-    # below 8 terms numpy's pairwise sum adds left to right, as sum() does,
-    # so this is bit-equal to np.mean and skips its array round trip
-    if len(scores) < 8:
-        return sum(scores) / len(scores)
-    return float(np.mean(scores))
+    tp = np.bincount(true_cell[preds == labs], minlength=cells)
+    actual, predicted, tp = (a.reshape(width + 1, windows) for a in (actual, predicted, tp))
+    shape = actual.shape
+    precision = np.divide(tp, predicted, out=np.zeros(shape), where=predicted > 0)
+    recall = np.divide(tp, actual, out=np.zeros(shape), where=actual > 0)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros(shape), where=both > 0)
+    present = actual > 0
+    count = present.sum(axis=0)
+    # accumulate adds strictly in class order and absent classes add 0.0, so
+    # below 8 present classes this is the left-to-right sum np.mean makes;
+    # from 8 on numpy's pairwise sum reorders, so those windows keep np.mean
+    scores = np.add.accumulate(f1)[-1] / count
+    for w in (count >= 8).nonzero()[0]:
+        scores[w] = np.mean(f1[present[:, w], w])
+    return float(scores[0]) if window is None else scores
 
 
 def train_on_row_sets(ds: Dataset, row_sets, hidden_dim: int, cfg: TrainConfig,

@@ -95,7 +95,7 @@ class TraceMetrics:
     top1: np.ndarray  # (F,) int
     missed: np.ndarray  # (F,) bool
     correct: np.ndarray  # (F,) bool
-    window_f1: list  # (window_id, macro F1) for non-empty windows
+    window_f1: list  # (window_id, macro F1), one per window, in frame order
     cache_misses: int
     cache_accesses: int
     switch_frames: list
@@ -129,7 +129,8 @@ def run_trace(
     ranked in one call, the LFU cache runs frame by frame, and each served
     model then predicts all of its frames in one batch. F1 is computed per
     ``window`` frames (macro over classes present; the last window may be
-    short). A max suitability below ``low_confidence`` is recorded as a
+    short), every window in one `macro_f1` call; a ``window`` below 1 is a
+    ConfigError. A max suitability below ``low_confidence`` is recorded as a
     no-suitable-model event; the frame is still served.
     """
     if len(trace) == 0:
@@ -163,10 +164,7 @@ def run_trace(
     labels = trace.labels
 
     num_classes = models[0].output_dim
-    window_f1 = [
-        (w, macro_f1(preds[lo : lo + window], labels[lo : lo + window], num_classes))
-        for w, lo in enumerate(range(0, frames, window))
-    ]
+    window_f1 = list(enumerate(macro_f1(preds, labels, num_classes, window).tolist()))
     switch_frames = (np.flatnonzero(served[1:] != served[:-1]) + 1).tolist()
     durations = np.diff([0, *switch_frames, frames]).tolist()
 

@@ -309,6 +309,17 @@ def anole_without_artifacts(workdir, tmp_path):
     ]
 
 
+def zero_window(workdir, tmp_path):
+    ini = tmp_path / "zero_window.ini"
+    ini.write_text(SMALL_INI.replace("window = 10", "window = 0"))
+    return [
+        "simulate", "--config", str(ini), "--dataset", str(workdir["data"]),
+        "--baseline", "anole", "--repository", str(workdir["prof"] / "repository.json"),
+        "--encoder", str(workdir["prof"] / "encoder.json"), "--decision", str(workdir["dec"]),
+        "--out", str(tmp_path / "x"),
+    ]
+
+
 # (argv builder, error class raised by the command, text the message must hold)
 FAILURES = {
     "truncated dataset": (truncated_dataset, ParseError, "invalid JSON"),
@@ -319,6 +330,7 @@ FAILURES = {
     "pools passed as repository": (pools_as_repository, ArtifactMismatchError, "found 'pools'"),
     "foreign-kind artifact": (foreign_kind_pools, ArtifactMismatchError, "found 'calibration'"),
     "missing anole artifacts": (anole_without_artifacts, ConfigError, "needs --repository"),
+    "zero window": (zero_window, ConfigError, "window must be >= 1"),
 }
 
 

@@ -226,6 +226,12 @@ class TestMacroF1:
         with pytest.raises(ConfigError):
             macro_f1([-1, 0], [0, 0], 2)
 
+    @pytest.mark.parametrize("preds, labels", [([0, 0, -1], [0, 0, 0]), ([0, 0, 0], [0, 0, -1])])
+    def test_negative_class_rejected_in_a_later_window(self, preds, labels):
+        # the index must not be taken for a class of the window before it
+        with pytest.raises(ConfigError, match="non-negative"):
+            macro_f1(preds, labels, 2, window=2)
+
     @settings(max_examples=200, deadline=None)
     @example(  # 8 present classes whose left-to-right sum differs from numpy's pairwise one
         num_classes=8, pairs=[(7, 7), (1, 1), (5, 5), (7, 6), (3, 3), (0, 0), (8, 2), (4, 4)]
@@ -246,6 +252,61 @@ class TestMacroF1:
             fn = int(np.sum((preds != c) & (labels == c)))
             scores.append(binary_f1(tp, fp, fn))
         assert macro_f1(preds, labels, num_classes) == float(np.mean(scores))
+
+
+def reference_macro_f1(predictions, labels, num_classes: int) -> float:
+    """macro_f1 as it was before it scored windows: one sequence, per-class
+    F1 through binary_f1 in a Python loop."""
+    preds = np.asarray(predictions, dtype=int)
+    labs = np.asarray(labels, dtype=int)
+    if len(labs) == 0:
+        raise ConfigError("macro_f1 needs a non-empty label set")
+    if len(preds) != len(labs):
+        raise ConfigError("predictions and labels disagree in length")
+    try:
+        actual = np.bincount(labs, minlength=num_classes)
+        predicted = np.bincount(preds, minlength=len(actual))
+    except ValueError as exc:
+        raise ConfigError("class indices must be non-negative") from exc
+    tp = np.bincount(labs[preds == labs], minlength=len(actual))
+    # predicted may be longer than actual; only classes present in labels count
+    scores = [
+        binary_f1(t, p - t, a - t)
+        for t, p, a in zip(tp.tolist(), predicted.tolist(), actual.tolist())
+        if a
+    ]
+    # below 8 terms numpy's pairwise sum adds left to right, as sum() does,
+    # so this is bit-equal to np.mean and skips its array round trip
+    if len(scores) < 8:
+        return sum(scores) / len(scores)
+    return float(np.mean(scores))
+
+
+class TestWindowedMacroF1:
+    @settings(max_examples=200, deadline=None)
+    @example(  # window 1 holds 8 present classes whose left-to-right sum differs from numpy's
+        # pairwise one (the pairs of TestMacroF1's example); the last window is ragged
+        num_classes=8,
+        window=8,
+        pairs=[(0, 0), (1, 1), (1, 0), (2, 2), (9, 2), (0, 1), (3, 3), (3, 0)]
+        + [(7, 7), (1, 1), (5, 5), (7, 6), (3, 3), (0, 0), (8, 2), (4, 4)]
+        + [(2, 2), (3, 1), (12, 2)],
+    )
+    @example(num_classes=3, window=25, pairs=[(0, 0), (1, 2), (2, 2), (13, 1)])  # window > frames
+    @given(
+        num_classes=st.integers(1, 12),
+        window=st.integers(1, 25),
+        pairs=st.lists(st.tuples(st.integers(0, 13), st.integers(0, 11)), min_size=1, max_size=120),
+    )
+    def test_matches_per_slice_reference(self, num_classes, window, pairs):
+        # predicted classes may be absent from the labels or >= num_classes
+        preds = np.array([p for p, _ in pairs])
+        labels = np.array([y % num_classes for _, y in pairs])
+        expected = [
+            reference_macro_f1(preds[lo : lo + window], labels[lo : lo + window], num_classes)
+            for lo in range(0, len(pairs), window)
+        ]
+        assert macro_f1(preds, labels, num_classes, window=window).tolist() == expected
 
 
 @pytest.fixture(scope="module")

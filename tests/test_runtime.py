@@ -410,6 +410,11 @@ class TestRunTrace:
         with pytest.raises(ConfigError):
             run_trace([], bench42.decision, bench42.repo, 2)
 
+    @pytest.mark.parametrize("window", [0, -10])
+    def test_window_below_one_rejected(self, bench42, window):
+        with pytest.raises(ConfigError, match="window"):
+            run_trace(bench42.trace, bench42.decision, bench42.repo, 2, window=window)
+
 
 class TestSummarize:
     def test_single_model_histogram(self, bench42):
