@@ -325,24 +325,28 @@ def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
     if args.trace_seed is not None:
         cfg.trace.seed = args.trace_seed
+    if args.baseline == "anole" and not (args.repository and args.encoder and args.decision):
+        raise ConfigError("--baseline anole needs --repository, --encoder and --decision")
+    if args.capacity_sweep:
+        capacities = _parse_sweep(args.capacity_sweep)
+    else:
+        capacities = [args.capacity if args.capacity is not None else cfg.capacity]
+    if min(capacities) < 1:
+        raise ConfigError(f"capacity must be >= 1, got {min(capacities)}")
+    if cfg.window < 1:
+        raise ConfigError(f"window must be >= 1, got {cfg.window}")
+
     ds = load_dataset(args.dataset)
     dataset_hash = sha256_file(args.dataset)
     trace = synthesize_trace(
         ds, cfg.trace.num_source_clips, cfg.trace.segment_len, cfg.trace.num_segments, cfg.trace.seed
     )
     if args.baseline == "anole":
-        if not (args.repository and args.encoder and args.decision):
-            raise ConfigError("--baseline anole needs --repository, --encoder and --decision")
         ranker, models = _anole_runner(args, cfg, ds, dataset_hash)
         low_conf = cfg.low_confidence
     else:
         ranker, models = _baseline_runner(args.baseline, cfg, ds)
         low_conf = 0.0
-
-    if args.capacity_sweep:
-        capacities = _parse_sweep(args.capacity_sweep)
-    else:
-        capacities = [args.capacity if args.capacity is not None else cfg.capacity]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,6 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, DivergedError
 
@@ -152,11 +151,33 @@ def embed(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
     return _layers(model, X)[1]
 
 
+def expit(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic sigmoid ``1 / (1 + exp(-z))``, elementwise, into ``out`` if given
+    (``out`` may be ``z`` itself). Never warns.
+
+    The result is bit-equal, for |z| <= 709, to that formula evaluated in C
+    doubles with the C library's ``exp``, which is how the common reference
+    ``expit`` computes it; beyond 709 it agrees within 1e-300. numpy's
+    float64 ``exp`` is its own SIMD kernel and differs from the C library's
+    in the last bit on a few percent of inputs. numpy's complex ``exp``
+    calls the C library's ``cexp`` instead, whose real part for a zero
+    imaginary part is the C library's ``exp`` of the real part, so
+    ``exp(-z + 0j).real`` is the C result. Below z of about -709.78 the
+    exponential overflows to inf and the sigmoid is 0.0, silently.
+    """
+    e = np.negative(z, dtype=complex)
+    with np.errstate(over="ignore"):
+        np.exp(e, out=e)
+    e = e.real
+    e += 1.0
+    return np.divide(1.0, e, out=out)
+
+
 def sigmoid_probs(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
     """Independent per-output probabilities (n, output) in [0, 1]: the outputs
-    a model trained on a 2-D 0/1 target matrix fits. Each lies in (0, 1)
-    for moderate logits; ``expit`` rounds to exactly 0.0 or 1.0 beyond
-    |logit| of about 37."""
+    a model trained on a 2-D 0/1 target matrix fits, through `expit`. Each
+    lies in (0, 1) for moderate logits; it rounds to exactly 1.0 above a
+    logit of about 37 and to 0.0 below about -709.78."""
     return expit(_layers(model, X)[2])
 
 

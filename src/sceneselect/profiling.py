@@ -171,9 +171,9 @@ def kmeans(points, k: int, seed: int, max_iters: int = 100, tol: float = 1e-9) -
 
     Runs until the assignment reaches a fixpoint, the inertia improvement
     drops below ``tol``, or ``max_iters``. Empty clusters are repaired by
-    reseeding them on the point currently farthest from its centroid, which
-    never increases inertia. The recorded per-iteration inertia sequence is
-    non-increasing.
+    reseeding them on the point currently farthest from its centroid among
+    those that share their cluster, which never increases inertia. The
+    recorded per-iteration inertia sequence is non-increasing.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
@@ -195,6 +195,8 @@ def kmeans(points, k: int, seed: int, max_iters: int = 100, tol: float = 1e-9) -
         for j in range(k):
             if not np.any(assign == j):
                 own = d2[np.arange(len(pts)), assign]
+                # a cluster's last point stays, or its cluster would be empty
+                own[np.bincount(assign, minlength=k)[assign] < 2] = -1.0
                 far = int(np.argmax(own))
                 assign[far] = j
                 d2[far, :] = np.inf

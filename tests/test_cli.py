@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -241,6 +244,37 @@ class TestSimulate:
         assert code == 1
 
 
+# runs cli.main(argv) in a fresh interpreter in which importing scipy fails
+NO_SCIPY = "import sys; sys.modules['scipy'] = None; from sceneselect import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
+class TestWithoutScipy:
+    def test_decision_and_simulation_need_only_numpy(self, workdir, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        dec = tmp_path / "decision.json"
+        train = [
+            "train-decision", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
+            "--repository", str(workdir["prof"] / "repository.json"),
+            "--encoder", str(workdir["prof"] / "encoder.json"), "--pools", str(workdir["pools"]), "--out", str(dec),
+        ]
+
+        def simulate(decision, out):
+            return [
+                "simulate", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
+                "--baseline", "anole", "--repository", str(workdir["prof"] / "repository.json"),
+                "--encoder", str(workdir["prof"] / "encoder.json"), "--decision", str(decision), "--out", str(out),
+            ]
+
+        for argv in (train, simulate(dec, tmp_path / "sub")):
+            run = subprocess.run([sys.executable, "-c", NO_SCIPY, *argv], env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+        assert cli.main(simulate(workdir["dec"], tmp_path / "own")) == 0
+        assert dec.read_bytes() == workdir["dec"].read_bytes()
+        for name in ("summary_anole_cap2.json", "frames_anole_cap2.csv"):
+            assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "own" / name).read_bytes()
+
+
 class TestDefaultsFile:
     def test_checked_in_defaults_match_builtins(self):
         here = Path(__file__).resolve().parent.parent
@@ -320,6 +354,13 @@ def zero_window(workdir, tmp_path):
     ]
 
 
+def zero_capacity(workdir, tmp_path):
+    return [
+        "simulate", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
+        "--baseline", "sdm", "--capacity", "0", "--out", str(tmp_path / "x"),
+    ]
+
+
 # (argv builder, error class raised by the command, text the message must hold)
 FAILURES = {
     "truncated dataset": (truncated_dataset, ParseError, "invalid JSON"),
@@ -331,6 +372,7 @@ FAILURES = {
     "foreign-kind artifact": (foreign_kind_pools, ArtifactMismatchError, "found 'calibration'"),
     "missing anole artifacts": (anole_without_artifacts, ConfigError, "needs --repository"),
     "zero window": (zero_window, ConfigError, "window must be >= 1"),
+    "zero capacity": (zero_capacity, ConfigError, "capacity must be >= 1"),
 }
 
 
@@ -348,6 +390,9 @@ class TestFailureMatrix:
         err = capsys.readouterr().err
         assert err.endswith("\n") and err.count("\n") == 1, err
         assert err.startswith("error: ") and text in err
+        if argv[0] == "simulate":
+            # settings are checked before the dataset is read or --out is made
+            assert not Path(argv[argv.index("--out") + 1]).exists()
 
     def test_every_error_class_is_covered(self):
         assert {error for _, error, _ in FAILURES.values()} == set(Error.__subclasses__())

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -429,6 +431,54 @@ class TestExtremeLogits:
         probs = learners.sigmoid_probs(m, np.zeros((1, 2)))
         assert probs.shape == (1, len(logits))
         assert np.isfinite(probs).all() and np.all((probs >= 0.0) & (probs <= 1.0))
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestExpitMatchesScipy:
+    """`learners.expit` against ``scipy.special.expit``, a test-only reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=9), elements=st.floats(-709, 709)))
+    # numpy's float64 exp misses the C library's in the last bit on a few
+    # percent of these, so 1 / (1 + np.exp(-z)) fails on them
+    @example(np.random.default_rng(0).normal(0.0, 10.0, 20000))
+    @example(np.random.default_rng(1).uniform(-709.0, 709.0, 20000))
+    def test_bit_equal_in_range(self, z):
+        assert np.array_equal(bits(learners.expit(z)), bits(expit(z)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(710, 1e4),
+                st.floats(-1e4, -710),
+                st.sampled_from([np.inf, -np.inf, np.nan]),
+            ),
+            min_size=1,
+            max_size=9,
+        )
+    )
+    def test_extreme_inputs_in_unit_interval_without_warning(self, values):
+        z = np.array(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = learners.expit(z)
+        ref = expit(z)
+        nan = np.isnan(z)
+        assert np.array_equal(np.isnan(ours), nan)
+        assert np.all((ours[~nan] >= 0.0) & (ours[~nan] <= 1.0))
+        assert np.all(np.abs(ours[~nan] - ref[~nan]) <= 1e-300)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=9), elements=st.floats(-1e4, 1e4)))
+    def test_out_aliasing_the_input(self, z):
+        expected = learners.expit(z)
+        aliased = z.copy()
+        assert learners.expit(aliased, out=aliased) is aliased
+        assert np.array_equal(bits(aliased), bits(expected))
 
 
 class TestSerialization:

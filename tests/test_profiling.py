@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,23 @@ class TestKMeans:
         assert again.inertia_history == hist
         with pytest.raises(ConfigError):
             kmeans(pts, distinct + data.draw(st.integers(1, 3)), seed=seed)
+
+    @pytest.mark.parametrize(
+        "points, k",
+        [
+            ([1.0, 0.0, 2.0, 2.0, 9.891546322150135e-167], 4),
+            ([0.0, 1.93e-255, 1.31e-301], 3),
+        ],
+    )
+    def test_underflowing_distances_leave_no_cluster_empty(self, points, k):
+        # squared distances underflow to 0, so the farthest point from its
+        # centroid may be its cluster's only one; moving it emptied that cluster
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = kmeans(np.array(points)[:, None], k, seed=0)
+        assert sorted(set(res.assignments.tolist())) == list(range(k))
+        assert np.isfinite(res.centroids).all()
+        assert res.inertia_history == sorted(res.inertia_history, reverse=True)
 
     def test_partition_covers_all_points(self):
         rng = np.random.default_rng(4)
