@@ -267,11 +267,7 @@ def cmd_train_decision(args) -> int:
     cfg = load_run_config(args.config)
     ds = load_dataset(args.dataset)
     dataset_hash = sha256_file(args.dataset)
-    repo, repo_body = profiling.load_repository(args.repository, ds, dataset_hash)
-    repo_hash = sha256_file(args.repository)
-    encoder_hash = sha256_file(args.encoder)
-    require_match("encoder", repo_body["encoder_hash"], encoder_hash)
-    encoder, _ = profiling.load_encoder(args.encoder, dataset_hash)
+    _, repo_hash, encoder, encoder_hash = _load_profile(args, ds, dataset_hash)
     pools_body = _load_pools(args.pools, dataset_hash, repo_hash)
     indices = np.array([r["sample_index"] for r in pools_body["rows"]], dtype=int)
     labels = np.array([r["bits"] for r in pools_body["rows"]], dtype=float)
@@ -279,6 +275,18 @@ def cmd_train_decision(args) -> int:
     decision_mod.save_decision(args.out, model, encoder_hash, repo_hash)
     print(f"wrote {args.out}: decision head over {model.n} models")
     return 0
+
+
+def _load_profile(args, ds, dataset_hash):
+    """(repository, its hash, encoder, its hash) of ``--repository`` and
+    ``--encoder``, each checked against the dataset and the repository
+    against the encoder."""
+    repo, repo_body = profiling.load_repository(args.repository, ds, dataset_hash)
+    repo_hash = sha256_file(args.repository)
+    encoder_hash = sha256_file(args.encoder)
+    require_match("encoder", repo_body["encoder_hash"], encoder_hash)
+    encoder, _ = profiling.load_encoder(args.encoder, dataset_hash)
+    return repo, repo_hash, encoder, encoder_hash
 
 
 def _load_pools(path, dataset_hash, repo_hash):
@@ -299,12 +307,8 @@ def _parse_sweep(text):
     return list(range(lo, hi + 1))
 
 
-def _anole_runner(args, cfg, ds, dataset_hash):
-    repo, repo_body = profiling.load_repository(args.repository, ds, dataset_hash)
-    repo_hash = sha256_file(args.repository)
-    encoder_hash = sha256_file(args.encoder)
-    require_match("encoder", repo_body["encoder_hash"], encoder_hash)
-    encoder, _ = profiling.load_encoder(args.encoder, dataset_hash)
+def _anole_runner(args, ds, dataset_hash):
+    repo, repo_hash, encoder, encoder_hash = _load_profile(args, ds, dataset_hash)
     model, _ = decision_mod.load_decision(args.decision, encoder, encoder_hash, repo_hash)
     return model, repo.models
 
@@ -342,7 +346,7 @@ def cmd_simulate(args) -> int:
         ds, cfg.trace.num_source_clips, cfg.trace.segment_len, cfg.trace.num_segments, cfg.trace.seed
     )
     if args.baseline == "anole":
-        ranker, models = _anole_runner(args, cfg, ds, dataset_hash)
+        ranker, models = _anole_runner(args, ds, dataset_hash)
         low_conf = cfg.low_confidence
     else:
         ranker, models = _baseline_runner(args.baseline, cfg, ds)

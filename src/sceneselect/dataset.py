@@ -154,11 +154,7 @@ def box_muller(rng: np.random.Generator, n: int) -> np.ndarray:
     return z[:n]
 
 
-def generate_dataset(
-    cfg: GeneratorConfig,
-    seen_ratio=SEEN_UNSEEN_RATIO,
-    part_ratio=TRAIN_VALID_TEST_RATIO,
-) -> Dataset:
+def generate_dataset(cfg: GeneratorConfig) -> Dataset:
     """Deterministic synthetic dataset: cells -> clips -> frames.
 
     Cell c gets a center mu_c and one anchor per class at distance
@@ -208,7 +204,7 @@ def generate_dataset(
     num_clips = len(clip_cells)
     # cell c's attribute tuple: c in mixed radix, most significant dimension first
     cell_attrs = np.stack(np.unravel_index(clip_cells, schema.attr_cardinalities), axis=1)
-    split = _make_split(rng, num_clips, frames, seen_ratio, part_ratio)
+    split = _make_split(rng, num_clips, frames)
     return Dataset(
         schema=schema,
         split=split,
@@ -220,18 +216,17 @@ def generate_dataset(
     )
 
 
-def _make_split(rng, num_clips, frames_per_clip, seen_ratio, part_ratio) -> SplitDataset:
+def _make_split(rng, num_clips, frames_per_clip) -> SplitDataset:
     # Floor division for the smaller shares; the remainder goes to the larger
     # split (seen clips, training frames).
-    total_ratio = sum(seen_ratio)
-    unseen_count = num_clips * seen_ratio[1] // total_ratio
+    unseen_count = num_clips * SEEN_UNSEEN_RATIO[1] // sum(SEEN_UNSEEN_RATIO)
     order = rng.permutation(num_clips)
     unseen = tuple(sorted(int(c) for c in order[:unseen_count]))
     seen = tuple(sorted(int(c) for c in order[unseen_count:]))
 
-    part_total = sum(part_ratio)
-    valid_n = frames_per_clip * part_ratio[1] // part_total
-    test_n = frames_per_clip * part_ratio[2] // part_total
+    part_total = sum(TRAIN_VALID_TEST_RATIO)
+    valid_n = frames_per_clip * TRAIN_VALID_TEST_RATIO[1] // part_total
+    test_n = frames_per_clip * TRAIN_VALID_TEST_RATIO[2] // part_total
     train_n = frames_per_clip - valid_n - test_n
     ranges = {
         clip: {
@@ -244,11 +239,11 @@ def _make_split(rng, num_clips, frames_per_clip, seen_ratio, part_ratio) -> Spli
     return SplitDataset(seen_clips=seen, unseen_clips=unseen, ranges=ranges)
 
 
-def part_indices(ds: Dataset, part: str, clips=None) -> np.ndarray:
+def part_indices(ds: Dataset, part: str) -> np.ndarray:
     """Indices of one split part ('train'|'valid'|'test') over seen clips."""
     if part not in PARTS:
         raise ConfigError(f"unknown split part {part!r}")
-    wanted = sorted(set(ds.split.seen_clips if clips is None else clips) & ds.split.ranges.keys())
+    wanted = sorted(set(ds.split.seen_clips) & ds.split.ranges.keys())
     if not wanted:
         return np.zeros(0, dtype=np.intp)
     bounds = np.array([ds.split.ranges[clip][part] for clip in wanted], dtype=np.int64)

@@ -78,13 +78,10 @@ def save_decision(path, decision, encoder_hash, repository_hash) -> str:
     return write_artifact(path, decision_payload(decision, encoder_hash, repository_hash))
 
 
-def load_decision(path, encoder: VectorClassifier, encoder_hash: str | None = None,
-                  repository_hash: str | None = None):
+def load_decision(path, encoder: VectorClassifier, encoder_hash: str, repository_hash: str):
     body = read_artifact(path, "decision")
-    if encoder_hash is not None:
-        require_match("encoder", body["encoder_hash"], encoder_hash)
-    if repository_hash is not None:
-        require_match("repository", body["repository_hash"], repository_hash)
+    require_match("encoder", body["encoder_hash"], encoder_hash)
+    require_match("repository", body["repository_hash"], repository_hash)
     head = learners.model_from_dict(body["head"])
     if head.input_dim != encoder.hidden_dim:
         raise ConfigError("decision head does not fit the encoder's embedding width")

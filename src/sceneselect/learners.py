@@ -14,7 +14,7 @@ of one.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,13 +54,6 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be positive")
         if self.l2 < 0:
             raise ConfigError("l2 must be non-negative")
-
-
-@dataclass
-class TrainReport:
-    final_loss: float
-    epochs_run: int
-    losses: list = field(default_factory=list)
 
 
 @dataclass
@@ -255,17 +248,17 @@ def gradient(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: float = 
     return Gradients(dW1, db1, dW2, db2)
 
 
-def train(model: VectorClassifier, X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> TrainReport:
+def train(model: VectorClassifier, X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> None:
     """Mini-batch gradient descent on `cross_entropy`; mutates ``model`` in place.
 
     The loss follows the targets: 1-D integer labels train softmax outputs,
     an (n, output_dim) 0/1 matrix trains independent sigmoid outputs.
     Shuffling comes from a PRNG seeded with ``cfg.seed``, so equal seeds give
-    bit-identical parameters. The loss recorded for each epoch is the full
-    training-set loss after that epoch's updates. A stack of one in
-    `train_stack`.
+    bit-identical parameters. After each epoch's updates the full
+    training-set loss is computed only to check for divergence. A stack of
+    one in `train_stack`.
     """
-    return train_stack([model], [X], [y], [cfg])[0]
+    train_stack([model], [X], [y], [cfg])
 
 
 def _check_training_set(X: np.ndarray, y: np.ndarray, model: VectorClassifier) -> None:
@@ -284,14 +277,14 @@ def _check_training_set(X: np.ndarray, y: np.ndarray, model: VectorClassifier) -
         raise ConfigError("labels must lie in [0, output_dim)")
 
 
-def train_stack(models: list, Xs: list, ys: list, cfgs: list) -> list:
-    """`train` for k models at once, each on its own data; returns one
-    TrainReport per model and mutates the models in place.
+def train_stack(models: list, Xs: list, ys: list, cfgs: list) -> None:
+    """`train` for k models at once, each on its own data; mutates the
+    models in place.
 
     The models share their dims and every TrainConfig field but ``seed``.
     Each keeps its own PRNG, per-epoch permutation, ragged last batch,
-    epoch loss and divergence check, so its parameters and losses equal
-    those of training it alone, bit for bit. Only the steps are shared:
+    epoch loss and divergence check, so its parameters equal those of
+    training it alone, bit for bit. Only the steps are shared:
     with the models ordered largest training set first, the ones that
     still have a full batch at step t form a prefix and take one stacked
     `gradient` call; each ragged last batch is a stack of one. Every input
@@ -351,7 +344,7 @@ def train_stack(models: list, Xs: list, ys: list, cfgs: list) -> list:
             )
     alone = [view(p) for p in range(k)]
     rngs = [np.random.default_rng(cfgs[i].seed) for i in order]
-    losses = [[] for _ in range(k)]
+    by_input = sorted(range(k), key=order.__getitem__)  # positions, in input order
     try:
         for epoch in range(cfg.epochs):
             perms = [rng.permutation(n) for rng, n in zip(rngs, sizes)]
@@ -366,18 +359,14 @@ def train_stack(models: list, Xs: list, ys: list, cfgs: list) -> list:
                 for param, grad in zip(params, (g.dW1, g.db1, g.dW2, g.db2)):
                     grad *= cfg.learning_rate
                     param -= grad
-            epoch_losses = [0.0] * k
-            for p, i in enumerate(order):
-                epoch_losses[i] = cross_entropy(alone[p], Xs[p], ys[p], cfg.l2)
-            for i, loss in enumerate(epoch_losses):
+            for p in by_input:
+                loss = cross_entropy(alone[p], Xs[p], ys[p], cfg.l2)
                 if not np.isfinite(loss):
                     raise DivergedError(epoch, loss)
-                losses[i].append(loss)
     finally:
         for p, i in enumerate(order):
             for name in ("W1", "b1", "W2", "b2"):
                 getattr(models[i], name)[...] = getattr(alone[p], name)
-    return [TrainReport(final_loss=ls[-1], epochs_run=cfg.epochs, losses=ls) for ls in losses]
 
 
 def param_count(model: VectorClassifier) -> int:

@@ -39,16 +39,9 @@ class SemanticScene:
 
 
 @dataclass
-class EmbeddingSet:
-    per_scene: list  # scene_id -> (count, hidden_dim) array
-    centroids: np.ndarray  # (num_scenes, hidden_dim)
-
-
-@dataclass
 class ClusterScene:
     """A model-friendly scene: semantic scenes merged in embedding space."""
 
-    cluster_id: int
     member_scene_ids: tuple
     train_indices: np.ndarray
     valid_indices: np.ndarray
@@ -137,16 +130,15 @@ def train_scene_encoder(ds: Dataset, scenes, hidden_dim: int, cfg: TrainConfig) 
     return encoder
 
 
-def embed_scenes(encoder: VectorClassifier, scenes, ds: Dataset) -> EmbeddingSet:
+def embed_scenes(encoder: VectorClassifier, scenes, ds: Dataset) -> np.ndarray:
+    """Per-scene centroids (num_scenes, hidden): the mean embedding of each scene's training samples."""
     if encoder.input_dim != ds.schema.feature_dim:
         raise ConfigError("encoder input_dim does not match the dataset feature_dim")
-    per_scene = []
     centroids = np.zeros((len(scenes), encoder.hidden_dim))
     for scene in scenes:
         H = learners.embed(encoder, ds.features[scene.sample_indices])
-        per_scene.append(H)
         centroids[scene.scene_id] = H.mean(axis=0)
-    return EmbeddingSet(per_scene=per_scene, centroids=centroids)
+    return centroids
 
 
 def encoder_confusion(encoder: VectorClassifier, scenes, ds: Dataset) -> np.ndarray:
@@ -166,14 +158,18 @@ class KMeansResult:
     inertia_history: list
 
 
-def kmeans(points, k: int, seed: int, max_iters: int = 100, tol: float = 1e-9) -> KMeansResult:
+KMEANS_MAX_ITERS = 100
+KMEANS_TOL = 1e-9
+
+
+def kmeans(points, k: int, seed: int) -> KMeansResult:
     """Lloyd's algorithm with k-means++ seeding.
 
     Runs until the assignment reaches a fixpoint, the inertia improvement
-    drops below ``tol``, or ``max_iters``. Empty clusters are repaired by
-    reseeding them on the point currently farthest from its centroid among
-    those that share their cluster, which never increases inertia. The
-    recorded per-iteration inertia sequence is non-increasing.
+    drops below ``KMEANS_TOL``, or ``KMEANS_MAX_ITERS``. Empty clusters are
+    repaired by reseeding them on the point currently farthest from its
+    centroid among those that share their cluster, which never increases
+    inertia. The recorded per-iteration inertia sequence is non-increasing.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or len(pts) == 0:
@@ -189,7 +185,7 @@ def kmeans(points, k: int, seed: int, max_iters: int = 100, tol: float = 1e-9) -
 
     prev_assign = None
     history = []
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assign = d2.argmin(axis=1)
         for j in range(k):
@@ -207,7 +203,7 @@ def kmeans(points, k: int, seed: int, max_iters: int = 100, tol: float = 1e-9) -
         history.append(inertia)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
-        if len(history) >= 2 and history[-2] - history[-1] < tol:
+        if len(history) >= 2 and history[-2] - history[-1] < KMEANS_TOL:
             break
         prev_assign = assign
     return KMeansResult(assignments=assign, centroids=centroids, inertia=history[-1], inertia_history=history)
@@ -302,9 +298,8 @@ def train_on_row_sets(ds: Dataset, row_sets, hidden_dim: int, cfg: TrainConfig,
     return models
 
 
-def _cluster_scene(scenes, cluster_id: int, member_ids) -> ClusterScene:
+def _cluster_scene(scenes, member_ids) -> ClusterScene:
     return ClusterScene(
-        cluster_id=cluster_id,
         member_scene_ids=tuple(int(i) for i in member_ids),
         train_indices=np.sort(np.concatenate([scenes[i].sample_indices for i in member_ids])),
         valid_indices=np.sort(np.concatenate([scenes[i].valid_indices for i in member_ids])),
@@ -329,8 +324,7 @@ def build_repository(ds: Dataset, scenes, encoder: VectorClassifier, cfg: Profil
     round may train models that are never scored.
     """
     cfg.validate()
-    emb = embed_scenes(encoder, scenes, ds)
-    centroids = emb.centroids
+    centroids = embed_scenes(encoder, scenes, ds)
     distinct = np.unique(centroids, axis=0).shape[0]
     entries = []
     k = cfg.k_start
@@ -351,7 +345,7 @@ def build_repository(ds: Dataset, scenes, encoder: VectorClassifier, cfg: Profil
             for j in range(level):
                 members = np.flatnonzero(result.assignments == j).tolist()
                 sources.append((level, j))
-                clusters.append(_cluster_scene(scenes, j, members))
+                clusters.append(_cluster_scene(scenes, members))
         models = train_on_row_sets(
             ds, [c.train_indices for c in clusters], cfg.compressed_hidden, cfg.model_train,
             [derive_seed(cfg.seed, 2, *s) for s in sources], [derive_seed(cfg.seed, 3, *s) for s in sources],
@@ -390,10 +384,9 @@ def save_encoder(path, encoder: VectorClassifier, num_scenes: int, dataset_hash:
     return write_artifact(path, encoder_payload(encoder, num_scenes, dataset_hash))
 
 
-def load_encoder(path, dataset_hash: str | None = None):
+def load_encoder(path, dataset_hash: str):
     body = read_artifact(path, "encoder")
-    if dataset_hash is not None:
-        require_match("dataset", body["dataset_hash"], dataset_hash)
+    require_match("dataset", body["dataset_hash"], dataset_hash)
     return learners.model_from_dict(body["model"]), body
 
 
@@ -427,23 +420,21 @@ def save_repository(path, repo, cfg, dataset_hash, encoder_hash) -> str:
     return write_artifact(path, repository_payload(repo, cfg, dataset_hash, encoder_hash))
 
 
-def load_repository(path, ds: Dataset, dataset_hash: str | None = None):
+def load_repository(path, ds: Dataset, dataset_hash: str):
     """Rebuild a ModelRepository; cluster scenes are reconstructed from member ids."""
     body = read_artifact(path, "repository")
-    if dataset_hash is not None:
-        require_match("dataset", body["dataset_hash"], dataset_hash)
+    require_match("dataset", body["dataset_hash"], dataset_hash)
     scenes = segment_semantic_scenes(ds)
     entries = []
     for rec in body["models"]:
         members = rec["member_scene_ids"]
         if not all(0 <= m < len(scenes) for m in members):
             raise ConfigError("repository references scenes missing from the dataset")
-        cluster = _cluster_scene(scenes, rec["source"][1], members)
         entries.append(
             RepositoryEntry(
                 model=learners.model_from_dict(rec["model"]),
                 source=tuple(rec["source"]),
-                scene=cluster,
+                scene=_cluster_scene(scenes, members),
                 validation_f1=rec["validation_f1"],
             )
         )

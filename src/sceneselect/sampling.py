@@ -55,18 +55,17 @@ class ArmState:
     model_index: int
     alpha: float
     beta: float
-    sampled: set
+    drawn: int  # draws from gamma; without replacement, so all distinct
     gamma: np.ndarray  # candidate sample indices (the model's training scene)
     threshold: float
-    exhausted: bool = False
 
     @property
-    def gamma_size(self) -> int:
-        return len(self.gamma)
+    def exhausted(self) -> bool:
+        return self.drawn == len(self.gamma)
 
     @property
     def well_sampled(self) -> bool:
-        return len(self.sampled) > self.threshold
+        return self.drawn > self.threshold
 
     @property
     def active(self) -> bool:
@@ -113,7 +112,7 @@ def new_state(repo, theta: float, kappa: int, seed: int) -> SamplingState:
                 model_index=i,
                 alpha=1.0,
                 beta=1.0,
-                sampled=set(),
+                drawn=0,
                 gamma=gamma,
                 threshold=well_sampled_threshold(len(gamma), theta),
             )
@@ -136,7 +135,7 @@ def thompson_round(state: SamplingState, rng: np.random.Generator):
     ``arm_cap`` sit the round out: no Beta draw, no update. Returns the
     chosen model index, or None when no arm may draw.
     """
-    active = [arm for arm in state.arms if arm.active and len(arm.sampled) < state.arm_cap]
+    active = [arm for arm in state.arms if arm.active and arm.drawn < state.arm_cap]
     if not active:
         return None
     draws = [rng.beta(arm.alpha, arm.beta) for arm in active]
@@ -171,9 +170,9 @@ def adaptive_sampling(ds: Dataset, repo, cfg: SamplingConfig) -> SamplingState:
     On choosing arm i, one not-yet-sampled index is drawn uniformly from that
     model's training scene and probed against every repository model, so each
     probe adds one row of bits, one bit per model. An arm whose scene
-    is fully drawn is marked exhausted; sampling stops when the budget is
+    is fully drawn is exhausted; sampling stops when the budget is
     spent or no arm remains active. Already-probed indices drawn through an
-    overlapping arm still count into that arm's sampled set but add no row.
+    overlapping arm still count as that arm's draws but add no row.
 
     When ``kappa`` is smaller than the union of the training scenes, an arm
     that has drawn ceil(kappa / n) samples sits out; when every live arm has
@@ -207,9 +206,7 @@ def adaptive_sampling(ds: Dataset, repo, cfg: SamplingConfig) -> SamplingState:
         pick = rem[pos]
         rem[pos] = rem[-1]
         rem.pop()
-        arm.sampled.add(pick)
-        if len(arm.sampled) == arm.gamma_size:
-            arm.exhausted = True
+        arm.drawn += 1
         if pick not in probed:
             probed.add(pick)
             state.rows.append(pick)
@@ -220,7 +217,7 @@ def adaptive_sampling(ds: Dataset, repo, cfg: SamplingConfig) -> SamplingState:
 def random_sampling(ds: Dataset, repo, kappa: int, seed: int) -> SamplingState:
     """Uniform draws (without replacement) from the training split, same probing.
 
-    Arm posteriors stay at their priors; each arm's sampled set records the
+    Arm posteriors stay at their priors; each arm's draw count records the
     draws that happened to land in its training scene, for balance reporting.
     """
     if kappa < 0:
@@ -235,7 +232,7 @@ def random_sampling(ds: Dataset, repo, kappa: int, seed: int) -> SamplingState:
     state.rows = picks.tolist()
     state.bits = _probe_rows(ds, repo.models, picks, picks)
     for arm in state.arms:
-        arm.sampled.update(picks[np.isin(picks, arm.gamma)].tolist())
+        arm.drawn = int(np.isin(picks, arm.gamma).sum())
     return state
 
 
@@ -253,7 +250,7 @@ def pools_payload(state: SamplingState, dataset_hash: str, repository_hash: str)
         "kappa": state.kappa,
         "seed": state.seed,
         "arms": [
-            {"alpha": arm.alpha, "beta": arm.beta, "sampled": len(arm.sampled)}
+            {"alpha": arm.alpha, "beta": arm.beta, "sampled": arm.drawn}
             for arm in state.arms
         ],
         "rows": [

@@ -134,3 +134,20 @@ def test_train_stack_calls_gradient_per_stacked_step(monkeypatch):
             "gradient": epochs * (full_steps + ragged),
             "cross_entropy": epochs * len(sizes),
         }
+
+
+def test_worker_builds_and_serves_through_the_package(tmp_path):
+    # bench/worker.py calls the CLI, the loaders and run_trace with its own
+    # arguments; a changed signature there would otherwise show only in the
+    # slow harness self-test
+    from sceneselect import cli
+
+    worker = load_bench("worker")
+    spec = {"workload": "serve", "config": str(BENCH / "tiny.ini"), "seed": 17, "dataset_seed": 42,
+            "work": str(tmp_path), "prep": str(tmp_path)}
+    _, codes = worker.Build(spec, cli).run(None, out=spec["prep"])
+    assert codes == [0] * len(worker.STAGES)
+    serve = worker.Serve(spec, cli)
+    serve.setup()
+    key = serve.schedule()[0]
+    assert serve.check(key, serve.run(key)) == [(f"run_trace:{key[0]}/{key[1]}", None)]

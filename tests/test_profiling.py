@@ -58,10 +58,12 @@ class TestScenes:
         assert len(scenes[0].sample_indices) == len(part_indices(ds, "train"))
 
     def test_120_attribute_combinations(self):
+        # a tenth of the clips is unseen; with 10 clips per cell every cell
+        # keeps a seen clip
         cfg = small_generator_config(
-            num_cells=120, cards=(5, 8, 3), clips_per_cell=1, frames_per_clip=10, feature_dim=4
+            num_cells=120, cards=(5, 8, 3), clips_per_cell=10, frames_per_clip=10, feature_dim=4
         )
-        ds = generate_dataset(cfg, seen_ratio=(1, 0))
+        ds = generate_dataset(cfg)
         scenes = segment_semantic_scenes(ds)
         assert len(scenes) == 120
 
@@ -109,8 +111,9 @@ class TestEmbeddings:
         scenes = segment_semantic_scenes(small_ds)
         enc = train_scene_encoder(small_ds, scenes, 8, quick_train_cfg())
         only = dataclasses.replace(scenes[0], sample_indices=scenes[0].sample_indices[:1])
-        emb = embed_scenes(enc, [only] + scenes[1:], small_ds)
-        assert np.allclose(emb.centroids[0], emb.per_scene[0][0])
+        centroids = embed_scenes(enc, [only] + scenes[1:], small_ds)
+        assert centroids.shape == (len(scenes), 8)
+        assert np.allclose(centroids[0], learners.embed(enc, small_ds.features[only.sample_indices])[0])
 
     def test_duplicating_scene_samples_keeps_centroid(self, small_ds):
         scenes = segment_semantic_scenes(small_ds)
@@ -120,7 +123,7 @@ class TestEmbeddings:
         )
         base = embed_scenes(enc, scenes, small_ds)
         dup = embed_scenes(enc, scenes[:1] + [doubled] + scenes[2:], small_ds)
-        assert np.allclose(base.centroids[1], dup.centroids[1])
+        assert np.allclose(base[1], dup[1])
 
     def test_identical_features_identical_embeddings(self, small_ds):
         scenes = segment_semantic_scenes(small_ds)
@@ -396,7 +399,7 @@ class TestRepository:
 def reference_build_repository(ds, scenes, encoder, cfg):
     """The level-by-level build: one `learners.train` per scored cluster, whose
     validation rows are found by a row-by-row attribute lookup."""
-    centroids = embed_scenes(encoder, scenes, ds).centroids
+    centroids = embed_scenes(encoder, scenes, ds)
     valid = part_indices(ds, "valid")
     distinct = np.unique(centroids, axis=0).shape[0]
     entries = []
@@ -414,7 +417,6 @@ def reference_build_repository(ds, scenes, encoder, cfg):
             members = [i for i in range(len(scenes)) if result.assignments[i] == j]
             member_attrs = {scenes[i].attrs for i in members}
             cluster = profiling.ClusterScene(
-                cluster_id=j,
                 member_scene_ids=tuple(members),
                 train_indices=np.sort(np.concatenate([scenes[i].sample_indices for i in members])),
                 valid_indices=np.array([i for i in valid if tuple(ds.attrs[i]) in member_attrs], dtype=int),
@@ -490,7 +492,7 @@ class TestRepositoryIO:
         repo = build_repository(ds, scenes, enc, cfg)
         path = tmp_path / "repo.json"
         profiling.save_repository(path, repo, cfg, "dhash", "ehash")
-        again, body = profiling.load_repository(path, ds)
+        again, body = profiling.load_repository(path, ds, "dhash")
         assert body["dataset_hash"] == "dhash"
         for a, b in zip(repo.entries, again.entries):
             assert params_hash(a.model) == params_hash(b.model)

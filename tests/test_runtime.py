@@ -501,8 +501,8 @@ class TestBaselines:
             quick_train_cfg(seed=2, epochs=60),
         )
         ssm = runtime.train_global_model(ds, 8, quick_train_cfg(seed=3, epochs=60))
-        cell0_clips = np.unique(ds.clip_ids[(ds.attrs == dominant.attrs).all(axis=1)]).tolist()
-        test_idx = part_indices(ds, "test", clips=cell0_clips)
+        test_idx = part_indices(ds, "test")
+        test_idx = test_idx[(ds.attrs[test_idx] == dominant.attrs).all(axis=1)]
         X, y = ds.features[test_idx], ds.labels[test_idx]
         f_spec = profiling.macro_f1(learners.predict(specialist, X), y, ds.schema.num_classes)
         f_ssm = profiling.macro_f1(learners.predict(ssm, X), y, ds.schema.num_classes)

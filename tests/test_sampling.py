@@ -68,8 +68,8 @@ class TestThreshold:
 
 def two_arm_state(a0=(3.0, 2.0), a1=(1.0, 1.0), gammas=((0, 1, 2), (3, 4, 5))):
     arms = [
-        sampling.ArmState(0, a0[0], a0[1], set(), np.array(gammas[0]), well_sampled_threshold(3, 0.9)),
-        sampling.ArmState(1, a1[0], a1[1], set(), np.array(gammas[1]), well_sampled_threshold(3, 0.9)),
+        sampling.ArmState(0, a0[0], a0[1], 0, np.array(gammas[0]), well_sampled_threshold(3, 0.9)),
+        sampling.ArmState(1, a1[0], a1[1], 0, np.array(gammas[1]), well_sampled_threshold(3, 0.9)),
     ]
     return sampling.SamplingState(
         arms=arms, rows=[], bits=np.zeros((0, 2), dtype=bool), theta=0.9, kappa=10, seed=0
@@ -101,7 +101,8 @@ class TestThompsonRound:
     def test_all_frozen_returns_none(self):
         state = two_arm_state()
         for arm in state.arms:
-            arm.exhausted = True
+            arm.drawn = len(arm.gamma)
+        assert all(arm.exhausted for arm in state.arms)
         before = [(a.alpha, a.beta) for a in state.arms]
         assert thompson_round(state, np.random.default_rng(0)) is None
         assert [(a.alpha, a.beta) for a in state.arms] == before
@@ -178,7 +179,7 @@ class TestAdaptive:
         )
         small = type(repo)(entries=[tiny])
         state = adaptive_sampling(ds, small, SamplingConfig(0.9, 10, 3))
-        assert len(state.arms[0].sampled) <= 3
+        assert state.arms[0].drawn == 3
         assert state.arms[0].exhausted
         assert state.distinct_drawn == 3
 
@@ -195,7 +196,7 @@ class TestAdaptive:
         )
         state = adaptive_sampling(ds, type(repo)(entries=[tiny]), SamplingConfig(0.1, 10, 3))
         arm = state.arms[0]
-        assert len(arm.sampled) == 2
+        assert arm.drawn == 2
         assert arm.well_sampled and not arm.exhausted
         assert state.distinct_drawn == 2
         # a frozen arm receives no further draws or posterior updates
@@ -211,10 +212,16 @@ class TestAdaptive:
                 assert bit == probe_suitability(repo.entries[j].model, ds.features[idx][None], ds.labels[idx])[0]
 
     def test_sampled_sets_stay_inside_gamma(self, small_repo):
+        # each arm draws without replacement from its own scene, so it draws
+        # at most its scene's size, and every probed row lies in some scene
         ds, repo = small_repo
         state = adaptive_sampling(ds, repo, SamplingConfig(0.9, 60, 5))
+        union = set()
         for arm, entry in zip(state.arms, repo.entries):
-            assert arm.sampled <= set(int(i) for i in entry.scene.train_indices)
+            assert 0 <= arm.drawn <= len(entry.scene.train_indices)
+            union.update(int(i) for i in entry.scene.train_indices)
+        assert set(state.rows) <= union
+        assert sum(arm.drawn for arm in state.arms) >= state.distinct_drawn == 60
 
     def test_deterministic(self, small_repo):
         ds, repo = small_repo
