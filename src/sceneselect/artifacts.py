@@ -57,8 +57,9 @@ def atomic_path(path):
         raise
 
 
-def read_artifact(path, kind: str) -> dict:
-    """Load an artifact, verifying its self-hash and ``kind`` tag."""
+def read_artifact(path, kind: str, **upstream) -> dict:
+    """Load an artifact, verifying its self-hash and ``kind`` tag, and that for
+    each ``name=hash`` in ``upstream`` it records ``hash`` as its ``<name>_hash``."""
     path = Path(path)
     try:
         body = json.loads(path.read_text(encoding="utf-8"))
@@ -80,10 +81,16 @@ def read_artifact(path, kind: str) -> dict:
     actual = sha256_text(canonical_dumps(check))
     if stored != actual:
         raise ArtifactMismatchError(f"{path}: content hash mismatch")
+    for name, expected in upstream.items():
+        require_match(name, body.get(f"{name}_hash"), expected)
     return body
 
 
-def require_match(name: str, recorded: str, actual: str) -> None:
+def require_match(name: str, recorded, actual: str) -> None:
+    """Refuse an artifact whose recorded ``<name>_hash`` is missing, not a
+    string, or other than ``actual``."""
+    if not isinstance(recorded, str):
+        raise ArtifactMismatchError(f"artifact records no {name}_hash")
     if recorded != actual:
         raise ArtifactMismatchError(
             f"{name} hash mismatch: artifact was built against {recorded[:12]}..., "

@@ -268,7 +268,7 @@ def cmd_train_decision(args) -> int:
     ds = load_dataset(args.dataset)
     dataset_hash = sha256_file(args.dataset)
     _, repo_hash, encoder, encoder_hash = _load_profile(args, ds, dataset_hash)
-    pools_body = _load_pools(args.pools, dataset_hash, repo_hash)
+    pools_body = read_artifact(args.pools, "pools", dataset=dataset_hash, repository=repo_hash)
     indices = np.array([r["sample_index"] for r in pools_body["rows"]], dtype=int)
     labels = np.array([r["bits"] for r in pools_body["rows"]], dtype=float)
     model = decision_mod.train_decision(encoder, ds, indices, labels, cfg.head_hidden, cfg.decision_train)
@@ -284,16 +284,9 @@ def _load_profile(args, ds, dataset_hash):
     repo, repo_body = profiling.load_repository(args.repository, ds, dataset_hash)
     repo_hash = sha256_file(args.repository)
     encoder_hash = sha256_file(args.encoder)
-    require_match("encoder", repo_body["encoder_hash"], encoder_hash)
+    require_match("encoder", repo_body.get("encoder_hash"), encoder_hash)
     encoder, _ = profiling.load_encoder(args.encoder, dataset_hash)
     return repo, repo_hash, encoder, encoder_hash
-
-
-def _load_pools(path, dataset_hash, repo_hash):
-    body = read_artifact(path, "pools")
-    require_match("dataset", body["dataset_hash"], dataset_hash)
-    require_match("repository", body["repository_hash"], repo_hash)
-    return body
 
 
 def _parse_sweep(text):
@@ -355,8 +348,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for cap in capacities:
-        effective = min(cap, len(models))
-        metrics = runtime.run_trace(trace, ranker, models, effective, cfg.window, low_conf)
+        metrics = runtime.run_trace(trace, ranker, models, cap, cfg.window, low_conf)
         summary = runtime.summarize(metrics)
         summary.update(
             {

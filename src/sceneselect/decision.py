@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learners
-from .artifacts import read_artifact, require_match, write_artifact
+from .artifacts import read_artifact, write_artifact
 from .errors import ConfigError
 from .learners import TrainConfig, VectorClassifier
 
@@ -79,9 +79,7 @@ def save_decision(path, decision, encoder_hash, repository_hash) -> str:
 
 
 def load_decision(path, encoder: VectorClassifier, encoder_hash: str, repository_hash: str):
-    body = read_artifact(path, "decision")
-    require_match("encoder", body["encoder_hash"], encoder_hash)
-    require_match("repository", body["repository_hash"], repository_hash)
+    body = read_artifact(path, "decision", encoder=encoder_hash, repository=repository_hash)
     head = learners.model_from_dict(body["head"])
     if head.input_dim != encoder.hidden_dim:
         raise ConfigError("decision head does not fit the encoder's embedding width")

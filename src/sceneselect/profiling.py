@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learners
-from .artifacts import read_artifact, require_match, write_artifact
+from .artifacts import read_artifact, write_artifact
 from .dataset import Dataset, part_indices
 from .errors import ConfigError, InsufficientModelsError
 from .learners import TrainConfig, VectorClassifier
@@ -385,8 +385,7 @@ def save_encoder(path, encoder: VectorClassifier, num_scenes: int, dataset_hash:
 
 
 def load_encoder(path, dataset_hash: str):
-    body = read_artifact(path, "encoder")
-    require_match("dataset", body["dataset_hash"], dataset_hash)
+    body = read_artifact(path, "encoder", dataset=dataset_hash)
     return learners.model_from_dict(body["model"]), body
 
 
@@ -422,8 +421,7 @@ def save_repository(path, repo, cfg, dataset_hash, encoder_hash) -> str:
 
 def load_repository(path, ds: Dataset, dataset_hash: str):
     """Rebuild a ModelRepository; cluster scenes are reconstructed from member ids."""
-    body = read_artifact(path, "repository")
-    require_match("dataset", body["dataset_hash"], dataset_hash)
+    body = read_artifact(path, "repository", dataset=dataset_hash)
     scenes = segment_semantic_scenes(ds)
     entries = []
     for rec in body["models"]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,22 +28,14 @@ from .errors import ConfigError
 from .learners import TrainConfig, VectorClassifier
 from .profiling import kmeans, macro_f1, train_on_row_sets
 
-log = logging.getLogger(__name__)
-
-
-@dataclass
-class CacheEntry:
-    use_count: int
-    load_order: int
-
 
 @dataclass
 class ModelCache:
     """Fixed number of model slots with LFU eviction (ties: oldest load first)."""
 
     capacity: int
-    loaded: dict = field(default_factory=dict)  # model index -> CacheEntry
-    loads: int = 0  # loads so far; the next load's load_order
+    loaded: dict = field(default_factory=dict)  # model index -> [use count, load order]
+    loads: int = 0  # loads so far; the next load's load order
 
     def __post_init__(self):
         if self.capacity < 1:
@@ -65,20 +56,21 @@ def cache_request(cache: ModelCache, ranking) -> tuple:
     """
     top = int(ranking[0])
     loaded = cache.loaded
-    entry = loaded.get(top)
-    if entry is not None:
-        entry.use_count += 1
+    slot = loaded.get(top)
+    if slot is not None:
+        slot[0] += 1
         return top, False
     served = top
     if loaded:
         served = int(next(m for m in ranking if m in loaded))
         victim = None
         if len(loaded) >= cache.capacity:
-            victim = min(loaded.items(), key=lambda kv: (kv[1].use_count, kv[1].load_order))[0]
-        loaded[served].use_count += 1
+            # slots compare by use count, then by load order, which is distinct
+            victim = min(loaded, key=loaded.__getitem__)
+        loaded[served][0] += 1
         if victim is not None:
             del loaded[victim]
-    loaded[top] = CacheEntry(use_count=int(served == top), load_order=cache.loads)
+    loaded[top] = [int(served == top), cache.loads]
     cache.loads += 1
     return served, True
 
@@ -95,14 +87,18 @@ class TraceMetrics:
     top1: np.ndarray  # (F,) int
     missed: np.ndarray  # (F,) bool
     correct: np.ndarray  # (F,) bool
-    window_f1: list  # (window_id, macro F1), one per window, in frame order
-    cache_misses: int
-    cache_accesses: int
-    switch_frames: list
-    scene_durations: list
-    top1_counts: np.ndarray
+    window_f1: np.ndarray  # (W,) float, macro F1 of window w at index w
+    top1_counts: np.ndarray  # (num models,) int, frames each model ranked first
     low_confidence_events: int
     window: int
+
+    @property
+    def cache_accesses(self) -> int:
+        return len(self.served)
+
+    @property
+    def cache_misses(self) -> int:
+        return int(self.missed.sum())
 
     @property
     def miss_rate(self) -> float:
@@ -110,7 +106,7 @@ class TraceMetrics:
 
     @property
     def mean_window_f1(self) -> float:
-        return float(np.mean([f1 for _, f1 in self.window_f1]))
+        return float(np.mean(self.window_f1))
 
 
 def run_trace(
@@ -149,10 +145,6 @@ def run_trace(
         raise ConfigError(f"ranker must return ({frames}, {len(models)}) probabilities and rankings")
 
     top1 = rankings[:, 0]
-    low = probs.max(axis=1) < low_confidence
-    for frame in np.flatnonzero(low):
-        log.debug("frame %d: no model above confidence %.2f", frame, low_confidence)
-
     cache = ModelCache(cache_capacity)
     served, missed = zip(*[cache_request(cache, ranking) for ranking in rankings.tolist()])
     served, missed = np.array(served), np.array(missed)
@@ -163,48 +155,43 @@ def run_trace(
         preds[rows] = learners.predict(models[model], X[rows])
     labels = trace.labels
 
-    num_classes = models[0].output_dim
-    window_f1 = list(enumerate(macro_f1(preds, labels, num_classes, window).tolist()))
-    switch_frames = (np.flatnonzero(served[1:] != served[:-1]) + 1).tolist()
-    durations = np.diff([0, *switch_frames, frames]).tolist()
-
     return TraceMetrics(
         served=served,
         top1=top1,
         missed=missed,
         correct=preds == labels,
-        window_f1=window_f1,
-        cache_misses=int(missed.sum()),
-        cache_accesses=frames,
-        switch_frames=switch_frames,
-        scene_durations=durations,
+        window_f1=macro_f1(preds, labels, models[0].output_dim, window),
         top1_counts=np.bincount(top1, minlength=len(models)),
-        low_confidence_events=int(low.sum()),
+        low_confidence_events=int((probs.max(axis=1) < low_confidence).sum()),
         window=window,
     )
 
 
 def summarize(metrics: TraceMetrics) -> dict:
-    """Roll a trace run up into the quantities the comparisons are made on."""
-    if not metrics.cache_accesses:
+    """Roll a trace run up into the quantities the comparisons are made on.
+
+    A switch is a frame served by another model than the frame before it; a
+    scene duration is the length of a run of frames served by one model. The
+    histogram lists (model, frames ranked first), most frames first, ties by
+    model index.
+    """
+    frames = metrics.cache_accesses
+    if not frames:
         raise ConfigError("metrics are empty")
-    durations = np.array(metrics.scene_durations)
-    quartiles = np.percentile(durations, [0, 25, 50, 75, 100])
-    order = sorted(
-        range(len(metrics.top1_counts)),
-        key=lambda i: (-metrics.top1_counts[i], i),
-    )
-    histogram = [[int(i), int(metrics.top1_counts[i])] for i in order]
-    total = int(metrics.top1_counts.sum())
-    top5 = sum(count for _, count in histogram[:5])
+    served = metrics.served
+    switch_frames = np.flatnonzero(served[1:] != served[:-1]) + 1
+    durations = np.diff(np.concatenate(([0], switch_frames, [frames])))
+    counts = metrics.top1_counts
+    order = np.argsort(-counts, kind="stable")
+    histogram = [[i, c] for i, c in zip(order.tolist(), counts[order].tolist())]
     return {
-        "frames": metrics.cache_accesses,
+        "frames": frames,
         "miss_rate": metrics.miss_rate,
         "mean_window_f1": metrics.mean_window_f1,
-        "duration_quartiles": [float(q) for q in quartiles],
-        "switches": len(metrics.switch_frames),
+        "duration_quartiles": np.percentile(durations, [0, 25, 50, 75, 100]).tolist(),
+        "switches": len(switch_frames),
         "top1_histogram": histogram,
-        "top5_coverage": top5 / total if total else 0.0,
+        "top5_coverage": sum(count for _, count in histogram[:5]) / frames,
         "low_confidence_events": metrics.low_confidence_events,
     }
 
@@ -243,62 +230,51 @@ def train_global_model(ds: Dataset, hidden_dim: int, cfg: TrainConfig) -> Vector
     return model
 
 
-@dataclass
-class CdgBaseline:
-    """Clusters of raw training features; selection by nearest cluster mean."""
+def cdg_ranker(centroids: np.ndarray):
+    """Batch ranker by nearest cluster mean in raw feature space; equidistant
+    clusters rank by index."""
 
-    models: list
-    centroids: np.ndarray
+    def rank(trace):
+        d = np.linalg.norm(centroids[None, :, :] - trace.features[:, None, :], axis=2)
+        return 1.0 / (1.0 + d), np.argsort(d, axis=1, kind="stable")
 
-    def ranker(self):
-        def rank(trace):
-            d = np.linalg.norm(self.centroids[None, :, :] - trace.features[:, None, :], axis=2)
-            rankings = np.argsort(d, axis=1, kind="stable")  # equidistant -> lowest index
-            return 1.0 / (1.0 + d), rankings
-
-        return rank
+    return rank
 
 
-def build_cdg(ds: Dataset, k: int, hidden_dim: int, cfg: TrainConfig, seed: int) -> CdgBaseline:
+def dmm_ranker(families):
+    """Batch ranker for one model per family (attribute dimension 0), with
+    ``families`` the ascending family of each model: a frame's own family's
+    model first, then the rest by index."""
+    families = np.asarray(families)
+
+    def rank(trace):
+        family = trace.attrs[:, 0]
+        if not np.isin(family, families).all():
+            raise ConfigError("dmm has no model for a family in the trace")
+        probs = np.zeros((len(family), len(families)))
+        probs[np.arange(len(family)), np.searchsorted(families, family)] = 1.0
+        return probs, np.argsort(-probs, axis=1, kind="stable")
+
+    return rank
+
+
+def build_cdg(ds: Dataset, k: int, hidden_dim: int, cfg: TrainConfig, seed: int):
+    """(ranker, models): k-means over the raw training features, one model per cluster."""
     train = part_indices(ds, "train")
-    X = ds.features[train]
-    result = kmeans(X, k, seed=seed)
+    result = kmeans(ds.features[train], k, seed=seed)
     members = [train[result.assignments == j] for j in range(k)]
     seeds = range(seed + 1, seed + k + 1)
-    models = train_on_row_sets(ds, members, hidden_dim, cfg, seeds, seeds)
-    return CdgBaseline(models=models, centroids=result.centroids)
+    return cdg_ranker(result.centroids), train_on_row_sets(ds, members, hidden_dim, cfg, seeds, seeds)
 
 
-@dataclass
-class DmmBaseline:
-    """One model per value of attribute dimension 0 (the coarse source family)."""
-
-    models: list
-    families: list  # family value per model slot, ascending
-
-    def ranker(self):
-        families = np.array(self.families)
-
-        def rank(trace):
-            family = trace.attrs[:, 0]
-            if not np.isin(family, families).all():
-                raise ConfigError("dmm has no model for a family in the trace")
-            probs = np.zeros((len(family), len(self.models)))
-            probs[np.arange(len(family)), np.searchsorted(families, family)] = 1.0
-            # own family first, then the rest by index
-            return probs, np.argsort(-probs, axis=1, kind="stable")
-
-        return rank
-
-
-def build_dmm(ds: Dataset, hidden_dim: int, cfg: TrainConfig, seed: int) -> DmmBaseline:
+def build_dmm(ds: Dataset, hidden_dim: int, cfg: TrainConfig, seed: int):
+    """(ranker, models): one model per family in the training split."""
     train = part_indices(ds, "train")
     family = ds.attrs[train, 0]
-    families = np.unique(family).tolist()
+    families = np.unique(family)
     members = [train[family == fam] for fam in families]
     seeds = range(seed, seed + len(families))
-    models = train_on_row_sets(ds, members, hidden_dim, cfg, seeds, seeds)
-    return DmmBaseline(models=models, families=families)
+    return dmm_ranker(families), train_on_row_sets(ds, members, hidden_dim, cfg, seeds, seeds)
 
 
 def build_baseline(name: str, ds: Dataset, compressed_hidden: int, deep_hidden: int,
@@ -310,11 +286,9 @@ def build_baseline(name: str, ds: Dataset, compressed_hidden: int, deep_hidden: 
     if name == "ssm":
         return constant_ranker(1), [train_global_model(ds, compressed_hidden, tc)]
     if name == "cdg":
-        base = build_cdg(ds, num_models, compressed_hidden, tc, seed)
-        return base.ranker(), base.models
+        return build_cdg(ds, num_models, compressed_hidden, tc, seed)
     if name == "dmm":
-        base = build_dmm(ds, compressed_hidden, tc, seed)
-        return base.ranker(), base.models
+        return build_dmm(ds, compressed_hidden, tc, seed)
     raise ConfigError(f"unknown baseline {name!r}")
 
 
@@ -327,6 +301,5 @@ def run_baselines(trace, ds: Dataset, names, compressed_hidden: int, deep_hidden
         ranker, models = build_baseline(
             name, ds, compressed_hidden, deep_hidden, num_models, cfg, seeds[name]
         )
-        capacity = min(cache_capacity, len(models))
-        out[name] = run_trace(trace, ranker, models, capacity, window, low_confidence=0.0)
+        out[name] = run_trace(trace, ranker, models, cache_capacity, window, low_confidence=0.0)
     return out

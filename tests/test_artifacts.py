@@ -64,3 +64,15 @@ def test_loaders_refuse_a_missing_or_wrong_upstream_hash(tmp_path, small_ds, kin
     for i in range(len(hashes)):
         with pytest.raises(ArtifactMismatchError):
             load(*hashes[:i], "WRONG", *hashes[i + 1 :])
+
+
+@pytest.mark.parametrize("recorded", ["absent", None, 7])
+def test_read_artifact_refuses_a_missing_or_non_string_upstream_hash(tmp_path, recorded):
+    path = tmp_path / "pools.json"
+    payload = {"kind": "pools", "repository_hash": "rhash"}
+    if recorded != "absent":
+        payload["dataset_hash"] = recorded
+    write_artifact(path, payload)
+    assert read_artifact(path, "pools", repository="rhash")["repository_hash"] == "rhash"
+    with pytest.raises(ArtifactMismatchError, match="no dataset_hash"):
+        read_artifact(path, "pools", dataset="dhash", repository="rhash")

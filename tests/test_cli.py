@@ -326,6 +326,18 @@ def foreign_kind_pools(workdir, tmp_path):
     ]
 
 
+def repository_without_dataset_hash(workdir, tmp_path):
+    # re-stamped, so its own content hash still holds
+    repo = tmp_path / "repository.json"
+    body = read_artifact(workdir["prof"] / "repository.json", "repository")
+    del body["dataset_hash"]
+    write_artifact(repo, body)
+    return [
+        "sample", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
+        "--repository", str(repo), "--out", str(tmp_path / "p.json"),
+    ]
+
+
 def truncated_repository(workdir, tmp_path):
     repo = tmp_path / "repository.json"
     text = (workdir["prof"] / "repository.json").read_text()
@@ -370,6 +382,7 @@ FAILURES = {
     "insufficient models": (unreachable_delta, InsufficientModelsError, "accepted only"),
     "pools passed as repository": (pools_as_repository, ArtifactMismatchError, "found 'pools'"),
     "foreign-kind artifact": (foreign_kind_pools, ArtifactMismatchError, "found 'calibration'"),
+    "artifact without upstream hash": (repository_without_dataset_hash, ArtifactMismatchError, "no dataset_hash"),
     "missing anole artifacts": (anole_without_artifacts, ConfigError, "needs --repository"),
     "zero window": (zero_window, ConfigError, "window must be >= 1"),
     "zero capacity": (zero_capacity, ConfigError, "capacity must be >= 1"),

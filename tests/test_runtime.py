@@ -1,6 +1,9 @@
 import csv
 import dataclasses
 import functools
+import itertools
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,10 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sceneselect import learners, profiling, runtime
-from sceneselect.dataset import generate_dataset, part_indices
+from sceneselect.dataset import generate_dataset, part_indices, synthesize_trace
 from sceneselect.errors import ConfigError
 from sceneselect.runtime import (
-    CacheEntry,
     ModelCache,
     cache_request,
     run_baselines,
@@ -23,31 +25,6 @@ from sceneselect.runtime import (
 
 from conftest import small_generator_config
 from test_profiling import quick_train_cfg
-
-
-def reference_cache_request(cache: ModelCache, ranking) -> tuple:
-    """cache_request as it was before the first-resident fallback: the
-    fallback is the resident with the smallest position in the ranking."""
-    top = int(ranking[0])
-    if top in cache.loaded:
-        cache.loaded[top].use_count += 1
-        return top, False
-    served = top
-    if cache.loaded:
-        position = {int(m): pos for pos, m in enumerate(ranking)}
-        served = min(cache.loaded, key=lambda m: position[m])
-        victim = None
-        if len(cache.loaded) >= cache.capacity:
-            victim = min(
-                cache.loaded,
-                key=lambda m: (cache.loaded[m].use_count, cache.loaded[m].load_order),
-            )
-        cache.loaded[served].use_count += 1
-        if victim is not None:
-            del cache.loaded[victim]
-    cache.loaded[top] = CacheEntry(use_count=int(served == top), load_order=cache.loads)
-    cache.loads += 1
-    return served, True
 
 
 class ReferenceCache:
@@ -170,8 +147,8 @@ def assert_matches_reference(metrics, reference, tmp_path):
     write_metrics_csv(metrics, tmp_path / "columns.csv")
     write_reference_csv(records, tmp_path / "records.csv")
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
-    assert metrics.window_f1 == window_f1
-    assert metrics.switch_frames == switch_frames
+    assert list(enumerate(metrics.window_f1.tolist())) == window_f1
+    assert summarize(metrics)["switches"] == len(switch_frames)
     assert metrics.top1_counts.tolist() == top1_counts.tolist()
     assert metrics.low_confidence_events == low_conf
     assert metrics.cache_misses == sum(r.miss for r in records)
@@ -203,12 +180,16 @@ def bench42_baselines(bench42):
         return dataclasses.replace(cfg.baseline_train, seed=seeds[name])
 
     sdm = runtime.train_global_model(ds, cfg.deep_hidden, train_cfg("sdm"))
-    cdg = runtime.build_cdg(ds, cfg.profiling.n, hidden, train_cfg("cdg"), seeds["cdg"])
-    dmm = runtime.build_dmm(ds, hidden, train_cfg("dmm"), seeds["dmm"])
+    cdg_ranker, cdg_models = runtime.build_cdg(ds, cfg.profiling.n, hidden, train_cfg("cdg"), seeds["cdg"])
+    dmm_ranker, dmm_models = runtime.build_dmm(ds, hidden, train_cfg("dmm"), seeds["dmm"])
+    # the centroids and families the builders derive, restated for the per-frame rankers
+    train = part_indices(ds, "train")
+    centroids = profiling.kmeans(ds.features[train], cfg.profiling.n, seed=seeds["cdg"]).centroids
+    families = sorted(set(ds.attrs[train, 0].tolist()))
     return {
         "sdm": (runtime.constant_ranker(1), constant_rank_one, [sdm]),
-        "cdg": (cdg.ranker(), functools.partial(cdg_rank_one, cdg.centroids), cdg.models),
-        "dmm": (dmm.ranker(), functools.partial(dmm_rank_one, dmm.families), dmm.models),
+        "cdg": (cdg_ranker, functools.partial(cdg_rank_one, centroids), cdg_models),
+        "dmm": (dmm_ranker, functools.partial(dmm_rank_one, families), dmm_models),
     }
 
 
@@ -241,7 +222,7 @@ class TestCacheUnit:
         cache_request(cache, [0, 1, 2])
         served, miss = cache_request(cache, [0, 1, 2])
         assert (served, miss) == (0, False)
-        assert cache.loaded[0].use_count == 2
+        assert cache.loaded[0] == [2, 0]  # [use count, load order]
 
     def test_empty_cache_loads_and_serves_top(self):
         cache = ModelCache(2)
@@ -299,18 +280,30 @@ class TestCacheUnit:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_matches_position_fallback_reference(self, data):
-        # the fast path takes the first resident in ranking order; on
-        # permutations that must equal the smallest-position resident
+        # the fast path takes the first resident in ranking order and the
+        # LFU victim by comparing [use count, load order] slots; both must
+        # agree with the reference, down to every resident's slot
         n = data.draw(st.integers(1, 8))
         capacity = data.draw(st.integers(1, n))
         rankings = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=60))
-        cache, ref = ModelCache(capacity), ModelCache(capacity)
+        cache, ref = ModelCache(capacity), ReferenceCache(capacity)
         for ranking in rankings:
-            assert cache_request(cache, ranking) == reference_cache_request(ref, ranking)
-            assert {m: (e.use_count, e.load_order) for m, e in cache.loaded.items()} == {
-                m: (e.use_count, e.load_order) for m, e in ref.loaded.items()
-            }
-            assert cache.loads == ref.loads
+            assert cache_request(cache, ranking) == ref.request(ranking)
+            assert cache.loaded == {m: [uses, order] for m, uses, order in ref.entries}
+            assert cache.loads == ref.clock
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_capacity_above_model_count_acts_as_model_count(self, data):
+        # a cache that holds every model never evicts, so extra slots change nothing
+        n = data.draw(st.integers(1, 6))
+        capacity = data.draw(st.integers(n, n + 3))
+        rankings = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=40))
+        big, exact = ModelCache(capacity), ModelCache(n)
+        for ranking in rankings:
+            assert cache_request(big, ranking) == cache_request(exact, ranking)
+            assert big.loaded == exact.loaded
+            assert big.loads == exact.loads
 
     def test_matches_reference_on_random_traces(self):
         rng = np.random.default_rng(42)
@@ -329,18 +322,17 @@ class TestRunTrace:
         metrics = run_trace(
             bench42.trace, runtime.constant_ranker(1), [bench42.repo.models[0]], 3
         )
-        assert metrics.switch_frames == []
-        assert metrics.scene_durations == [len(bench42.trace)]
+        report = summarize(metrics)
+        assert report["switches"] == 0
+        assert report["duration_quartiles"] == [float(len(bench42.trace))] * 5
         assert metrics.cache_misses == 1  # cold load only
 
     def test_accounting_identities(self, bench42):
         metrics = run_trace(bench42.trace, bench42.decision, bench42.repo, 5)
         n = len(bench42.trace)
         assert metrics.cache_accesses == n
-        assert sum(metrics.scene_durations) == n
-        assert len(metrics.scene_durations) == len(metrics.switch_frames) + 1
-        window_ids = [w for w, _ in metrics.window_f1]
-        assert window_ids == list(range((n + 9) // 10))
+        assert metrics.cache_misses == int(metrics.missed.sum())
+        assert metrics.window_f1.shape == ((n + 9) // 10,)
         assert len(metrics.served) == len(metrics.top1) == len(metrics.missed) == len(metrics.correct) == n
         assert int(metrics.top1_counts.sum()) == n
 
@@ -399,6 +391,13 @@ class TestRunTrace:
         ]
         assert metrics.mean_window_f1 == pytest.approx(float(np.mean(exp_f1)))
 
+    def test_capacity_above_repository_size_changes_nothing(self, bench42):
+        def summary(cap):
+            return summarize(run_trace(bench42.trace, bench42.decision, bench42.repo, cap))
+
+        assert len(bench42.repo.models) == 8
+        assert summary(9) == summary(12) == summary(8)
+
     def test_miss_rate_monotone_in_capacity(self, bench42):
         rates = [
             run_trace(bench42.trace, bench42.decision, bench42.repo, cap).miss_rate
@@ -426,7 +425,11 @@ class TestSummarize:
     def test_durations_sum_to_trace_length(self, bench42):
         metrics = run_trace(bench42.trace, bench42.decision, bench42.repo, 5)
         report = summarize(metrics)
-        assert sum(metrics.scene_durations) == report["frames"] == 500
+        # the durations are the runs of one served model, split at each switch
+        durations = [len(list(run)) for _, run in itertools.groupby(metrics.served.tolist())]
+        assert sum(durations) == report["frames"] == 500
+        assert report["switches"] == len(durations) - 1
+        assert report["duration_quartiles"] == np.percentile(durations, [0, 25, 50, 75, 100]).tolist()
         q = report["duration_quartiles"]
         assert q[0] <= q[1] <= q[2] <= q[3] <= q[4]
 
@@ -465,23 +468,24 @@ class TestBaselines:
         assert learners.param_count(sdm) >= 10 * learners.param_count(ssm)
 
     def test_cdg_equidistant_tie_lowest_cluster(self):
-        base = runtime.CdgBaseline(
-            models=[None, None, None],
-            centroids=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]),
-        )
+        ranker = runtime.cdg_ranker(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]))
         frames = SimpleNamespace(features=np.array([[2.0, 0.0]]))
-        _, rankings = base.ranker()(frames)
+        _, rankings = ranker(frames)
         assert rankings[0].tolist() == [0, 1, 2]
 
     def test_dmm_selects_family_model(self):
         ds = generate_dataset(small_generator_config(num_cells=4, cards=(2, 2)))
-        dmm = runtime.build_dmm(ds, 4, quick_train_cfg(epochs=2), seed=3)
-        assert dmm.families == [0, 1]
-        row = int(np.flatnonzero(ds.attrs[:, 0] == 1)[0])
-        frames = SimpleNamespace(attrs=ds.attrs[[row]])
-        probs, rankings = dmm.ranker()(frames)
-        ranking, probs = rankings[0], probs[0]
-        assert ranking[0] == 1 and probs[1] == 1.0
+        ranker, models = runtime.build_dmm(ds, 4, quick_train_cfg(epochs=2), seed=3)
+        assert len(models) == 2  # families 0 and 1
+        rows = [int(np.flatnonzero(ds.attrs[:, 0] == family)[0]) for family in (1, 0)]
+        probs, rankings = ranker(SimpleNamespace(attrs=ds.attrs[rows]))
+        assert rankings.tolist() == [[1, 0], [0, 1]]
+        assert probs.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_dmm_rejects_an_unknown_family(self):
+        ranker = runtime.dmm_ranker([0, 2])
+        with pytest.raises(ConfigError, match="no model for a family"):
+            ranker(SimpleNamespace(attrs=np.array([[1, 0]])))
 
     def test_ssm_matches_dominant_scene_model(self):
         # when one cell dominates training 9:1, the global compressed model
@@ -523,4 +527,41 @@ class TestBaselines:
         assert set(out) == {"sdm", "ssm", "cdg", "dmm"}
         for metrics in out.values():
             assert metrics.cache_accesses == len(bench42.trace)
-            assert sum(metrics.scene_durations) == len(bench42.trace)
+            assert summarize(metrics)["frames"] == len(bench42.trace)
+
+
+class TestBenchReferences:
+    """The serve and baselines outputs that bench/references.json records for
+    the default config, dataset seed 42 and trace seeds 17.., from the same
+    build as the bench42 fixture."""
+
+    @pytest.fixture(scope="class")
+    def refs(self, bench42):
+        refs = json.loads((Path(__file__).parent.parent / "bench" / "references.json").read_text())
+        assert (refs["config"], refs["dataset_seed"]) == ("configs/default.ini", bench42.cfg.generator.seed)
+        return refs
+
+    @staticmethod
+    def as_json(summary):
+        return json.loads(json.dumps(summary))
+
+    def test_serve(self, bench42, refs):
+        cfg = bench42.cfg
+        assert len(refs["serve"]) == 128
+        traces = {}
+        for key, expected in refs["serve"].items():
+            seed, cap = map(int, key.split("/"))
+            if seed not in traces:
+                traces[seed] = synthesize_trace(bench42.ds, 11, 10, 50, seed)
+            metrics = run_trace(traces[seed], bench42.decision, bench42.repo, cap, cfg.window, cfg.low_confidence)
+            assert self.as_json(summarize(metrics)) == expected, key
+
+    def test_baselines(self, bench42, refs):
+        cfg, seed = bench42.cfg, refs["seed"]
+        out = run_baselines(
+            synthesize_trace(bench42.ds, 11, 10, 50, seed), bench42.ds, ("sdm", "ssm", "cdg", "dmm"),
+            cfg.profiling.compressed_hidden, cfg.deep_hidden, cfg.profiling.n, cfg.baseline_train,
+            cfg.baseline_seeds, cfg.capacity, cfg.window,
+        )
+        for method, metrics in out.items():
+            assert self.as_json(summarize(metrics)) == refs["baselines"][f"{seed}/{method}"], method
