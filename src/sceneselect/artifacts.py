@@ -82,17 +82,19 @@ def read_artifact(path, kind: str, **upstream) -> dict:
     if stored != actual:
         raise ArtifactMismatchError(f"{path}: content hash mismatch")
     for name, expected in upstream.items():
-        require_match(name, body.get(f"{name}_hash"), expected)
+        require_match(name, body.get(f"{name}_hash"), expected, path)
     return body
 
 
-def require_match(name: str, recorded, actual: str) -> None:
+def require_match(name: str, recorded, actual: str, path=None) -> None:
     """Refuse an artifact whose recorded ``<name>_hash`` is missing, not a
-    string, or other than ``actual``."""
+    string, or other than ``actual``; the message starts with the artifact's
+    ``path`` when one is given."""
+    where = "" if path is None else f"{path}: "
     if not isinstance(recorded, str):
-        raise ArtifactMismatchError(f"artifact records no {name}_hash")
+        raise ArtifactMismatchError(f"{where}artifact records no {name}_hash")
     if recorded != actual:
         raise ArtifactMismatchError(
-            f"{name} hash mismatch: artifact was built against {recorded[:12]}..., "
+            f"{where}{name} hash mismatch: artifact was built against {recorded[:12]}..., "
             f"got {actual[:12]}..."
         )

@@ -284,7 +284,7 @@ def _load_profile(args, ds, dataset_hash):
     repo, repo_body = profiling.load_repository(args.repository, ds, dataset_hash)
     repo_hash = sha256_file(args.repository)
     encoder_hash = sha256_file(args.encoder)
-    require_match("encoder", repo_body.get("encoder_hash"), encoder_hash)
+    require_match("encoder", repo_body.get("encoder_hash"), encoder_hash, args.repository)
     encoder, _ = profiling.load_encoder(args.encoder, dataset_hash)
     return repo, repo_hash, encoder, encoder_hash
 

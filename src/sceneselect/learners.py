@@ -254,9 +254,10 @@ def train(model: VectorClassifier, X: np.ndarray, y: np.ndarray, cfg: TrainConfi
     The loss follows the targets: 1-D integer labels train softmax outputs,
     an (n, output_dim) 0/1 matrix trains independent sigmoid outputs.
     Shuffling comes from a PRNG seeded with ``cfg.seed``, so equal seeds give
-    bit-identical parameters. After each epoch's updates the full
-    training-set loss is computed only to check for divergence. A stack of
-    one in `train_stack`.
+    bit-identical parameters. After each epoch's updates `DivergedError`
+    is raised if the full training-set loss is not finite; that loss is
+    computed only when `_loss_bounds` cannot rule it out (see
+    `train_stack`). A stack of one in `train_stack`.
     """
     train_stack([model], [X], [y], [cfg])
 
@@ -277,19 +278,54 @@ def _check_training_set(X: np.ndarray, y: np.ndarray, model: VectorClassifier) -
         raise ConfigError("labels must lie in [0, output_dim)")
 
 
+# Far below float64's overflow at about 1.8e308, so the rounding of the
+# bound's own arithmetic and of the loss's sums cannot carry a quantity
+# under it past overflow.
+SAFE_BOUND = 1e150
+
+
+def _loss_bounds(x_max, W1, b1, W2, b2, l2: float) -> np.ndarray:
+    """Per-model bound on every |logit| and on the l2 term of `cross_entropy`,
+    for a stack of k models and ``x_max``, the (k,) largest |x| of each
+    training set; nan or inf wherever an input holds one.
+
+    |Z1| <= input_dim * max|x| * max|W1| + max|b1| bounds the hidden
+    activations, and hidden_dim times that times max|W2|, plus max|b2|,
+    bounds the logits. With every logit finite, softmax cross-entropy is at
+    most -log(1e-300), about 691, per row, and binary cross-entropy at most
+    output_dim * (2|z| + log 2), so a bound under `SAFE_BOUND` makes the
+    loss finite.
+    """
+    k, hidden, inputs = W1.shape
+    w1, c1, w2, c2 = (np.abs(a).reshape(k, -1).max(axis=1) for a in (W1, b1, W2, b2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = hidden * (inputs * x_max * w1 + c1) * w2 + c2
+        if l2:
+            # np.maximum, unlike max(), keeps a nan
+            bound = np.maximum(bound, 0.5 * l2 * hidden * (inputs * w1**2 + W2.shape[1] * w2**2))
+    return bound
+
+
 def train_stack(models: list, Xs: list, ys: list, cfgs: list) -> None:
     """`train` for k models at once, each on its own data; mutates the
     models in place.
 
     The models share their dims and every TrainConfig field but ``seed``.
-    Each keeps its own PRNG, per-epoch permutation, ragged last batch,
-    epoch loss and divergence check, so its parameters equal those of
-    training it alone, bit for bit. Only the steps are shared:
-    with the models ordered largest training set first, the ones that
-    still have a full batch at step t form a prefix and take one stacked
-    `gradient` call; each ragged last batch is a stack of one. Every input
-    is checked before any parameter moves. If a model diverges, the first
-    one in input order raises `DivergedError` after that epoch.
+    Each keeps its own PRNG, per-epoch permutation, ragged last batch
+    and divergence check, so its parameters equal those of training it
+    alone, bit for bit. Only the steps are shared: with the models ordered
+    largest training set first, the ones that still have a full batch at
+    step t form a prefix and take one stacked `gradient` call; each ragged
+    last batch is a stack of one. Every input is checked before any
+    parameter moves.
+
+    After each epoch, a model whose full training-set `cross_entropy` is
+    not finite has diverged, and the first such model in input order
+    raises `DivergedError` with that epoch and loss. The loss itself is
+    computed only for a model whose `_loss_bounds` value, from the largest
+    magnitudes of its training set and parameters, is not below
+    `SAFE_BOUND`: under that bound the loss is provably finite, so the
+    same epoch, model and loss raise as if every loss were computed.
     """
     k = len(models)
     if k == 0 or not len(Xs) == len(ys) == len(cfgs) == k:
@@ -345,6 +381,7 @@ def train_stack(models: list, Xs: list, ys: list, cfgs: list) -> None:
     alone = [view(p) for p in range(k)]
     rngs = [np.random.default_rng(cfgs[i].seed) for i in order]
     by_input = sorted(range(k), key=order.__getitem__)  # positions, in input order
+    x_max = np.array([np.abs(X).max() for X in Xs])
     try:
         for epoch in range(cfg.epochs):
             perms = [rng.permutation(n) for rng, n in zip(rngs, sizes)]
@@ -359,7 +396,10 @@ def train_stack(models: list, Xs: list, ys: list, cfgs: list) -> None:
                 for param, grad in zip(params, (g.dW1, g.db1, g.dW2, g.db2)):
                     grad *= cfg.learning_rate
                     param -= grad
+            bounded = _loss_bounds(x_max, W1, b1, W2, b2, cfg.l2) < SAFE_BOUND  # False for nan
             for p in by_input:
+                if bounded[p]:
+                    continue
                 loss = cross_entropy(alone[p], Xs[p], ys[p], cfg.l2)
                 if not np.isfinite(loss):
                     raise DivergedError(epoch, loss)

@@ -87,12 +87,16 @@ def test_run_trace_calls_each_traced_layer(small_ds, monkeypatch):
 
 def test_train_calls_gradient_per_step_and_loss_per_epoch(monkeypatch):
     # learners.sgd_steps and learners.epoch_loss_s count these bindings; a
-    # step or loss inlined into train would silently read as zero
+    # step or loss inlined into train would silently read as zero. A stable
+    # run's loss bound rules out divergence, so it computes no loss; a
+    # diverging run computes its loss and raises after epoch 0
     import math
 
     import numpy as np
+    import pytest
 
     from sceneselect import learners
+    from sceneselect.errors import DivergedError
 
     calls = {}
     for name in ("gradient", "cross_entropy"):
@@ -105,15 +109,26 @@ def test_train_calls_gradient_per_step_and_loss_per_epoch(monkeypatch):
         model = learners.new_classifier(4, 6, 3, 1)
         cfg = learners.TrainConfig(0.1, epochs, batch_size, seed=2)
         learners.train(model, rng.normal(size=(n, 4)), rng.integers(0, 3, n), cfg)
-        assert calls == {"gradient": epochs * math.ceil(n / batch_size), "cross_entropy": epochs}
+        assert calls == {"gradient": epochs * math.ceil(n / batch_size)}
+
+    calls.clear()
+    model = learners.new_classifier(4, 6, 3, 1)
+    cfg = learners.TrainConfig(1e160, epochs, 5, seed=2)
+    with np.errstate(all="ignore"), pytest.raises(DivergedError) as err:
+        learners.train(model, rng.normal(size=(n, 4)) * 100, rng.integers(0, 3, n), cfg)
+    assert err.value.epoch == 0
+    assert calls == {"gradient": math.ceil(n / 5), "cross_entropy": 1}
 
 
 def test_train_stack_calls_gradient_per_stacked_step(monkeypatch):
     # per epoch: one stacked call for each step at which any model has a
-    # full batch, one stack-of-one call per ragged batch, one loss per model
+    # full batch, one stack-of-one call per ragged batch; a loss only for a
+    # model whose loss bound does not rule out divergence
     import numpy as np
+    import pytest
 
     from sceneselect import learners
+    from sceneselect.errors import DivergedError
 
     calls = {}
     for name in ("gradient", "cross_entropy"):
@@ -121,19 +136,26 @@ def test_train_stack_calls_gradient_per_stacked_step(monkeypatch):
 
     rng = np.random.default_rng(0)
     epochs = 2
-    for sizes, batch_size in [((23, 9, 16, 4), 5), ((20, 10, 15), 5), ((7, 3), 8), ((6,), 1)]:
+    for sizes, batch_size, diverging in [
+        ((23, 9, 16, 4), 5, None), ((20, 10, 15), 5, None), ((7, 3), 8, None), ((6,), 1, None),
+        ((23, 9, 16, 4), 5, 2),  # a training set scaled past the bound
+    ]:
         calls.clear()
         models = [learners.new_classifier(4, 6, 3, j) for j in range(len(sizes))]
         cfgs = [learners.TrainConfig(0.1, epochs, batch_size, seed=j) for j in range(len(sizes))]
         Xs = [rng.normal(size=(n, 4)) for n in sizes]
         ys = [rng.integers(0, 3, n) for n in sizes]
-        learners.train_stack(models, Xs, ys, cfgs)
         full_steps = max(sizes) // batch_size
         ragged = sum(1 for n in sizes if n % batch_size)
-        assert calls == {
-            "gradient": epochs * (full_steps + ragged),
-            "cross_entropy": epochs * len(sizes),
-        }
+        if diverging is None:
+            learners.train_stack(models, Xs, ys, cfgs)
+            assert calls == {"gradient": epochs * (full_steps + ragged)}
+        else:
+            Xs[diverging] *= 1e200
+            with np.errstate(all="ignore"), pytest.raises(DivergedError) as err:
+                learners.train_stack(models, Xs, ys, cfgs)
+            assert err.value.epoch == 0
+            assert calls == {"gradient": full_steps + ragged, "cross_entropy": 1}
 
 
 def test_worker_builds_and_serves_through_the_package(tmp_path):

@@ -338,6 +338,19 @@ def repository_without_dataset_hash(workdir, tmp_path):
     ]
 
 
+def encoder_from_another_build(workdir, tmp_path):
+    # a valid encoder artifact, but not the file the repository was built against
+    encoder = tmp_path / "encoder.json"
+    body = read_artifact(workdir["prof"] / "encoder.json", "encoder")
+    body["model"]["W1"][0] += 1.0
+    write_artifact(encoder, body)
+    return [
+        "train-decision", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
+        "--repository", str(workdir["prof"] / "repository.json"), "--encoder", str(encoder),
+        "--pools", str(workdir["pools"]), "--out", str(tmp_path / "d.json"),
+    ]
+
+
 def truncated_repository(workdir, tmp_path):
     repo = tmp_path / "repository.json"
     text = (workdir["prof"] / "repository.json").read_text()
@@ -382,7 +395,12 @@ FAILURES = {
     "insufficient models": (unreachable_delta, InsufficientModelsError, "accepted only"),
     "pools passed as repository": (pools_as_repository, ArtifactMismatchError, "found 'pools'"),
     "foreign-kind artifact": (foreign_kind_pools, ArtifactMismatchError, "found 'calibration'"),
-    "artifact without upstream hash": (repository_without_dataset_hash, ArtifactMismatchError, "no dataset_hash"),
+    "artifact without upstream hash": (
+        repository_without_dataset_hash, ArtifactMismatchError, "repository.json: artifact records no dataset_hash"
+    ),
+    "encoder from another build": (
+        encoder_from_another_build, ArtifactMismatchError, "repository.json: encoder hash mismatch"
+    ),
     "missing anole artifacts": (anole_without_artifacts, ConfigError, "needs --repository"),
     "zero window": (zero_window, ConfigError, "window must be >= 1"),
     "zero capacity": (zero_capacity, ConfigError, "capacity must be >= 1"),

@@ -432,6 +432,134 @@ class TestStackMatchesPerModelTrain:
         assert [params_hash(m) for m in models] == before
 
 
+def reference_train_stack(models, Xs, ys, cfgs):
+    """`learners.train_stack` as it was before the loss bound, input checks
+    left out: every model's full training-set `cross_entropy` after every
+    epoch, the first non-finite one in input order raising."""
+    k = len(models)
+    first, cfg = models[0], cfgs[0]
+    dims = (first.input_dim, first.hidden_dim, first.output_dim)
+    Xs = [np.asarray(X, dtype=float) for X in Xs]
+    ys = [learners._targets(y) for y in ys]
+    order = sorted(range(k), key=lambda i: -len(Xs[i]))
+    Xs, ys = [Xs[i] for i in order], [ys[i] for i in order]
+    sizes = [len(X) for X in Xs]
+    W1, b1, W2, b2 = (
+        np.stack([getattr(models[i], name) for i in order]) for name in ("W1", "b1", "W2", "b2")
+    )
+
+    def view(index):
+        return learners.VectorClassifier(*dims, W1[index], b1[index], W2[index], b2[index])
+
+    b = cfg.batch_size
+    X_batch = np.empty((k, min(b, sizes[0]), dims[0]))
+    y_batch = np.empty(X_batch.shape[:2] + ys[0].shape[1:], dtype=ys[0].dtype)
+    steps = []
+    for start in range(0, sizes[0], b):
+        full = sum(1 for n in sizes if n >= start + b)
+        batches = [(range(full), start + b)] if full else []
+        batches += [(range(p, p + 1), n) for p, n in enumerate(sizes) if start < n < start + b]
+        for members, stop in batches:
+            size = stop - start
+            gathers = [(p, X_batch[p, :size], y_batch[p, :size]) for p in members]
+            stacked = slice(members.start, members.stop)
+            steps.append(
+                (slice(start, stop), gathers, view(stacked), X_batch[stacked, :size], y_batch[stacked, :size])
+            )
+    alone = [view(p) for p in range(k)]
+    rngs = [np.random.default_rng(cfgs[i].seed) for i in order]
+    by_input = sorted(range(k), key=order.__getitem__)
+    try:
+        for epoch in range(cfg.epochs):
+            perms = [rng.permutation(n) for rng, n in zip(rngs, sizes)]
+            for rows, gathers, model, Xb, yb in steps:
+                for p, X_out, y_out in gathers:
+                    np.take(Xs[p], perms[p][rows], axis=0, out=X_out, mode="clip")
+                    np.take(ys[p], perms[p][rows], axis=0, out=y_out, mode="clip")
+                g = learners.gradient(model, Xb, yb, cfg.l2)
+                params = (model.W1, model.b1, model.W2, model.b2)
+                for param, grad in zip(params, (g.dW1, g.db1, g.dW2, g.db2)):
+                    grad *= cfg.learning_rate
+                    param -= grad
+            for p in by_input:
+                loss = learners.cross_entropy(alone[p], Xs[p], ys[p], cfg.l2)
+                if not np.isfinite(loss):
+                    raise DivergedError(epoch, loss)
+    finally:
+        for p, i in enumerate(order):
+            for name in ("W1", "b1", "W2", "b2"):
+                getattr(models[i], name)[...] = getattr(alone[p], name)
+
+
+def divergence(train, models, Xs, ys, cfgs):
+    """(epoch, message) of the DivergedError ``train`` raises, or None."""
+    try:
+        with np.errstate(all="ignore"):
+            train(models, Xs, ys, cfgs)
+    except DivergedError as exc:
+        return exc.epoch, str(exc)
+    return None
+
+
+def powers_of_ten(lo, mid, hi):
+    """10**e, e as likely in [lo, mid] as in [mid, hi]."""
+    return st.one_of(st.floats(lo, mid), st.floats(mid, hi)).map(lambda e: 10.0**e)
+
+
+class TestLossBound:
+    @pytest.mark.parametrize("targets", ["labels", "matrix"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(1, 5)),
+        batch=st.integers(1, 6),
+        sets=st.lists(st.tuples(st.integers(1, 16), powers_of_ten(0, 3, 200)), min_size=1, max_size=4),
+        epochs=st.integers(1, 4),
+        l2=st.sampled_from([0.0, 0.01, 1.0]),
+        lr=powers_of_ten(-3, 0, 300),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(dims=(3, 4, 3), batch=6, sets=[(6, 100.0)], epochs=5, l2=0.0, lr=1e160, seed=9)  # logits overflow
+    @example(dims=(3, 4, 3), batch=4, sets=[(6, 1e150), (4, 1.0)], epochs=2, l2=0.0, lr=1e-3, seed=62)  # past the bound, finite
+    # no step moves the parameters, so only max|x| bounds the logits; the
+    # loss of 0/1 targets overflows, that of labels stays finite
+    @example(dims=(3, 4, 3), batch=4, sets=[(5, 1.0), (6, 5e307)], epochs=1, l2=0.0, lr=0.0, seed=0)
+    def test_matches_a_loss_every_epoch(self, targets, dims, batch, sets, epochs, l2, lr, seed):
+        # each training set has its own size and scale; parameters and the
+        # divergence, or its absence, must match bit for bit
+        i, h, o = dims
+        sizes = [n for n, _ in sets]
+        rng = np.random.default_rng(seed)
+        Xs = [rng.normal(size=(n, i)) * scale for n, scale in sets]
+        if targets == "labels":
+            ys = [rng.integers(0, o, size=n) for n in sizes]
+        else:
+            ys = [(rng.random((n, o)) < 0.5).astype(float) for n in sizes]
+        fast = [learners.new_classifier(i, h, o, seed + j) for j in range(len(sizes))]
+        ref = [learners.model_from_dict(learners.model_to_dict(m)) for m in fast]
+        cfgs = [TrainConfig(lr, epochs, batch, l2=l2, seed=seed + j) for j in range(len(sizes))]
+
+        assert divergence(learners.train_stack, fast, Xs, ys, cfgs) == divergence(
+            reference_train_stack, ref, Xs, ys, cfgs
+        )
+        assert [params_hash(m) for m in fast] == [params_hash(m) for m in ref]
+
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["X", "W1", "b1", "W2", "b2"])
+    def test_a_non_finite_input_falls_through_to_the_loss(self, name, value, l2):
+        # one entry of model 1's training set or parameters; model 0 stays bounded
+        rng = np.random.default_rng(3)
+        models = [tiny_model(seed=j) for j in range(2)]
+        Xs = [rng.normal(size=(5, 3)) for _ in models]
+        target = Xs[1] if name == "X" else getattr(models[1], name)
+        target.flat[-1] = value
+        x_max = np.array([np.abs(X).max() for X in Xs])
+        stacked = (np.stack([getattr(m, a) for m in models]) for a in ("W1", "b1", "W2", "b2"))
+        bounds = learners._loss_bounds(x_max, *stacked, l2)
+        assert bounds[0] < learners.SAFE_BOUND
+        assert not bounds[1] < learners.SAFE_BOUND
+
+
 class TestExtremeLogits:
     @settings(max_examples=100, deadline=None)
     @given(
