@@ -48,12 +48,13 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be non-negative")
+        # written so that nan fails each check: every comparison with nan is False
+        if not 0 <= self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and non-negative")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
-        if self.l2 < 0:
-            raise ConfigError("l2 must be non-negative")
+        if not 0 <= self.l2 < np.inf:
+            raise ConfigError("l2 must be finite and non-negative")
 
 
 @dataclass
@@ -109,9 +110,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _layers(model: VectorClassifier, X: np.ndarray):
-    """(Z1, H, Z2) for an (n, input_dim) batch: hidden pre-activation, hidden
-    activation, output logits. The one place the two layers are computed.
+def _hidden(model: VectorClassifier, X: np.ndarray):
+    """(Z1, H) for an (n, input_dim) batch: hidden pre-activation and hidden
+    activation. The one place the hidden layer is computed.
 
     A stacked model, whose parameters carry a leading axis of k models,
     takes a (k, n, input_dim) stack of batches, one per model.
@@ -121,7 +122,13 @@ def _layers(model: VectorClassifier, X: np.ndarray):
         raise ConfigError(f"batch has shape {X.shape}, expected (n, {model.input_dim})")
     Z1 = X @ model.W1.swapaxes(-1, -2)
     Z1 += model.b1[..., None, :]
-    H = np.maximum(Z1, 0.0)
+    return Z1, np.maximum(Z1, 0.0)
+
+
+def _layers(model: VectorClassifier, X: np.ndarray):
+    """(Z1, H, Z2): `_hidden`'s two arrays and the output logits. The one
+    place the output layer is computed; stacks as `_hidden` does."""
+    Z1, H = _hidden(model, X)
     Z2 = H @ model.W2.swapaxes(-1, -2)
     Z2 += model.b2[..., None, :]
     return Z1, H, Z2
@@ -134,14 +141,21 @@ def forward(model: VectorClassifier, X: np.ndarray):
 
 
 def predict(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
-    """Argmax class per row; ties resolve to the lowest index."""
-    _, P = forward(model, X)
-    return np.argmax(P, axis=1)
+    """Argmax class per row of the output logits; ties resolve to the lowest
+    index.
+
+    This equals ``np.argmax`` of `forward`'s softmax probabilities on every
+    row but one where a lower-index class's probability rounds equal to the
+    top one's while its logit is smaller: the probabilities' argmax is then
+    that lower index, this one the top logit's.
+    """
+    return np.argmax(_layers(model, X)[2], axis=1)
 
 
 def embed(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
-    """Hidden activations (n, hidden) of a batch."""
-    return _layers(model, X)[1]
+    """Hidden activations (n, hidden) of a batch; the output layer is not
+    computed."""
+    return _hidden(model, X)[1]
 
 
 def expit(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

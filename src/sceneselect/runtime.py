@@ -62,7 +62,10 @@ def cache_request(cache: ModelCache, ranking) -> tuple:
         return top, False
     served = top
     if loaded:
-        served = int(next(m for m in ranking if m in loaded))
+        for m in ranking:
+            if m in loaded:
+                served = int(m)
+                break
         victim = None
         if len(loaded) >= cache.capacity:
             # slots compare by use count, then by load order, which is distinct
@@ -146,8 +149,8 @@ def run_trace(
 
     top1 = rankings[:, 0]
     cache = ModelCache(cache_capacity)
-    served, missed = zip(*[cache_request(cache, ranking) for ranking in rankings.tolist()])
-    served, missed = np.array(served), np.array(missed)
+    served, missed = np.array([cache_request(cache, ranking) for ranking in rankings.tolist()]).T
+    missed = missed.astype(bool)
 
     preds = np.empty(frames, dtype=int)
     for model in np.unique(served):

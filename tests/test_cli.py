@@ -302,6 +302,12 @@ def diverging_encoder(workdir, tmp_path):
     return ["profile", "--config", str(ini), "--dataset", str(workdir["data"]), "--out", str(tmp_path / "p")]
 
 
+def nan_learning_rate(workdir, tmp_path):
+    ini = tmp_path / "nan.ini"
+    ini.write_text(SMALL_INI.replace("encoder_lr = 0.2", "encoder_lr = nan"))
+    return ["profile", "--config", str(ini), "--dataset", str(workdir["data"]), "--out", str(tmp_path / "p")]
+
+
 def unreachable_delta(workdir, tmp_path):
     ini = tmp_path / "hard.ini"
     ini.write_text(SMALL_INI.replace("delta = 0.0", "delta = 1.0").replace("k_max = 8", "k_max = 4"))
@@ -402,6 +408,7 @@ FAILURES = {
         encoder_from_another_build, ArtifactMismatchError, "repository.json: encoder hash mismatch"
     ),
     "missing anole artifacts": (anole_without_artifacts, ConfigError, "needs --repository"),
+    "nan learning rate": (nan_learning_rate, ConfigError, "learning_rate must be finite"),
     "zero window": (zero_window, ConfigError, "window must be >= 1"),
     "zero capacity": (zero_capacity, ConfigError, "capacity must be >= 1"),
 }

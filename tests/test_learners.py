@@ -72,6 +72,66 @@ class TestPredictEmbed:
         m = tiny_model(h=7)
         assert learners.embed(m, np.zeros((1, 3)))[0].shape == (7,)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=8),
+            # few distinct values, so that equal and near-equal logits are common
+            elements=st.sampled_from([-800.0, -3.0, 0.1, np.nextafter(0.1, 1.0), 0.1 + 1e-15, 2.5, 40.0])
+            | st.floats(-1e3, 1e3),
+        )
+    )
+    def test_predict_is_the_softmax_argmax_where_the_top_probability_is_unique(self, logits):
+        # one-hot rows into an identity hidden layer make row r's logits
+        # exactly W2[:, r]
+        n, o = logits.shape
+        m = learners.VectorClassifier(n, n, o, np.eye(n), np.zeros(n), logits.T.copy(), np.zeros(o))
+        X = np.eye(n)
+        assert np.array_equal(learners._layers(m, X)[2], logits)
+        _, P = learners.forward(m, X)
+        pred = learners.predict(m, X)
+        top = P == P.max(axis=1, keepdims=True)
+        # softmax is monotone: the top logit always has a top probability
+        assert top[np.arange(n), pred].all()
+        unique = top.sum(axis=1) == 1
+        assert np.array_equal(pred[unique], np.argmax(P, axis=1)[unique])
+
+    def test_predict_differs_where_a_lower_class_rounds_to_the_top_probability(self):
+        # classes 0 and 1 have different logits but equal probabilities, so the
+        # softmax argmax is 0 while the top logit is class 1's
+        m = tiny_model()
+        for arr in (m.W1, m.b1, m.W2):
+            arr[...] = 0.0
+        m.b2[:] = [0.1, np.nextafter(0.1, 1.0), -3.0]
+        _, P = learners.forward(m, np.zeros((1, 3)))
+        assert P[0, 0] == P[0, 1] and np.argmax(P, axis=1)[0] == 0
+        assert learners.predict(m, np.zeros((1, 3)))[0] == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 6), st.integers(1, 8), st.integers(1, 5), st.integers(0, 9)),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**31 - 1),
+        scale=st.floats(0.1, 10.0),
+    )
+    def test_embed_bit_equal_to_the_full_forward_hidden_layer(self, dims, k, seed, scale):
+        i, h, o, n = dims
+        rng = np.random.default_rng(seed)
+        models = [learners.new_classifier(i, h, o, seed + j) for j in range(k)]
+        for m in models:
+            m.b1[:] = rng.normal(size=h)
+            m.b2[:] = rng.normal(size=o)
+        X = rng.normal(size=(k, n, i)) * scale
+        for m, Xm in zip(models, X):
+            assert bits(learners.embed(m, Xm)).tolist() == bits(learners._layers(m, Xm)[1]).tolist()
+        stacked = learners.VectorClassifier(
+            i, h, o, *(np.stack([getattr(m, name) for m in models]) for name in ("W1", "b1", "W2", "b2"))
+        )
+        E = learners.embed(stacked, X)
+        assert E.shape == (k, n, h)
+        assert bits(E).tolist() == bits(learners._layers(stacked, X)[1]).tolist()
+
 
 class TestGradient:
     def test_matches_central_differences(self):
@@ -173,6 +233,22 @@ class TestTrain:
                 m, rng.normal(size=(6, 3)) * 100, rng.integers(0, 3, 6), TrainConfig(1e160, 5, 6, seed=9)
             )
         assert err.value.epoch == 0
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            TrainConfig(float("nan"), 1, 1),
+            TrainConfig(float("inf"), 1, 1),
+            TrainConfig(-0.1, 1, 1),
+            TrainConfig(0.1, 1, 1, l2=float("inf")),
+            TrainConfig(0.1, 1, 1, l2=float("nan")),
+            TrainConfig(0.1, 1, 1, l2=-1.0),
+        ],
+        ids=["lr nan", "lr inf", "lr negative", "l2 inf", "l2 nan", "l2 negative"],
+    )
+    def test_non_finite_or_negative_rate_rejected(self, cfg):
+        with pytest.raises(ConfigError, match="must be finite and non-negative"):
+            cfg.validate()
 
     def test_label_out_of_range(self):
         with pytest.raises(ConfigError):

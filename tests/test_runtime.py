@@ -244,6 +244,18 @@ class TestCacheUnit:
         assert served == 1
         assert set(cache.loaded) == {0, 2}
 
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])
+    def test_returns_a_python_int_and_a_bool(self, as_array):
+        # a cold miss, a hit, a miss the old resident serves, and a miss that
+        # a resident serves and is then evicted for the top model
+        rankings = [[1, 0, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1]]
+        cache = ModelCache(2)
+        results = [cache_request(cache, np.array(r) if as_array else r) for r in rankings]
+        assert results == [(1, True), (1, False), (1, True), (2, True)]
+        for served, miss in results:
+            assert type(served) is int and type(miss) is bool
+        assert set(cache.loaded) == {0, 1}
+
     def test_capacity_at_least_n_only_cold_misses(self):
         cache = ModelCache(4)
         rng = np.random.default_rng(0)
