@@ -30,6 +30,17 @@ def sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def not_utf8(path) -> ParseError:
+    """ParseError for a file that does not decode as UTF-8, naming the file
+    and the line of its first undecodable byte."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return ParseError(data.count(b"\n", 0, exc.start) + 1, f"{path}: not UTF-8 text ({exc.reason})")
+    return ParseError(1, f"{path}: not UTF-8 text")
+
+
 def write_artifact(path, payload: dict) -> str:
     """Stamp ``payload`` with format version and self-hash, write it atomically,
     return the hash."""
@@ -65,6 +76,8 @@ def read_artifact(path, kind: str, **upstream) -> dict:
         body = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"{path}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path) from exc
     if not isinstance(body, dict):
         raise ArtifactMismatchError(f"{path}: artifact must be a JSON object")
     if body.get("format_version") != FORMAT_VERSION:

@@ -332,6 +332,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"capacity must be >= 1, got {min(capacities)}")
     if cfg.window < 1:
         raise ConfigError(f"window must be >= 1, got {cfg.window}")
+    if not 0.0 <= cfg.low_confidence <= 1.0:
+        raise ConfigError(f"low_confidence must be in [0, 1], got {cfg.low_confidence}")
 
     ds = load_dataset(args.dataset)
     dataset_hash = sha256_file(args.dataset)

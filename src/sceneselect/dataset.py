@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import atomic_path
+from .artifacts import atomic_path, not_utf8
 from .errors import ConfigError, ParseError, SchemaError
 
 SEEN_UNSEEN_RATIO = (9, 1)
@@ -86,6 +86,7 @@ class GeneratorConfig:
     cell_weights: tuple | None = None
 
     def validate(self) -> None:
+        # written so that nan fails each check: every comparison with nan is False
         self.schema.validate()
         if self.num_semantic_cells < 1:
             raise ConfigError("num_semantic_cells must be positive")
@@ -95,12 +96,12 @@ class GeneratorConfig:
             )
         if self.clips_per_cell < 1 or self.frames_per_clip < 1:
             raise ConfigError("clips_per_cell and frames_per_clip must be positive")
-        if self.cluster_spread <= 0:
-            raise ConfigError("cluster_spread must be positive")
+        if not 0 < self.cluster_spread < np.inf:
+            raise ConfigError("cluster_spread must be finite and positive")
         if not 0.0 <= self.label_rule_noise <= 1.0:
             raise ConfigError("label_rule_noise must be in [0, 1]")
-        if self.drift_strength < 0:
-            raise ConfigError("drift_strength must be non-negative")
+        if not 0 <= self.drift_strength < np.inf:
+            raise ConfigError("drift_strength must be finite and non-negative")
         if self.cell_weights is not None:
             if len(self.cell_weights) != self.num_semantic_cells:
                 raise ConfigError("cell_weights length must equal num_semantic_cells")
@@ -353,15 +354,19 @@ def load_dataset(path) -> Dataset:
     Sample lines are parsed a chunk at a time: one ``json.loads`` over the
     chunk as a JSON array, then array checks. A chunk that fails any of them
     is parsed again line by line, which raises the first bad line's error.
-    Blank lines are skipped but counted.
+    Blank lines are skipped but counted. A file that is not UTF-8 is a
+    ParseError naming it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        numbered = ((n, text) for n, text in enumerate(map(str.strip, fh), start=1) if text)
-        first = next(numbered, None)
-        if first is None or first[0] != 1:
-            raise ParseError(1, "missing header line")
-        schema, split = _parse_header(_loads(first[1], 1), 1)
-        chunks = [_parse_chunk(c, schema) for c in iter(lambda: list(islice(numbered, _CHUNK_LINES)), [])]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            numbered = ((n, text) for n, text in enumerate(map(str.strip, fh), start=1) if text)
+            first = next(numbered, None)
+            if first is None or first[0] != 1:
+                raise ParseError(1, "missing header line")
+            schema, split = _parse_header(_loads(first[1], 1), 1)
+            chunks = [_parse_chunk(c, schema) for c in iter(lambda: list(islice(numbered, _CHUNK_LINES)), [])]
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path) from exc
     features, labels, attrs, clips, frames = (np.concatenate(c) for c in zip(*chunks or [_columns([], schema)]))
     ds = Dataset(schema=schema, split=split, features=features, labels=labels, attrs=attrs,
                  clip_ids=clips, frame_indices=frames)

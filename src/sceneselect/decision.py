@@ -5,7 +5,7 @@ repository model i handled the sample. A two-layer head on top of the frozen
 scene encoder learns to reproduce those vectors with independent sigmoid
 outputs (several models can suit a sample at once, and an all-zero row is a
 valid "nothing fits" signal), trained with per-coordinate binary
-cross-entropy. At inference the head's probabilities rank the repository.
+cross-entropy. At inference the head's logits rank the repository.
 """
 
 from __future__ import annotations
@@ -58,11 +58,20 @@ def decision_probs(decision: DecisionModel, X: np.ndarray) -> np.ndarray:
 
 
 def rank_models(decision: DecisionModel, X: np.ndarray):
-    """(suitability matrix, rankings) for a batch: each row's model indices
-    by descending probability, ties by index."""
-    probs = decision_probs(decision, X)
-    ranking = np.argsort(-probs, axis=1, kind="stable")
-    return probs, ranking
+    """(confidence, rankings) for a batch: each row's top suitability
+    probability (n,), and its model indices (n, models) by descending
+    logit, ties by index.
+
+    The confidence is bit-equal to the row max of `decision_probs`: the
+    sigmoid is non-decreasing, so the top logit's probability is the top
+    probability. The rankings equal the stable argsort of `decision_probs`
+    on every row but one where two distinct logits' probabilities round to
+    the same value (above a logit of about 37 both round to 1.0): the
+    probabilities then put the lower index first, these rankings the larger
+    logit.
+    """
+    z = learners.logits(decision.head, learners.embed(decision.backbone, X))
+    return learners.expit(learners.row_max(z)[:, 0]), np.argsort(-z, axis=1, kind="stable")
 
 
 def decision_payload(decision: DecisionModel, encoder_hash: str, repository_hash: str) -> dict:

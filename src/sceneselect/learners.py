@@ -86,17 +86,25 @@ def new_classifier(input_dim: int, hidden_dim: int, output_dim: int, seed: int) 
     )
 
 
+def row_max(a: np.ndarray) -> np.ndarray:
+    """Max along the last axis, which is kept with length 1.
+
+    Computed one column at a time: max is exact, so this equals
+    ``a.max(axis=-1, keepdims=True)`` in value (a zero max may differ in
+    sign, a nan in payload), and numpy's reduction over a short last axis
+    costs far more than a few strided maximum calls.
+    """
+    out = a[..., :1].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(out, a[..., j : j + 1], out=out)
+    return out
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Max-subtracted softmax along the last axis; exact for |logit| <= 500."""
     logits = np.asarray(logits, dtype=float)
     width = logits.shape[-1]
-    # Row max one column at a time: max is exact, so this equals
-    # logits.max(axis=-1) bit for bit, and numpy's reduction over a short
-    # last axis costs far more than a few strided maximum calls.
-    row_max = logits[..., :1].copy()
-    for j in range(1, width):
-        np.maximum(row_max, logits[..., j : j + 1], out=row_max)
-    out = logits - row_max
+    out = logits - row_max(logits)
     np.exp(out, out=out)
     if width < 8:
         # numpy sums fewer than 8 terms left to right, so a column-wise sum
@@ -140,6 +148,11 @@ def forward(model: VectorClassifier, X: np.ndarray):
     return H, softmax(Z2)
 
 
+def logits(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
+    """Output logits (n, output) of a batch, before softmax or sigmoid."""
+    return _layers(model, X)[2]
+
+
 def predict(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
     """Argmax class per row of the output logits; ties resolve to the lowest
     index.
@@ -149,7 +162,7 @@ def predict(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
     top one's while its logit is smaller: the probabilities' argmax is then
     that lower index, this one the top logit's.
     """
-    return np.argmax(_layers(model, X)[2], axis=1)
+    return np.argmax(logits(model, X), axis=1)
 
 
 def embed(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
@@ -185,7 +198,7 @@ def sigmoid_probs(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
     a model trained on a 2-D 0/1 target matrix fits, through `expit`. Each
     lies in (0, 1) for moderate logits; it rounds to exactly 1.0 above a
     logit of about 37 and to 0.0 below about -709.78."""
-    return expit(_layers(model, X)[2])
+    return expit(logits(model, X))
 
 
 def _targets(y, ndim: int = 2) -> np.ndarray:

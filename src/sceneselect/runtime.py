@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -123,13 +124,14 @@ def run_trace(
     """Drive a trace through ranking, cache, and inference.
 
     ``trace`` is a `dataset.Trace`. ``decision`` is either a DecisionModel or
-    a batch ranker, a callable trace -> (probs (F, n), rankings (F, n)), so
-    baselines and oracle rankers take the same path. The whole trace is
-    ranked in one call, the LFU cache runs frame by frame, and each served
-    model then predicts all of its frames in one batch. F1 is computed per
+    a batch ranker, a callable trace -> (confidence (F,), rankings (F, n))
+    with each frame's top suitability and its model order, so baselines and
+    oracle rankers take the same path. The whole trace is ranked in one
+    call, the LFU cache runs frame by frame, and each served model then
+    predicts all of its frames in one batch. F1 is computed per
     ``window`` frames (macro over classes present; the last window may be
     short), every window in one `macro_f1` call; a ``window`` below 1 is a
-    ConfigError. A max suitability below ``low_confidence`` is recorded as a
+    ConfigError. A confidence below ``low_confidence`` is recorded as a
     no-suitable-model event; the frame is still served.
     """
     if len(trace) == 0:
@@ -140,16 +142,19 @@ def run_trace(
     if isinstance(decision, DecisionModel):
         if decision.n != len(models):
             raise ConfigError("decision output width does not match the repository size")
-        probs, rankings = rank_models(decision, X)
+        confidence, rankings = rank_models(decision, X)
     else:
-        probs, rankings = decision(trace)
+        confidence, rankings = decision(trace)
     frames = len(trace)
-    if probs.shape != (frames, len(models)) or rankings.shape != (frames, len(models)):
-        raise ConfigError(f"ranker must return ({frames}, {len(models)}) probabilities and rankings")
+    if confidence.shape != (frames,) or rankings.shape != (frames, len(models)):
+        raise ConfigError(f"ranker must return ({frames},) confidences and ({frames}, {len(models)}) rankings")
 
     top1 = rankings[:, 0]
     cache = ModelCache(cache_capacity)
-    served, missed = np.array([cache_request(cache, ranking) for ranking in rankings.tolist()]).T
+    served, missed = np.fromiter(
+        chain.from_iterable(cache_request(cache, ranking) for ranking in rankings.tolist()),
+        dtype=int, count=2 * frames,
+    ).reshape(frames, 2).T
     missed = missed.astype(bool)
 
     preds = np.empty(frames, dtype=int)
@@ -165,7 +170,7 @@ def run_trace(
         correct=preds == labels,
         window_f1=macro_f1(preds, labels, models[0].output_dim, window),
         top1_counts=np.bincount(top1, minlength=len(models)),
-        low_confidence_events=int((probs.max(axis=1) < low_confidence).sum()),
+        low_confidence_events=int((confidence < low_confidence).sum()),
         window=window,
     )
 
@@ -216,11 +221,12 @@ def write_metrics_csv(metrics: TraceMetrics, path) -> None:
 
 
 def constant_ranker(num_models: int = 1):
-    """Batch ranker that ranks the models in index order on every frame."""
+    """Batch ranker that ranks the models in index order on every frame,
+    each with confidence 1."""
 
     def rank(trace):
         frames = len(trace)
-        return np.ones((frames, num_models)), np.tile(np.arange(num_models), (frames, 1))
+        return np.ones(frames), np.tile(np.arange(num_models), (frames, 1))
 
     return rank
 
@@ -235,11 +241,12 @@ def train_global_model(ds: Dataset, hidden_dim: int, cfg: TrainConfig) -> Vector
 
 def cdg_ranker(centroids: np.ndarray):
     """Batch ranker by nearest cluster mean in raw feature space; equidistant
-    clusters rank by index."""
+    clusters rank by index. A frame's confidence is 1 / (1 + distance) to its
+    nearest mean."""
 
     def rank(trace):
         d = np.linalg.norm(centroids[None, :, :] - trace.features[:, None, :], axis=2)
-        return 1.0 / (1.0 + d), np.argsort(d, axis=1, kind="stable")
+        return 1.0 / (1.0 + d.min(axis=1)), np.argsort(d, axis=1, kind="stable")
 
     return rank
 
@@ -247,16 +254,15 @@ def cdg_ranker(centroids: np.ndarray):
 def dmm_ranker(families):
     """Batch ranker for one model per family (attribute dimension 0), with
     ``families`` the ascending family of each model: a frame's own family's
-    model first, then the rest by index."""
+    model first, then the rest by index; every frame has confidence 1."""
     families = np.asarray(families)
 
     def rank(trace):
         family = trace.attrs[:, 0]
         if not np.isin(family, families).all():
             raise ConfigError("dmm has no model for a family in the trace")
-        probs = np.zeros((len(family), len(families)))
-        probs[np.arange(len(family)), np.searchsorted(families, family)] = 1.0
-        return probs, np.argsort(-probs, axis=1, kind="stable")
+        other = np.arange(len(families)) != np.searchsorted(families, family)[:, None]
+        return np.ones(len(family)), np.argsort(other, axis=1, kind="stable")
 
     return rank
 

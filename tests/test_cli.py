@@ -374,14 +374,45 @@ def anole_without_artifacts(workdir, tmp_path):
     ]
 
 
-def zero_window(workdir, tmp_path):
-    ini = tmp_path / "zero_window.ini"
-    ini.write_text(SMALL_INI.replace("window = 10", "window = 0"))
+def generate_with(old, new):
+    """Case builder: generate under SMALL_INI with ``old`` replaced by ``new``."""
+
+    def build(workdir, tmp_path):
+        ini = tmp_path / "generate.ini"
+        ini.write_text(SMALL_INI.replace(old, new))
+        return ["generate", "--config", str(ini), "--out", str(tmp_path / "data.jsonl")]
+
+    return build
+
+
+def simulate_anole_with(old, new):
+    """Case builder: simulate anole under SMALL_INI with ``old`` replaced by ``new``."""
+
+    def build(workdir, tmp_path):
+        ini = tmp_path / "simulate.ini"
+        ini.write_text(SMALL_INI.replace(old, new))
+        return [
+            "simulate", "--config", str(ini), "--dataset", str(workdir["data"]),
+            "--baseline", "anole", "--repository", str(workdir["prof"] / "repository.json"),
+            "--encoder", str(workdir["prof"] / "encoder.json"), "--decision", str(workdir["dec"]),
+            "--out", str(tmp_path / "x"),
+        ]
+
+    return build
+
+
+def not_utf8_dataset(workdir, tmp_path):
+    data = tmp_path / "data.jsonl"
+    data.write_bytes(b"\xff\xfe" + Path(workdir["data"]).read_bytes())
+    return ["profile", "--config", str(workdir["ini"]), "--dataset", str(data), "--out", str(tmp_path / "p")]
+
+
+def not_utf8_repository(workdir, tmp_path):
+    repo = tmp_path / "repository.json"
+    repo.write_bytes(b"\xff\xfe" + (workdir["prof"] / "repository.json").read_bytes())
     return [
-        "simulate", "--config", str(ini), "--dataset", str(workdir["data"]),
-        "--baseline", "anole", "--repository", str(workdir["prof"] / "repository.json"),
-        "--encoder", str(workdir["prof"] / "encoder.json"), "--decision", str(workdir["dec"]),
-        "--out", str(tmp_path / "x"),
+        "sample", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
+        "--repository", str(repo), "--out", str(tmp_path / "p.json"),
     ]
 
 
@@ -409,7 +440,29 @@ FAILURES = {
     ),
     "missing anole artifacts": (anole_without_artifacts, ConfigError, "needs --repository"),
     "nan learning rate": (nan_learning_rate, ConfigError, "learning_rate must be finite"),
-    "zero window": (zero_window, ConfigError, "window must be >= 1"),
+    "zero window": (simulate_anole_with("window = 10", "window = 0"), ConfigError, "window must be >= 1"),
+    "nan low confidence": (
+        simulate_anole_with("low_confidence = 0.2", "low_confidence = nan"), ConfigError,
+        "low_confidence must be in [0, 1]",
+    ),
+    "low confidence above one": (
+        simulate_anole_with("low_confidence = 0.2", "low_confidence = 1.5"), ConfigError,
+        "low_confidence must be in [0, 1]",
+    ),
+    "nan drift strength": (
+        generate_with("drift_strength = 0.1", "drift_strength = nan"), ConfigError,
+        "drift_strength must be finite",
+    ),
+    "nan cluster spread": (
+        generate_with("cluster_spread = 0.2", "cluster_spread = nan"), ConfigError,
+        "cluster_spread must be finite",
+    ),
+    "infinite cluster spread": (
+        generate_with("cluster_spread = 0.2", "cluster_spread = inf"), ConfigError,
+        "cluster_spread must be finite",
+    ),
+    "non-UTF-8 dataset": (not_utf8_dataset, ParseError, "data.jsonl: not UTF-8 text"),
+    "non-UTF-8 artifact": (not_utf8_repository, ParseError, "repository.json: not UTF-8 text"),
     "zero capacity": (zero_capacity, ConfigError, "capacity must be >= 1"),
 }
 
@@ -428,7 +481,7 @@ class TestFailureMatrix:
         err = capsys.readouterr().err
         assert err.endswith("\n") and err.count("\n") == 1, err
         assert err.startswith("error: ") and text in err
-        if argv[0] == "simulate":
+        if argv[0] in ("generate", "simulate"):
             # settings are checked before the dataset is read or --out is made
             assert not Path(argv[argv.index("--out") + 1]).exists()
 

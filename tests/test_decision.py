@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sceneselect import decision, learners, sampling
 from sceneselect.decision import DecisionModel, decision_probs, rank_models, train_decision
@@ -27,20 +29,24 @@ def allocation_labels(state):
 
 def rank_one(model, x):
     """rank_models on a batch of one sample."""
-    probs, ranking = rank_models(model, x[None])
-    return probs[0], ranking[0]
+    confidence, ranking = rank_models(model, x[None])
+    return confidence[0], ranking[0]
+
+
+def constant_logit_head(logits):
+    """Decision model whose head emits fixed logits regardless of input."""
+    backbone = learners.new_classifier(3, 4, 2, seed=0)
+    head = learners.new_classifier(4, 2, len(logits), seed=1)
+    head.W1[...] = 0.0
+    head.b1[...] = 0.0
+    head.W2[...] = 0.0
+    head.b2[:] = logits
+    return DecisionModel(backbone=backbone, head=head)
 
 
 def constant_prob_head(probs):
     """Decision model whose head emits fixed probabilities regardless of input."""
-    backbone = learners.new_classifier(3, 4, 2, seed=0)
-    head = learners.new_classifier(4, 2, len(probs), seed=1)
-    head.W1[...] = 0.0
-    head.b1[...] = 0.0
-    head.W2[...] = 0.0
-    logit = lambda p: float(np.log(p / (1.0 - p)))
-    head.b2[:] = [logit(p) for p in probs]
-    return DecisionModel(backbone=backbone, head=head)
+    return constant_logit_head([float(np.log(p / (1.0 - p))) for p in probs])
 
 
 class TestAllocationLabels:
@@ -97,9 +103,51 @@ class TestTrainDecision:
 class TestRanking:
     def test_ranking_with_tie_break(self):
         model = constant_prob_head([0.1, 0.9, 0.9])
-        probs, ranking = rank_one(model, np.zeros(3))
-        assert np.allclose(probs, [0.1, 0.9, 0.9])
+        confidence, ranking = rank_one(model, np.zeros(3))
+        assert confidence == pytest.approx(0.9)
         assert ranking.tolist() == [1, 2, 0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        models=st.integers(1, 8),
+        hidden=st.integers(1, 6),
+        rows=st.integers(1, 20),
+        scale=st.sampled_from([0.0, 0.1, 1.0, 10.0, 100.0]),
+        tie=st.booleans(),
+    )
+    def test_matches_the_probabilities(self, seed, models, hidden, rows, scale, tie):
+        # confidence is the top probability; rankings are the probabilities'
+        # stable argsort on every row where no two distinct logits share a
+        # probability
+        backbone = learners.new_classifier(3, 5, 2, seed=seed)
+        head = learners.new_classifier(5, hidden, models, seed=seed + 1)
+        rng = np.random.default_rng(seed)
+        head.W2 *= scale
+        head.b2[:] = scale * rng.normal(size=models)
+        if tie:
+            head.W2[-1], head.b2[-1] = head.W2[0], head.b2[0]
+        model = DecisionModel(backbone=backbone, head=head)
+        X = rng.normal(size=(rows, 3))
+        confidence, rankings = rank_models(model, X)
+        probs = decision_probs(model, X)
+        assert confidence.tolist() == probs.max(axis=1).tolist()
+        z = learners.logits(head, learners.embed(backbone, X))
+        for zr, pr, ranking in zip(z, probs, rankings):
+            clash = (pr[:, None] == pr[None, :]) & (zr[:, None] != zr[None, :])
+            if not clash.any():
+                assert ranking.tolist() == np.argsort(-pr, kind="stable").tolist()
+
+    def test_saturated_probabilities_rank_by_logit(self):
+        # the one exception to ranking as the probabilities do: logits 40 and
+        # 41 both have probability 1.0, which ranks the lower index first
+        model = constant_logit_head([40.0, 41.0, 0.0])
+        probs = decision_probs(model, np.zeros((1, 3)))[0]
+        assert probs.tolist() == [1.0, 1.0, 0.5]
+        assert np.argsort(-probs, kind="stable").tolist() == [0, 1, 2]
+        confidence, ranking = rank_one(model, np.zeros(3))
+        assert ranking.tolist() == [1, 0, 2]
+        assert confidence == 1.0
 
     def test_single_model(self):
         model = constant_prob_head([0.42])

@@ -655,6 +655,20 @@ class TestExtremeLogits:
                 assert np.argmax(p) == np.argmax(row)
 
     @settings(max_examples=100, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9),
+            elements=st.floats(allow_nan=True, allow_infinity=True),
+        )
+    )
+    def test_row_max_is_numpys_max(self, a):
+        # equal values; a zero max's sign and a nan's payload may differ
+        got, expected = learners.row_max(a), a.max(axis=-1, keepdims=True)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected, equal_nan=True)
+
+    @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=9))
     def test_sigmoid_probs_finite_in_unit_interval(self, logits):
         # one hidden unit fixed at 1 makes the output logits exactly W2[:, 0]

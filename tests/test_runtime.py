@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sceneselect import learners, profiling, runtime
+from sceneselect.decision import decision_probs
 from sceneselect.dataset import generate_dataset, part_indices, synthesize_trace
 from sceneselect.errors import ConfigError
 from sceneselect.runtime import (
@@ -85,14 +86,15 @@ def write_reference_csv(records, path):
 def reference_run_trace(trace, decision, models, cache_capacity, window=10, low_confidence=0.2):
     """The per-frame loop run_trace replaced: rank and predict on batches of
     one, the cache request, then macro F1 per window. ``decision`` is a
-    DecisionModel or a per-frame ranker (trace, frame) -> (probs, ranking)."""
+    DecisionModel, ranked by its probabilities, or a per-frame ranker
+    (trace, frame) -> (confidence, ranking)."""
     if hasattr(models, "models"):
         models = models.models
     if isinstance(decision, runtime.DecisionModel):
 
         def ranker(trace, frame):
-            probs, ranking = runtime.rank_models(decision, trace.features[frame][None])
-            return probs[0], ranking[0]
+            probs = decision_probs(decision, trace.features[frame][None])[0]
+            return probs.max(), np.argsort(-probs, kind="stable")
     else:
         ranker = decision
 
@@ -106,10 +108,10 @@ def reference_run_trace(trace, decision, models, cache_capacity, window=10, low_
     switch_frames = []
     preds = []
     for frame in range(len(trace)):
-        probs, ranking = ranker(trace, frame)
+        confidence, ranking = ranker(trace, frame)
         top1 = int(ranking[0])
         top1_counts[top1] += 1
-        if np.max(probs) < low_confidence:
+        if confidence < low_confidence:
             low_conf += 1
         served, miss = cache_request(cache, ranking)
         misses += int(miss)
@@ -155,19 +157,17 @@ def assert_matches_reference(metrics, reference, tmp_path):
 
 
 def constant_rank_one(trace, frame):
-    return np.ones(1), np.arange(1)
+    return 1.0, np.arange(1)
 
 
 def cdg_rank_one(centroids, trace, frame):
     d = np.linalg.norm(centroids - trace.features[frame], axis=1)
-    return 1.0 / (1.0 + d), np.argsort(d, kind="stable")
+    return np.max(1.0 / (1.0 + d)), np.argsort(d, kind="stable")
 
 
 def dmm_rank_one(families, trace, frame):
     own = families.index(trace.attrs[frame][0])
-    probs = np.zeros(len(families))
-    probs[own] = 1.0
-    return probs, np.array([own] + [i for i in range(len(families)) if i != own])
+    return 1.0, np.array([own] + [i for i in range(len(families)) if i != own])
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +202,16 @@ class TestWholeTraceMatchesPerFrame:
         for cap in range(1, len(bench42.repo.models) + 1):
             args = (bench42.trace, bench42.decision, bench42.repo, cap, cfg.window, cfg.low_confidence)
             assert_matches_reference(run_trace(*args), reference_run_trace(*args), tmp_path)
+
+    def test_decision_model_low_confidence_events(self, bench42, tmp_path):
+        # the default threshold of 0.2 flags no frame of this trace; the
+        # median confidence flags about half of them
+        trace, cfg = bench42.trace, bench42.cfg
+        low = float(np.median(decision_probs(bench42.decision, trace.features).max(axis=1)))
+        args = (trace, bench42.decision, bench42.repo, cfg.capacity, cfg.window, low)
+        metrics = run_trace(*args)
+        assert 0 < metrics.low_confidence_events < len(trace)
+        assert_matches_reference(metrics, reference_run_trace(*args), tmp_path)
 
     @pytest.mark.parametrize("name", ["sdm", "cdg", "dmm"])
     def test_baseline_rankers(self, bench42, bench42_baselines, name, tmp_path):
@@ -367,14 +377,10 @@ class TestRunTrace:
 
         def oracle_one(frame):
             model = best[frame // seg]
-            probs = np.zeros(n)
-            probs[model] = 1.0
-            ranking = np.array([model] + [j for j in range(n) if j != model])
-            return probs, ranking
+            return np.array([model] + [j for j in range(n) if j != model])
 
         def oracle(frames):
-            probs, rankings = zip(*map(oracle_one, range(len(frames))))
-            return np.stack(probs), np.stack(rankings)
+            return np.ones(len(frames)), np.stack([oracle_one(f) for f in range(len(frames))])
 
         metrics = run_trace(trace, oracle, repo.models, cache_capacity=n)
 
@@ -420,6 +426,15 @@ class TestRunTrace:
     def test_empty_trace_rejected(self, bench42):
         with pytest.raises(ConfigError):
             run_trace([], bench42.decision, bench42.repo, 2)
+
+    def test_ranker_must_return_one_confidence_per_frame(self, bench42):
+        frames, n = len(bench42.trace), len(bench42.repo.models)
+
+        def matrix_ranker(trace):  # a suitability matrix instead of confidences
+            return np.ones((frames, n)), np.tile(np.arange(n), (frames, 1))
+
+        with pytest.raises(ConfigError, match="confidences"):
+            run_trace(bench42.trace, matrix_ranker, bench42.repo, 2)
 
     @pytest.mark.parametrize("window", [0, -10])
     def test_window_below_one_rejected(self, bench42, window):
@@ -485,14 +500,22 @@ class TestBaselines:
         _, rankings = ranker(frames)
         assert rankings[0].tolist() == [0, 1, 2]
 
+    def test_cdg_confidence_is_the_top_suitability(self):
+        rng = np.random.default_rng(5)
+        centroids = rng.normal(size=(8, 12))
+        frames = SimpleNamespace(features=rng.normal(size=(2000, 12)))
+        confidence, _ = runtime.cdg_ranker(centroids)(frames)
+        d = np.linalg.norm(centroids[None, :, :] - frames.features[:, None, :], axis=2)
+        assert confidence.tolist() == (1.0 / (1.0 + d)).max(axis=1).tolist()
+
     def test_dmm_selects_family_model(self):
         ds = generate_dataset(small_generator_config(num_cells=4, cards=(2, 2)))
         ranker, models = runtime.build_dmm(ds, 4, quick_train_cfg(epochs=2), seed=3)
         assert len(models) == 2  # families 0 and 1
         rows = [int(np.flatnonzero(ds.attrs[:, 0] == family)[0]) for family in (1, 0)]
-        probs, rankings = ranker(SimpleNamespace(attrs=ds.attrs[rows]))
+        confidence, rankings = ranker(SimpleNamespace(attrs=ds.attrs[rows]))
         assert rankings.tolist() == [[1, 0], [0, 1]]
-        assert probs.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert confidence.tolist() == [1.0, 1.0]
 
     def test_dmm_rejects_an_unknown_family(self):
         ranker = runtime.dmm_ranker([0, 2])
