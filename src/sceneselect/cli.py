@@ -300,24 +300,6 @@ def _parse_sweep(text):
     return list(range(lo, hi + 1))
 
 
-def _anole_runner(args, ds, dataset_hash):
-    repo, repo_hash, encoder, encoder_hash = _load_profile(args, ds, dataset_hash)
-    model, _ = decision_mod.load_decision(args.decision, encoder, encoder_hash, repo_hash)
-    return model, repo.models
-
-
-def _baseline_runner(name, cfg, ds):
-    return runtime.build_baseline(
-        name,
-        ds,
-        cfg.profiling.compressed_hidden,
-        cfg.deep_hidden,
-        cfg.profiling.n,
-        cfg.baseline_train,
-        cfg.baseline_seeds[name],
-    )
-
-
 def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
     if args.trace_seed is not None:
@@ -341,16 +323,19 @@ def cmd_simulate(args) -> int:
         ds, cfg.trace.num_source_clips, cfg.trace.segment_len, cfg.trace.num_segments, cfg.trace.seed
     )
     if args.baseline == "anole":
-        ranker, models = _anole_runner(args, ds, dataset_hash)
-        low_conf = cfg.low_confidence
+        repo, repo_hash, encoder, encoder_hash = _load_profile(args, ds, dataset_hash)
+        ranker, _ = decision_mod.load_decision(args.decision, encoder, encoder_hash, repo_hash)
+        models = repo.models
     else:
-        ranker, models = _baseline_runner(args.baseline, cfg, ds)
-        low_conf = 0.0
+        ranker, models = runtime.build_baseline(
+            args.baseline, ds, cfg.profiling.compressed_hidden, cfg.deep_hidden,
+            cfg.profiling.n, cfg.baseline_train, cfg.baseline_seeds[args.baseline],
+        )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for cap in capacities:
-        metrics = runtime.run_trace(trace, ranker, models, cap, cfg.window, low_conf)
+        metrics = runtime.run_trace(trace, ranker, models, cap, cfg.window, cfg.low_confidence)
         summary = runtime.summarize(metrics)
         summary.update(
             {

@@ -354,8 +354,9 @@ def load_dataset(path) -> Dataset:
     Sample lines are parsed a chunk at a time: one ``json.loads`` over the
     chunk as a JSON array, then array checks. A chunk that fails any of them
     is parsed again line by line, which raises the first bad line's error.
-    Blank lines are skipped but counted. A file that is not UTF-8 is a
-    ParseError naming it.
+    Blank lines are skipped but counted. Every ParseError and SchemaError
+    names the file, as ``line N: <path>: ...`` and ``<path>: ...``; so does
+    the ParseError for a file that is not UTF-8.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -365,13 +366,17 @@ def load_dataset(path) -> Dataset:
                 raise ParseError(1, "missing header line")
             schema, split = _parse_header(_loads(first[1], 1), 1)
             chunks = [_parse_chunk(c, schema) for c in iter(lambda: list(islice(numbered, _CHUNK_LINES)), [])]
+        features, labels, attrs, clips, frames = (np.concatenate(c) for c in zip(*chunks or [_columns([], schema)]))
+        ds = Dataset(schema=schema, split=split, features=features, labels=labels, attrs=attrs,
+                     clip_ids=clips, frame_indices=frames)
+        _check_finite(ds)
+        _check_index(ds)
     except UnicodeDecodeError as exc:
         raise not_utf8(path) from exc
-    features, labels, attrs, clips, frames = (np.concatenate(c) for c in zip(*chunks or [_columns([], schema)]))
-    ds = Dataset(schema=schema, split=split, features=features, labels=labels, attrs=attrs,
-                 clip_ids=clips, frame_indices=frames)
-    _check_finite(ds)
-    _check_index(ds)
+    except ParseError as exc:
+        raise ParseError(exc.line_number, f"{path}: {exc.message}") from exc
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
     return ds
 
 

@@ -15,6 +15,7 @@ class ParseError(Error):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+        self.message = message
 
 
 class SchemaError(Error):

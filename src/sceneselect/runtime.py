@@ -124,15 +124,15 @@ def run_trace(
     """Drive a trace through ranking, cache, and inference.
 
     ``trace`` is a `dataset.Trace`. ``decision`` is either a DecisionModel or
-    a batch ranker, a callable trace -> (confidence (F,), rankings (F, n))
-    with each frame's top suitability and its model order, so baselines and
-    oracle rankers take the same path. The whole trace is ranked in one
-    call, the LFU cache runs frame by frame, and each served model then
-    predicts all of its frames in one batch. F1 is computed per
-    ``window`` frames (macro over classes present; the last window may be
-    short), every window in one `macro_f1` call; a ``window`` below 1 is a
-    ConfigError. A confidence below ``low_confidence`` is recorded as a
-    no-suitable-model event; the frame is still served.
+    a batch ranker, a callable trace -> rankings (F, n) giving each frame's
+    model order, so baselines and oracle rankers take the same path. The
+    whole trace is ranked in one call, the LFU cache runs frame by frame,
+    and each served model then predicts all of its frames in one batch. F1
+    is computed per ``window`` frames (macro over classes present; the last
+    window may be short), every window in one `macro_f1` call; a ``window``
+    below 1 is a ConfigError. Only a DecisionModel has a confidence: a frame
+    whose top suitability is below ``low_confidence`` is recorded as a
+    no-suitable-model event and is still served. A batch ranker records none.
     """
     if len(trace) == 0:
         raise ConfigError("trace is empty")
@@ -143,11 +143,12 @@ def run_trace(
         if decision.n != len(models):
             raise ConfigError("decision output width does not match the repository size")
         confidence, rankings = rank_models(decision, X)
+        low_confidence_events = int((confidence < low_confidence).sum())
     else:
-        confidence, rankings = decision(trace)
+        rankings, low_confidence_events = decision(trace), 0
     frames = len(trace)
-    if confidence.shape != (frames,) or rankings.shape != (frames, len(models)):
-        raise ConfigError(f"ranker must return ({frames},) confidences and ({frames}, {len(models)}) rankings")
+    if not isinstance(rankings, np.ndarray) or rankings.shape != (frames, len(models)):
+        raise ConfigError(f"ranker must return ({frames}, {len(models)}) rankings")
 
     top1 = rankings[:, 0]
     cache = ModelCache(cache_capacity)
@@ -170,7 +171,7 @@ def run_trace(
         correct=preds == labels,
         window_f1=macro_f1(preds, labels, models[0].output_dim, window),
         top1_counts=np.bincount(top1, minlength=len(models)),
-        low_confidence_events=int((confidence < low_confidence).sum()),
+        low_confidence_events=low_confidence_events,
         window=window,
     )
 
@@ -221,12 +222,10 @@ def write_metrics_csv(metrics: TraceMetrics, path) -> None:
 
 
 def constant_ranker(num_models: int = 1):
-    """Batch ranker that ranks the models in index order on every frame,
-    each with confidence 1."""
+    """Batch ranker that ranks the models in index order on every frame."""
 
     def rank(trace):
-        frames = len(trace)
-        return np.ones(frames), np.tile(np.arange(num_models), (frames, 1))
+        return np.tile(np.arange(num_models), (len(trace), 1))
 
     return rank
 
@@ -241,12 +240,11 @@ def train_global_model(ds: Dataset, hidden_dim: int, cfg: TrainConfig) -> Vector
 
 def cdg_ranker(centroids: np.ndarray):
     """Batch ranker by nearest cluster mean in raw feature space; equidistant
-    clusters rank by index. A frame's confidence is 1 / (1 + distance) to its
-    nearest mean."""
+    clusters rank by index."""
 
     def rank(trace):
         d = np.linalg.norm(centroids[None, :, :] - trace.features[:, None, :], axis=2)
-        return 1.0 / (1.0 + d.min(axis=1)), np.argsort(d, axis=1, kind="stable")
+        return np.argsort(d, axis=1, kind="stable")
 
     return rank
 
@@ -254,7 +252,7 @@ def cdg_ranker(centroids: np.ndarray):
 def dmm_ranker(families):
     """Batch ranker for one model per family (attribute dimension 0), with
     ``families`` the ascending family of each model: a frame's own family's
-    model first, then the rest by index; every frame has confidence 1."""
+    model first, then the rest by index."""
     families = np.asarray(families)
 
     def rank(trace):
@@ -262,7 +260,7 @@ def dmm_ranker(families):
         if not np.isin(family, families).all():
             raise ConfigError("dmm has no model for a family in the trace")
         other = np.arange(len(families)) != np.searchsorted(families, family)[:, None]
-        return np.ones(len(family)), np.argsort(other, axis=1, kind="stable")
+        return np.argsort(other, axis=1, kind="stable")
 
     return rank
 
@@ -310,5 +308,5 @@ def run_baselines(trace, ds: Dataset, names, compressed_hidden: int, deep_hidden
         ranker, models = build_baseline(
             name, ds, compressed_hidden, deep_hidden, num_models, cfg, seeds[name]
         )
-        out[name] = run_trace(trace, ranker, models, cache_capacity, window, low_confidence=0.0)
+        out[name] = run_trace(trace, ranker, models, cache_capacity, window)
     return out

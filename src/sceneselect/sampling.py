@@ -215,25 +215,14 @@ def adaptive_sampling(ds: Dataset, repo, cfg: SamplingConfig) -> SamplingState:
 
 
 def random_sampling(ds: Dataset, repo, kappa: int, seed: int) -> SamplingState:
-    """Uniform draws (without replacement) from the training split, same probing.
-
-    Arm posteriors stay at their priors; each arm's draw count records the
-    draws that happened to land in its training scene, for balance reporting.
-    """
+    """Uniform draws (without replacement) from the training split, same
+    probing. There are no arms and no stopping rule, so theta is nan."""
     if kappa < 0:
         raise ConfigError("kappa must be non-negative")
-    state = new_state(repo, theta=0.5, kappa=kappa, seed=seed)
-    state.theta = float("nan")  # no stopping rule in the random baseline
     train = part_indices(ds, "train")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(train))
-    take = len(train) if kappa >= len(train) else kappa
-    picks = train[order[:take]]
-    state.rows = picks.tolist()
-    state.bits = _probe_rows(ds, repo.models, picks, picks)
-    for arm in state.arms:
-        arm.drawn = int(np.isin(picks, arm.gamma).sum())
-    return state
+    picks = train[np.random.default_rng(seed).permutation(len(train))[:kappa]]
+    return SamplingState(arms=[], rows=picks.tolist(), bits=_probe_rows(ds, repo.models, picks, picks),
+                         theta=float("nan"), kappa=kappa, seed=seed)
 
 
 def positives_per_model(state: SamplingState) -> np.ndarray:

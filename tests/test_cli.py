@@ -288,6 +288,19 @@ def truncated_dataset(workdir, tmp_path):
     return ["profile", "--config", str(workdir["ini"]), "--dataset", str(data), "--out", str(tmp_path / "p")]
 
 
+def truncated_dataset_for_train_decision(workdir, tmp_path):
+    # train-decision reads four inputs; the error names the malformed one
+    data = tmp_path / "half.jsonl"
+    text = Path(workdir["data"]).read_text()
+    data.write_text(text[: len(text) // 2])
+    return [
+        "train-decision", "--config", str(workdir["ini"]), "--dataset", str(data),
+        "--repository", str(workdir["prof"] / "repository.json"),
+        "--encoder", str(workdir["prof"] / "encoder.json"), "--pools", str(workdir["pools"]),
+        "--out", str(tmp_path / "decision.json"),
+    ]
+
+
 def label_out_of_range(workdir, tmp_path):
     data = tmp_path / "data.jsonl"
     lines = Path(workdir["data"]).read_text().splitlines()
@@ -426,6 +439,9 @@ def zero_capacity(workdir, tmp_path):
 # (argv builder, error class raised by the command, text the message must hold)
 FAILURES = {
     "truncated dataset": (truncated_dataset, ParseError, "invalid JSON"),
+    "truncated dataset for train-decision": (
+        truncated_dataset_for_train_decision, ParseError, "half.jsonl: invalid JSON"
+    ),
     "truncated artifact": (truncated_repository, ParseError, "repository.json"),
     "label out of range": (label_out_of_range, SchemaError, "out of range"),
     "diverging training": (diverging_encoder, DivergedError, "training diverged"),

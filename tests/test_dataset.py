@@ -157,6 +157,7 @@ class TestRoundTrip:
         with pytest.raises(ParseError) as err:
             load_dataset(path)
         assert err.value.line_number == 4
+        assert str(err.value).startswith(f"line 4: {path}: invalid JSON")
 
     def test_wrong_feature_length_names_sample(self, tmp_path, small_ds):
         path = tmp_path / "data.jsonl"
@@ -185,7 +186,7 @@ class TestRoundTrip:
         path.write_text(json.dumps(header) + "\n" + sample + "\n")
         with pytest.raises(SchemaError) as err:
             load_dataset(path)
-        assert "clip 3 frame 0" in str(err.value)
+        assert str(err.value) == f"{path}: sample in clip 3 frame 0: non-finite feature"
 
     def test_label_out_of_range(self, tmp_path, small_ds):
         path = tmp_path / "data.jsonl"
@@ -367,7 +368,17 @@ def reference_save_dataset(ds, path) -> None:
 
 
 def reference_load_dataset(path):
-    """Per-line parse; returns (schema, split, columns) with columns named as Dataset's."""
+    """Per-line parse; returns (schema, split, columns) with columns named as
+    Dataset's. Its errors name the file, as load_dataset's do."""
+    try:
+        return reference_parse_dataset(path)
+    except ParseError as exc:
+        raise ParseError(exc.line_number, f"{path}: {exc.message}") from exc
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def reference_parse_dataset(path):
     path = Path(path)
     samples = []
     schema = None

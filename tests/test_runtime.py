@@ -86,8 +86,9 @@ def write_reference_csv(records, path):
 def reference_run_trace(trace, decision, models, cache_capacity, window=10, low_confidence=0.2):
     """The per-frame loop run_trace replaced: rank and predict on batches of
     one, the cache request, then macro F1 per window. ``decision`` is a
-    DecisionModel, ranked by its probabilities, or a per-frame ranker
-    (trace, frame) -> (confidence, ranking)."""
+    DecisionModel, ranked by its probabilities and flagging each frame whose
+    top probability is below ``low_confidence``, or a per-frame ranker
+    (trace, frame) -> ranking, which has no confidence and flags none."""
     if hasattr(models, "models"):
         models = models.models
     if isinstance(decision, runtime.DecisionModel):
@@ -96,7 +97,9 @@ def reference_run_trace(trace, decision, models, cache_capacity, window=10, low_
             probs = decision_probs(decision, trace.features[frame][None])[0]
             return probs.max(), np.argsort(-probs, kind="stable")
     else:
-        ranker = decision
+
+        def ranker(trace, frame):
+            return None, decision(trace, frame)
 
     num_classes = models[0].output_dim
     cache = ModelCache(cache_capacity)
@@ -111,7 +114,7 @@ def reference_run_trace(trace, decision, models, cache_capacity, window=10, low_
         confidence, ranking = ranker(trace, frame)
         top1 = int(ranking[0])
         top1_counts[top1] += 1
-        if confidence < low_confidence:
+        if confidence is not None and confidence < low_confidence:
             low_conf += 1
         served, miss = cache_request(cache, ranking)
         misses += int(miss)
@@ -157,17 +160,17 @@ def assert_matches_reference(metrics, reference, tmp_path):
 
 
 def constant_rank_one(trace, frame):
-    return 1.0, np.arange(1)
+    return np.arange(1)
 
 
 def cdg_rank_one(centroids, trace, frame):
     d = np.linalg.norm(centroids - trace.features[frame], axis=1)
-    return np.max(1.0 / (1.0 + d)), np.argsort(d, kind="stable")
+    return np.argsort(d, kind="stable")
 
 
 def dmm_rank_one(families, trace, frame):
     own = families.index(trace.attrs[frame][0])
-    return 1.0, np.array([own] + [i for i in range(len(families)) if i != own])
+    return np.array([own] + [i for i in range(len(families)) if i != own])
 
 
 @pytest.fixture(scope="module")
@@ -217,9 +220,16 @@ class TestWholeTraceMatchesPerFrame:
     def test_baseline_rankers(self, bench42, bench42_baselines, name, tmp_path):
         ranker, rank_one, models = bench42_baselines[name]
         for cap in range(1, len(models) + 1):
-            metrics = run_trace(bench42.trace, ranker, models, cap, bench42.cfg.window, 0.0)
-            reference = reference_run_trace(bench42.trace, rank_one, models, cap, bench42.cfg.window, 0.0)
+            metrics = run_trace(bench42.trace, ranker, models, cap, bench42.cfg.window)
+            reference = reference_run_trace(bench42.trace, rank_one, models, cap, bench42.cfg.window)
             assert_matches_reference(metrics, reference, tmp_path)
+
+    def test_baseline_ranker_records_no_low_confidence_event(self, bench42, bench42_baselines):
+        # only the decision head has a confidence: even a threshold of 1
+        # flags no frame a baseline ranks
+        ranker, _, models = bench42_baselines["cdg"]
+        metrics = run_trace(bench42.trace, ranker, models, bench42.cfg.capacity, bench42.cfg.window, 1.0)
+        assert metrics.low_confidence_events == 0
 
 
 class TestCacheUnit:
@@ -380,7 +390,7 @@ class TestRunTrace:
             return np.array([model] + [j for j in range(n) if j != model])
 
         def oracle(frames):
-            return np.ones(len(frames)), np.stack([oracle_one(f) for f in range(len(frames))])
+            return np.stack([oracle_one(f) for f in range(len(frames))])
 
         metrics = run_trace(trace, oracle, repo.models, cache_capacity=n)
 
@@ -427,14 +437,13 @@ class TestRunTrace:
         with pytest.raises(ConfigError):
             run_trace([], bench42.decision, bench42.repo, 2)
 
-    def test_ranker_must_return_one_confidence_per_frame(self, bench42):
+    @pytest.mark.parametrize("returned", ["confidence and rankings", "one ranking"])
+    def test_ranker_must_return_rankings_alone(self, bench42, returned):
         frames, n = len(bench42.trace), len(bench42.repo.models)
-
-        def matrix_ranker(trace):  # a suitability matrix instead of confidences
-            return np.ones((frames, n)), np.tile(np.arange(n), (frames, 1))
-
-        with pytest.raises(ConfigError, match="confidences"):
-            run_trace(bench42.trace, matrix_ranker, bench42.repo, 2)
+        rankings = np.tile(np.arange(n), (frames, 1))
+        wrong = {"confidence and rankings": (np.ones(frames), rankings), "one ranking": rankings[0]}[returned]
+        with pytest.raises(ConfigError, match="rankings"):
+            run_trace(bench42.trace, lambda trace: wrong, bench42.repo, 2)
 
     @pytest.mark.parametrize("window", [0, -10])
     def test_window_below_one_rejected(self, bench42, window):
@@ -497,25 +506,14 @@ class TestBaselines:
     def test_cdg_equidistant_tie_lowest_cluster(self):
         ranker = runtime.cdg_ranker(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]))
         frames = SimpleNamespace(features=np.array([[2.0, 0.0]]))
-        _, rankings = ranker(frames)
-        assert rankings[0].tolist() == [0, 1, 2]
-
-    def test_cdg_confidence_is_the_top_suitability(self):
-        rng = np.random.default_rng(5)
-        centroids = rng.normal(size=(8, 12))
-        frames = SimpleNamespace(features=rng.normal(size=(2000, 12)))
-        confidence, _ = runtime.cdg_ranker(centroids)(frames)
-        d = np.linalg.norm(centroids[None, :, :] - frames.features[:, None, :], axis=2)
-        assert confidence.tolist() == (1.0 / (1.0 + d)).max(axis=1).tolist()
+        assert ranker(frames)[0].tolist() == [0, 1, 2]
 
     def test_dmm_selects_family_model(self):
         ds = generate_dataset(small_generator_config(num_cells=4, cards=(2, 2)))
         ranker, models = runtime.build_dmm(ds, 4, quick_train_cfg(epochs=2), seed=3)
         assert len(models) == 2  # families 0 and 1
         rows = [int(np.flatnonzero(ds.attrs[:, 0] == family)[0]) for family in (1, 0)]
-        confidence, rankings = ranker(SimpleNamespace(attrs=ds.attrs[rows]))
-        assert rankings.tolist() == [[1, 0], [0, 1]]
-        assert confidence.tolist() == [1.0, 1.0]
+        assert ranker(SimpleNamespace(attrs=ds.attrs[rows])).tolist() == [[1, 0], [0, 1]]
 
     def test_dmm_rejects_an_unknown_family(self):
         ranker = runtime.dmm_ranker([0, 2])
