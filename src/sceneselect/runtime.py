@@ -2,14 +2,16 @@
 
 Every frame is ranked independently (scene changes are not announced), so
 ranking does not depend on cache state and the whole trace is ranked in one
-batch. The cache is the one stateful step and runs frame by frame: if the
-top-ranked model is resident it serves the frame; otherwise the best-ranked
-resident model serves this frame as a fallback and the missing top model is
-loaded afterwards, evicting the least-frequently-used resident if the cache
-is full. Use counts reset on load, so eviction is LFU over residency. Once
-the cache has picked every frame's model, each served model predicts its
-frames in one batch. A run's per-frame results are columns: one array per
-field, indexed by frame.
+batch. The cache is the one stateful step: if the top-ranked model is
+resident it serves the frame; otherwise the best-ranked resident model
+serves this frame as a fallback and the missing top model is loaded
+afterwards, evicting the least-frequently-used resident if the cache is
+full. Use counts reset on load, so eviction is LFU over residency. After any
+request the top model is resident, so every later frame of a run of equal
+top-1 is a hit that adds one use: the cache is asked once per such run, for
+the run's first frame and its length. Once the cache has picked every
+frame's model, each served model predicts its frames in one batch. A run's
+per-frame results are columns: one array per field, indexed by frame.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -43,7 +45,7 @@ class ModelCache:
             raise ConfigError("cache capacity must be >= 1")
 
 
-def cache_request(cache: ModelCache, ranking) -> tuple:
+def cache_request(cache: ModelCache, ranking, frames: int = 1) -> tuple:
     """Serve one frame given a ranking, a permutation of the model indices;
     returns (served_model_index, was_miss).
 
@@ -54,12 +56,17 @@ def cache_request(cache: ModelCache, ranking) -> tuple:
     request arrived, so a resident can serve the frame and still be the one
     evicted. An empty cache loads and serves the top model immediately,
     counted as a miss.
+
+    ``frames`` > 1 serves a run of that many frames with the same top model
+    from the run's first ranking: the later frames are hits on the top
+    model, so it gains ``frames - 1`` more uses, and the cache ends as after
+    one request per frame. The answer is the first frame's.
     """
     top = int(ranking[0])
     loaded = cache.loaded
     slot = loaded.get(top)
     if slot is not None:
-        slot[0] += 1
+        slot[0] += frames
         return top, False
     served = top
     if loaded:
@@ -74,7 +81,7 @@ def cache_request(cache: ModelCache, ranking) -> tuple:
         loaded[served][0] += 1
         if victim is not None:
             del loaded[victim]
-    loaded[top] = [int(served == top), cache.loads]
+    loaded[top] = [int(served == top) + frames - 1, cache.loads]
     cache.loads += 1
     return served, True
 
@@ -83,8 +90,9 @@ def cache_request(cache: ModelCache, ranking) -> tuple:
 class TraceMetrics:
     """One trace run. ``served``, ``top1``, ``missed`` and ``correct`` are
     per-frame columns of length F: the model that served frame f, the model
-    ranked first for it, whether its cache request missed, and whether the
-    served model's prediction was right. Frame f falls in window f // window.
+    ranked first for it, whether that model was missing from the cache, and
+    whether the served model's prediction was right. Frame f falls in window
+    f // window.
     """
 
     served: np.ndarray  # (F,) int
@@ -126,13 +134,15 @@ def run_trace(
     ``trace`` is a `dataset.Trace`. ``decision`` is either a DecisionModel or
     a batch ranker, a callable trace -> rankings (F, n) giving each frame's
     model order, so baselines and oracle rankers take the same path. The
-    whole trace is ranked in one call, the LFU cache runs frame by frame,
-    and each served model then predicts all of its frames in one batch. F1
-    is computed per ``window`` frames (macro over classes present; the last
-    window may be short), every window in one `macro_f1` call; a ``window``
-    below 1 is a ConfigError. Only a DecisionModel has a confidence: a frame
-    whose top suitability is below ``low_confidence`` is recorded as a
-    no-suitable-model event and is still served. A batch ranker records none.
+    whole trace is ranked in one call, the LFU cache is asked once per run
+    of frames with equal top-1 (the later frames of a run hit their top
+    model), and each served model then predicts all of its frames in one
+    batch. F1 is computed per ``window`` frames (macro over classes present;
+    the last window may be short), every window in one `macro_f1` call; a
+    ``window`` below 1 is a ConfigError. Only a DecisionModel has a
+    confidence: a frame whose top suitability is below ``low_confidence`` is
+    recorded as a no-suitable-model event and is still served. A batch ranker
+    records none.
     """
     if len(trace) == 0:
         raise ConfigError("trace is empty")
@@ -151,12 +161,21 @@ def run_trace(
         raise ConfigError(f"ranker must return ({frames}, {len(models)}) rankings")
 
     top1 = rankings[:, 0]
+    edges = np.ones(frames + 1, dtype=bool)
+    np.not_equal(top1[1:], top1[:-1], out=edges[1:-1])
+    bounds = np.flatnonzero(edges)  # each run's first frame, then the trace length
+    starts = bounds[:-1]
     cache = ModelCache(cache_capacity)
-    served, missed = np.fromiter(
-        chain.from_iterable(cache_request(cache, ranking) for ranking in rankings.tolist()),
-        dtype=int, count=2 * frames,
-    ).reshape(frames, 2).T
-    missed = missed.astype(bool)
+    answers = np.fromiter(
+        chain.from_iterable(
+            map(cache_request, repeat(cache), rankings[starts].tolist(), np.diff(bounds).tolist())
+        ),
+        dtype=int, count=2 * len(starts),
+    )
+    served = top1.astype(int)  # a copy in int64, whatever the ranker's dtype
+    served[starts] = answers[::2]
+    missed = np.zeros(frames, dtype=bool)
+    missed[starts] = answers[1::2]
 
     preds = np.empty(frames, dtype=int)
     for model in np.unique(served):

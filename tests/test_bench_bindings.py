@@ -60,14 +60,16 @@ def test_trace_invariants_find_their_fields(small_ds):
 def test_run_trace_calls_each_traced_layer(small_ds, monkeypatch):
     # the per-layer metrics count calls through these bindings; a call
     # inlined into run_trace would silently read as zero; every window of
-    # the trace is scored in one macro_f1 call, as every frame is ranked in one
+    # the trace is scored in one macro_f1 call, as every frame is ranked in
+    # one, and the cache is asked once per run of equal top-1 (head seed 12
+    # gives this trace 9 such runs)
     from sceneselect import dataset, decision, learners, runtime
 
     calls = {}
     d, c = small_ds.schema.feature_dim, small_ds.schema.num_classes
     models = [learners.new_classifier(d, 4, c, seed) for seed in range(4)]
     dm = decision.DecisionModel(
-        backbone=learners.new_classifier(d, 5, 3, 10), head=learners.new_classifier(5, 6, 4, 11)
+        backbone=learners.new_classifier(d, 5, 3, 10), head=learners.new_classifier(5, 6, 4, 12)
     )
     trace = dataset.synthesize_trace(small_ds, 2, 7, 5, seed=0)
     for module, name in [(runtime, "rank_models"), (runtime, "cache_request"),
@@ -76,9 +78,12 @@ def test_run_trace_calls_each_traced_layer(small_ds, monkeypatch):
 
     metrics = runtime.run_trace(trace, dm, models, 2, window=10)
     served = set(metrics.served.tolist())
+    top1 = metrics.top1.tolist()
+    runs = 1 + sum(a != b for a, b in zip(top1, top1[1:]))
+    assert 1 < runs < len(trace)
     assert calls == {
         "rank_models": 1,
-        "cache_request": len(trace),
+        "cache_request": runs,
         "macro_f1": 1,
         "predict": len(served),
     }

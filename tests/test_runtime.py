@@ -349,6 +349,68 @@ class TestCacheUnit:
                 assert len(cache.loaded) <= capacity
 
 
+class TestCachePerRun:
+    """run_trace asks the cache once per run of equal top-1, for the run's
+    first frame and its length; it must give what one request per frame gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_run_request_matches_per_frame_requests(self, data):
+        n = data.draw(st.integers(1, 6))
+        capacity = data.draw(st.integers(1, n + 1))
+        runs = data.draw(st.lists(
+            st.tuples(st.permutations(range(n)), st.integers(1, 6), st.randoms(use_true_random=False)),
+            min_size=1, max_size=30,
+        ))
+        per_run, per_frame = ModelCache(capacity), ModelCache(capacity)
+        for ranking, length, rnd in runs:
+            answer = cache_request(per_run, ranking, length)
+            assert answer == cache_request(per_frame, ranking)
+            for _ in range(length - 1):
+                # a later frame of the run: the same top, the rest in any order
+                rest = ranking[1:]
+                rnd.shuffle(rest)
+                assert cache_request(per_frame, [ranking[0]] + rest) == (ranking[0], False)
+            assert per_run.loaded == per_frame.loaded
+            assert per_run.loads == per_frame.loads
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_run_trace_matches_per_frame_reference(self, small_ds, tmp_path_factory, data):
+        full = synthesize_trace(small_ds, 2, 7, 5, seed=0)
+        frames = data.draw(st.integers(1, len(full)))
+        trace = dataclasses.replace(
+            full, **{f.name: getattr(full, f.name)[:frames] for f in dataclasses.fields(full)}
+        )
+        d, c = small_ds.schema.feature_dim, small_ds.schema.num_classes
+        n = data.draw(st.integers(1, 5))
+        lengths = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=frames))
+        tops = data.draw(st.lists(st.integers(0, n - 1), min_size=len(lengths), max_size=len(lengths)))
+        top1 = np.resize(np.repeat(tops, lengths), frames)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rankings = np.array([[t] + [m for m in rng.permutation(n).tolist() if m != t] for t in top1])
+        models = [learners.new_classifier(d, 4, c, seed) for seed in range(n)]
+        tmp = tmp_path_factory.mktemp("runs")
+        for cap in range(1, n + 2):
+            metrics = run_trace(trace, lambda trace: rankings, models, cap, window=4)
+            reference = reference_run_trace(trace, lambda trace, f: rankings[f], models, cap, window=4)
+            assert_matches_reference(metrics, reference, tmp)
+
+    def test_columns_keep_their_dtypes_under_an_int32_ranker(self, small_ds):
+        trace = synthesize_trace(small_ds, 2, 7, 5, seed=0)
+        d, c = small_ds.schema.feature_dim, small_ds.schema.num_classes
+        models = [learners.new_classifier(d, 4, c, seed) for seed in range(3)]
+        rng = np.random.default_rng(0)
+        rankings = np.array([rng.permutation(3) for _ in range(len(trace))])
+        wide = run_trace(trace, lambda trace: rankings, models, 2)
+        narrow = run_trace(trace, lambda trace: rankings.astype(np.int32), models, 2)
+        assert narrow.served.dtype == wide.served.dtype == np.dtype(int)
+        assert narrow.missed.dtype == wide.missed.dtype == np.dtype(bool)
+        assert narrow.served.tolist() == wide.served.tolist()
+        assert narrow.missed.tolist() == wide.missed.tolist()
+        assert wide.missed.any() and not wide.missed.all()
+
+
 class TestRunTrace:
     def test_single_model_never_switches(self, bench42):
         metrics = run_trace(
