@@ -14,6 +14,7 @@ of one.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,11 +101,12 @@ def row_max(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax along the last axis; exact for |logit| <= 500."""
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Max-subtracted softmax along the last axis, into ``out`` if given
+    (``out`` may be ``logits`` itself); exact for |logit| <= 500."""
     logits = np.asarray(logits, dtype=float)
     width = logits.shape[-1]
-    out = logits - row_max(logits)
+    out = np.subtract(logits, row_max(logits), out=out)
     np.exp(out, out=out)
     if width < 8:
         # numpy sums fewer than 8 terms left to right, so a column-wise sum
@@ -118,9 +120,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hidden(model: VectorClassifier, X: np.ndarray):
+def _hidden(model: VectorClassifier, X: np.ndarray, Z1=None, H=None):
     """(Z1, H) for an (n, input_dim) batch: hidden pre-activation and hidden
-    activation. The one place the hidden layer is computed.
+    activation, into ``Z1`` and ``H`` if given. The one place the hidden
+    layer is computed.
 
     A stacked model, whose parameters carry a leading axis of k models,
     takes a (k, n, input_dim) stack of batches, one per model.
@@ -128,16 +131,21 @@ def _hidden(model: VectorClassifier, X: np.ndarray):
     X = np.asarray(X, dtype=float)
     if X.ndim != model.W1.ndim or X.shape[-1] != model.input_dim:
         raise ConfigError(f"batch has shape {X.shape}, expected (n, {model.input_dim})")
-    Z1 = X @ model.W1.swapaxes(-1, -2)
+    # the operator costs less per call than a keyword `out`, which the
+    # small batches of serving notice
+    W1T = model.W1.swapaxes(-1, -2)
+    Z1 = X @ W1T if Z1 is None else np.matmul(X, W1T, out=Z1)
     Z1 += model.b1[..., None, :]
-    return Z1, np.maximum(Z1, 0.0)
+    return Z1, np.maximum(Z1, 0.0, out=H)
 
 
-def _layers(model: VectorClassifier, X: np.ndarray):
-    """(Z1, H, Z2): `_hidden`'s two arrays and the output logits. The one
-    place the output layer is computed; stacks as `_hidden` does."""
-    Z1, H = _hidden(model, X)
-    Z2 = H @ model.W2.swapaxes(-1, -2)
+def _layers(model: VectorClassifier, X: np.ndarray, Z1=None, H=None, Z2=None):
+    """(Z1, H, Z2): `_hidden`'s two arrays and the output logits, each into
+    its argument if given. The one place the output layer is computed;
+    stacks as `_hidden` does."""
+    Z1, H = _hidden(model, X, Z1, H)
+    W2T = model.W2.swapaxes(-1, -2)
+    Z2 = H @ W2T if Z2 is None else np.matmul(H, W2T, out=Z2)
     Z2 += model.b2[..., None, :]
     return Z1, H, Z2
 
@@ -241,7 +249,8 @@ def _flat_index(y: np.ndarray, width: int) -> np.ndarray:
     return flat
 
 
-def gradient(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> Gradients:
+def gradient(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: float = 0.0,
+             out: Gradients | None = None, work: tuple | None = None) -> Gradients:
     """Backpropagated gradient of `cross_entropy` (mean over the batch), for
     the same targets. Labels are not range-checked here; `train_stack`
     checks them once.
@@ -249,9 +258,15 @@ def gradient(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: float = 
     A stacked model (see `_layers`) with a (k, n, input_dim) stack of
     batches and (k, n) labels or a (k, n, output_dim) matrix gives stacked
     gradients, each equal to that model's own call.
+
+    Preallocated arrays change no bit of the result. ``out``'s arrays
+    receive the gradients. ``work`` is a tuple (Z1, H, Z2, dZ1) of
+    C-contiguous arrays shaped like the batch's hidden, hidden, output and
+    hidden layers, which hold the forward and backward pass.
     """
     X = np.asarray(X, dtype=float)
-    Z1, H, Z2 = _layers(model, X)
+    Z1, H, Z2, dZ1 = work or (None,) * 4
+    Z1, H, Z2 = _layers(model, X, Z1, H, Z2)
     n = X.shape[-2]
     if n == 0:
         raise ConfigError("gradient needs a non-empty batch")
@@ -260,15 +275,16 @@ def gradient(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: float = 
         delta = expit(Z2, out=Z2)
         delta -= y
     else:
-        delta = softmax(Z2)
+        delta = softmax(Z2, out=Z2)
         delta.ravel()[_flat_index(y, delta.shape[-1])] -= 1.0
     delta /= n
-    dW2 = delta.swapaxes(-1, -2) @ H
-    db2 = delta.sum(axis=-2)
-    dZ1 = delta @ model.W2
+    dW1, db1, dW2, db2 = (None,) * 4 if out is None else (out.dW1, out.db1, out.dW2, out.db2)
+    dW2 = np.matmul(delta.swapaxes(-1, -2), H, out=dW2)
+    db2 = delta.sum(axis=-2, out=db2)
+    dZ1 = np.matmul(delta, model.W2, out=dZ1)
     dZ1 *= Z1 > 0.0
-    dW1 = dZ1.swapaxes(-1, -2) @ X
-    db1 = dZ1.sum(axis=-2)
+    dW1 = np.matmul(dZ1.swapaxes(-1, -2), X, out=dW1)
+    db1 = dZ1.sum(axis=-2, out=db1)
     if l2:
         dW2 += l2 * model.W2
         dW1 += l2 * model.W1
@@ -333,6 +349,23 @@ def _loss_bounds(x_max, W1, b1, W2, b2, l2: float) -> np.ndarray:
     return bound
 
 
+PARAMS = ("W1", "b1", "W2", "b2")
+
+
+def _param_views(flat: np.ndarray, dims) -> list:
+    """W1, b1, W2, b2 of an (m, P) array whose rows each hold one model's
+    parameters, flattened and in that order: views, each with a leading
+    axis of m."""
+    inputs, hidden, outputs = dims
+    shapes = ((hidden, inputs), (hidden,), (outputs, hidden), (outputs,))
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[:, at : at + size].reshape((len(flat),) + shape))
+        at += size
+    return views
+
+
 def train_stack(models: list, Xs: list, ys: list, cfgs: list) -> None:
     """`train` for k models at once, each on its own data; mutates the
     models in place.
@@ -377,52 +410,59 @@ def train_stack(models: list, Xs: list, ys: list, cfgs: list) -> None:
     # from here on, position p in the stack holds model order[p]
     Xs, ys = [Xs[i] for i in order], [ys[i] for i in order]
     sizes = [len(X) for X in Xs]
-    W1, b1, W2, b2 = (
-        np.stack([getattr(models[i], name) for i in order]) for name in ("W1", "b1", "W2", "b2")
-    )
+    # each position's parameters are one row of theta, its gradients one
+    # row of grads; W1, b1, W2, b2 are views into them
+    theta = np.stack([np.concatenate([getattr(models[i], name).ravel() for name in PARAMS]) for i in order])
+    grads = np.empty(theta.shape)
+    W1, b1, W2, b2 = _param_views(theta, dims)
 
-    def view(index):
-        return VectorClassifier(*dims, W1[index], b1[index], W2[index], b2[index])
+    def view(members):
+        return VectorClassifier(*dims, W1[members], b1[members], W2[members], b2[members])
 
-    # An epoch's steps, each with its rows of the permutations, where each
-    # of its models' batches goes, and the stacked model and batches it
-    # trains: at each start, one call for the models that still have a full
-    # batch, then a stack of one per ragged last batch. Every step gathers
-    # its own batches, so the buffers hold one batch per model, not a
-    # shuffled copy of every training set.
+    # An epoch's steps: at each start, one call for the models that still
+    # have a full batch, then a stack of one per ragged last batch. A step
+    # of m models and `size` rows gathers its batches from the concatenated
+    # training sets, through its rows of the epoch's offset index, and runs
+    # in the first m * size rows of buffers allocated once, for the largest
+    # step; its gradients are the first m rows of grads.
     b = cfg.batch_size
-    X_batch = np.empty((k, min(b, sizes[0]), dims[0]))
-    y_batch = np.empty(X_batch.shape[:2] + ys[0].shape[1:], dtype=ys[0].dtype)
-    steps = []
+    batches = []
     for start in range(0, sizes[0], b):
         full = sum(1 for n in sizes if n >= start + b)
-        batches = [(range(full), start + b)] if full else []
-        batches += [(range(p, p + 1), n) for p, n in enumerate(sizes) if start < n < start + b]
-        for members, stop in batches:
-            size = stop - start
-            gathers = [(p, X_batch[p, :size], y_batch[p, :size]) for p in members]
-            stacked = slice(members.start, members.stop)
-            steps.append(
-                (slice(start, stop), gathers, view(stacked), X_batch[stacked, :size], y_batch[stacked, :size])
-            )
+        batches += [(slice(0, full), start, start + b)] if full else []
+        batches += [(slice(p, p + 1), start, n) for p, n in enumerate(sizes) if start < n < start + b]
+    most = max((m.stop - m.start) * (stop - start) for m, start, stop in batches)
+    X_all, y_all = np.concatenate(Xs), np.concatenate(ys)
+    # per row: X, y, then the work of `gradient`: Z1, H, Z2, dZ1
+    pools = [np.empty((most,) + shape, dtype) for shape, dtype in [
+        ((dims[0],), float), (y_all.shape[1:], y_all.dtype),
+        ((dims[1],), float), ((dims[1],), float), ((dims[2],), float), ((dims[1],), float),
+    ]]
+    index = np.empty((k, sizes[0]), dtype=np.intp)
+    steps = []
+    for members, start, stop in batches:
+        m, size = members.stop - members.start, stop - start
+        X_b, y_b, *work = (pool[: m * size].reshape((m, size) + pool.shape[1:]) for pool in pools)
+        g = Gradients(*_param_views(grads[:m], dims))
+        steps.append((index[members, start:stop], X_b, y_b, view(members), g, tuple(work), grads[:m], theta[members]))
+    offsets = np.cumsum([0] + sizes[:-1])
     alone = [view(p) for p in range(k)]
     rngs = [np.random.default_rng(cfgs[i].seed) for i in order]
     by_input = sorted(range(k), key=order.__getitem__)  # positions, in input order
     x_max = np.array([np.abs(X).max() for X in Xs])
+    lr = cfg.learning_rate
     try:
         for epoch in range(cfg.epochs):
-            perms = [rng.permutation(n) for rng, n in zip(rngs, sizes)]
-            for rows, gathers, model, Xb, yb in steps:
-                for p, X_out, y_out in gathers:
-                    # mode="clip" never clips a permutation; the default mode
-                    # would gather into a temporary and copy it into out
-                    np.take(Xs[p], perms[p][rows], axis=0, out=X_out, mode="clip")
-                    np.take(ys[p], perms[p][rows], axis=0, out=y_out, mode="clip")
-                g = gradient(model, Xb, yb, cfg.l2)
-                params = (model.W1, model.b1, model.W2, model.b2)
-                for param, grad in zip(params, (g.dW1, g.db1, g.dW2, g.db2)):
-                    grad *= cfg.learning_rate
-                    param -= grad
+            for p, (rng, n) in enumerate(zip(rngs, sizes)):
+                np.add(rng.permutation(n), offsets[p], out=index[p, :n])
+            for rows, X_b, y_b, model, g, work, g_flat, params in steps:
+                # mode="clip" never clips a permutation; the default mode
+                # would gather into a temporary and copy it into out
+                X_all.take(rows, axis=0, out=X_b, mode="clip")
+                y_all.take(rows, axis=0, out=y_b, mode="clip")
+                gradient(model, X_b, y_b, cfg.l2, g, work)
+                g_flat *= lr
+                params -= g_flat
             bounded = _loss_bounds(x_max, W1, b1, W2, b2, cfg.l2) < SAFE_BOUND  # False for nan
             for p in by_input:
                 if bounded[p]:
@@ -432,7 +472,7 @@ def train_stack(models: list, Xs: list, ys: list, cfgs: list) -> None:
                     raise DivergedError(epoch, loss)
     finally:
         for p, i in enumerate(order):
-            for name in ("W1", "b1", "W2", "b2"):
+            for name in PARAMS:
                 getattr(models[i], name)[...] = getattr(alone[p], name)
 
 

@@ -17,12 +17,14 @@ the live arms, so the whole budget is still spent. Draws are made without
 replacement, so the coupon-collector freeze (which assumes draws with
 replacement) fires only where its bound falls below the scene size, i.e.
 at small theta; at theta = 0.9 every arm runs until its scene is drained.
+A budget at or above the union, as at the defaults, therefore probes the
+whole union, and the bandit only chooses the order of the rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +60,13 @@ class ArmState:
     drawn: int  # draws from gamma; without replacement, so all distinct
     gamma: np.ndarray  # candidate sample indices (the model's training scene)
     threshold: float
+    stop: int = field(init=False)  # the draw count at which the arm freezes
+
+    def __post_init__(self):
+        # drawn > threshold first holds at floor(threshold) + 1 draws,
+        # unless the scene is drained before that
+        size = len(self.gamma)
+        self.stop = size if self.threshold >= size else math.floor(self.threshold) + 1
 
     @property
     def exhausted(self) -> bool:
@@ -69,7 +78,7 @@ class ArmState:
 
     @property
     def active(self) -> bool:
-        return not self.well_sampled and not self.exhausted
+        return self.drawn < self.stop
 
 
 @dataclass
@@ -134,16 +143,24 @@ def thompson_round(state: SamplingState, rng: np.random.Generator):
     frozen (well-sampled or exhausted) arms and arms at the state's
     ``arm_cap`` sit the round out: no Beta draw, no update. Returns the
     chosen model index, or None when no arm may draw.
+
+    The draws are one scalar ``rng.beta`` call per active arm, in arm
+    order, and the first maximum wins, as ``np.argmax`` picks it.
     """
-    active = [arm for arm in state.arms if arm.active and arm.drawn < state.arm_cap]
+    cap = state.arm_cap
+    active = [arm for arm in state.arms if arm.drawn < arm.stop and arm.drawn < cap]
     if not active:
         return None
-    draws = [rng.beta(arm.alpha, arm.beta) for arm in active]
-    chosen = active[int(np.argmax(draws))]
-    chosen.alpha += 1.0
+    beta = rng.beta
+    best, chosen = -1.0, None
+    for arm in active:
+        draw = beta(arm.alpha, arm.beta)
+        if draw > best:
+            best, chosen = draw, arm
     for arm in active:
         if arm is not chosen:
             arm.beta += 1.0
+    chosen.alpha += 1.0
     return chosen.model_index
 
 
@@ -181,36 +198,47 @@ def adaptive_sampling(ds: Dataset, repo, cfg: SamplingConfig) -> SamplingState:
     well-sampled first, which under draws without replacement happens only
     where the coupon-collector bound is below the scene size (small theta).
     With a budget that covers the union the cap never applies.
+
+    When ``kappa`` >= |union| and no arm freezes as well-sampled, as at the
+    defaults (kappa = 4000 against the 3,300 rows of the training split), the
+    pool is the whole union, and the bandit only chooses the order of its
+    rows. That order feeds the decision head's training, so skipping the
+    rounds there would change the pools artifact and everything after it.
+
+    Each round is one `thompson_round` call; a chosen arm's row is then one
+    ``rng.integers`` draw, so the RNG stream is the Beta draws of each
+    round's active arms, in arm order, followed by that draw.
     """
     cfg.validate()
     if len(repo.entries) == 0:
         raise ConfigError("repository is empty")
     state = new_state(repo, cfg.theta, cfg.kappa, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
-    union = np.unique(np.concatenate([arm.gamma for arm in state.arms]))
+    arms, rows = state.arms, state.rows
+    union = np.unique(np.concatenate([arm.gamma for arm in arms]))
     if cfg.kappa < len(union):
-        state.arm_cap = math.ceil(cfg.kappa / len(state.arms))
-    remaining = [arm.gamma.tolist() for arm in state.arms]
+        state.arm_cap = math.ceil(cfg.kappa / len(arms))
+    remaining = [arm.gamma.tolist() for arm in arms]
     probed = set()
-    while state.distinct_drawn < cfg.kappa:
+    integers = rng.integers
+    while len(rows) < cfg.kappa:
         chosen = thompson_round(state, rng)
         if chosen is None:
-            live = sum(1 for arm in state.arms if arm.active)
+            live = sum(1 for arm in arms if arm.drawn < arm.stop)
             if not live:
                 break
-            state.arm_cap += math.ceil((cfg.kappa - state.distinct_drawn) / live)
+            state.arm_cap += math.ceil((cfg.kappa - len(rows)) / live)
             continue
-        arm = state.arms[chosen]
         rem = remaining[chosen]
-        pos = int(rng.integers(len(rem)))
+        pos = int(integers(len(rem)))
         pick = rem[pos]
         rem[pos] = rem[-1]
         rem.pop()
-        arm.drawn += 1
+        arms[chosen].drawn += 1
         if pick not in probed:
             probed.add(pick)
-            state.rows.append(pick)
-    state.bits = _probe_rows(ds, repo.models, union, state.rows)
+            rows.append(pick)
+    state.bits = _probe_rows(ds, repo.models, union, rows)
     return state
 
 

@@ -163,6 +163,46 @@ def test_train_stack_calls_gradient_per_stacked_step(monkeypatch):
             assert calls == {"gradient": full_steps + ragged, "cross_entropy": 1}
 
 
+def test_adaptive_sampling_calls_thompson_round_per_draw_and_per_none(small_ds, monkeypatch):
+    # sampling.rounds counts this binding; a round inlined into
+    # adaptive_sampling would silently read as zero. Every draw is one call,
+    # and so is every round that finds no arm free to draw: each raise of
+    # the share cap, and the last round once every arm is frozen
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from sceneselect import learners, sampling
+
+    results = []
+    original = sampling.thompson_round
+
+    def counted(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(sampling, "thompson_round", counted)
+    d, c = small_ds.schema.feature_dim, small_ds.schema.num_classes
+    gammas = [[0, 1, 2], [2, 3, 4, 5, 6, 7, 8, 9, 10, 11], [11, 12, 13, 14]]
+    repo = SimpleNamespace(
+        entries=[SimpleNamespace(scene=SimpleNamespace(train_indices=np.array(g))) for g in gammas],
+        models=[learners.new_classifier(d, 4, c, seed) for seed in range(len(gammas))],
+    )
+
+    # a budget above the 15-row union: no cap, so one None once all are exhausted
+    state = sampling.adaptive_sampling(small_ds, repo, sampling.SamplingConfig(0.9, 40, 3))
+    assert sum(r is not None for r in results) == sum(a.drawn for a in state.arms) == 17
+    assert results.count(None) == 1
+
+    # a budget of 12 caps each arm at 4 draws; the 3-row arm drains first,
+    # so the cap must rise before the budget is spent
+    results.clear()
+    state = sampling.adaptive_sampling(small_ds, repo, sampling.SamplingConfig(0.9, 12, 3))
+    assert state.distinct_drawn == 12
+    assert sum(r is not None for r in results) == sum(a.drawn for a in state.arms)
+    assert results.count(None) >= 1
+
+
 def test_worker_builds_and_serves_through_the_package(tmp_path):
     # bench/worker.py calls the CLI, the loaders and run_trace with its own
     # arguments; a changed signature there would otherwise show only in the

@@ -508,6 +508,68 @@ class TestStackMatchesPerModelTrain:
         assert [params_hash(m) for m in models] == before
 
 
+class TestPreallocatedBuffers:
+    @pytest.mark.parametrize("targets", ["labels", "matrix"])
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    @pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stacked"])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 6), st.integers(1, 8), st.integers(1, 9)),
+        n=st.integers(1, 9),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_gradient_into_buffers_is_bit_equal(self, targets, l2, stack, dims, n, seed):
+        # every buffer starts as nan, so an entry the call leaves unwritten shows
+        i, h, o = dims
+        rng = np.random.default_rng(seed)
+        shapes = [(h, i), (h,), (o, h), (o,)]
+        model = learners.VectorClassifier(i, h, o, *(rng.normal(size=stack + shape) for shape in shapes))
+        X = rng.normal(size=stack + (n, i)) * 3.0
+        if targets == "labels":
+            y = rng.integers(0, o, size=stack + (n,))
+        else:
+            y = (rng.random(stack + (n, o)) < 0.5).astype(float)
+        expected = learners.gradient(model, X, y, l2)
+        out = learners.Gradients(*(np.full(stack + shape, np.nan) for shape in shapes))
+        work = tuple(np.full(stack + (n, width), np.nan) for width in (h, h, o, h))
+        got = learners.gradient(model, X, y, l2, out, work)
+        for name in ("dW1", "db1", "dW2", "db2"):
+            assert getattr(got, name) is getattr(out, name), name
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+    @pytest.mark.parametrize("targets", ["labels", "matrix"])
+    def test_shrinking_steps_leave_no_stale_rows(self, targets, monkeypatch):
+        # sizes 23, 16, 9, 4 at batch 5 give stacked steps of 3, 2, 2 and 1
+        # models, between ragged stacks of one of 4, 4, 1 and 3 rows, so each
+        # step uses fewer buffer rows than an earlier one. Every buffer comes
+        # from np.empty, here filled with nan (-1 for integers), so a row a
+        # step reads without writing it first shows in the parameters.
+        rng = np.random.default_rng(5)
+        sizes = (23, 9, 16, 4)
+        Xs = [rng.normal(size=(n, 3)) for n in sizes]
+        if targets == "labels":
+            ys = [rng.integers(0, 3, n) for n in sizes]
+        else:
+            ys = [(rng.random((n, 3)) < 0.5).astype(float) for n in sizes]
+        cfgs = [TrainConfig(0.1, 2, 5, seed=j) for j in range(len(sizes))]
+        models = [tiny_model(seed=j) for j in range(len(sizes))]
+        refs = [tiny_model(seed=j) for j in range(len(sizes))]
+        for ref, X, y, cfg in zip(refs, Xs, ys, cfgs):
+            ref_train(ref, X, y, cfg)
+
+        empty = np.empty
+
+        def poisoned(shape, dtype=float, *args, **kwargs):
+            a = empty(shape, dtype, *args, **kwargs)
+            a.fill(np.nan if np.issubdtype(a.dtype, np.floating) else -1)
+            return a
+
+        monkeypatch.setattr(np, "empty", poisoned)
+        learners.train_stack(models, Xs, ys, cfgs)
+        monkeypatch.undo()
+        assert [params_hash(m) for m in models] == [params_hash(m) for m in refs]
+
+
 def reference_train_stack(models, Xs, ys, cfgs):
     """`learners.train_stack` as it was before the loss bound, input checks
     left out: every model's full training-set `cross_entropy` after every

@@ -1,8 +1,10 @@
 import math
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -234,6 +236,118 @@ class TestAdaptive:
         ds, repo = small_repo
         with pytest.raises(ConfigError):
             adaptive_sampling(ds, type(repo)(entries=[]), SamplingConfig(0.9, 5, 1))
+
+
+@dataclass
+class RefArm:
+    alpha: float
+    beta: float
+    drawn: int
+    gamma: np.ndarray
+    threshold: float
+
+    @property
+    def active(self):
+        return not self.drawn > self.threshold and not self.drawn == len(self.gamma)
+
+
+def ref_adaptive_sampling(ds, repo, cfg):
+    """`adaptive_sampling` as it was before its rounds ran on cached freeze
+    points and a first-max loop: arm objects whose freeze is recomputed
+    from the threshold and scene size, and the Beta draws of every round
+    collected and picked with np.argmax. Returns (rows, bits, arms)."""
+    arms = [RefArm(1.0, 1.0, 0, np.asarray(e.scene.train_indices, dtype=int),
+                   well_sampled_threshold(len(e.scene.train_indices), cfg.theta)) for e in repo.entries]
+    rng = np.random.default_rng(cfg.seed)
+    union = np.unique(np.concatenate([arm.gamma for arm in arms]))
+    cap = math.ceil(cfg.kappa / len(arms)) if cfg.kappa < len(union) else math.inf
+    remaining = [arm.gamma.tolist() for arm in arms]
+    rows, probed = [], set()
+    while len(rows) < cfg.kappa:
+        active = [j for j, arm in enumerate(arms) if arm.active and arm.drawn < cap]
+        if not active:
+            live = sum(1 for arm in arms if arm.active)
+            if not live:
+                break
+            cap += math.ceil((cfg.kappa - len(rows)) / live)
+            continue
+        draws = [rng.beta(arms[j].alpha, arms[j].beta) for j in active]
+        chosen = active[int(np.argmax(draws))]
+        arms[chosen].alpha += 1.0
+        for j in active:
+            if j != chosen:
+                arms[j].beta += 1.0
+        rem = remaining[chosen]
+        pos = int(rng.integers(len(rem)))
+        pick = rem[pos]
+        rem[pos] = rem[-1]
+        rem.pop()
+        arms[chosen].drawn += 1
+        if pick not in probed:
+            probed.add(pick)
+            rows.append(pick)
+    bits = np.array([[probe_suitability(m, ds.features[[r]], ds.labels[[r]])[0] for m in repo.models] for r in rows],
+                    dtype=bool).reshape(len(rows), len(repo.models))
+    return rows, bits, arms
+
+
+def scenes_repo(models, gammas):
+    """The parts of a repository `adaptive_sampling` reads: one arm per
+    training scene ``gammas[j]``, probed through ``models[j]``."""
+    entries = [SimpleNamespace(scene=SimpleNamespace(train_indices=np.array(g, dtype=int))) for g in gammas]
+    return SimpleNamespace(entries=entries, models=list(models[: len(gammas)]))
+
+
+# (gammas, theta, kappa): overlapping arms throughout. At theta = 0.1 a
+# scene of 4 rows freezes as well-sampled after 2 draws; a kappa below the
+# union's 15 rows binds the share cap, which the unequal scenes make rise.
+SAMPLING_CASES = {
+    "well-sampled freeze": ([[0, 1, 2, 3], [2, 3, 4, 5, 6, 7, 8], [8, 9, 10]], 0.1, 50),
+    "share cap raised": ([[0, 1, 2], [2, 3, 4, 5, 6, 7, 8, 9, 10, 11], [11, 12, 13, 14]], 0.9, 12),
+    "budget covers the union": ([[0, 1, 2, 3, 4, 5], [4, 5, 6, 7, 8, 9], [9, 10, 11, 12, 13, 14]], 0.9, 40),
+}
+
+
+class TestAdaptiveMatchesReference:
+    @staticmethod
+    def check(ds, models, gammas, theta, kappa, seed):
+        repo = scenes_repo(models, gammas)
+        cfg = SamplingConfig(theta, kappa, seed)
+        state = adaptive_sampling(ds, repo, cfg)
+        rows, bits, arms = ref_adaptive_sampling(ds, repo, cfg)
+        assert state.rows == rows
+        assert np.array_equal(state.bits, bits)
+        assert [(a.alpha, a.beta, a.drawn) for a in state.arms] == [(a.alpha, a.beta, a.drawn) for a in arms]
+        return state
+
+    @pytest.mark.parametrize("case", SAMPLING_CASES)
+    def test_named_cases(self, small_repo, case):
+        ds, repo = small_repo
+        gammas, theta, kappa = SAMPLING_CASES[case]
+        union = len(set().union(*gammas))
+        for seed in range(5):
+            state = self.check(ds, repo.models, gammas, theta, kappa, seed)
+            if case == "well-sampled freeze":
+                assert any(a.well_sampled and not a.exhausted for a in state.arms)
+            elif case == "share cap raised":
+                assert kappa < union and state.arm_cap > math.ceil(kappa / len(gammas))
+                assert state.distinct_drawn == kappa
+            else:
+                assert kappa >= union and state.rows and sorted(state.rows) == sorted(set().union(*gammas))
+                assert all(a.exhausted for a in state.arms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gammas=st.lists(st.sets(st.integers(0, 40), min_size=1, max_size=25).map(sorted), min_size=1, max_size=4),
+        theta=st.sampled_from([0.05, 0.1, 0.3, 0.9]),
+        kappa=st.integers(0, 60),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(gammas=SAMPLING_CASES["well-sampled freeze"][0], theta=0.1, kappa=50, seed=0)
+    @example(gammas=SAMPLING_CASES["share cap raised"][0], theta=0.9, kappa=12, seed=0)
+    def test_rows_bits_and_arms_equal_the_reference(self, small_repo, gammas, theta, kappa, seed):
+        ds, repo = small_repo
+        self.check(ds, repo.models, gammas, theta, kappa, seed)
 
 
 class TestRandom:
