@@ -131,10 +131,7 @@ def _hidden(model: VectorClassifier, X: np.ndarray, Z1=None, H=None):
     X = np.asarray(X, dtype=float)
     if X.ndim != model.W1.ndim or X.shape[-1] != model.input_dim:
         raise ConfigError(f"batch has shape {X.shape}, expected (n, {model.input_dim})")
-    # the operator costs less per call than a keyword `out`, which the
-    # small batches of serving notice
-    W1T = model.W1.swapaxes(-1, -2)
-    Z1 = X @ W1T if Z1 is None else np.matmul(X, W1T, out=Z1)
+    Z1 = np.matmul(X, model.W1.swapaxes(-1, -2), out=Z1)
     Z1 += model.b1[..., None, :]
     return Z1, np.maximum(Z1, 0.0, out=H)
 
@@ -144,8 +141,7 @@ def _layers(model: VectorClassifier, X: np.ndarray, Z1=None, H=None, Z2=None):
     its argument if given. The one place the output layer is computed;
     stacks as `_hidden` does."""
     Z1, H = _hidden(model, X, Z1, H)
-    W2T = model.W2.swapaxes(-1, -2)
-    Z2 = H @ W2T if Z2 is None else np.matmul(H, W2T, out=Z2)
+    Z2 = np.matmul(H, model.W2.swapaxes(-1, -2), out=Z2)
     Z2 += model.b2[..., None, :]
     return Z1, H, Z2
 
@@ -276,6 +272,9 @@ def gradient(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: float = 
         delta -= y
     else:
         delta = softmax(Z2, out=Z2)
+        if not delta.flags.c_contiguous:
+            # ravel would copy, and the label term would miss delta
+            raise ConfigError("work's output-layer array must be C-contiguous")
         delta.ravel()[_flat_index(y, delta.shape[-1])] -= 1.0
     delta /= n
     dW1, db1, dW2, db2 = (None,) * 4 if out is None else (out.dW1, out.db1, out.dW2, out.db2)

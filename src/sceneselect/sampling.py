@@ -148,7 +148,7 @@ def thompson_round(state: SamplingState, rng: np.random.Generator):
     order, and the first maximum wins, as ``np.argmax`` picks it.
     """
     cap = state.arm_cap
-    active = [arm for arm in state.arms if arm.drawn < arm.stop and arm.drawn < cap]
+    active = [arm for arm in state.arms if arm.active and arm.drawn < cap]
     if not active:
         return None
     beta = rng.beta
@@ -224,7 +224,7 @@ def adaptive_sampling(ds: Dataset, repo, cfg: SamplingConfig) -> SamplingState:
     while len(rows) < cfg.kappa:
         chosen = thompson_round(state, rng)
         if chosen is None:
-            live = sum(1 for arm in arms if arm.drawn < arm.stop)
+            live = sum(1 for arm in arms if arm.active)
             if not live:
                 break
             state.arm_cap += math.ceil((cfg.kappa - len(rows)) / live)

@@ -538,6 +538,30 @@ class TestPreallocatedBuffers:
             assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
 
     @pytest.mark.parametrize("targets", ["labels", "matrix"])
+    def test_strided_output_buffer(self, targets):
+        # a column slice of a wider array: ravel would copy it, so labels
+        # must raise rather than lose their term; a matrix needs no ravel
+        rng = np.random.default_rng(3)
+        model = tiny_model(seed=1)
+        X = rng.normal(size=(4, model.input_dim))
+        if targets == "labels":
+            y = rng.integers(0, model.output_dim, 4)
+        else:
+            y = (rng.random((4, model.output_dim)) < 0.5).astype(float)
+        h, o = model.hidden_dim, model.output_dim
+        Z2 = np.full((4, o + 2), np.nan)[:, :o]
+        assert not Z2.flags.c_contiguous
+        work = (np.empty((4, h)), np.empty((4, h)), Z2, np.empty((4, h)))
+        if targets == "labels":
+            with pytest.raises(ConfigError, match="C-contiguous"):
+                learners.gradient(model, X, y, 0.0, None, work)
+        else:
+            got = learners.gradient(model, X, y, 0.0, None, work)
+            expected = learners.gradient(model, X, y)
+            for name in ("dW1", "db1", "dW2", "db2"):
+                assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+    @pytest.mark.parametrize("targets", ["labels", "matrix"])
     def test_shrinking_steps_leave_no_stale_rows(self, targets, monkeypatch):
         # sizes 23, 16, 9, 4 at batch 5 give stacked steps of 3, 2, 2 and 1
         # models, between ragged stacks of one of 4, 4, 1 and 3 rows, so each
