@@ -166,7 +166,7 @@ def predict(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
     top one's while its logit is smaller: the probabilities' argmax is then
     that lower index, this one the top logit's.
     """
-    return np.argmax(logits(model, X), axis=1)
+    return logits(model, X).argmax(axis=1)
 
 
 def embed(model: VectorClassifier, X: np.ndarray) -> np.ndarray:

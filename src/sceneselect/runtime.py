@@ -34,11 +34,14 @@ from .profiling import kmeans, macro_f1, train_on_row_sets
 
 @dataclass
 class ModelCache:
-    """Fixed number of model slots with LFU eviction (ties: oldest load first)."""
+    """Fixed number of model slots with LFU eviction (ties: oldest load first).
+
+    ``loaded`` maps each resident model index to its use count. A model is
+    inserted only when it loads, so the dict's order is load order.
+    """
 
     capacity: int
-    loaded: dict = field(default_factory=dict)  # model index -> [use count, load order]
-    loads: int = 0  # loads so far; the next load's load order
+    loaded: dict = field(default_factory=dict)  # model index -> use count, oldest load first
 
     def __post_init__(self):
         if self.capacity < 1:
@@ -54,7 +57,8 @@ def cache_request(cache: ModelCache, ranking, frames: int = 1) -> tuple:
     cache is full) and the top model is loaded for subsequent frames. The
     eviction victim is picked by the use counts as they stood when the
     request arrived, so a resident can serve the frame and still be the one
-    evicted. An empty cache loads and serves the top model immediately,
+    evicted. Among equal counts the victim is the first in ``loaded``, the
+    oldest load. An empty cache loads and serves the top model immediately,
     counted as a miss.
 
     ``frames`` > 1 serves a run of that many frames with the same top model
@@ -64,25 +68,24 @@ def cache_request(cache: ModelCache, ranking, frames: int = 1) -> tuple:
     """
     top = int(ranking[0])
     loaded = cache.loaded
-    slot = loaded.get(top)
-    if slot is not None:
-        slot[0] += frames
+    if top in loaded:
+        loaded[top] += frames
         return top, False
-    served = top
-    if loaded:
-        for m in ranking:
-            if m in loaded:
-                served = int(m)
-                break
-        victim = None
-        if len(loaded) >= cache.capacity:
-            # slots compare by use count, then by load order, which is distinct
-            victim = min(loaded, key=loaded.__getitem__)
-        loaded[served][0] += 1
-        if victim is not None:
-            del loaded[victim]
-    loaded[top] = [int(served == top) + frames - 1, cache.loads]
-    cache.loads += 1
+    if not loaded:
+        loaded[top] = frames
+        return top, True
+    for m in ranking:
+        if m in loaded:
+            served = int(m)
+            break
+    if len(loaded) >= cache.capacity:
+        # min keeps the first of equal counts: the oldest load
+        victim = min(loaded, key=loaded.__getitem__)
+        loaded[served] += 1
+        del loaded[victim]
+    else:
+        loaded[served] += 1
+    loaded[top] = frames - 1  # served != top: the first frame is not a use
     return served, True
 
 
@@ -121,6 +124,48 @@ class TraceMetrics:
         return float(np.mean(self.window_f1))
 
 
+def _check_rankings(rankings, frames: int, n: int) -> None:
+    """Raise ConfigError unless a batch ranker's answer is an (F, n) integer
+    array whose every row is a permutation of the model indices 0..n-1,
+    naming the first frame that breaks this."""
+    if not isinstance(rankings, np.ndarray) or rankings.shape != (frames, n):
+        raise ConfigError(f"ranker must return ({frames}, {n}) rankings")
+    if rankings.dtype.kind not in "iu":
+        raise ConfigError(f"ranker must return integer rankings, not {rankings.dtype}")
+    if rankings.min() < 0 or rankings.max() >= n:
+        frame, pos = np.argwhere((rankings < 0) | (rankings >= n))[0].tolist()
+        raise ConfigError(
+            f"ranker gave frame {frame} the model index {rankings[frame, pos]}, outside [0, {n})"
+        )
+    ordered = np.sort(rankings, axis=1)
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if repeats.any():
+        frame = int(repeats.argmax())
+        raise ConfigError(f"ranker gave frame {frame} a ranking that repeats a model index")
+
+
+def predict_served(models, X: np.ndarray, served: np.ndarray) -> np.ndarray:
+    """Each frame's class as predicted by the model that served it.
+
+    The frames are grouped by model with one stable sort, so each model that
+    served a frame predicts all of its frames, in frame order, in one
+    `learners.predict` call on a contiguous slice; the answers are scattered
+    back to frame order at once.
+    """
+    order = np.argsort(served, kind="stable")
+    grouped = X[order]
+    grouped_preds = np.empty(len(served), dtype=int)
+    start = 0
+    for model, count in enumerate(np.bincount(served, minlength=len(models)).tolist()):
+        if count:
+            stop = start + count
+            grouped_preds[start:stop] = learners.predict(models[model], grouped[start:stop])
+            start = stop
+    preds = np.empty_like(grouped_preds)
+    preds[order] = grouped_preds
+    return preds
+
+
 def run_trace(
     trace,
     decision,
@@ -142,13 +187,15 @@ def run_trace(
     ``window`` below 1 is a ConfigError. Only a DecisionModel has a
     confidence: a frame whose top suitability is below ``low_confidence`` is
     recorded as a no-suitable-model event and is still served. A batch ranker
-    records none.
+    records none, and its answer is checked before the cache runs: anything
+    but an (F, n) integer array whose rows are permutations of 0..n-1 is a
+    ConfigError, which names the first frame at fault.
     """
     if len(trace) == 0:
         raise ConfigError("trace is empty")
     if hasattr(models, "models"):  # accept a ModelRepository directly
         models = models.models
-    X = trace.features
+    X, frames = trace.features, len(trace)
     if isinstance(decision, DecisionModel):
         if decision.n != len(models):
             raise ConfigError("decision output width does not match the repository size")
@@ -156,9 +203,7 @@ def run_trace(
         low_confidence_events = int((confidence < low_confidence).sum())
     else:
         rankings, low_confidence_events = decision(trace), 0
-    frames = len(trace)
-    if not isinstance(rankings, np.ndarray) or rankings.shape != (frames, len(models)):
-        raise ConfigError(f"ranker must return ({frames}, {len(models)}) rankings")
+        _check_rankings(rankings, frames, len(models))
 
     top1 = rankings[:, 0]
     edges = np.ones(frames + 1, dtype=bool)
@@ -177,10 +222,7 @@ def run_trace(
     missed = np.zeros(frames, dtype=bool)
     missed[starts] = answers[1::2]
 
-    preds = np.empty(frames, dtype=int)
-    for model in np.unique(served):
-        rows = np.flatnonzero(served == model)
-        preds[rows] = learners.predict(models[model], X[rows])
+    preds = predict_served(models, X, served)
     labels = trace.labels
 
     return TraceMetrics(

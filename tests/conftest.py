@@ -1,10 +1,17 @@
 """Shared fixtures: small calibration datasets and the full default benchmark."""
 
+import os
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
 
 from sceneselect import cli, dataset, decision, profiling, sampling
+
+# CI runs with HYPOTHESIS_PROFILE=ci: examples are drawn from a fixed seed,
+# so a property that fails there fails the same way on a rerun.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def small_generator_config(

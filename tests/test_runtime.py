@@ -242,7 +242,7 @@ class TestCacheUnit:
         cache_request(cache, [0, 1, 2])
         served, miss = cache_request(cache, [0, 1, 2])
         assert (served, miss) == (0, False)
-        assert cache.loaded[0] == [2, 0]  # [use count, load order]
+        assert cache.loaded == {0: 2}  # model -> use count
 
     def test_empty_cache_loads_and_serves_top(self):
         cache = ModelCache(2)
@@ -307,22 +307,55 @@ class TestCacheUnit:
             assert miss == (ranking[0] not in before)
             assert ranking[0] in cache.loaded
             assert hits + misses == requests
-            assert cache.loads == misses  # every miss loads exactly one model
+            # a miss loads exactly the top model, as the newest entry; a hit loads none
+            assert set(cache.loaded) - before == ({ranking[0]} if miss else set())
+            if miss:
+                assert next(reversed(cache.loaded)) == ranking[0]
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_matches_position_fallback_reference(self, data):
         # the fast path takes the first resident in ranking order and the
-        # LFU victim by comparing [use count, load order] slots; both must
-        # agree with the reference, down to every resident's slot
+        # LFU victim as the first least-used entry of a dict kept in load
+        # order; both must agree with the reference's explicit load clock,
+        # down to every resident's use count and the residents' load order
         n = data.draw(st.integers(1, 8))
         capacity = data.draw(st.integers(1, n))
         rankings = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=60))
         cache, ref = ModelCache(capacity), ReferenceCache(capacity)
+        misses = 0
         for ranking in rankings:
-            assert cache_request(cache, ranking) == ref.request(ranking)
-            assert cache.loaded == {m: [uses, order] for m, uses, order in ref.entries}
-            assert cache.loads == ref.clock
+            answer = cache_request(cache, ranking)
+            assert answer == ref.request(ranking)
+            misses += answer[1]
+            assert list(cache.loaded.items()) == [(m, uses) for m, uses, _ in ref.entries]
+            assert misses == ref.clock  # one load per miss
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_evict_and_reload_cycles_match_reference(self, data):
+        # more distinct tops than slots, each visited once per cycle, so
+        # models are evicted and loaded again; a reloaded model must come
+        # back as the newest entry with a fresh count, as the reference's
+        # clock says. Each visit is a run of 1-3 frames, asked once.
+        capacity = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(capacity + 1, capacity + 3))
+        cycles = data.draw(st.integers(2, 5))
+        rnd = data.draw(st.randoms(use_true_random=False))
+        cache, ref = ModelCache(capacity), ReferenceCache(capacity)
+        loads = [0] * n
+        for _ in range(cycles):
+            for top in rnd.sample(range(n), n):
+                ranking = [top] + rnd.sample([m for m in range(n) if m != top], n - 1)
+                length = rnd.randint(1, 3)
+                answer = cache_request(cache, ranking, length)
+                assert answer == ref.request(ranking)
+                for _ in range(length - 1):
+                    assert ref.request(ranking) == (top, False)
+                loads[top] += answer[1]
+                assert list(cache.loaded.items()) == [(m, uses) for m, uses, _ in ref.entries]
+        assert sum(loads) == ref.clock
+        assert max(loads) >= 2  # the second cycle reloads a model the first evicted
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -334,8 +367,7 @@ class TestCacheUnit:
         big, exact = ModelCache(capacity), ModelCache(n)
         for ranking in rankings:
             assert cache_request(big, ranking) == cache_request(exact, ranking)
-            assert big.loaded == exact.loaded
-            assert big.loads == exact.loads
+            assert list(big.loaded.items()) == list(exact.loaded.items())
 
     def test_matches_reference_on_random_traces(self):
         rng = np.random.default_rng(42)
@@ -371,8 +403,7 @@ class TestCachePerRun:
                 rest = ranking[1:]
                 rnd.shuffle(rest)
                 assert cache_request(per_frame, [ranking[0]] + rest) == (ranking[0], False)
-            assert per_run.loaded == per_frame.loaded
-            assert per_run.loads == per_frame.loads
+            assert list(per_run.loaded.items()) == list(per_frame.loaded.items())
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -409,6 +440,66 @@ class TestCachePerRun:
         assert narrow.served.tolist() == wide.served.tolist()
         assert narrow.missed.tolist() == wide.missed.tolist()
         assert wide.missed.any() and not wide.missed.all()
+
+
+def reference_predictions(models, X, served):
+    """The per-model loop predict_served replaced: one boolean mask and one
+    fancy-index gather per served model."""
+    preds = np.empty(len(served), dtype=int)
+    for model in np.unique(served):
+        rows = np.flatnonzero(served == model)
+        preds[rows] = learners.predict(models[model], X[rows])
+    return preds
+
+
+class TestGroupedPrediction:
+    """predict_served groups the frames by model with one stable sort and
+    predicts each group on a slice; it must give what the per-model loop gives."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_model_loop(self, data):
+        # models 1..n-2 serve random frames, model 0 exactly one frame and
+        # model n-1 none
+        n = data.draw(st.integers(3, 7))
+        frames = data.draw(st.integers(1, 80))
+        served = np.array(data.draw(st.lists(st.integers(1, n - 2), min_size=frames, max_size=frames)))
+        served[data.draw(st.integers(0, frames - 1))] = 0
+        served = served.astype(data.draw(st.sampled_from([np.int64, np.int32])))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        X = rng.normal(size=(frames, 6))
+        models = [learners.new_classifier(6, 4, 3, seed) for seed in range(n)]
+        calls = []
+        predict = learners.predict
+
+        def counting_predict(model, batch):
+            calls.append(next(i for i, m in enumerate(models) if m is model))
+            return predict(model, batch)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learners, "predict", counting_predict)
+            preds = runtime.predict_served(models, X, served)
+        assert sorted(calls) == calls == sorted(set(served.tolist()))  # one call per served model
+        assert preds.dtype == np.dtype(int)
+        assert preds.tolist() == reference_predictions(models, X, served).tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_run_trace_correct_column_matches_per_model_loop(self, small_ds, data):
+        trace = synthesize_trace(small_ds, 2, 7, 5, seed=data.draw(st.integers(0, 3)))
+        d, c = small_ds.schema.feature_dim, small_ds.schema.num_classes
+        n = data.draw(st.integers(1, 5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # a few distinct rankings, each held for a random run of frames
+        pool = np.array([rng.permutation(n) for _ in range(4)])
+        rankings = pool[np.repeat(rng.integers(0, 4, len(trace)), rng.integers(1, 6, len(trace)))[: len(trace)]]
+        rankings = rankings.astype(data.draw(st.sampled_from([np.int64, np.int32])))
+        models = [learners.new_classifier(d, 4, c, seed) for seed in range(n)]
+        for cap in range(1, n + 2):
+            metrics = run_trace(trace, lambda trace: rankings, models, cap, window=4)
+            preds = reference_predictions(models, trace.features, metrics.served)
+            assert metrics.correct.tobytes() == (preds == trace.labels).tobytes()
+            assert metrics.window_f1.tobytes() == profiling.macro_f1(preds, trace.labels, c, 4).tobytes()
 
 
 class TestRunTrace:
@@ -506,6 +597,28 @@ class TestRunTrace:
         wrong = {"confidence and rankings": (np.ones(frames), rankings), "one ranking": rankings[0]}[returned]
         with pytest.raises(ConfigError, match="rankings"):
             run_trace(bench42.trace, lambda trace: wrong, bench42.repo, 2)
+
+    @pytest.mark.parametrize("frame, row, message", [
+        (7, [-1, 0, 1, 2, 3, 4, 5, 6], r"frame 7 the model index -1, outside \[0, 8\)"),
+        (12, [8, 0, 1, 2, 3, 4, 5, 6], r"frame 12 the model index 8, outside \[0, 8\)"),
+        (30, [1] * 8, "frame 30 a ranking that repeats a model index"),
+    ], ids=["negative", "n", "repeat"])
+    def test_bad_model_index_rejected_before_the_cache(self, bench42, monkeypatch, frame, row, message):
+        frames, n = len(bench42.trace), len(bench42.repo.models)
+        assert n == 8
+        rankings = np.tile(np.arange(n), (frames, 1))
+        rankings[frame] = row
+        requests = []
+        monkeypatch.setattr(runtime, "cache_request", lambda *args: requests.append(args))
+        with pytest.raises(ConfigError, match=message):
+            run_trace(bench42.trace, lambda trace: rankings, bench42.repo, 2)
+        assert requests == []
+
+    def test_ranker_must_return_integer_indices(self, bench42):
+        frames, n = len(bench42.trace), len(bench42.repo.models)
+        rankings = np.tile(np.arange(n, dtype=float), (frames, 1))
+        with pytest.raises(ConfigError, match="integer rankings"):
+            run_trace(bench42.trace, lambda trace: rankings, bench42.repo, 2)
 
     @pytest.mark.parametrize("window", [0, -10])
     def test_window_below_one_rejected(self, bench42, window):
