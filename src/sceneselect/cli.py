@@ -433,8 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repository")
     p.add_argument("--encoder")
     p.add_argument("--decision")
-    p.add_argument("--capacity", type=int)
-    p.add_argument("--capacity-sweep", dest="capacity_sweep")
+    capacity = p.add_mutually_exclusive_group()
+    capacity.add_argument("--capacity", type=int)
+    capacity.add_argument("--capacity-sweep", dest="capacity_sweep")
     p.add_argument("--trace-seed", dest="trace_seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)

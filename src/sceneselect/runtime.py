@@ -17,7 +17,6 @@ per-frame results are columns: one array per field, indexed by frame.
 from __future__ import annotations
 
 import csv
-import dataclasses
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
@@ -28,7 +27,7 @@ from .artifacts import atomic_path
 from .dataset import Dataset, part_indices
 from .decision import DecisionModel, rank_models
 from .errors import ConfigError
-from .learners import TrainConfig, VectorClassifier
+from .learners import TrainConfig
 from .profiling import kmeans, macro_f1, train_on_row_sets
 
 
@@ -59,7 +58,8 @@ def cache_request(cache: ModelCache, ranking, frames: int = 1) -> tuple:
     request arrived, so a resident can serve the frame and still be the one
     evicted. Among equal counts the victim is the first in ``loaded``, the
     oldest load. An empty cache loads and serves the top model immediately,
-    counted as a miss.
+    counted as a miss. A miss whose ranking names no resident model (so it
+    is no permutation of the model indices) is a ConfigError.
 
     ``frames`` > 1 serves a run of that many frames with the same top model
     from the run's first ranking: the later frames are hits on the top
@@ -78,6 +78,8 @@ def cache_request(cache: ModelCache, ranking, frames: int = 1) -> tuple:
         if m in loaded:
             served = int(m)
             break
+    else:
+        raise ConfigError("ranking names no resident model")
     if len(loaded) >= cache.capacity:
         # min keeps the first of equal counts: the oldest load
         victim = min(loaded, key=loaded.__getitem__)
@@ -291,14 +293,6 @@ def constant_ranker(num_models: int = 1):
     return rank
 
 
-def train_global_model(ds: Dataset, hidden_dim: int, cfg: TrainConfig) -> VectorClassifier:
-    """Single model over the whole training split (deep or compressed per hidden_dim)."""
-    train = part_indices(ds, "train")
-    model = learners.new_classifier(ds.schema.feature_dim, hidden_dim, ds.schema.num_classes, cfg.seed)
-    learners.train(model, ds.features[train], ds.labels[train], cfg)
-    return model
-
-
 def cdg_ranker(centroids: np.ndarray):
     """Batch ranker by nearest cluster mean in raw feature space; equidistant
     clusters rank by index."""
@@ -326,38 +320,36 @@ def dmm_ranker(families):
     return rank
 
 
-def build_cdg(ds: Dataset, k: int, hidden_dim: int, cfg: TrainConfig, seed: int):
-    """(ranker, models): k-means over the raw training features, one model per cluster."""
-    train = part_indices(ds, "train")
-    result = kmeans(ds.features[train], k, seed=seed)
-    members = [train[result.assignments == j] for j in range(k)]
-    seeds = range(seed + 1, seed + k + 1)
-    return cdg_ranker(result.centroids), train_on_row_sets(ds, members, hidden_dim, cfg, seeds, seeds)
-
-
-def build_dmm(ds: Dataset, hidden_dim: int, cfg: TrainConfig, seed: int):
-    """(ranker, models): one model per family in the training split."""
-    train = part_indices(ds, "train")
-    family = ds.attrs[train, 0]
-    families = np.unique(family)
-    members = [train[family == fam] for fam in families]
-    seeds = range(seed, seed + len(families))
-    return dmm_ranker(families), train_on_row_sets(ds, members, hidden_dim, cfg, seeds, seeds)
-
-
 def build_baseline(name: str, ds: Dataset, compressed_hidden: int, deep_hidden: int,
                    num_models: int, cfg: TrainConfig, seed: int):
-    """(ranker, models) for one baseline: sdm, ssm, cdg, or dmm."""
-    tc = dataclasses.replace(cfg, seed=seed)
-    if name == "sdm":
-        return constant_ranker(1), [train_global_model(ds, deep_hidden, tc)]
-    if name == "ssm":
-        return constant_ranker(1), [train_global_model(ds, compressed_hidden, tc)]
-    if name == "cdg":
-        return build_cdg(ds, num_models, compressed_hidden, tc, seed)
-    if name == "dmm":
-        return build_dmm(ds, compressed_hidden, tc, seed)
-    raise ConfigError(f"unknown baseline {name!r}")
+    """(ranker, models) for one baseline: sdm, ssm, cdg, or dmm.
+
+    Every baseline is one model per row set of the training split, all
+    trained in one `train_on_row_sets` call, and a ranker over them. sdm
+    (``deep_hidden`` wide) and ssm train the whole split with ``seed``. cdg
+    clusters the raw training features by k-means seeded with ``seed`` and
+    trains one model per cluster with seeds ``seed + 1`` onward. dmm trains
+    one model per family (attribute dimension 0), ascending, with seeds
+    ``seed`` onward.
+    """
+    train = part_indices(ds, "train")
+    if name in ("sdm", "ssm"):
+        ranker, row_sets, seeds = constant_ranker(1), [train], [seed]
+    elif name == "cdg":
+        result = kmeans(ds.features[train], num_models, seed=seed)
+        ranker = cdg_ranker(result.centroids)
+        row_sets = [train[result.assignments == j] for j in range(num_models)]
+        seeds = range(seed + 1, seed + num_models + 1)
+    elif name == "dmm":
+        family = ds.attrs[train, 0]
+        families = np.unique(family)
+        ranker = dmm_ranker(families)
+        row_sets = [train[family == fam] for fam in families]
+        seeds = range(seed, seed + len(families))
+    else:
+        raise ConfigError(f"unknown baseline {name!r}")
+    hidden = deep_hidden if name == "sdm" else compressed_hidden
+    return ranker, train_on_row_sets(ds, row_sets, hidden, cfg, seeds, seeds)
 
 
 def run_baselines(trace, ds: Dataset, names, compressed_hidden: int, deep_hidden: int,

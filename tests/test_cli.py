@@ -236,6 +236,17 @@ class TestSimulate:
         assert report["sweeps"]["anole"]["monotone_miss_rate"] is True
         assert report["methods"]["anole"]["runs"] == 3
 
+    def test_capacity_and_sweep_exclude_each_other(self, workdir, tmp_path, capsys):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as err:
+            cli.main([
+                "simulate", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
+                "--baseline", "ssm", "--capacity", "3", "--capacity-sweep", "1..2", "--out", str(out),
+            ])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_sweep_argument(self, workdir, tmp_path):
         code = cli.main([
             "simulate", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),

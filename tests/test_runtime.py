@@ -24,7 +24,7 @@ from sceneselect.runtime import (
     write_metrics_csv,
 )
 
-from conftest import small_generator_config
+from conftest import params_hash, small_generator_config
 from test_profiling import quick_train_cfg
 
 
@@ -173,24 +173,66 @@ def dmm_rank_one(families, trace, frame):
     return np.array([own] + [i for i in range(len(families)) if i != own])
 
 
+def reference_train_global_model(ds, hidden_dim, cfg):
+    """sdm and ssm as once built: one learners.train call over the training split."""
+    train = part_indices(ds, "train")
+    model = learners.new_classifier(ds.schema.feature_dim, hidden_dim, ds.schema.num_classes, cfg.seed)
+    learners.train(model, ds.features[train], ds.labels[train], cfg)
+    return model
+
+
+def reference_build_cdg(ds, k, hidden_dim, cfg, seed):
+    train = part_indices(ds, "train")
+    result = profiling.kmeans(ds.features[train], k, seed=seed)
+    members = [train[result.assignments == j] for j in range(k)]
+    seeds = range(seed + 1, seed + k + 1)
+    return (runtime.cdg_ranker(result.centroids),
+            profiling.train_on_row_sets(ds, members, hidden_dim, cfg, seeds, seeds))
+
+
+def reference_build_dmm(ds, hidden_dim, cfg, seed):
+    train = part_indices(ds, "train")
+    family = ds.attrs[train, 0]
+    families = np.unique(family)
+    members = [train[family == fam] for fam in families]
+    seeds = range(seed, seed + len(families))
+    return (runtime.dmm_ranker(families),
+            profiling.train_on_row_sets(ds, members, hidden_dim, cfg, seeds, seeds))
+
+
+def reference_build_baseline(name, ds, compressed_hidden, deep_hidden, num_models, cfg, seed):
+    """build_baseline as it was with one builder per baseline."""
+    tc = dataclasses.replace(cfg, seed=seed)
+    if name == "sdm":
+        return runtime.constant_ranker(1), [reference_train_global_model(ds, deep_hidden, tc)]
+    if name == "ssm":
+        return runtime.constant_ranker(1), [reference_train_global_model(ds, compressed_hidden, tc)]
+    if name == "cdg":
+        return reference_build_cdg(ds, num_models, compressed_hidden, tc, seed)
+    return reference_build_dmm(ds, compressed_hidden, tc, seed)
+
+
 @pytest.fixture(scope="module")
 def bench42_baselines(bench42):
-    """name -> (batch ranker, per-frame reference ranker, models), built as build_baseline does."""
+    """name -> (batch ranker, per-frame reference ranker, models), from build_baseline."""
     ds, cfg = bench42.ds, bench42.cfg
-    hidden, seeds = cfg.profiling.compressed_hidden, cfg.baseline_seeds
+    seeds = cfg.baseline_seeds
 
-    def train_cfg(name):
-        return dataclasses.replace(cfg.baseline_train, seed=seeds[name])
+    def build(name):
+        return runtime.build_baseline(
+            name, ds, cfg.profiling.compressed_hidden, cfg.deep_hidden, cfg.profiling.n,
+            cfg.baseline_train, seeds[name],
+        )
 
-    sdm = runtime.train_global_model(ds, cfg.deep_hidden, train_cfg("sdm"))
-    cdg_ranker, cdg_models = runtime.build_cdg(ds, cfg.profiling.n, hidden, train_cfg("cdg"), seeds["cdg"])
-    dmm_ranker, dmm_models = runtime.build_dmm(ds, hidden, train_cfg("dmm"), seeds["dmm"])
-    # the centroids and families the builders derive, restated for the per-frame rankers
+    (sdm_ranker, sdm_models), (cdg_ranker, cdg_models), (dmm_ranker, dmm_models) = map(
+        build, ("sdm", "cdg", "dmm")
+    )
+    # the centroids and families build_baseline derives, restated for the per-frame rankers
     train = part_indices(ds, "train")
     centroids = profiling.kmeans(ds.features[train], cfg.profiling.n, seed=seeds["cdg"]).centroids
     families = sorted(set(ds.attrs[train, 0].tolist()))
     return {
-        "sdm": (runtime.constant_ranker(1), constant_rank_one, [sdm]),
+        "sdm": (sdm_ranker, constant_rank_one, sdm_models),
         "cdg": (cdg_ranker, functools.partial(cdg_rank_one, centroids), cdg_models),
         "dmm": (dmm_ranker, functools.partial(dmm_rank_one, families), dmm_models),
     }
@@ -263,6 +305,14 @@ class TestCacheUnit:
         assert miss is True
         assert served == 1
         assert set(cache.loaded) == {0, 2}
+
+    def test_ranking_without_a_resident_rejected(self):
+        # not a permutation: it repeats model 1 and leaves out the resident 0
+        cache = ModelCache(2)
+        cache_request(cache, [0, 1, 2])
+        with pytest.raises(ConfigError, match="names no resident model"):
+            cache_request(cache, [1, 1, 1])
+        assert cache.loaded == {0: 1}
 
     @pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])
     def test_returns_a_python_int_and_a_bool(self, as_array):
@@ -685,7 +735,9 @@ class TestBaselines:
 
     def test_dmm_selects_family_model(self):
         ds = generate_dataset(small_generator_config(num_cells=4, cards=(2, 2)))
-        ranker, models = runtime.build_dmm(ds, 4, quick_train_cfg(epochs=2), seed=3)
+        ranker, models = runtime.build_baseline(
+            "dmm", ds, compressed_hidden=4, deep_hidden=16, num_models=1, cfg=quick_train_cfg(epochs=2), seed=3
+        )
         assert len(models) == 2  # families 0 and 1
         rows = [int(np.flatnonzero(ds.attrs[:, 0] == family)[0]) for family in (1, 0)]
         assert ranker(SimpleNamespace(attrs=ds.attrs[rows])).tolist() == [[1, 0], [0, 1]]
@@ -712,13 +764,30 @@ class TestBaselines:
             ds.labels[dominant.sample_indices],
             quick_train_cfg(seed=2, epochs=60),
         )
-        ssm = runtime.train_global_model(ds, 8, quick_train_cfg(seed=3, epochs=60))
+        _, [ssm] = runtime.build_baseline(
+            "ssm", ds, compressed_hidden=8, deep_hidden=96, num_models=1, cfg=quick_train_cfg(epochs=60), seed=3
+        )
         test_idx = part_indices(ds, "test")
         test_idx = test_idx[(ds.attrs[test_idx] == dominant.attrs).all(axis=1)]
         X, y = ds.features[test_idx], ds.labels[test_idx]
         f_spec = profiling.macro_f1(learners.predict(specialist, X), y, ds.schema.num_classes)
         f_ssm = profiling.macro_f1(learners.predict(ssm, X), y, ds.schema.num_classes)
         assert abs(f_spec - f_ssm) <= 0.1
+
+    @pytest.mark.parametrize("name", ["sdm", "ssm", "cdg", "dmm"])
+    def test_build_baseline_matches_the_per_baseline_builders(self, small_ds, name):
+        # pinned bit for bit to the per-baseline builders it replaced
+        trace = synthesize_trace(small_ds, 3, 5, 6, seed=1)
+        for seed in (5, 42):
+            args = (name, small_ds, 4, 12, 3, quick_train_cfg(epochs=5), seed)
+            ranker, models = runtime.build_baseline(*args)
+            ref_ranker, ref_models = reference_build_baseline(*args)
+            assert [params_hash(m) for m in models] == [params_hash(m) for m in ref_models]
+            assert np.array_equal(ranker(trace), ref_ranker(trace))
+
+    def test_unknown_baseline_rejected(self, small_ds):
+        with pytest.raises(ConfigError, match="unknown baseline 'anole'"):
+            runtime.build_baseline("anole", small_ds, 4, 12, 3, quick_train_cfg(epochs=1), 0)
 
     def test_run_baselines_shapes(self, bench42):
         out = run_baselines(
