@@ -306,7 +306,7 @@ def cmd_simulate(args) -> int:
         cfg.trace.seed = args.trace_seed
     if args.baseline == "anole" and not (args.repository and args.encoder and args.decision):
         raise ConfigError("--baseline anole needs --repository, --encoder and --decision")
-    if args.capacity_sweep:
+    if args.capacity_sweep is not None:
         capacities = _parse_sweep(args.capacity_sweep)
     else:
         capacities = [args.capacity if args.capacity is not None else cfg.capacity]

@@ -245,6 +245,21 @@ def _flat_index(y: np.ndarray, width: int) -> np.ndarray:
     return flat
 
 
+def _bias_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a.sum(axis=-2, out=out)``, bit for bit: a bias gradient, summed over
+    the batch rows of an (..., n, width) array.
+
+    numpy's reduction loops over only ``width`` contiguous elements per row,
+    so for a stack it costs about three times what einsum does; einsum adds
+    the rows in the same order wherever the width is above 1. At width 1
+    numpy sums the rows pairwise and einsum does not, so the bits differ
+    and the reduction stays.
+    """
+    if a.shape[-1] > 1:
+        return np.einsum("...nw->...w", a, out=out)
+    return a.sum(axis=-2, out=out)
+
+
 def gradient(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: float = 0.0,
              out: Gradients | None = None, work: tuple | None = None) -> Gradients:
     """Backpropagated gradient of `cross_entropy` (mean over the batch), for
@@ -279,11 +294,11 @@ def gradient(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: float = 
     delta /= n
     dW1, db1, dW2, db2 = (None,) * 4 if out is None else (out.dW1, out.db1, out.dW2, out.db2)
     dW2 = np.matmul(delta.swapaxes(-1, -2), H, out=dW2)
-    db2 = delta.sum(axis=-2, out=db2)
+    db2 = _bias_sum(delta, db2)
     dZ1 = np.matmul(delta, model.W2, out=dZ1)
     dZ1 *= Z1 > 0.0
     dW1 = np.matmul(dZ1.swapaxes(-1, -2), X, out=dW1)
-    db1 = dZ1.sum(axis=-2, out=db1)
+    db1 = _bias_sum(dZ1, db1)
     if l2:
         dW2 += l2 * model.W2
         dW1 += l2 * model.W1
@@ -299,9 +314,10 @@ def train(model: VectorClassifier, X: np.ndarray, y: np.ndarray, cfg: TrainConfi
     bit-identical parameters. After each epoch's updates `DivergedError`
     is raised if the full training-set loss is not finite; that loss is
     computed only when `_loss_bounds` cannot rule it out (see
-    `train_stack`). A stack of one in `train_stack`.
+    `train_stack`). A stack of one in `train_stack`, over every row of ``X``.
     """
-    train_stack([model], [X], [y], [cfg])
+    X = np.asarray(X, dtype=float)
+    train_stack([model], X, y, [np.arange(len(X))], [cfg])
 
 
 def _check_training_set(X: np.ndarray, y: np.ndarray, model: VectorClassifier) -> None:
@@ -365,18 +381,36 @@ def _param_views(flat: np.ndarray, dims) -> list:
     return views
 
 
-def train_stack(models: list, Xs: list, ys: list, cfgs: list) -> None:
-    """`train` for k models at once, each on its own data; mutates the
-    models in place.
+def _row_index(rows, n: int) -> np.ndarray:
+    """A model's training rows as an intp index into the n rows of X; a
+    ConfigError unless they are a non-empty 1-D array of integers in [0, n).
+    The steps gather with ``mode="clip"``, which would clip a bad index to a
+    valid row in silence, so every index is checked here."""
+    r = np.asarray(rows)
+    if r.ndim != 1 or r.dtype.kind not in "iu":
+        raise ConfigError(f"row index must be a 1-D integer array, not {r.dtype} of shape {r.shape}")
+    if len(r) == 0:
+        raise ConfigError("training set is empty")
+    if r.min() < 0 or r.max() >= n:
+        raise ConfigError(f"row index must lie in [0, {n}), got [{r.min()}, {r.max()}]")
+    return r.astype(np.intp, copy=False)
 
-    The models share their dims and every TrainConfig field but ``seed``.
-    Each keeps its own PRNG, per-epoch permutation, ragged last batch
-    and divergence check, so its parameters equal those of training it
-    alone, bit for bit. Only the steps are shared: with the models ordered
-    largest training set first, the ones that still have a full batch at
-    step t form a prefix and take one stacked `gradient` call; each ragged
-    last batch is a stack of one. Every input is checked before any
-    parameter moves.
+
+def train_stack(models: list, X: np.ndarray, y: np.ndarray, rows: list, cfgs: list) -> None:
+    """`train` for k models at once, each on its own rows of one training
+    pool; mutates the models in place.
+
+    ``X`` and ``y`` hold the pool: features (N, input_dim) and labels (N,)
+    or a 0/1 matrix (N, output_dim), every one of them valid. ``rows[j]``
+    indexes model j's training set in it, in order; rows are gathered per
+    step and never copied per model. The models share their dims and every
+    TrainConfig field but ``seed``. Each keeps its own PRNG, per-epoch
+    permutation, ragged last batch and divergence check, so its parameters
+    equal those of training it alone on ``X[rows[j]]``, bit for bit. Only
+    the steps are shared: with the models ordered largest training set
+    first, the ones that still have a full batch at step t form a prefix
+    and take one stacked `gradient` call; each ragged last batch is a stack
+    of one. Every input is checked before any parameter moves.
 
     After each epoch, a model whose full training-set `cross_entropy` is
     not finite has diverged, and the first such model in input order
@@ -387,8 +421,8 @@ def train_stack(models: list, Xs: list, ys: list, cfgs: list) -> None:
     same epoch, model and loss raise as if every loss were computed.
     """
     k = len(models)
-    if k == 0 or not len(Xs) == len(ys) == len(cfgs) == k:
-        raise ConfigError("train_stack needs at least one model and one X, y and config per model")
+    if k == 0 or not len(rows) == len(cfgs) == k:
+        raise ConfigError("train_stack needs at least one model and one row index and config per model")
     first = models[0]
     dims = (first.input_dim, first.hidden_dim, first.output_dim)
     cfg = cfgs[0]
@@ -398,17 +432,15 @@ def train_stack(models: list, Xs: list, ys: list, cfgs: list) -> None:
             raise ConfigError("stacked models must share their dims")
         if dataclasses.replace(c, seed=cfg.seed) != cfg:
             raise ConfigError("stacked training configs may differ only in seed")
-    Xs = [np.asarray(X, dtype=float) for X in Xs]
-    ys = [_targets(y) for y in ys]
-    if len({y.ndim for y in ys}) > 1:
-        raise ConfigError("stacked targets must be all labels or all 0/1 matrices")
-    for X, y in zip(Xs, ys):
-        _check_training_set(X, y, first)
+    X = np.asarray(X, dtype=float)
+    y = _targets(y)
+    _check_training_set(X, y, first)
+    rows = [_row_index(r, len(X)) for r in rows]
 
-    order = sorted(range(k), key=lambda i: -len(Xs[i]))  # stable: ties keep input order
+    order = sorted(range(k), key=lambda i: -len(rows[i]))  # stable: ties keep input order
     # from here on, position p in the stack holds model order[p]
-    Xs, ys = [Xs[i] for i in order], [ys[i] for i in order]
-    sizes = [len(X) for X in Xs]
+    rows = [rows[i] for i in order]
+    sizes = [len(r) for r in rows]
     # each position's parameters are one row of theta, its gradients one
     # row of grads; W1, b1, W2, b2 are views into them
     theta = np.stack([np.concatenate([getattr(models[i], name).ravel() for name in PARAMS]) for i in order])
@@ -420,10 +452,10 @@ def train_stack(models: list, Xs: list, ys: list, cfgs: list) -> None:
 
     # An epoch's steps: at each start, one call for the models that still
     # have a full batch, then a stack of one per ragged last batch. A step
-    # of m models and `size` rows gathers its batches from the concatenated
-    # training sets, through its rows of the epoch's offset index, and runs
-    # in the first m * size rows of buffers allocated once, for the largest
-    # step; its gradients are the first m rows of grads.
+    # of m models and `size` rows gathers its batches from the pool through
+    # its rows of the epoch's index, and runs in the first m * size rows of
+    # buffers allocated once, for the largest step; its gradients are the
+    # first m rows of grads.
     b = cfg.batch_size
     batches = []
     for start in range(0, sizes[0], b):
@@ -431,10 +463,9 @@ def train_stack(models: list, Xs: list, ys: list, cfgs: list) -> None:
         batches += [(slice(0, full), start, start + b)] if full else []
         batches += [(slice(p, p + 1), start, n) for p, n in enumerate(sizes) if start < n < start + b]
     most = max((m.stop - m.start) * (stop - start) for m, start, stop in batches)
-    X_all, y_all = np.concatenate(Xs), np.concatenate(ys)
     # per row: X, y, then the work of `gradient`: Z1, H, Z2, dZ1
     pools = [np.empty((most,) + shape, dtype) for shape, dtype in [
-        ((dims[0],), float), (y_all.shape[1:], y_all.dtype),
+        ((dims[0],), float), (y.shape[1:], y.dtype),
         ((dims[1],), float), ((dims[1],), float), ((dims[2],), float), ((dims[1],), float),
     ]]
     index = np.empty((k, sizes[0]), dtype=np.intp)
@@ -444,21 +475,23 @@ def train_stack(models: list, Xs: list, ys: list, cfgs: list) -> None:
         X_b, y_b, *work = (pool[: m * size].reshape((m, size) + pool.shape[1:]) for pool in pools)
         g = Gradients(*_param_views(grads[:m], dims))
         steps.append((index[members, start:stop], X_b, y_b, view(members), g, tuple(work), grads[:m], theta[members]))
-    offsets = np.cumsum([0] + sizes[:-1])
     alone = [view(p) for p in range(k)]
     rngs = [np.random.default_rng(cfgs[i].seed) for i in order]
     by_input = sorted(range(k), key=order.__getitem__)  # positions, in input order
-    x_max = np.array([np.abs(X).max() for X in Xs])
+    # max |x| of each training set, from each row's largest and smallest entry
+    row_abs = np.maximum(X.max(axis=1), -X.min(axis=1))
+    x_max = np.array([row_abs[r].max() for r in rows])
     lr = cfg.learning_rate
     try:
         for epoch in range(cfg.epochs):
-            for p, (rng, n) in enumerate(zip(rngs, sizes)):
-                np.add(rng.permutation(n), offsets[p], out=index[p, :n])
-            for rows, X_b, y_b, model, g, work, g_flat, params in steps:
-                # mode="clip" never clips a permutation; the default mode
-                # would gather into a temporary and copy it into out
-                X_all.take(rows, axis=0, out=X_b, mode="clip")
-                y_all.take(rows, axis=0, out=y_b, mode="clip")
+            for p, (rng, r) in enumerate(zip(rngs, rows)):
+                r.take(rng.permutation(len(r)), out=index[p, : len(r)])
+            for step_rows, X_b, y_b, model, g, work, g_flat, params in steps:
+                # every index is in range (`_row_index`), so mode="clip"
+                # clips nothing; the default mode would gather into a
+                # temporary and copy it into out
+                X.take(step_rows, axis=0, out=X_b, mode="clip")
+                y.take(step_rows, axis=0, out=y_b, mode="clip")
                 gradient(model, X_b, y_b, cfg.l2, g, work)
                 g_flat *= lr
                 params -= g_flat
@@ -466,7 +499,7 @@ def train_stack(models: list, Xs: list, ys: list, cfgs: list) -> None:
             for p in by_input:
                 if bounded[p]:
                     continue
-                loss = cross_entropy(alone[p], Xs[p], ys[p], cfg.l2)
+                loss = cross_entropy(alone[p], X[rows[p]], y[rows[p]], cfg.l2)
                 if not np.isfinite(loss):
                     raise DivergedError(epoch, loss)
     finally:

@@ -185,8 +185,16 @@ def kmeans(points, k: int, seed: int) -> KMeansResult:
 
     prev_assign = None
     history = []
+    # squared distances of every point to every centroid, one centroid's
+    # column at a time through an (n, d) buffer: no (n, k, d) temporary, and
+    # each distance is summed over the same contiguous d values
+    d2 = np.empty((len(pts), k))
+    diff = np.empty(pts.shape)
     for _ in range(KMEANS_MAX_ITERS):
-        d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        for j in range(k):
+            np.subtract(pts, centroids[j], out=diff)
+            np.square(diff, out=diff)
+            diff.sum(axis=1, out=d2[:, j])
         assign = d2.argmin(axis=1)
         for j in range(k):
             if not np.any(assign == j):
@@ -286,14 +294,14 @@ def macro_f1(predictions, labels, num_classes: int, window: int | None = None):
 def train_on_row_sets(ds: Dataset, row_sets, hidden_dim: int, cfg: TrainConfig,
                       init_seeds, train_seeds) -> list:
     """One classifier per row set of ``ds``, all trained in one `learners.train_stack`
-    call: model j is initialised with ``init_seeds[j]`` and trained with ``train_seeds[j]``."""
+    call that gathers each set's rows from ``ds`` by index: model j is initialised
+    with ``init_seeds[j]`` and trained with ``train_seeds[j]``."""
     models = [
         learners.new_classifier(ds.schema.feature_dim, hidden_dim, ds.schema.num_classes, seed=s)
         for s in init_seeds
     ]
     learners.train_stack(
-        models, [ds.features[r] for r in row_sets], [ds.labels[r] for r in row_sets],
-        [dataclasses.replace(cfg, seed=s) for s in train_seeds],
+        models, ds.features, ds.labels, row_sets, [dataclasses.replace(cfg, seed=s) for s in train_seeds],
     )
     return models
 

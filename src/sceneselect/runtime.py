@@ -17,6 +17,7 @@ per-frame results are columns: one array per field, indexed by frame.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
@@ -320,17 +321,28 @@ def dmm_ranker(families):
     return rank
 
 
-def build_baseline(name: str, ds: Dataset, compressed_hidden: int, deep_hidden: int,
-                   num_models: int, cfg: TrainConfig, seed: int):
-    """(ranker, models) for one baseline: sdm, ssm, cdg, or dmm.
+@dataclass
+class BaselinePlan:
+    """What a baseline trains, before any training: a batch ranker over its
+    models and, per model, a row set of the training split and a seed that
+    both initialises and trains it, all ``hidden`` wide."""
 
-    Every baseline is one model per row set of the training split, all
-    trained in one `train_on_row_sets` call, and a ranker over them. sdm
-    (``deep_hidden`` wide) and ssm train the whole split with ``seed``. cdg
-    clusters the raw training features by k-means seeded with ``seed`` and
-    trains one model per cluster with seeds ``seed + 1`` onward. dmm trains
-    one model per family (attribute dimension 0), ascending, with seeds
-    ``seed`` onward.
+    ranker: object
+    row_sets: list
+    seeds: Sequence[int]
+    hidden: int
+
+
+def baseline_plan(name: str, ds: Dataset, compressed_hidden: int, deep_hidden: int,
+                  num_models: int, seed: int) -> BaselinePlan:
+    """The plan of one baseline, sdm, ssm, cdg or dmm; trains nothing.
+
+    sdm (``deep_hidden`` wide) and ssm train the whole split with ``seed``.
+    cdg clusters the raw training features by k-means seeded with ``seed``
+    and trains one model per cluster with seeds ``seed + 1`` onward. dmm
+    trains one model per family (attribute dimension 0), ascending, with
+    seeds ``seed`` onward. Every model but sdm's is ``compressed_hidden``
+    wide.
     """
     train = part_indices(ds, "train")
     if name in ("sdm", "ssm"):
@@ -348,18 +360,43 @@ def build_baseline(name: str, ds: Dataset, compressed_hidden: int, deep_hidden: 
         seeds = range(seed, seed + len(families))
     else:
         raise ConfigError(f"unknown baseline {name!r}")
-    hidden = deep_hidden if name == "sdm" else compressed_hidden
-    return ranker, train_on_row_sets(ds, row_sets, hidden, cfg, seeds, seeds)
+    return BaselinePlan(ranker, row_sets, seeds, deep_hidden if name == "sdm" else compressed_hidden)
+
+
+def train_baselines(ds: Dataset, plans, cfg: TrainConfig) -> list:
+    """Each plan's models, in plan order, trained with ``cfg`` but for the
+    seeds: the plans of one hidden width share one `train_on_row_sets`
+    call, so every width is one stack. A model's parameters do not depend
+    on what it is stacked with."""
+    models = [None] * len(plans)
+    for hidden in dict.fromkeys(plan.hidden for plan in plans):
+        members = [i for i, plan in enumerate(plans) if plan.hidden == hidden]
+        row_sets = [r for i in members for r in plans[i].row_sets]
+        seeds = [s for i in members for s in plans[i].seeds]
+        trained = iter(train_on_row_sets(ds, row_sets, hidden, cfg, seeds, seeds))
+        for i in members:
+            models[i] = [next(trained) for _ in plans[i].seeds]
+    return models
+
+
+def build_baseline(name: str, ds: Dataset, compressed_hidden: int, deep_hidden: int,
+                   num_models: int, cfg: TrainConfig, seed: int):
+    """(ranker, models) for one baseline: its `baseline_plan`, trained by
+    `train_baselines` as a plan of its own."""
+    plan = baseline_plan(name, ds, compressed_hidden, deep_hidden, num_models, seed)
+    [models] = train_baselines(ds, [plan], cfg)
+    return plan.ranker, models
 
 
 def run_baselines(trace, ds: Dataset, names, compressed_hidden: int, deep_hidden: int,
                   num_models: int, cfg: TrainConfig, seeds: dict,
                   cache_capacity: int, window: int = 10) -> dict:
-    """Train and run the requested baselines over one trace (same metrics shape)."""
-    out = {}
-    for name in names:
-        ranker, models = build_baseline(
-            name, ds, compressed_hidden, deep_hidden, num_models, cfg, seeds[name]
-        )
-        out[name] = run_trace(trace, ranker, models, cache_capacity, window)
-    return out
+    """Train and run the requested baselines over one trace (same metrics
+    shape). Their models are trained together, one stack per hidden width
+    (`train_baselines`), and each baseline then serves the trace alone."""
+    plans = [baseline_plan(name, ds, compressed_hidden, deep_hidden, num_models, seeds[name])
+             for name in names]
+    return {
+        name: run_trace(trace, plan.ranker, models, cache_capacity, window)
+        for name, plan, models in zip(names, plans, train_baselines(ds, plans, cfg))
+    }

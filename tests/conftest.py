@@ -3,10 +3,11 @@
 import os
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from sceneselect import cli, dataset, decision, profiling, sampling
+from sceneselect import cli, dataset, decision, learners, profiling, sampling
 
 # CI runs with HYPOTHESIS_PROFILE=ci: examples are drawn from a fixed seed,
 # so a property that fails there fails the same way on a rerun.
@@ -118,6 +119,14 @@ def skew_results():
             }
         )
     return rows
+
+
+def train_pooled(models, Xs, ys, cfgs):
+    """`learners.train_stack` over one training set per model: the sets are
+    pooled into one X and one y, and each model indexes its own rows, in order."""
+    ends = np.cumsum([len(X) for X in Xs])
+    rows = [np.arange(end - len(X), end) for X, end in zip(Xs, ends)]
+    learners.train_stack(models, np.concatenate(Xs), np.concatenate(ys), rows, cfgs)
 
 
 def params_hash(model):

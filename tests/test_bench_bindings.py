@@ -5,6 +5,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from conftest import train_pooled
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -153,12 +155,12 @@ def test_train_stack_calls_gradient_per_stacked_step(monkeypatch):
         full_steps = max(sizes) // batch_size
         ragged = sum(1 for n in sizes if n % batch_size)
         if diverging is None:
-            learners.train_stack(models, Xs, ys, cfgs)
+            train_pooled(models, Xs, ys, cfgs)
             assert calls == {"gradient": epochs * (full_steps + ragged)}
         else:
             Xs[diverging] *= 1e200
             with np.errstate(all="ignore"), pytest.raises(DivergedError) as err:
-                learners.train_stack(models, Xs, ys, cfgs)
+                train_pooled(models, Xs, ys, cfgs)
             assert err.value.epoch == 0
             assert calls == {"gradient": full_steps + ragged, "cross_entropy": 1}
 

@@ -254,6 +254,17 @@ class TestSimulate:
         ])
         assert code == 1
 
+    def test_empty_sweep_rejected(self, workdir, tmp_path, capsys):
+        # an empty range is a bad sweep, not a request for the config's capacity
+        out = tmp_path / "x"
+        code = cli.main([
+            "simulate", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
+            "--baseline", "ssm", "--capacity-sweep", "", "--out", str(out),
+        ])
+        assert code == 1
+        assert "bad sweep ''" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # runs cli.main(argv) in a fresh interpreter in which importing scipy fails
 NO_SCIPY = "import sys; sys.modules['scipy'] = None; from sceneselect import cli; sys.exit(cli.main(sys.argv[1:]))"

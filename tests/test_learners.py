@@ -12,7 +12,7 @@ from sceneselect import learners
 from sceneselect.errors import ConfigError, DivergedError
 from sceneselect.learners import TrainConfig
 
-from conftest import params_hash
+from conftest import params_hash, train_pooled
 
 
 def tiny_model(i=3, h=4, o=3, seed=0):
@@ -443,7 +443,7 @@ class TestStackMatchesPerModelTrain:
         alone = [learners.model_from_dict(learners.model_to_dict(m)) for m in models]
         cfgs = [TrainConfig(lr, epochs, batch, l2=l2, seed=seed + j) for j in range(len(sizes))]
 
-        learners.train_stack(models, Xs, ys, cfgs)
+        train_pooled(models, Xs, ys, cfgs)
         for stacked, single, X, y, cfg in zip(models, alone, Xs, ys, cfgs):
             learners.train(single, X, y, cfg)
             for name in ("W1", "b1", "W2", "b2"):
@@ -462,7 +462,7 @@ class TestStackMatchesPerModelTrain:
         cfgs = [TrainConfig(1e-10, 3, 4, seed=1) for _ in range(3)]
         models = [tiny_model(seed=j) for j in range(3)]
         with np.errstate(all="ignore"), pytest.raises(DivergedError) as err:
-            learners.train_stack(models, Xs, Ys, cfgs)
+            train_pooled(models, Xs, Ys, cfgs)
         assert (err.value.epoch, str(err.value)) == (1, "training diverged at epoch 1 (loss=inf)")
         alone_errors = []
         for j, stacked in enumerate(models):
@@ -481,20 +481,56 @@ class TestStackMatchesPerModelTrain:
     def test_mixed_dims_or_configs_rejected(self):
         rng = np.random.default_rng(0)
         X, y = rng.normal(size=(6, 3)), rng.integers(0, 3, 6)
+        rows = np.arange(6)
         cfg = TrainConfig(0.1, 2, 4, seed=1)
-        for other, other_cfg, other_y in [
-            (tiny_model(h=5), cfg, y),  # hidden width differs
-            (tiny_model(o=4), cfg, y),  # output width differs
-            (tiny_model(), TrainConfig(0.1, 2, 3, seed=1), y),  # batch size differs
-            (tiny_model(), TrainConfig(0.1, 2, 4, l2=0.01, seed=2), y),  # l2 differs
-            (tiny_model(), cfg, np.eye(3)[y]),  # labels next to a 0/1 matrix
+        for other, other_cfg in [
+            (tiny_model(h=5), cfg),  # hidden width differs
+            (tiny_model(o=4), cfg),  # output width differs
+            (tiny_model(), TrainConfig(0.1, 2, 3, seed=1)),  # batch size differs
+            (tiny_model(), TrainConfig(0.1, 2, 4, l2=0.01, seed=2)),  # l2 differs
         ]:
             with pytest.raises(ConfigError):
-                learners.train_stack([tiny_model(), other], [X, X], [y, other_y], [cfg, other_cfg])
+                learners.train_stack([tiny_model(), other], X, y, [rows, rows], [cfg, other_cfg])
         with pytest.raises(ConfigError):
-            learners.train_stack([], [], [], [])
+            learners.train_stack([], X, y, [], [])
         with pytest.raises(ConfigError):
-            learners.train_stack([tiny_model()], [X, X], [y], [cfg])
+            learners.train_stack([tiny_model()], X, y, [rows, rows], [cfg])
+        with pytest.raises(ConfigError, match="disagree in length"):
+            learners.train_stack([tiny_model()], X, y[:5], [rows[:5]], [cfg])
+
+    @pytest.mark.parametrize("bad", [
+        np.array([], dtype=int),  # empty
+        np.array([0, -1, 2]),  # negative
+        np.array([0, 6, 2]),  # one past the last row
+        np.array([0.0, 1.0, 2.0]),  # float
+        np.array([True, False, True, False, True, False]),  # boolean mask
+        np.array([[0, 1], [2, 3]]),  # not 1-D
+    ], ids=["empty", "negative", "out-of-range", "float", "bool", "2-d"])
+    def test_bad_row_index_rejected_before_any_update(self, bad):
+        # the steps gather with mode="clip", which would turn a bad index
+        # into a valid row without a word
+        rng = np.random.default_rng(2)
+        X, y = rng.normal(size=(6, 3)), rng.integers(0, 3, 6)
+        models = [tiny_model(seed=s) for s in range(2)]
+        before = [params_hash(m) for m in models]
+        cfgs = [TrainConfig(0.1, 2, 4, seed=s) for s in range(2)]
+        with pytest.raises(ConfigError):
+            learners.train_stack(models, X, y, [np.arange(6), bad], cfgs)
+        assert [params_hash(m) for m in models] == before
+
+    def test_rows_gather_from_the_pool_in_order(self):
+        # a model's rows of a shared pool, repeats and any order allowed,
+        # train it exactly as the gathered copy does alone
+        rng = np.random.default_rng(4)
+        X, y = rng.normal(size=(20, 3)), rng.integers(0, 3, 20)
+        rows = [np.array([19, 3, 3, 7, 0, 12, 5]), np.arange(20)[::-2], np.arange(20)]
+        cfgs = [TrainConfig(0.1, 3, 4, seed=s) for s in range(3)]
+        models = [tiny_model(seed=s) for s in range(3)]
+        learners.train_stack(models, X, y, rows, cfgs)
+        for j, (r, cfg) in enumerate(zip(rows, cfgs)):
+            single = tiny_model(seed=j)
+            learners.train(single, X[r], y[r], cfg)
+            assert params_hash(models[j]) == params_hash(single), j
 
     def test_one_bad_label_model_rejected_before_any_update(self):
         rng = np.random.default_rng(1)
@@ -504,8 +540,29 @@ class TestStackMatchesPerModelTrain:
         ys = [rng.integers(0, 3, 9), np.array([0, 1, 3, 2, 0]), rng.integers(0, 3, 7)]
         cfgs = [TrainConfig(0.1, 2, 4, seed=s) for s in range(3)]
         with pytest.raises(ConfigError):
-            learners.train_stack(models, Xs, ys, cfgs)
+            train_pooled(models, Xs, ys, cfgs)
         assert [params_hash(m) for m in models] == before
+
+
+class TestBiasSum:
+    """`gradient`'s bias sums take einsum above width 1; each must be the bits
+    of ``sum(axis=-2)``, stacked or not, into a buffer or not."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        width=st.integers(1, 9),
+        stack=st.one_of(st.just(()), st.tuples(st.integers(1, 12))),
+        rows=st.integers(1, 300),
+        scale=st.sampled_from([1e-3, 1.0, 1e5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_equal_to_numpys_sum(self, width, stack, rows, scale, seed):
+        a = np.random.default_rng(seed).normal(size=stack + (rows, width)) * scale
+        expected = a.sum(axis=-2)
+        out = np.full(stack + (width,), np.nan)
+        assert learners._bias_sum(a).tobytes() == expected.tobytes()
+        assert learners._bias_sum(a, out) is out
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestPreallocatedBuffers:
@@ -589,7 +646,7 @@ class TestPreallocatedBuffers:
             return a
 
         monkeypatch.setattr(np, "empty", poisoned)
-        learners.train_stack(models, Xs, ys, cfgs)
+        train_pooled(models, Xs, ys, cfgs)
         monkeypatch.undo()
         assert [params_hash(m) for m in models] == [params_hash(m) for m in refs]
 
@@ -700,7 +757,7 @@ class TestLossBound:
         ref = [learners.model_from_dict(learners.model_to_dict(m)) for m in fast]
         cfgs = [TrainConfig(lr, epochs, batch, l2=l2, seed=seed + j) for j in range(len(sizes))]
 
-        assert divergence(learners.train_stack, fast, Xs, ys, cfgs) == divergence(
+        assert divergence(train_pooled, fast, Xs, ys, cfgs) == divergence(
             reference_train_stack, ref, Xs, ys, cfgs
         )
         assert [params_hash(m) for m in fast] == [params_hash(m) for m in ref]

@@ -217,6 +217,88 @@ class TestKMeans:
         assert sorted(np.unique(res.assignments).tolist()) == [0, 1, 2, 3, 4]
 
 
+def reference_kmeans(points, k, seed):
+    """(KMeansResult, number of empty-cluster repairs) of `kmeans` as it was
+    with each iteration's distances from one (n, k, d) broadcast."""
+    pts = np.asarray(points, dtype=float)
+    centroids = profiling._kmeans_pp(pts, k, np.random.default_rng(seed))
+    prev_assign, history, repairs = None, [], 0
+    for _ in range(profiling.KMEANS_MAX_ITERS):
+        d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assign = d2.argmin(axis=1)
+        for j in range(k):
+            if not np.any(assign == j):
+                repairs += 1
+                own = d2[np.arange(len(pts)), assign]
+                own[np.bincount(assign, minlength=k)[assign] < 2] = -1.0
+                far = int(np.argmax(own))
+                assign[far] = j
+                d2[far, :] = np.inf
+                d2[far, j] = 0.0
+        for j in range(k):
+            centroids[j] = pts[assign == j].mean(axis=0)
+        history.append(float(((pts - centroids[assign]) ** 2).sum()))
+        if prev_assign is not None and np.array_equal(assign, prev_assign):
+            break
+        if len(history) >= 2 and history[-2] - history[-1] < profiling.KMEANS_TOL:
+            break
+        prev_assign = assign
+    return profiling.KMeansResult(assign, centroids, history[-1], history), repairs
+
+
+def assert_same_kmeans(got, expected):
+    assert got.assignments.tobytes() == expected.assignments.tobytes()
+    assert got.centroids.tobytes() == expected.centroids.tobytes()
+    assert got.inertia_history == expected.inertia_history
+    assert got.inertia == expected.inertia
+
+
+class TestKMeansMatchesBroadcast:
+    """kmeans fills its distances one centroid at a time; every result must
+    be bit-equal to the (n, k, d) broadcast it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_points_with_duplicates(self, data):
+        # dims past 8 sum each distance pairwise in numpy, below it in order
+        distinct = data.draw(st.integers(1, 12))
+        dim = data.draw(st.integers(1, 18))
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pts = np.repeat(rng.normal(size=(distinct, dim)) * scale,
+                        data.draw(st.lists(st.integers(1, 5), min_size=distinct, max_size=distinct)), axis=0)
+        pts = pts[rng.permutation(len(pts))]
+        k = data.draw(st.integers(1, distinct))
+        seed = data.draw(st.integers(0, 2**16))
+        expected, _ = reference_kmeans(pts, k, seed)
+        assert_same_kmeans(kmeans(pts, k, seed=seed), expected)
+
+    @pytest.mark.parametrize(
+        "points, k",
+        [
+            ([1.0, 0.0, 2.0, 2.0, 9.891546322150135e-167], 4),
+            ([0.0, 1.93e-255, 1.31e-301], 3),
+        ],
+    )
+    def test_empty_cluster_repair(self, points, k):
+        pts = np.array(points)[:, None]
+        expected, repairs = reference_kmeans(pts, k, 0)
+        assert repairs > 0
+        assert_same_kmeans(kmeans(pts, k, seed=0), expected)
+
+    def test_scene_centroids_and_raw_features(self, easy):
+        # what a build clusters (scene centroids) and what cdg does (raw features)
+        ds, scenes, encoder = easy
+        centroids = profiling.embed_scenes(encoder, scenes, ds)
+        for k in range(1, len(scenes) + 1):
+            expected, _ = reference_kmeans(centroids, k, k)
+            assert_same_kmeans(kmeans(centroids, k, seed=k), expected)
+        features = ds.features[part_indices(ds, "train")]
+        for k in (1, 3, 8):
+            expected, _ = reference_kmeans(features, k, k)
+            assert_same_kmeans(kmeans(features, k, seed=k), expected)
+
+
 class TestMacroF1:
     def test_point_six_point_four(self):
         assert binary_f1(6, 4, 9) == pytest.approx(0.48)
@@ -474,9 +556,11 @@ class TestStackedRepositoryMatchesLevelByLevel:
         stacks = []
         original = learners.train_stack
 
-        def recording(models, *args):
+        def recording(models, X, y, rows, cfgs):
+            # every round gathers its rows from the dataset's own arrays
+            assert X is ds.features and y is ds.labels
             stacks.append(len(models))
-            return original(models, *args)
+            return original(models, X, y, rows, cfgs)
 
         monkeypatch.setattr(learners, "train_stack", recording)
         build_repository(ds, scenes, enc, quick_profiling_cfg(n=5, delta=0.99))

@@ -181,13 +181,22 @@ def reference_train_global_model(ds, hidden_dim, cfg):
     return model
 
 
+def reference_train_alone(ds, row_sets, hidden_dim, cfg, seeds):
+    """One model per row set, each trained alone on its own copy of the rows."""
+    models = []
+    for rows, seed in zip(row_sets, seeds):
+        model = learners.new_classifier(ds.schema.feature_dim, hidden_dim, ds.schema.num_classes, seed)
+        learners.train(model, ds.features[rows], ds.labels[rows], dataclasses.replace(cfg, seed=seed))
+        models.append(model)
+    return models
+
+
 def reference_build_cdg(ds, k, hidden_dim, cfg, seed):
     train = part_indices(ds, "train")
     result = profiling.kmeans(ds.features[train], k, seed=seed)
     members = [train[result.assignments == j] for j in range(k)]
     seeds = range(seed + 1, seed + k + 1)
-    return (runtime.cdg_ranker(result.centroids),
-            profiling.train_on_row_sets(ds, members, hidden_dim, cfg, seeds, seeds))
+    return runtime.cdg_ranker(result.centroids), reference_train_alone(ds, members, hidden_dim, cfg, seeds)
 
 
 def reference_build_dmm(ds, hidden_dim, cfg, seed):
@@ -196,8 +205,7 @@ def reference_build_dmm(ds, hidden_dim, cfg, seed):
     families = np.unique(family)
     members = [train[family == fam] for fam in families]
     seeds = range(seed, seed + len(families))
-    return (runtime.dmm_ranker(families),
-            profiling.train_on_row_sets(ds, members, hidden_dim, cfg, seeds, seeds))
+    return runtime.dmm_ranker(families), reference_train_alone(ds, members, hidden_dim, cfg, seeds)
 
 
 def reference_build_baseline(name, ds, compressed_hidden, deep_hidden, num_models, cfg, seed):
@@ -784,6 +792,36 @@ class TestBaselines:
             ref_ranker, ref_models = reference_build_baseline(*args)
             assert [params_hash(m) for m in models] == [params_hash(m) for m in ref_models]
             assert np.array_equal(ranker(trace), ref_ranker(trace))
+
+    def test_run_baselines_trains_one_stack_per_width(self, small_ds, monkeypatch):
+        # sdm is the one deep stack; ssm, cdg and dmm share one compressed
+        # stack, and every model is still bit-equal to building it alone
+        names = ("sdm", "ssm", "cdg", "dmm")
+        seeds = {name: seed for name, seed in zip(names, (19, 23, 29, 31))}
+        cfg = quick_train_cfg(epochs=5)
+        trace = synthesize_trace(small_ds, 3, 5, 6, seed=1)
+        served, stacks = [], []
+        run, train = runtime.run_trace, runtime.train_on_row_sets
+
+        def recording_run(trace, ranker, models, *args):
+            served.append((ranker, models))
+            return run(trace, ranker, models, *args)
+
+        def recording_train(ds, row_sets, hidden, *args):
+            stacks.append((hidden, len(row_sets)))
+            return train(ds, row_sets, hidden, *args)
+
+        monkeypatch.setattr(runtime, "run_trace", recording_run)
+        monkeypatch.setattr(runtime, "train_on_row_sets", recording_train)
+        out = run_baselines(trace, small_ds, names, 4, 12, 3, cfg, seeds, cache_capacity=2)
+        monkeypatch.undo()
+        assert list(out) == list(names) and len(served) == len(names)
+        families = len(np.unique(small_ds.attrs[part_indices(small_ds, "train"), 0]))
+        assert stacks == [(12, 1), (4, 1 + 3 + families)]
+        for name, (ranker, models) in zip(names, served):
+            ref_ranker, ref_models = reference_build_baseline(name, small_ds, 4, 12, 3, cfg, seeds[name])
+            assert [params_hash(m) for m in models] == [params_hash(m) for m in ref_models], name
+            assert np.array_equal(ranker(trace), ref_ranker(trace)), name
 
     def test_unknown_baseline_rejected(self, small_ds):
         with pytest.raises(ConfigError, match="unknown baseline 'anole'"):
