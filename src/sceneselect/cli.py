@@ -357,13 +357,24 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    """Aggregate summaries of one dataset. A method's runs may differ in
+    trace seed, but when they span several capacities (a sweep), no capacity
+    may repeat: the miss rates of different traces would interleave."""
     rows = [read_artifact(path, "summary") for path in args.inputs]
     by_method = {}
-    for row in rows:
-        by_method.setdefault(row["method"], []).append(row)
+    for path, row in zip(args.inputs, rows):
+        if row.get("dataset_hash") != rows[0].get("dataset_hash"):
+            raise ConfigError(f"summaries of different datasets: {args.inputs[0]} and {path}")
+        by_method.setdefault(row["method"], []).append((path, row))
     report = {"kind": "report", "methods": {}, "sweeps": {}}
     for method in sorted(by_method):
-        f1s = np.array([r["mean_window_f1"] for r in by_method[method]])
+        paths_at = {}
+        for path, r in by_method[method]:
+            paths_at.setdefault(r["capacity"], []).append(path)
+        repeated = [paths for paths in paths_at.values() if len(paths) > 1]
+        if len(paths_at) > 1 and repeated:
+            raise ConfigError(f"{method}'s capacity sweep repeats a capacity: {' and '.join(repeated[0])}")
+        f1s = np.array([r["mean_window_f1"] for _, r in by_method[method]])
         report["methods"][method] = {
             "runs": len(f1s),
             "mean_window_f1_mean": float(f1s.mean()),
@@ -372,9 +383,8 @@ def cmd_report(args) -> int:
         print(
             f"{method}: mean_window_f1 = {f1s.mean():.4f} +/- {f1s.std():.4f} over {len(f1s)} run(s)"
         )
-        caps = sorted({r["capacity"] for r in by_method[method]})
-        if len(caps) > 1:
-            ordered = sorted(by_method[method], key=lambda r: r["capacity"])
+        if len(paths_at) > 1:
+            ordered = sorted((r for _, r in by_method[method]), key=lambda r: r["capacity"])
             miss = [r["miss_rate"] for r in ordered]
             monotone = all(b <= a + 1e-12 for a, b in zip(miss, miss[1:]))
             report["sweeps"][method] = {

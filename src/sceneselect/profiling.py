@@ -8,13 +8,17 @@ the scene centroids for k = k_start, k_start+1, ..., training one compressed
 model per cluster and keeping those whose validation macro-F1 clears a
 threshold, until the repository reaches its preset size. The clusters of
 all the levels that could still be needed are trained together, one
-`learners.train_stack` call per round of levels.
+`train_on_row_sets` call per round of levels, which trains its models in
+one share per usable CPU, side by side.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,19 +295,130 @@ def macro_f1(predictions, labels, num_classes: int, window: int | None = None):
     return float(scores[0]) if window is None else scores
 
 
-def train_on_row_sets(ds: Dataset, row_sets, hidden_dim: int, cfg: TrainConfig,
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on; 1 where the platform
+    cannot tell."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def split_shares(costs, shares: int) -> list:
+    """Split models of the given costs into ``shares`` lists of model
+    indices, each ascending: the models go largest cost first (ties by
+    index), each to the share with the least cost so far (ties to the
+    lower share)."""
+    loads = [0] * shares
+    members = [[] for _ in range(shares)]
+    for j in sorted(range(len(costs)), key=lambda j: -costs[j]):
+        s = loads.index(min(loads))
+        loads[s] += costs[j]
+        members[s].append(j)
+    return [sorted(m) for m in members]
+
+
+def train_on_row_sets(ds: Dataset, row_sets, hidden_dims, cfg: TrainConfig,
                       init_seeds, train_seeds) -> list:
-    """One classifier per row set of ``ds``, all trained in one `learners.train_stack`
-    call that gathers each set's rows from ``ds`` by index: model j is initialised
-    with ``init_seeds[j]`` and trained with ``train_seeds[j]``."""
-    models = [
-        learners.new_classifier(ds.schema.feature_dim, hidden_dim, ds.schema.num_classes, seed=s)
-        for s in init_seeds
-    ]
-    learners.train_stack(
-        models, ds.features, ds.labels, row_sets, [dataclasses.replace(cfg, seed=s) for s in train_seeds],
-    )
-    return models
+    """One classifier per row set of ``ds``, ``hidden_dims[j]`` wide, gathering
+    its rows from ``ds`` by index: model j is initialised with
+    ``init_seeds[j]`` and trained with ``train_seeds[j]``.
+
+    The models are split into one share per usable CPU, at most one per
+    model, by `split_shares` on rows times width. The first share trains in
+    this process and every other one in a forked child, at the same time;
+    within a share, the models of one width train as one
+    `learners.train_stack` call. A model's parameters do not depend on what
+    it is stacked with, so every split gives the same bits. If any share
+    fails, the whole set is trained again in this process, so an error is
+    the one a single process raises.
+    """
+    train = functools.partial(_train_models, ds, row_sets, hidden_dims, cfg, init_seeds, train_seeds)
+    costs = [len(rows) * hidden for rows, hidden in zip(row_sets, hidden_dims)]
+    shares = split_shares(costs, min(_usable_cpus(), len(costs)))
+    trained = _train_shares(train, shares) if len(shares) > 1 else None
+    return train(range(len(costs))) if trained is None else trained
+
+
+def _train_models(ds: Dataset, row_sets, hidden_dims, cfg: TrainConfig, init_seeds, train_seeds,
+                  members) -> list:
+    """The models ``members`` of `train_on_row_sets`, in that order, trained in
+    this process: one `learners.train_stack` call per hidden width, the
+    widths in order of first appearance."""
+    models = {
+        j: learners.new_classifier(ds.schema.feature_dim, hidden_dims[j], ds.schema.num_classes,
+                                   seed=init_seeds[j])
+        for j in members
+    }
+    for hidden in dict.fromkeys(hidden_dims[j] for j in members):
+        stack = [j for j in members if hidden_dims[j] == hidden]
+        learners.train_stack(
+            [models[j] for j in stack], ds.features, ds.labels, [row_sets[j] for j in stack],
+            [dataclasses.replace(cfg, seed=train_seeds[j]) for j in stack],
+        )
+    return list(models.values())
+
+
+def _train_shares(train, shares) -> list | None:
+    """Every model of ``shares``, in model order: ``train(share)`` for the
+    first share in this process and for each other share in a forked child.
+    None if any share raised, or a child exited non-zero or sent a short
+    payload. Every child is reaped before this returns, and killed first
+    unless its payload was read in full."""
+    children = []  # (pid, read end of its pipe)
+    statuses = []
+    payloads = None
+    try:
+        try:
+            for share in shares[1:]:
+                children.append(_fork_share(train, share))
+            own = train(shares[0])
+        except Exception:
+            return None  # the caller trains the whole set again and raises what that raises
+        payloads = [_read_to_eof(fd) for _, fd in children]
+    finally:
+        for pid, fd in children:
+            if payloads is None:
+                import signal  # here, not at the top: its import adds to every run's start-up
+
+                os.kill(pid, signal.SIGKILL)
+            os.close(fd)
+            statuses.append(os.waitpid(pid, 0)[1])
+    if any(statuses) or any(len(p) != 8 + int.from_bytes(p[:8], "little") for p in payloads):
+        return None
+    by_model = dict(zip(shares[0], own))
+    for share, payload in zip(shares[1:], payloads):
+        by_model.update(zip(share, pickle.loads(payload[8:])))
+    return [by_model[j] for j in sorted(by_model)]
+
+
+def _fork_share(train, share) -> tuple:
+    """(pid, read end) of a forked child that runs ``train(share)`` and writes
+    the pickled result into a pipe, after its length as 8 little-endian
+    bytes. The child leaves by ``os._exit``: 0 once the payload is written,
+    1 if anything raised, with nothing pickled."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            payload = pickle.dumps(train(share), pickle.HIGHEST_PROTOCOL)
+            with open(write_end, "wb") as pipe:
+                pipe.write(len(payload).to_bytes(8, "little") + payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _read_to_eof(fd: int) -> bytes:
+    with open(fd, "rb", closefd=False) as pipe:
+        return pipe.read()
 
 
 def _cluster_scene(scenes, member_ids) -> ClusterScene:
@@ -324,12 +439,12 @@ def build_repository(ds: Dataset, scenes, encoder: VectorClassifier, cfg: Profil
     scoring stops the moment the repository holds ``n`` models (mid-k
     allowed).
 
-    The models are trained in rounds of whole levels, one `train_stack`
-    call per round: from the current k up to the first level that could
-    fill the repository if every model were accepted, capped at ``k_max``
-    and at the number of distinct centroids. Each model has its own seeds,
-    so the repository equals level-by-level training; the last level of a
-    round may train models that are never scored.
+    The models are trained in rounds of whole levels, one
+    `train_on_row_sets` call per round: from the current k up to the first
+    level that could fill the repository if every model were accepted,
+    capped at ``k_max`` and at the number of distinct centroids. Each model
+    has its own seeds, so the repository equals level-by-level training;
+    the last level of a round may train models that are never scored.
     """
     cfg.validate()
     centroids = embed_scenes(encoder, scenes, ds)
@@ -355,8 +470,9 @@ def build_repository(ds: Dataset, scenes, encoder: VectorClassifier, cfg: Profil
                 sources.append((level, j))
                 clusters.append(_cluster_scene(scenes, members))
         models = train_on_row_sets(
-            ds, [c.train_indices for c in clusters], cfg.compressed_hidden, cfg.model_train,
-            [derive_seed(cfg.seed, 2, *s) for s in sources], [derive_seed(cfg.seed, 3, *s) for s in sources],
+            ds, [c.train_indices for c in clusters], [cfg.compressed_hidden] * len(clusters),
+            cfg.model_train, [derive_seed(cfg.seed, 2, *s) for s in sources],
+            [derive_seed(cfg.seed, 3, *s) for s in sources],
         )
         for source, cluster, model in zip(sources, clusters, models):
             if len(entries) >= cfg.n:

@@ -365,18 +365,13 @@ def baseline_plan(name: str, ds: Dataset, compressed_hidden: int, deep_hidden: i
 
 def train_baselines(ds: Dataset, plans, cfg: TrainConfig) -> list:
     """Each plan's models, in plan order, trained with ``cfg`` but for the
-    seeds: the plans of one hidden width share one `train_on_row_sets`
-    call, so every width is one stack. A model's parameters do not depend
-    on what it is stacked with."""
-    models = [None] * len(plans)
-    for hidden in dict.fromkeys(plan.hidden for plan in plans):
-        members = [i for i, plan in enumerate(plans) if plan.hidden == hidden]
-        row_sets = [r for i in members for r in plans[i].row_sets]
-        seeds = [s for i in members for s in plans[i].seeds]
-        trained = iter(train_on_row_sets(ds, row_sets, hidden, cfg, seeds, seeds))
-        for i in members:
-            models[i] = [next(trained) for _ in plans[i].seeds]
-    return models
+    seeds, all in one `train_on_row_sets` call, each at its plan's width. A
+    model's parameters do not depend on what it is trained with."""
+    row_sets = [r for plan in plans for r in plan.row_sets]
+    widths = [plan.hidden for plan in plans for _ in plan.row_sets]
+    seeds = [s for plan in plans for s in plan.seeds]
+    trained = iter(train_on_row_sets(ds, row_sets, widths, cfg, seeds, seeds))
+    return [[next(trained) for _ in plan.seeds] for plan in plans]
 
 
 def build_baseline(name: str, ds: Dataset, compressed_hidden: int, deep_hidden: int,
@@ -392,8 +387,8 @@ def run_baselines(trace, ds: Dataset, names, compressed_hidden: int, deep_hidden
                   num_models: int, cfg: TrainConfig, seeds: dict,
                   cache_capacity: int, window: int = 10) -> dict:
     """Train and run the requested baselines over one trace (same metrics
-    shape). Their models are trained together, one stack per hidden width
-    (`train_baselines`), and each baseline then serves the trace alone."""
+    shape). Their models are trained together in one `train_baselines`
+    call, and each baseline then serves the trace alone."""
     plans = [baseline_plan(name, ds, compressed_hidden, deep_hidden, num_models, seeds[name])
              for name in names]
     return {

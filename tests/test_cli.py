@@ -458,6 +458,45 @@ def zero_capacity(workdir, tmp_path):
     ]
 
 
+def write_summaries(tmp_path, *changes):
+    """One ssm summary artifact per dict of ``changes`` to a fixed body; their paths."""
+    paths = []
+    for i, change in enumerate(changes):
+        body = {"kind": "summary", "method": "ssm", "capacity": 1, "trace_seed": 7,
+                "dataset_hash": "d" * 64, "miss_rate": 0.5, "mean_window_f1": 0.9, **change}
+        paths.append(str(tmp_path / f"summary_{i}.json"))
+        write_artifact(paths[-1], body)
+    return paths
+
+
+class TestReport:
+    def test_trace_seeds_may_differ(self, tmp_path, capsys):
+        # three runs at one capacity, and a sweep whose capacities each come from another trace
+        paths = write_summaries(
+            tmp_path, {}, {"trace_seed": 8}, {"trace_seed": 9},
+            {"method": "dmm"}, {"method": "dmm", "capacity": 2, "trace_seed": 8},
+        )
+        assert cli.main(["report", *paths, "--out", str(tmp_path / "report.json")]) == 0
+        report = read_artifact(tmp_path / "report.json", "report")
+        assert report["methods"]["ssm"]["runs"] == 3 and "ssm" not in report["sweeps"]
+        assert report["sweeps"]["dmm"]["capacities"] == [1, 2]
+
+    def test_summaries_of_two_datasets_refused(self, tmp_path, capsys):
+        paths = write_summaries(tmp_path, {}, {"method": "dmm"}, {"dataset_hash": "e" * 64})
+        assert cli.main(["report", *paths]) == 1
+        assert capsys.readouterr().err == f"error: summaries of different datasets: {paths[0]} and {paths[2]}\n"
+
+    def test_sweep_repeating_a_capacity_refused(self, tmp_path, capsys):
+        # a sweep per trace seed: sorted by capacity, the two traces' miss rates would interleave
+        paths = write_summaries(
+            tmp_path, {}, {"capacity": 2}, {"trace_seed": 8}, {"capacity": 2, "trace_seed": 8},
+        )
+        assert cli.main(["report", *paths]) == 1
+        assert capsys.readouterr().err == (
+            f"error: ssm's capacity sweep repeats a capacity: {paths[0]} and {paths[2]}\n"
+        )
+
+
 # (argv builder, error class raised by the command, text the message must hold)
 FAILURES = {
     "truncated dataset": (truncated_dataset, ParseError, "invalid JSON"),

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import os
 import warnings
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from sceneselect import learners, profiling
 from sceneselect.dataset import generate_dataset, part_indices
-from sceneselect.errors import ConfigError, InsufficientModelsError
+from sceneselect.errors import ConfigError, DivergedError, InsufficientModelsError
 from sceneselect.learners import TrainConfig
 from sceneselect.profiling import (
     ProfilingConfig,
@@ -552,6 +554,8 @@ class TestStackedRepositoryMatchesLevelByLevel:
             assert stacked == (5, "accepted only 5 of 6 requested models: exhausted k up to 3")
 
     def test_one_stacked_training_per_round(self, easy, monkeypatch):
+        # with one usable CPU nothing forks, so a child's stacks cannot go
+        # unrecorded, and each round is one stack
         ds, scenes, enc = easy
         stacks = []
         original = learners.train_stack
@@ -563,8 +567,101 @@ class TestStackedRepositoryMatchesLevelByLevel:
             return original(models, X, y, rows, cfgs)
 
         monkeypatch.setattr(learners, "train_stack", recording)
-        build_repository(ds, scenes, enc, quick_profiling_cfg(n=5, delta=0.99))
+        with cpus_usable(1):
+            build_repository(ds, scenes, enc, quick_profiling_cfg(n=5, delta=0.99))
         assert stacks == [2 + 3, 4]
+
+
+def forbidden_fork():
+    raise AssertionError("forked with one usable CPU")
+
+
+@contextlib.contextmanager
+def cpus_usable(count):
+    """Run with ``count`` usable CPUs; yields a list that gains an entry per
+    fork. With one CPU, a fork fails the test."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        mp.setattr(os, "fork", counted_fork if count > 1 else forbidden_fork)
+        yield forks
+
+
+def no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def diverged(cpus, *args):
+    """(epoch, message, forks) of the DivergedError that `train_on_row_sets`
+    raises with ``cpus`` usable CPUs."""
+    with cpus_usable(cpus) as forks, np.errstate(all="ignore"), pytest.raises(DivergedError) as err:
+        profiling.train_on_row_sets(*args)
+    return err.value.epoch, str(err.value), len(forks)
+
+
+class TestSharedTraining:
+    def test_split_known_answer(self):
+        costs = [5, 9, 2, 9, 4]
+        assert profiling.split_shares(costs, 1) == [[0, 1, 2, 3, 4]]
+        # 9, 9, 5, 4, 2 in turn to the least-loaded share, ties to the lower
+        assert profiling.split_shares(costs, 2) == [[0, 1], [2, 3, 4]]
+        assert profiling.split_shares(costs, 3) == [[1, 2], [3], [0, 4]]
+        # shaped like the default baselines: sdm (3,300 rows, 96 wide)
+        # apart from the twelve 8-wide models, whose rows add up to three
+        # times sdm's
+        rows = [3300, 3300] + [275] * 12 + [1100] * 3
+        costs = [rows[0] * 96] + [n * 8 for n in rows[1:]]
+        assert profiling.split_shares(costs, 2) == [[0], list(range(1, 17))]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sets=st.lists(
+            st.tuples(st.integers(1, 60), st.sampled_from([2, 5, 9]), st.integers(0, 2**31 - 1)),
+            min_size=1, max_size=5,
+        ),
+        cpus=st.integers(1, 3),
+    )
+    def test_every_split_matches_one_process(self, small_ds, sets, cpus):
+        train = part_indices(small_ds, "train")
+        row_sets = [np.random.default_rng(seed).choice(train, n) for n, _, seed in sets]
+        widths = [h for _, h, _ in sets]
+        seeds = [seed for _, _, seed in sets]
+        args = (small_ds, row_sets, widths, quick_train_cfg(epochs=2), seeds, seeds[::-1])
+        with cpus_usable(cpus) as forks:
+            models = profiling.train_on_row_sets(*args)
+        with cpus_usable(1):
+            alone = profiling.train_on_row_sets(*args)
+        assert len(forks) == min(cpus, len(sets)) - 1
+        assert [m.hidden_dim for m in models] == widths
+        assert [params_hash(m) for m in models] == [params_hash(m) for m in alone]
+        assert no_child_left()
+
+    @pytest.mark.parametrize("scaled", [[1], [0], [0, 1]], ids=["child", "parent", "both"])
+    def test_a_diverging_share_raises_as_one_process(self, small_ds, scaled):
+        # sets 0 and 1 train in the calling process and in one child; a
+        # scaled set diverges, set 0 at epoch 1 and set 1 at epoch 0, so
+        # when both do, one process raises the child's error
+        features = small_ds.features.copy()
+        train = part_indices(small_ds, "train")
+        row_sets = [train[::4][:40], train[1::4][:30]]
+        for j in scaled:
+            features[row_sets[j]] *= 1e150 if j else 1e100
+        ds = dataclasses.replace(small_ds, features=features)
+        args = (ds, row_sets, [4, 4], TrainConfig(1e3, 3, 64), [1, 2], [3, 4])
+        epoch, message, _ = diverged(1, *args)
+        assert epoch == (0 if 1 in scaled else 1)
+        assert diverged(2, *args) == (epoch, message, 1)
+        assert no_child_left()
 
 
 class TestRepositoryIO:

@@ -25,7 +25,7 @@ from sceneselect.runtime import (
 )
 
 from conftest import params_hash, small_generator_config
-from test_profiling import quick_train_cfg
+from test_profiling import cpus_usable, quick_train_cfg
 
 
 class ReferenceCache:
@@ -794,26 +794,29 @@ class TestBaselines:
             assert np.array_equal(ranker(trace), ref_ranker(trace))
 
     def test_run_baselines_trains_one_stack_per_width(self, small_ds, monkeypatch):
-        # sdm is the one deep stack; ssm, cdg and dmm share one compressed
-        # stack, and every model is still bit-equal to building it alone
+        # in one process, sdm is the one deep stack; ssm, cdg and dmm share
+        # one compressed stack, and every model is still bit-equal to
+        # building it alone
         names = ("sdm", "ssm", "cdg", "dmm")
         seeds = {name: seed for name, seed in zip(names, (19, 23, 29, 31))}
         cfg = quick_train_cfg(epochs=5)
         trace = synthesize_trace(small_ds, 3, 5, 6, seed=1)
         served, stacks = [], []
-        run, train = runtime.run_trace, runtime.train_on_row_sets
+        run, train_stack = runtime.run_trace, learners.train_stack
 
         def recording_run(trace, ranker, models, *args):
             served.append((ranker, models))
             return run(trace, ranker, models, *args)
 
-        def recording_train(ds, row_sets, hidden, *args):
-            stacks.append((hidden, len(row_sets)))
-            return train(ds, row_sets, hidden, *args)
+        def recording_train_stack(models, X, *args):
+            assert X is small_ds.features
+            stacks.append((models[0].hidden_dim, len(models)))
+            return train_stack(models, X, *args)
 
         monkeypatch.setattr(runtime, "run_trace", recording_run)
-        monkeypatch.setattr(runtime, "train_on_row_sets", recording_train)
-        out = run_baselines(trace, small_ds, names, 4, 12, 3, cfg, seeds, cache_capacity=2)
+        monkeypatch.setattr(learners, "train_stack", recording_train_stack)
+        with cpus_usable(1):
+            out = run_baselines(trace, small_ds, names, 4, 12, 3, cfg, seeds, cache_capacity=2)
         monkeypatch.undo()
         assert list(out) == list(names) and len(served) == len(names)
         families = len(np.unique(small_ds.attrs[part_indices(small_ds, "train"), 0]))
