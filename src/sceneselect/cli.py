@@ -132,12 +132,18 @@ def load_run_config(path=None) -> RunConfig:
     if path is not None:
         if not parser.read(path):
             raise ConfigError(f"config file not found: {path}")
+        for name in parser.sections():
+            if name not in DEFAULTS:
+                raise ConfigError(f"{path}: unknown section [{name}]")
+            for key in parser[name]:
+                if key not in DEFAULTS[name]:
+                    raise ConfigError(f"{path}: unknown key {key!r} in [{name}]")
 
-    ds = parser["dataset"]
+    ds = _Section(parser, "dataset", path)
     schema = DatasetSchema(
         feature_dim=ds.getint("feature_dim"),
         num_classes=ds.getint("num_classes"),
-        attr_cardinalities=tuple(int(v) for v in ds.get("attr_cardinalities").split(",")),
+        attr_cardinalities=ds.getints("attr_cardinalities"),
     )
     generator = GeneratorConfig(
         schema=schema,
@@ -149,7 +155,7 @@ def load_run_config(path=None) -> RunConfig:
         drift_strength=ds.getfloat("drift_strength"),
         seed=ds.getint("seed"),
     )
-    pr = parser["profiling"]
+    pr = _Section(parser, "profiling", path)
     prof = profiling.ProfilingConfig(
         n=pr.getint("n"),
         delta=pr.getfloat("delta"),
@@ -161,14 +167,14 @@ def load_run_config(path=None) -> RunConfig:
         model_train=_train_config(pr, "model_", seed=0),  # seeded per model when the repository is built
         seed=pr.getint("seed"),
     )
-    sa = parser["sampling"]
+    sa = _Section(parser, "sampling", path)
     samp = sampling.SamplingConfig(
         theta=sa.getfloat("theta"), kappa=sa.getint("kappa"), seed=sa.getint("seed")
     )
-    de = parser["decision"]
-    tr = parser["trace"]
-    ru = parser["runtime"]
-    ba = parser["baselines"]
+    de = _Section(parser, "decision", path)
+    tr = _Section(parser, "trace", path)
+    ru = _Section(parser, "runtime", path)
+    ba = _Section(parser, "baselines", path)
     return RunConfig(
         generator=generator,
         profiling=prof,
@@ -195,6 +201,38 @@ def load_run_config(path=None) -> RunConfig:
     )
 
 
+class _Section:
+    """One section of a loaded run config. A value that does not parse as
+    asked, or a negative value of a key ending in ``seed``, raises
+    `ConfigError` naming the file, section and key."""
+
+    def __init__(self, parser, name, path):
+        self.values, self.where = parser[name], f"{path}: [{name}]"
+
+    def getfloat(self, key) -> float:
+        return self._parse(key, float)
+
+    def getint(self, key) -> int:
+        value = self._parse(key, int)
+        return _check_seed(value, f"{self.where} {key}") if key.endswith("seed") else value
+
+    def getints(self, key) -> tuple:
+        """A comma-separated list of integers."""
+        return self._parse(key, lambda text: tuple(int(v) for v in text.split(",")))
+
+    def _parse(self, key, kind):
+        try:
+            return kind(self.values[key])
+        except ValueError:
+            raise ConfigError(f"{self.where} {key} = {self.values[key]!r} does not parse") from None
+
+
+def _check_seed(seed: int, name: str) -> int:
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed}")
+    return seed
+
+
 def _train_config(section, prefix="", seed=None) -> TrainConfig:
     """TrainConfig from ``<prefix>`` + lr, epochs, batch_size, l2 and seed; ``seed`` overrides the last."""
     return TrainConfig(
@@ -213,7 +251,7 @@ def _train_config(section, prefix="", seed=None) -> TrainConfig:
 def cmd_generate(args) -> int:
     cfg = load_run_config(args.config)
     if args.seed is not None:
-        cfg.generator.seed = args.seed
+        cfg.generator.seed = _check_seed(args.seed, "--seed")
     ds = generate_dataset(cfg.generator)
     save_dataset(ds, args.out)
     print(
@@ -249,7 +287,7 @@ def cmd_sample(args) -> int:
     if args.kappa is not None:
         cfg.sampling.kappa = args.kappa
     if args.seed is not None:
-        cfg.sampling.seed = args.seed
+        cfg.sampling.seed = _check_seed(args.seed, "--seed")
     ds = load_dataset(args.dataset)
     dataset_hash = sha256_file(args.dataset)
     repo, _ = profiling.load_repository(args.repository, ds, dataset_hash)
@@ -303,7 +341,7 @@ def _parse_sweep(text):
 def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
     if args.trace_seed is not None:
-        cfg.trace.seed = args.trace_seed
+        cfg.trace.seed = _check_seed(args.trace_seed, "--trace-seed")
     if args.baseline == "anole" and not (args.repository and args.encoder and args.decision):
         raise ConfigError("--baseline anole needs --repository, --encoder and --decision")
     if args.capacity_sweep is not None:

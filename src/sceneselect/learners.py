@@ -530,10 +530,13 @@ def model_from_dict(d: dict) -> VectorClassifier:
     if d.get("model_format") != MODEL_FORMAT:
         raise ConfigError(f"unsupported model format {d.get('model_format')!r}")
     i, h, o = d["input_dim"], d["hidden_dim"], d["output_dim"]
-    W1 = np.asarray(d["W1"], dtype=float).reshape(h, i)
-    b1 = np.asarray(d["b1"], dtype=float)
-    W2 = np.asarray(d["W2"], dtype=float).reshape(o, h)
-    b2 = np.asarray(d["b2"], dtype=float)
-    if b1.shape != (h,) or b2.shape != (o,):
-        raise ConfigError("bias arrays disagree with declared dims")
-    return VectorClassifier(i, h, o, W1, b1, W2, b2)
+    if not all(isinstance(dim, int) and dim >= 1 for dim in (i, h, o)):
+        raise ConfigError(f"model dims must be positive integers, got {i}, {h}, {o}")
+    params = {name: np.asarray(d[name], dtype=float) for name in PARAMS}
+    for name, size in (("W1", h * i), ("b1", h), ("W2", o * h), ("b2", o)):
+        if params[name].shape != (size,):
+            raise ConfigError(f"{name} has shape {params[name].shape}, but the dims give ({size},)")
+        if not np.isfinite(params[name]).all():
+            raise ConfigError(f"{name} holds a non-finite value")
+    return VectorClassifier(i, h, o, params["W1"].reshape(h, i), params["b1"],
+                            params["W2"].reshape(o, h), params["b2"])

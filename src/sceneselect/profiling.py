@@ -324,12 +324,14 @@ def train_on_row_sets(ds: Dataset, row_sets, hidden_dims, cfg: TrainConfig,
 
     The models are split into one share per usable CPU, at most one per
     model, by `split_shares` on rows times width. The first share trains in
-    this process and every other one in a forked child, at the same time;
+    this process and every other one at the same time in a forked child,
+    which pickles its models into a pipe for this process to unpickle;
     within a share, the models of one width train as one
     `learners.train_stack` call. A model's parameters do not depend on what
     it is stacked with, so every split gives the same bits. If any share
-    fails, the whole set is trained again in this process, so an error is
-    the one a single process raises.
+    raises, a child exits non-zero or its pickle is cut short, the whole
+    set is trained again in this process, so an error is the one a single
+    process raises.
     """
     train = functools.partial(_train_models, ds, row_sets, hidden_dims, cfg, init_seeds, train_seeds)
     costs = [len(rows) * hidden for rows, hidden in zip(row_sets, hidden_dims)]
@@ -359,66 +361,44 @@ def _train_models(ds: Dataset, row_sets, hidden_dims, cfg: TrainConfig, init_see
 
 def _train_shares(train, shares) -> list | None:
     """Every model of ``shares``, in model order: ``train(share)`` for the
-    first share in this process and for each other share in a forked child.
-    None if any share raised, or a child exited non-zero or sent a short
-    payload. Every child is reaped before this returns, and killed first
-    unless its payload was read in full."""
+    first share in this process and for each other share in a forked child,
+    which pickles its models straight into a pipe and exits 0 only once that
+    pipe has closed cleanly. None if any share raised, a child exited
+    non-zero or its pickle was cut short. Every read end is closed, then
+    every child reaped, before this returns: a child still training meets a
+    closed pipe and exits non-zero by itself."""
     children = []  # (pid, read end of its pipe)
-    statuses = []
-    payloads = None
     try:
         try:
             for share in shares[1:]:
-                children.append(_fork_share(train, share))
-            own = train(shares[0])
+                read_end, write_end = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_end)
+                    os.close(write_end)
+                    raise
+                if pid == 0:
+                    status = 1
+                    try:
+                        os.close(read_end)
+                        with open(write_end, "wb") as pipe:
+                            pickle.dump(train(share), pipe, pickle.HIGHEST_PROTOCOL)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                os.close(write_end)
+                children.append((pid, open(read_end, "rb")))
+            by_model = dict(zip(shares[0], train(shares[0])))
+            for share, (_, pipe) in zip(shares[1:], children):
+                by_model.update(zip(share, pickle.load(pipe)))
         except Exception:
             return None  # the caller trains the whole set again and raises what that raises
-        payloads = [_read_to_eof(fd) for _, fd in children]
     finally:
-        for pid, fd in children:
-            if payloads is None:
-                import signal  # here, not at the top: its import adds to every run's start-up
-
-                os.kill(pid, signal.SIGKILL)
-            os.close(fd)
-            statuses.append(os.waitpid(pid, 0)[1])
-    if any(statuses) or any(len(p) != 8 + int.from_bytes(p[:8], "little") for p in payloads):
-        return None
-    by_model = dict(zip(shares[0], own))
-    for share, payload in zip(shares[1:], payloads):
-        by_model.update(zip(share, pickle.loads(payload[8:])))
-    return [by_model[j] for j in sorted(by_model)]
-
-
-def _fork_share(train, share) -> tuple:
-    """(pid, read end) of a forked child that runs ``train(share)`` and writes
-    the pickled result into a pipe, after its length as 8 little-endian
-    bytes. The child leaves by ``os._exit``: 0 once the payload is written,
-    1 if anything raised, with nothing pickled."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            payload = pickle.dumps(train(share), pickle.HIGHEST_PROTOCOL)
-            with open(write_end, "wb") as pipe:
-                pipe.write(len(payload).to_bytes(8, "little") + payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return pid, read_end
-
-
-def _read_to_eof(fd: int) -> bytes:
-    with open(fd, "rb", closefd=False) as pipe:
-        return pipe.read()
+        for _, pipe in children:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    return None if any(statuses) else [by_model[j] for j in sorted(by_model)]
 
 
 def _cluster_scene(scenes, member_ids) -> ClusterScene:

@@ -458,6 +458,28 @@ def zero_capacity(workdir, tmp_path):
     ]
 
 
+def profile_with(old, new):
+    """Case builder: profile under SMALL_INI with ``old`` replaced by ``new``."""
+
+    def build(workdir, tmp_path):
+        ini = tmp_path / "profile.ini"
+        ini.write_text(SMALL_INI.replace(old, new))
+        return ["profile", "--config", str(ini), "--dataset", str(workdir["data"]), "--out", str(tmp_path / "p")]
+
+    return build
+
+
+def negative_seed_flag(workdir, tmp_path):
+    return ["generate", "--config", str(workdir["ini"]), "--seed", "-1", "--out", str(tmp_path / "data.jsonl")]
+
+
+def negative_trace_seed_flag(workdir, tmp_path):
+    return [
+        "simulate", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
+        "--baseline", "sdm", "--trace-seed", "-1", "--out", str(tmp_path / "x"),
+    ]
+
+
 def write_summaries(tmp_path, *changes):
     """One ssm summary artifact per dict of ``changes`` to a fixed body; their paths."""
     paths = []
@@ -541,6 +563,20 @@ FAILURES = {
     "non-UTF-8 dataset": (not_utf8_dataset, ParseError, "data.jsonl: not UTF-8 text"),
     "non-UTF-8 artifact": (not_utf8_repository, ParseError, "repository.json: not UTF-8 text"),
     "zero capacity": (zero_capacity, ConfigError, "capacity must be >= 1"),
+    "unknown config key": (
+        generate_with("kappa = 150", "kapa = 150"), ConfigError, "generate.ini: unknown key 'kapa' in [sampling]"
+    ),
+    "unknown config section": (
+        generate_with("[runtime]", "[nosuch]\n\n[runtime]"), ConfigError, "generate.ini: unknown section [nosuch]"
+    ),
+    "unparsable config value": (
+        generate_with("seed = 42", "seed = abc"), ConfigError, "generate.ini: [dataset] seed = 'abc' does not parse"
+    ),
+    "negative seed flag": (negative_seed_flag, ConfigError, "--seed must be >= 0, got -1"),
+    "negative trace seed flag": (negative_trace_seed_flag, ConfigError, "--trace-seed must be >= 0, got -1"),
+    "negative config seed": (
+        profile_with("seed = 7", "seed = -3"), ConfigError, "profile.ini: [profiling] seed must be >= 0, got -3"
+    ),
 }
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -881,10 +882,17 @@ class TestSerialization:
         assert (again.input_dim, again.hidden_dim, again.output_dim) == (5, 6, 4)
 
     def test_bad_format_version(self):
-        d = learners.model_to_dict(tiny_model())
-        d["model_format"] = 99
-        with pytest.raises(ConfigError):
-            learners.model_from_dict(d)
+        for change, text in [
+            ({"model_format": 99}, "unsupported model format"),
+            ({"hidden_dim": 0}, "dims must be positive"),
+            ({"W1": [0.5] * 5}, "W1 has shape (5,)"),
+            ({"W2": [0.5] * 99}, "W2 has shape (99,)"),
+            ({"b1": [float("nan")] * 6}, "b1 holds a non-finite value"),
+            ({"b2": [0.0, 0.0, 0.0, float("inf")]}, "b2 holds a non-finite value"),
+        ]:
+            d = {**learners.model_to_dict(tiny_model(5, 6, 4)), **change}
+            with pytest.raises(ConfigError, match=re.escape(text)):
+                learners.model_from_dict(d)
 
     def test_param_count(self):
         m = tiny_model(3, 4, 3)

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import os
+import pickle
 import warnings
 
 import numpy as np
@@ -609,6 +610,13 @@ def diverged(cpus, *args):
     return err.value.epoch, str(err.value), len(forks)
 
 
+def three_sets(ds):
+    """`train_on_row_sets` arguments for three small models of two widths."""
+    train = part_indices(ds, "train")
+    row_sets = [train[::3][:50], train[1::3][:40], train[2::3][:30]]
+    return ds, row_sets, [4, 6, 4], quick_train_cfg(epochs=3), [5, 6, 7], [8, 9, 10]
+
+
 class TestSharedTraining:
     def test_split_known_answer(self):
         costs = [5, 9, 2, 9, 4]
@@ -661,6 +669,47 @@ class TestSharedTraining:
         epoch, message, _ = diverged(1, *args)
         assert epoch == (0 if 1 in scaled else 1)
         assert diverged(2, *args) == (epoch, message, 1)
+        assert no_child_left()
+
+    def test_a_failed_fork_trains_in_one_process_and_leaks_no_fd(self, small_ds, monkeypatch):
+        args = three_sets(small_ds)
+        with cpus_usable(1):
+            alone = profiling.train_on_row_sets(*args)
+        fds = len(os.listdir("/proc/self/fd"))
+
+        def failed_fork():
+            raise OSError("fork failed")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", failed_fork)
+        models = profiling.train_on_row_sets(*args)
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert [params_hash(m) for m in models] == [params_hash(m) for m in alone]
+
+    def test_a_child_whose_pickle_breaks_exits_non_zero(self, small_ds, monkeypatch):
+        # the child writes half its pickle and raises: this process unpickles
+        # a cut stream, reaps a non-zero status and trains the set again
+        args = three_sets(small_ds)
+        with cpus_usable(1):
+            alone = profiling.train_on_row_sets(*args)
+        statuses, waitpid = [], os.waitpid
+
+        def broken_dump(obj, file, protocol):
+            data = pickle.dumps(obj, protocol)
+            file.write(data[: len(data) // 2])
+            raise OSError("pickling failed")
+
+        def recorded_waitpid(pid, options):
+            statuses.append(waitpid(pid, options)[1])
+            return pid, statuses[-1]
+
+        monkeypatch.setattr(pickle, "dump", broken_dump)
+        monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+        with cpus_usable(2) as forks:
+            models = profiling.train_on_row_sets(*args)
+        monkeypatch.undo()
+        assert len(forks) == 1 and len(statuses) == 1 and os.WEXITSTATUS(statuses[0]) == 1
+        assert [params_hash(m) for m in models] == [params_hash(m) for m in alone]
         assert no_child_left()
 
 
