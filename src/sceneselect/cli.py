@@ -18,7 +18,7 @@ import numpy as np
 
 from . import decision as decision_mod
 from . import profiling, runtime, sampling
-from .artifacts import read_artifact, require_match, sha256_file, write_artifact
+from .artifacts import not_utf8, read_artifact, require_match, sha256_file, write_artifact
 from .dataset import (
     DatasetSchema,
     GeneratorConfig,
@@ -30,71 +30,73 @@ from .dataset import (
 from .errors import ConfigError, Error
 from .learners import TrainConfig
 
+# Built-in run settings. Each default's type is the type its key parses as
+# from an INI file (see _read_config); configs/default.ini repeats them.
 DEFAULTS = {
     "dataset": {
-        "feature_dim": "12",
-        "num_classes": "4",
-        "attr_cardinalities": "3,2",
-        "num_semantic_cells": "6",
-        "clips_per_cell": "2",
-        "frames_per_clip": "500",
-        "cluster_spread": "0.2",
-        "label_rule_noise": "0.02",
-        "drift_strength": "0.15",
-        "seed": "42",
+        "feature_dim": 12,
+        "num_classes": 4,
+        "attr_cardinalities": (3, 2),
+        "num_semantic_cells": 6,
+        "clips_per_cell": 2,
+        "frames_per_clip": 500,
+        "cluster_spread": 0.2,
+        "label_rule_noise": 0.02,
+        "drift_strength": 0.15,
+        "seed": 42,
     },
     "profiling": {
-        "n": "8",
-        "delta": "0.5",
-        "k_start": "2",
-        "k_max": "16",
-        "encoder_hidden": "16",
-        "compressed_hidden": "8",
-        "encoder_lr": "0.2",
-        "encoder_epochs": "30",
-        "encoder_batch_size": "128",
-        "encoder_l2": "0.0",
-        "encoder_seed": "101",
-        "model_lr": "0.2",
-        "model_epochs": "140",
-        "model_batch_size": "128",
-        "model_l2": "0.0",
-        "seed": "7",
+        "n": 8,
+        "delta": 0.5,
+        "k_start": 2,
+        "k_max": 16,
+        "encoder_hidden": 16,
+        "compressed_hidden": 8,
+        "encoder_lr": 0.2,
+        "encoder_epochs": 30,
+        "encoder_batch_size": 128,
+        "encoder_l2": 0.0,
+        "encoder_seed": 101,
+        "model_lr": 0.2,
+        "model_epochs": 140,
+        "model_batch_size": 128,
+        "model_l2": 0.0,
+        "seed": 7,
     },
     "sampling": {
-        "theta": "0.9",
-        "kappa": "4000",
-        "seed": "11",
+        "theta": 0.9,
+        "kappa": 4000,
+        "seed": 11,
     },
     "decision": {
-        "head_hidden": "16",
-        "lr": "0.3",
-        "epochs": "150",
-        "batch_size": "128",
-        "l2": "0.0",
-        "seed": "13",
-        "low_confidence": "0.2",
+        "head_hidden": 16,
+        "lr": 0.3,
+        "epochs": 150,
+        "batch_size": 128,
+        "l2": 0.0,
+        "seed": 13,
+        "low_confidence": 0.2,
     },
     "trace": {
-        "num_source_clips": "5",
-        "segment_len": "100",
-        "num_segments": "5",
-        "seed": "17",
+        "num_source_clips": 5,
+        "segment_len": 100,
+        "num_segments": 5,
+        "seed": 17,
     },
     "runtime": {
-        "capacity": "5",
-        "window": "10",
+        "capacity": 5,
+        "window": 10,
     },
     "baselines": {
-        "deep_hidden": "96",
-        "lr": "0.2",
-        "epochs": "60",
-        "batch_size": "128",
-        "l2": "0.0",
-        "sdm_seed": "19",
-        "ssm_seed": "23",
-        "cdg_seed": "29",
-        "dmm_seed": "31",
+        "deep_hidden": 96,
+        "lr": 0.2,
+        "epochs": 60,
+        "batch_size": 128,
+        "l2": 0.0,
+        "sdm_seed": 19,
+        "ssm_seed": 23,
+        "cdg_seed": 29,
+        "dmm_seed": 31,
     },
 }
 
@@ -126,105 +128,66 @@ class RunConfig:
 
 
 def load_run_config(path=None) -> RunConfig:
-    """Built-in defaults, optionally overlaid with an INI file."""
-    parser = configparser.ConfigParser()
-    parser.read_dict(DEFAULTS)
-    if path is not None:
-        if not parser.read(path):
-            raise ConfigError(f"config file not found: {path}")
-        for name in parser.sections():
-            if name not in DEFAULTS:
-                raise ConfigError(f"{path}: unknown section [{name}]")
-            for key in parser[name]:
-                if key not in DEFAULTS[name]:
-                    raise ConfigError(f"{path}: unknown key {key!r} in [{name}]")
-
-    ds = _Section(parser, "dataset", path)
-    schema = DatasetSchema(
-        feature_dim=ds.getint("feature_dim"),
-        num_classes=ds.getint("num_classes"),
-        attr_cardinalities=ds.getints("attr_cardinalities"),
-    )
-    generator = GeneratorConfig(
-        schema=schema,
-        num_semantic_cells=ds.getint("num_semantic_cells"),
-        clips_per_cell=ds.getint("clips_per_cell"),
-        frames_per_clip=ds.getint("frames_per_clip"),
-        cluster_spread=ds.getfloat("cluster_spread"),
-        label_rule_noise=ds.getfloat("label_rule_noise"),
-        drift_strength=ds.getfloat("drift_strength"),
-        seed=ds.getint("seed"),
-    )
-    pr = _Section(parser, "profiling", path)
+    """The run settings: `DEFAULTS`, overlaid with the INI file at ``path``
+    if given; a bad file raises one error naming it (see `_read_config`)."""
+    c = _read_config(path)
+    ds, pr, de, ba = c["dataset"], c["profiling"], c["decision"], c["baselines"]
+    schema = DatasetSchema(**{k: ds.pop(k) for k in ("feature_dim", "num_classes", "attr_cardinalities")})
     prof = profiling.ProfilingConfig(
-        n=pr.getint("n"),
-        delta=pr.getfloat("delta"),
-        k_start=pr.getint("k_start"),
-        k_max=pr.getint("k_max"),
-        encoder_hidden=pr.getint("encoder_hidden"),
-        compressed_hidden=pr.getint("compressed_hidden"),
+        **{k: pr[k] for k in ("n", "delta", "k_start", "k_max", "encoder_hidden", "compressed_hidden", "seed")},
         encoder_train=_train_config(pr, "encoder_"),
         model_train=_train_config(pr, "model_", seed=0),  # seeded per model when the repository is built
-        seed=pr.getint("seed"),
     )
-    sa = _Section(parser, "sampling", path)
-    samp = sampling.SamplingConfig(
-        theta=sa.getfloat("theta"), kappa=sa.getint("kappa"), seed=sa.getint("seed")
-    )
-    de = _Section(parser, "decision", path)
-    tr = _Section(parser, "trace", path)
-    ru = _Section(parser, "runtime", path)
-    ba = _Section(parser, "baselines", path)
     return RunConfig(
-        generator=generator,
+        generator=GeneratorConfig(schema=schema, **ds),
         profiling=prof,
-        sampling=samp,
-        head_hidden=de.getint("head_hidden"),
+        sampling=sampling.SamplingConfig(**c["sampling"]),
+        head_hidden=de["head_hidden"],
         decision_train=_train_config(de),
-        low_confidence=de.getfloat("low_confidence"),
-        trace=TraceParams(
-            num_source_clips=tr.getint("num_source_clips"),
-            segment_len=tr.getint("segment_len"),
-            num_segments=tr.getint("num_segments"),
-            seed=tr.getint("seed"),
-        ),
-        capacity=ru.getint("capacity"),
-        window=ru.getint("window"),
-        deep_hidden=ba.getint("deep_hidden"),
+        low_confidence=de["low_confidence"],
+        trace=TraceParams(**c["trace"]),
+        capacity=c["runtime"]["capacity"],
+        window=c["runtime"]["window"],
+        deep_hidden=ba["deep_hidden"],
         baseline_train=_train_config(ba, seed=0),  # seeded per baseline
-        baseline_seeds={
-            "sdm": ba.getint("sdm_seed"),
-            "ssm": ba.getint("ssm_seed"),
-            "cdg": ba.getint("cdg_seed"),
-            "dmm": ba.getint("dmm_seed"),
-        },
+        baseline_seeds={name: ba[f"{name}_seed"] for name in ("sdm", "ssm", "cdg", "dmm")},
     )
 
 
-class _Section:
-    """One section of a loaded run config. A value that does not parse as
-    asked, or a negative value of a key ending in ``seed``, raises
-    `ConfigError` naming the file, section and key."""
-
-    def __init__(self, parser, name, path):
-        self.values, self.where = parser[name], f"{path}: [{name}]"
-
-    def getfloat(self, key) -> float:
-        return self._parse(key, float)
-
-    def getint(self, key) -> int:
-        value = self._parse(key, int)
-        return _check_seed(value, f"{self.where} {key}") if key.endswith("seed") else value
-
-    def getints(self, key) -> tuple:
-        """A comma-separated list of integers."""
-        return self._parse(key, lambda text: tuple(int(v) for v in text.split(",")))
-
-    def _parse(self, key, kind):
-        try:
-            return kind(self.values[key])
-        except ValueError:
-            raise ConfigError(f"{self.where} {key} = {self.values[key]!r} does not parse") from None
+def _read_config(path=None) -> dict:
+    """{section: {key: value}}: `DEFAULTS`, with each value the INI file at
+    ``path`` sets parsed as its default's type (a tuple as comma-separated
+    ints). An unknown section or key, a value that does not parse, a negative
+    value of a key ending in ``seed``, and a file configparser cannot read
+    each raise one-line `ConfigError`; a file that is not UTF-8 raises
+    `ParseError`."""
+    config = {name: dict(keys) for name, keys in DEFAULTS.items()}
+    if path is None:
+        return config
+    # no "%" interpolation, and a default section no header can name, so [DEFAULT] is just unknown
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+    except configparser.Error as exc:  # its text names the file, over several lines
+        raise ConfigError(" ".join(str(exc).split())) from None
+    for name in parser.sections():
+        if name not in DEFAULTS:
+            raise ConfigError(f"{path}: unknown section [{name}]")
+        for key, text in parser[name].items():
+            if key not in DEFAULTS[name]:
+                raise ConfigError(f"{path}: unknown key {key!r} in [{name}]")
+            kind = type(DEFAULTS[name][key])
+            try:
+                value = tuple(int(v) for v in text.split(",")) if kind is tuple else kind(text)
+            except ValueError:
+                raise ConfigError(f"{path}: [{name}] {key} = {text!r} does not parse") from None
+            config[name][key] = _check_seed(value, f"{path}: [{name}] {key}") if key.endswith("seed") else value
+    return config
 
 
 def _check_seed(seed: int, name: str) -> int:
@@ -236,11 +199,11 @@ def _check_seed(seed: int, name: str) -> int:
 def _train_config(section, prefix="", seed=None) -> TrainConfig:
     """TrainConfig from ``<prefix>`` + lr, epochs, batch_size, l2 and seed; ``seed`` overrides the last."""
     return TrainConfig(
-        learning_rate=section.getfloat(prefix + "lr"),
-        epochs=section.getint(prefix + "epochs"),
-        batch_size=section.getint(prefix + "batch_size"),
-        l2=section.getfloat(prefix + "l2"),
-        seed=section.getint(prefix + "seed") if seed is None else seed,
+        learning_rate=section[prefix + "lr"],
+        epochs=section[prefix + "epochs"],
+        batch_size=section[prefix + "batch_size"],
+        l2=section[prefix + "l2"],
+        seed=section[prefix + "seed"] if seed is None else seed,
     )
 
 

@@ -417,7 +417,8 @@ def _columns(rows, schema):
 
 def _check_index(ds: Dataset) -> None:
     """Reject a repeated (clip, frame) pair, a split range outside its clip's
-    frames, and a clip listed as both seen and unseen."""
+    frames, two split parts of one clip that share a frame, a seen clip with
+    no split ranges, and a clip listed as both seen and unseen."""
     pairs, repeats = np.unique(np.stack([ds.clip_ids, ds.frame_indices], axis=1), axis=0, return_counts=True)
     if (repeats > 1).any():
         clip, frame = pairs[repeats > 1][0]
@@ -428,6 +429,13 @@ def _check_index(ds: Dataset) -> None:
         for part, bounds in parts.items():
             if len(bounds) != 2 or not 0 <= bounds[0] <= bounds[1] <= count:
                 raise SchemaError(f"clip {clip} {part} range {list(bounds)} does not fit its {count} frames")
+        spans = sorted((tuple(bounds), part) for part, bounds in parts.items() if bounds[0] < bounds[1])
+        for (a, part), (b, other) in zip(spans, spans[1:]):
+            if b[0] < a[1]:
+                raise SchemaError(f"clip {clip} {part} range {list(a)} overlaps its {other} range {list(b)}")
+    unranged = set(ds.split.seen_clips) - ds.split.ranges.keys()
+    if unranged:
+        raise SchemaError(f"seen clip {min(unranged)} has no split ranges")
     both = set(ds.split.seen_clips) & set(ds.split.unseen_clips)
     if both:
         raise SchemaError(f"clip {min(both)} is listed as both seen and unseen")

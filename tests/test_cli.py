@@ -1,3 +1,4 @@
+import configparser
 import hashlib
 import json
 import os
@@ -297,10 +298,46 @@ class TestWithoutScipy:
             assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "own" / name).read_bytes()
 
 
+DEFAULT_INI = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
+
+
+def other_value(value):
+    """INI text of a valid value of ``value``'s type that differs from it."""
+    if isinstance(value, tuple):
+        return ",".join(str(v + 1) for v in value)
+    if isinstance(value, float):
+        return repr(value / 2 if value else 0.125)
+    return str(value + 1)
+
+
 class TestDefaultsFile:
     def test_checked_in_defaults_match_builtins(self):
-        here = Path(__file__).resolve().parent.parent
-        assert cli.load_run_config(here / "configs" / "default.ini") == cli.load_run_config(None)
+        assert cli.load_run_config(DEFAULT_INI) == cli.load_run_config(None)
+
+    def test_checked_in_defaults_list_every_key_as_its_type(self):
+        parser = configparser.ConfigParser()
+        parser.read(DEFAULT_INI, encoding="utf-8")
+        assert {name: list(parser[name]) for name in parser.sections()} == {
+            name: list(keys) for name, keys in cli.DEFAULTS.items()
+        }
+        for name, keys in cli.DEFAULTS.items():
+            for key, value in keys.items():
+                text = parser[name][key]
+                assert type(value) is (float if "." in text else tuple if "," in text else int), (name, key)
+
+    @pytest.mark.parametrize("where, text", [("missing.ini", "config file not found: "), (".", "Is a directory: ")])
+    def test_unreadable_config_path_named(self, tmp_path, capsys, where, text):
+        path = tmp_path / where
+        assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "data.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and text in err and str(path) in err
+
+    @pytest.mark.parametrize("name, key", [(name, key) for name, keys in cli.DEFAULTS.items() for key in keys])
+    def test_every_key_changes_the_run_config(self, tmp_path, name, key):
+        # a key no field reads would be dead: setting it alone would change nothing
+        ini = tmp_path / "one.ini"
+        ini.write_text(f"[{name}]\n{key} = {other_value(cli.DEFAULTS[name][key])}\n")
+        assert cli.load_run_config(ini) != cli.load_run_config(None)
 
 
 def truncated_dataset(workdir, tmp_path):
@@ -451,6 +488,12 @@ def not_utf8_repository(workdir, tmp_path):
     ]
 
 
+def not_utf8_config(workdir, tmp_path):
+    ini = tmp_path / "generate.ini"
+    ini.write_bytes(SMALL_INI.replace("seed = 42", "seed = 4\xff2").encode("latin-1"))
+    return ["generate", "--config", str(ini), "--out", str(tmp_path / "data.jsonl")]
+
+
 def zero_capacity(workdir, tmp_path):
     return [
         "simulate", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
@@ -577,6 +620,29 @@ FAILURES = {
     "negative config seed": (
         profile_with("seed = 7", "seed = -3"), ConfigError, "profile.ini: [profiling] seed must be >= 0, got -3"
     ),
+    "percent sign in config value": (
+        generate_with("seed = 42", "seed = 5%"), ConfigError, "generate.ini: [dataset] seed = '5%' does not parse"
+    ),
+    "config without section header": (
+        generate_with("[dataset]\n", ""), ConfigError,
+        "generate.ini', line: 2 'feature_dim = 6\\n'",
+    ),
+    "duplicate config section": (
+        generate_with("[runtime]", "[trace]\n\n[runtime]"), ConfigError,
+        "generate.ini' [line 52]: section 'trace' already exists",
+    ),
+    "duplicate config key": (
+        generate_with("kappa = 150", "kappa = 150\nkappa = 160"), ConfigError,
+        "generate.ini' [line 35]: option 'kappa' in section 'sampling' already exists",
+    ),
+    "config line without a value": (
+        generate_with("kappa = 150", "kappa"), ConfigError, "generate.ini' [line 34]: 'kappa\\n'",
+    ),
+    "DEFAULT config section": (
+        generate_with("[runtime]", "[DEFAULT]\nseed = 1\n\n[runtime]"), ConfigError,
+        "generate.ini: unknown section [DEFAULT]",
+    ),
+    "non-UTF-8 config": (not_utf8_config, ParseError, "generate.ini: not UTF-8 text"),
 }
 
 

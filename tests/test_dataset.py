@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -229,6 +230,41 @@ class TestIndexChecks:
         with pytest.raises(SchemaError, match=f"clip {clip} valid range"):
             load_dataset(edit_saved(small_ds, tmp_path, stretch))
 
+    @pytest.mark.parametrize(
+        "part, bounds, message",
+        [
+            ("valid", [0, 40], "train range [0, 30] overlaps its valid range [0, 40]"),
+            ("test", [29, 50], "train range [0, 30] overlaps its test range [29, 50]"),
+            ("train", [0, 45], "train range [0, 45] overlaps its valid range [30, 40]"),
+        ],
+    )
+    def test_overlapping_split_parts_rejected(self, tmp_path, small_ds, part, bounds, message):
+        clip = small_ds.split.seen_clips[0]
+        assert small_ds.split.ranges[clip] == {"train": (0, 30), "valid": (30, 40), "test": (40, 50)}
+
+        def overlap(header, rows):
+            header["splits"]["ranges"][str(clip)][part] = bounds
+
+        with pytest.raises(SchemaError, match=re.escape(f"clip {clip} {message}")):
+            load_dataset(edit_saved(small_ds, tmp_path, overlap))
+
+    def test_empty_part_inside_another_allowed(self, tmp_path, small_ds):
+        clip = small_ds.split.seen_clips[0]
+
+        def empty_valid(header, rows):
+            header["splits"]["ranges"][str(clip)]["valid"] = [10, 10]
+
+        assert load_dataset(edit_saved(small_ds, tmp_path, empty_valid)).split.ranges[clip]["valid"] == (10, 10)
+
+    def test_seen_clip_without_ranges_rejected(self, tmp_path, small_ds):
+        clip = small_ds.split.seen_clips[1]
+
+        def drop(header, rows):
+            del header["splits"]["ranges"][str(clip)]
+
+        with pytest.raises(SchemaError, match=f"seen clip {clip} has no split ranges"):
+            load_dataset(edit_saved(small_ds, tmp_path, drop))
+
     def test_clip_both_seen_and_unseen_rejected(self, tmp_path, small_ds):
         clip = small_ds.split.seen_clips[0]
 
@@ -429,6 +465,15 @@ def reference_check_index(clips, frames, split) -> None:
         for part, bounds in parts.items():
             if len(bounds) != 2 or not 0 <= bounds[0] <= bounds[1] <= count:
                 raise SchemaError(f"clip {clip} {part} range {list(bounds)} does not fit its {count} frames")
+        # every pair of parts, the earlier-starting one first; the first pair to share a frame is reported
+        ordered = sorted((tuple(bounds), part) for part, bounds in parts.items())
+        for i, (a, part) in enumerate(ordered):
+            for b, other in ordered[i + 1:]:
+                if max(a[0], b[0]) < min(a[1], b[1]):
+                    raise SchemaError(f"clip {clip} {part} range {list(a)} overlaps its {other} range {list(b)}")
+    for clip in sorted(split.seen_clips):
+        if clip not in split.ranges:
+            raise SchemaError(f"seen clip {clip} has no split ranges")
     both = set(split.seen_clips) & set(split.unseen_clips)
     if both:
         raise SchemaError(f"clip {min(both)} is listed as both seen and unseen")
@@ -573,6 +618,16 @@ def header_only(lines):
     del lines[1:]
 
 
+def edit_header(edit):
+    """Corruption: ``edit`` changes the header's splits of the first seen clip."""
+    def corrupt(lines):
+        header = json.loads(lines[0])
+        splits = header["splits"]
+        edit(splits, str(splits["seen_clips"][0]))
+        lines[0] = json.dumps(header, sort_keys=True)
+    return corrupt
+
+
 def repeat_clip_frame(lines):
     edit_row(20, clip=json.loads(lines[9])["clip"], frame=json.loads(lines[9])["frame"])(lines)
 
@@ -598,6 +653,8 @@ CORRUPTIONS = {
     "two rows on one line": two_rows_on_one_line,
     "one row over two lines": row_split_across_lines,
     "repeated clip and frame": repeat_clip_frame,
+    "overlapping split parts": edit_header(lambda splits, clip: splits["ranges"][clip].update(valid=[0, 70])),
+    "seen clip without ranges": edit_header(lambda splits, clip: splits["ranges"].pop(clip)),
     "header only": header_only,
     "empty file": lambda lines: lines.clear(),
 }
