@@ -87,62 +87,94 @@ def new_classifier(input_dim: int, hidden_dim: int, output_dim: int, seed: int) 
     )
 
 
-def row_max(a: np.ndarray) -> np.ndarray:
-    """Max along the last axis, which is kept with length 1.
+def _first_column(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A copy of ``a[..., :1]``, into ``out`` if given."""
+    if out is None:
+        return a[..., :1].copy()
+    out[...] = a[..., :1]
+    return out
+
+
+def row_max(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Max along the last axis, which is kept with length 1, into ``out`` if
+    given.
 
     Computed one column at a time: max is exact, so this equals
     ``a.max(axis=-1, keepdims=True)`` in value (a zero max may differ in
     sign, a nan in payload), and numpy's reduction over a short last axis
     costs far more than a few strided maximum calls.
     """
-    out = a[..., :1].copy()
+    out = _first_column(a, out)
     for j in range(1, a.shape[-1]):
         np.maximum(out, a[..., j : j + 1], out=out)
     return out
 
 
-def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def softmax(logits: np.ndarray, out: np.ndarray | None = None, columns: tuple | None = None) -> np.ndarray:
     """Max-subtracted softmax along the last axis, into ``out`` if given
-    (``out`` may be ``logits`` itself); exact for |logit| <= 500."""
+    (``out`` may be ``logits`` itself); exact for |logit| <= 500.
+    ``columns``, if given, is two arrays shaped like one column of
+    ``logits``, which receive the row max and the row total."""
     logits = np.asarray(logits, dtype=float)
     width = logits.shape[-1]
-    out = np.subtract(logits, row_max(logits), out=out)
+    peak, total = columns or (None, None)
+    out = np.subtract(logits, row_max(logits, peak), out=out)
     np.exp(out, out=out)
     if width < 8:
         # numpy sums fewer than 8 terms left to right, so a column-wise sum
         # is bit-equal; from 8 on its pairwise sum unrolls and differs
-        total = out[..., :1].copy()
+        total = _first_column(out, total)
         for j in range(1, width):
             total += out[..., j : j + 1]
     else:
-        total = out.sum(axis=-1, keepdims=True)
+        total = out.sum(axis=-1, keepdims=True, out=total)
     out /= total
     return out
 
 
-def _hidden(model: VectorClassifier, X: np.ndarray, Z1=None, H=None):
+def _batch(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
+    """``X`` as a float array, a ConfigError unless it is an (n, input_dim)
+    batch, or for a stacked model a (k, n, input_dim) stack of them."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != model.W1.ndim or X.shape[-1] != model.input_dim:
+        raise ConfigError(f"batch has shape {X.shape}, expected (n, {model.input_dim})")
+    return X
+
+
+def _affine_views(W: np.ndarray, b: np.ndarray) -> tuple:
+    """A layer's weights and biases as its forward pass multiplies and adds
+    them: ``W`` with its last two axes swapped, ``b`` broadcast over the
+    rows of a batch."""
+    return W.swapaxes(-1, -2), b[..., None, :]
+
+
+def _hidden(model: VectorClassifier, X: np.ndarray, Z1=None, H=None, views=None):
     """(Z1, H) for an (n, input_dim) batch: hidden pre-activation and hidden
     activation, into ``Z1`` and ``H`` if given. The one place the hidden
     layer is computed.
 
     A stacked model, whose parameters carry a leading axis of k models,
-    takes a (k, n, input_dim) stack of batches, one per model.
+    takes a (k, n, input_dim) stack of batches, one per model. Given
+    ``views``, the hidden layer's `_affine_views`, the batch is taken as
+    checked.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != model.W1.ndim or X.shape[-1] != model.input_dim:
-        raise ConfigError(f"batch has shape {X.shape}, expected (n, {model.input_dim})")
-    Z1 = np.matmul(X, model.W1.swapaxes(-1, -2), out=Z1)
-    Z1 += model.b1[..., None, :]
+    if views is None:
+        X, views = _batch(model, X), _affine_views(model.W1, model.b1)
+    W1T, b1 = views
+    Z1 = np.matmul(X, W1T, out=Z1)
+    Z1 += b1
     return Z1, np.maximum(Z1, 0.0, out=H)
 
 
-def _layers(model: VectorClassifier, X: np.ndarray, Z1=None, H=None, Z2=None):
+def _layers(model: VectorClassifier, X: np.ndarray, Z1=None, H=None, Z2=None, views=None):
     """(Z1, H, Z2): `_hidden`'s two arrays and the output logits, each into
     its argument if given. The one place the output layer is computed;
-    stacks as `_hidden` does."""
-    Z1, H = _hidden(model, X, Z1, H)
-    Z2 = np.matmul(H, model.W2.swapaxes(-1, -2), out=Z2)
-    Z2 += model.b2[..., None, :]
+    stacks as `_hidden` does. ``views``, if given, is the `_affine_views`
+    of both layers, and the batch is taken as checked."""
+    hidden, (W2T, b2) = views or (None, _affine_views(model.W2, model.b2))
+    Z1, H = _hidden(model, X, Z1, H, hidden)
+    Z2 = np.matmul(H, W2T, out=Z2)
+    Z2 += b2
     return Z1, H, Z2
 
 
@@ -175,9 +207,10 @@ def embed(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
     return _hidden(model, X)[1]
 
 
-def expit(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def expit(z: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """Logistic sigmoid ``1 / (1 + exp(-z))``, elementwise, into ``out`` if given
-    (``out`` may be ``z`` itself). Never warns.
+    (``out`` may be ``z`` itself). Never warns. ``scratch``, if given, is a
+    complex array shaped like ``z`` that receives the exponentials.
 
     The result is bit-equal, for |z| <= 709, to that formula evaluated in C
     doubles with the C library's ``exp``, which is how the common reference
@@ -189,7 +222,7 @@ def expit(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     ``exp(-z + 0j).real`` is the C result. Below z of about -709.78 the
     exponential overflows to inf and the sigmoid is 0.0, silently.
     """
-    e = np.negative(z, dtype=complex)
+    e = np.negative(z, dtype=complex, out=scratch)
     with np.errstate(over="ignore"):
         np.exp(e, out=e)
     e = e.real
@@ -214,6 +247,12 @@ def _targets(y, ndim: int = 2) -> np.ndarray:
     if y.ndim == ndim:
         return y.astype(float, copy=False)
     raise ConfigError(f"targets have shape {y.shape}, expected (n,) labels or an (n, output) matrix")
+
+
+def _one_hot(y: np.ndarray, width: int) -> np.ndarray:
+    """Labels as 0/1 float rows of ``width`` entries, one more axis than ``y``;
+    a label outside [0, width) gives a row of zeros."""
+    return (y[..., None] == np.arange(width)).astype(float)
 
 
 def cross_entropy(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> float:
@@ -260,8 +299,40 @@ def _bias_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return a.sum(axis=-2, out=out)
 
 
+def _rows(pool: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first prod(``shape``) rows of ``pool``, a view shaped ``shape``
+    followed by the shape of one row."""
+    return pool[: math.prod(shape)].reshape(shape + pool.shape[1:])
+
+
+def _scratch(dims, rows: int, sigmoid: bool) -> list:
+    """Uninitialised buffers of ``rows`` rows for `_step_work`: Z1, H, Z2,
+    dZ1 and the ReLU mask, then the activation's own, the complex
+    exponentials of `expit` for sigmoid outputs, else the row max and row
+    total columns of `softmax`."""
+    _, hidden, outputs = dims
+    widths = [(hidden, float)] * 2 + [(outputs, float)] + [(hidden, float)] * 2
+    widths += [(outputs, complex)] if sigmoid else [(1, float)] * 2
+    return [np.empty((rows, width), dtype) for width, dtype in widths]
+
+
+def _step_work(model: VectorClassifier, shape: tuple, sigmoid: bool, scratch: list, grads: Gradients) -> tuple:
+    """The ``work`` of `gradient` for ``model`` on a batch of ``shape``, that
+    is (n,), or (k, n) for a stack of k models: both layers'
+    `_affine_views`, the forward and backward buffers cut from ``scratch``
+    (`_scratch`, at least prod(``shape``) rows) and their transposes, the
+    activation and its buffers, the batch size n, and ``grads``, which
+    receives the gradients. Everything one step touches but the batch and
+    its targets."""
+    Z1, H, Z2, dZ1, mask, *act = (_rows(a, shape) for a in scratch)
+    activate, act = (expit, act[0]) if sigmoid else (softmax, tuple(act))
+    views = (_affine_views(model.W1, model.b1), _affine_views(model.W2, model.b2))
+    return (views, Z1, H, Z2, Z2.swapaxes(-1, -2), dZ1, dZ1.swapaxes(-1, -2), mask,
+            activate, act, shape[-1], grads)
+
+
 def gradient(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: float = 0.0,
-             out: Gradients | None = None, work: tuple | None = None) -> Gradients:
+             work: tuple | None = None) -> Gradients:
     """Backpropagated gradient of `cross_entropy` (mean over the batch), for
     the same targets. Labels are not range-checked here; `train_stack`
     checks them once.
@@ -270,39 +341,47 @@ def gradient(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: float = 
     batches and (k, n) labels or a (k, n, output_dim) matrix gives stacked
     gradients, each equal to that model's own call.
 
-    Preallocated arrays change no bit of the result. ``out``'s arrays
-    receive the gradients. ``work`` is a tuple (Z1, H, Z2, dZ1) of
-    C-contiguous arrays shaped like the batch's hidden, hidden, output and
-    hidden layers, which hold the forward and backward pass.
+    ``work``, from `_step_work` for this model and the batch's shape, holds
+    everything the step needs but ``X`` and ``y``, so the call makes only
+    numpy calls: `train_stack` builds one for each step of its epochs, once
+    per call, and refills that step's ``X`` and ``y`` before each call. With ``work``, ``y``
+    must be an output-shaped 0/1 matrix (labels one-hot), the activation is
+    the work's, and the gradients land in the work's arrays; nothing is
+    checked. Without it, the call checks its inputs, builds the same work
+    for itself and runs the same body. Labels enter as one-hot rows:
+    softmax minus 1.0 at the label and minus 0.0 elsewhere, the bits of
+    subtracting 1.0 at the label alone.
     """
-    X = np.asarray(X, dtype=float)
-    Z1, H, Z2, dZ1 = work or (None,) * 4
-    Z1, H, Z2 = _layers(model, X, Z1, H, Z2)
-    n = X.shape[-2]
-    if n == 0:
-        raise ConfigError("gradient needs a non-empty batch")
-    y = _targets(y, Z2.ndim)
-    if y.ndim == Z2.ndim:
-        delta = expit(Z2, out=Z2)
-        delta -= y
-    else:
-        delta = softmax(Z2, out=Z2)
-        if not delta.flags.c_contiguous:
-            # ravel would copy, and the label term would miss delta
-            raise ConfigError("work's output-layer array must be C-contiguous")
-        delta.ravel()[_flat_index(y, delta.shape[-1])] -= 1.0
+    if work is None:
+        X = _batch(model, X)
+        shape = X.shape[:-1]
+        if shape[-1] == 0:
+            raise ConfigError("gradient needs a non-empty batch")
+        y = _targets(y, X.ndim)
+        sigmoid = y.ndim == X.ndim
+        if not sigmoid:
+            y = _one_hot(y, model.output_dim)
+        if y.shape != shape + (model.output_dim,):
+            raise ConfigError(f"targets have shape {y.shape}, expected {shape + (model.output_dim,)}")
+        grads = Gradients(*(np.empty(a.shape) for a in (model.W1, model.b1, model.W2, model.b2)))
+        dims = (model.input_dim, model.hidden_dim, model.output_dim)
+        work = _step_work(model, shape, sigmoid, _scratch(dims, math.prod(shape), sigmoid), grads)
+    views, Z1, H, Z2, delta_T, dZ1, dZ1_T, mask, activate, act, n, g = work
+    _layers(model, X, Z1, H, Z2, views)
+    delta = activate(Z2, Z2, act)
+    delta -= y
     delta /= n
-    dW1, db1, dW2, db2 = (None,) * 4 if out is None else (out.dW1, out.db1, out.dW2, out.db2)
-    dW2 = np.matmul(delta.swapaxes(-1, -2), H, out=dW2)
-    db2 = _bias_sum(delta, db2)
-    dZ1 = np.matmul(delta, model.W2, out=dZ1)
-    dZ1 *= Z1 > 0.0
-    dW1 = np.matmul(dZ1.swapaxes(-1, -2), X, out=dW1)
-    db1 = _bias_sum(dZ1, db1)
+    np.matmul(delta_T, H, out=g.dW2)
+    _bias_sum(delta, g.db2)
+    np.matmul(delta, model.W2, out=dZ1)
+    np.greater(Z1, 0.0, out=mask)
+    dZ1 *= mask
+    np.matmul(dZ1_T, X, out=g.dW1)
+    _bias_sum(dZ1, g.db1)
     if l2:
-        dW2 += l2 * model.W2
-        dW1 += l2 * model.W1
-    return Gradients(dW1, db1, dW2, db2)
+        g.dW2 += l2 * model.W2
+        g.dW1 += l2 * model.W1
+    return g
 
 
 def train(model: VectorClassifier, X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> None:
@@ -408,9 +487,12 @@ def train_stack(models: list, X: np.ndarray, y: np.ndarray, rows: list, cfgs: li
     permutation, ragged last batch and divergence check, so its parameters
     equal those of training it alone on ``X[rows[j]]``, bit for bit. Only
     the steps are shared: with the models ordered largest training set
-    first, the ones that still have a full batch at step t form a prefix
-    and take one stacked `gradient` call; each ragged last batch is a stack
-    of one. Every input is checked before any parameter moves.
+    first (a stable sort), the ones that still have a full batch at step t
+    form a prefix and take one stacked `gradient` call, and the models of
+    one training-set size sit side by side, so their ragged last batches
+    take one call too. Each step's `gradient` work (views, buffers and
+    targets, labels as one-hot rows) is built once per call, not per step.
+    Every input is checked before any parameter moves.
 
     After each epoch, a model whose full training-set `cross_entropy` is
     not finite has diverged, and the first such model in input order
@@ -436,6 +518,9 @@ def train_stack(models: list, X: np.ndarray, y: np.ndarray, rows: list, cfgs: li
     y = _targets(y)
     _check_training_set(X, y, first)
     rows = [_row_index(r, len(X)) for r in rows]
+    sigmoid = y.ndim == 2
+    # the steps' targets: a 0/1 matrix as given, labels as one-hot rows
+    Y = y if sigmoid else _one_hot(y, dims[2])
 
     order = sorted(range(k), key=lambda i: -len(rows[i]))  # stable: ties keep input order
     # from here on, position p in the stack holds model order[p]
@@ -451,30 +536,31 @@ def train_stack(models: list, X: np.ndarray, y: np.ndarray, rows: list, cfgs: li
         return VectorClassifier(*dims, W1[members], b1[members], W2[members], b2[members])
 
     # An epoch's steps: at each start, one call for the models that still
-    # have a full batch, then a stack of one per ragged last batch. A step
-    # of m models and `size` rows gathers its batches from the pool through
-    # its rows of the epoch's index, and runs in the first m * size rows of
-    # buffers allocated once, for the largest step; its gradients are the
-    # first m rows of grads.
+    # have a full batch, then one call per length of ragged last batch; the
+    # models of one training-set size are adjacent, so each is one slice.
+    # A step of m models and `size` rows gathers its batches from the pool
+    # through its rows of the epoch's index, and runs in the first m * size
+    # rows of buffers allocated once, for the largest step; its gradients
+    # are the first m rows of grads.
     b = cfg.batch_size
     batches = []
     for start in range(0, sizes[0], b):
         full = sum(1 for n in sizes if n >= start + b)
         batches += [(slice(0, full), start, start + b)] if full else []
-        batches += [(slice(p, p + 1), start, n) for p, n in enumerate(sizes) if start < n < start + b]
+        for n in sorted({n for n in sizes if start < n < start + b}, reverse=True):
+            first_at = sizes.index(n)
+            batches.append((slice(first_at, first_at + sizes.count(n)), start, n))
     most = max((m.stop - m.start) * (stop - start) for m, start, stop in batches)
-    # per row: X, y, then the work of `gradient`: Z1, H, Z2, dZ1
-    pools = [np.empty((most,) + shape, dtype) for shape, dtype in [
-        ((dims[0],), float), (y.shape[1:], y.dtype),
-        ((dims[1],), float), ((dims[1],), float), ((dims[2],), float), ((dims[1],), float),
-    ]]
+    X_pool, Y_pool = (np.empty((most,) + a.shape[1:]) for a in (X, Y))
+    scratch = _scratch(dims, most, sigmoid)
     index = np.empty((k, sizes[0]), dtype=np.intp)
     steps = []
     for members, start, stop in batches:
-        m, size = members.stop - members.start, stop - start
-        X_b, y_b, *work = (pool[: m * size].reshape((m, size) + pool.shape[1:]) for pool in pools)
-        g = Gradients(*_param_views(grads[:m], dims))
-        steps.append((index[members, start:stop], X_b, y_b, view(members), g, tuple(work), grads[:m], theta[members]))
+        shape = (members.stop - members.start, stop - start)
+        g = Gradients(*_param_views(grads[: shape[0]], dims))
+        model = view(members)
+        steps.append((index[members, start:stop], _rows(X_pool, shape), _rows(Y_pool, shape), model,
+                      _step_work(model, shape, sigmoid, scratch, g), grads[: shape[0]], theta[members]))
     alone = [view(p) for p in range(k)]
     rngs = [np.random.default_rng(cfgs[i].seed) for i in order]
     by_input = sorted(range(k), key=order.__getitem__)  # positions, in input order
@@ -486,13 +572,13 @@ def train_stack(models: list, X: np.ndarray, y: np.ndarray, rows: list, cfgs: li
         for epoch in range(cfg.epochs):
             for p, (rng, r) in enumerate(zip(rngs, rows)):
                 r.take(rng.permutation(len(r)), out=index[p, : len(r)])
-            for step_rows, X_b, y_b, model, g, work, g_flat, params in steps:
+            for step_rows, X_b, Y_b, model, work, g_flat, params in steps:
                 # every index is in range (`_row_index`), so mode="clip"
                 # clips nothing; the default mode would gather into a
                 # temporary and copy it into out
                 X.take(step_rows, axis=0, out=X_b, mode="clip")
-                y.take(step_rows, axis=0, out=y_b, mode="clip")
-                gradient(model, X_b, y_b, cfg.l2, g, work)
+                Y.take(step_rows, axis=0, out=Y_b, mode="clip")
+                gradient(model, X_b, Y_b, cfg.l2, work)
                 g_flat *= lr
                 params -= g_flat
             bounded = _loss_bounds(x_max, W1, b1, W2, b2, cfg.l2) < SAFE_BOUND  # False for nan

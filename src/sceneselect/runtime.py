@@ -65,13 +65,17 @@ def cache_request(cache: ModelCache, ranking, frames: int = 1) -> tuple:
     ``frames`` > 1 serves a run of that many frames with the same top model
     from the run's first ranking: the later frames are hits on the top
     model, so it gains ``frames - 1`` more uses, and the cache ends as after
-    one request per frame. The answer is the first frame's.
+    one request per frame. The answer is the first frame's. A miss with
+    ``frames`` < 1 is a ConfigError: it would store a negative use count.
+    A hit, which stores no new count, does not check ``frames``.
     """
     top = int(ranking[0])
     loaded = cache.loaded
     if top in loaded:
         loaded[top] += frames
         return top, False
+    if frames < 1:
+        raise ConfigError(f"a request serves at least one frame, got frames={frames}")
     if not loaded:
         loaded[top] = frames
         return top, True

@@ -129,8 +129,9 @@ def test_train_calls_gradient_per_step_and_loss_per_epoch(monkeypatch):
 
 def test_train_stack_calls_gradient_per_stacked_step(monkeypatch):
     # per epoch: one stacked call for each step at which any model has a
-    # full batch, one stack-of-one call per ragged batch; a loss only for a
-    # model whose loss bound does not rule out divergence
+    # full batch, one call per distinct length of ragged last batch, however
+    # many models share it; a loss only for a model whose loss bound does
+    # not rule out divergence
     import numpy as np
     import pytest
 
@@ -145,6 +146,7 @@ def test_train_stack_calls_gradient_per_stacked_step(monkeypatch):
     epochs = 2
     for sizes, batch_size, diverging in [
         ((23, 9, 16, 4), 5, None), ((20, 10, 15), 5, None), ((7, 3), 8, None), ((6,), 1, None),
+        ((12, 7, 12, 3, 7, 12), 5, None), ((8, 8, 8), 3, None),  # equal sizes share their last batch
         ((23, 9, 16, 4), 5, 2),  # a training set scaled past the bound
     ]:
         calls.clear()
@@ -153,7 +155,7 @@ def test_train_stack_calls_gradient_per_stacked_step(monkeypatch):
         Xs = [rng.normal(size=(n, 4)) for n in sizes]
         ys = [rng.integers(0, 3, n) for n in sizes]
         full_steps = max(sizes) // batch_size
-        ragged = sum(1 for n in sizes if n % batch_size)
+        ragged = len({n for n in sizes if n % batch_size})
         if diverging is None:
             train_pooled(models, Xs, ys, cfgs)
             assert calls == {"gradient": epochs * (full_steps + ragged)}

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import warnings
 
@@ -181,6 +182,15 @@ class TestGradient:
     def test_empty_batch_rejected(self):
         with pytest.raises(ConfigError):
             learners.gradient(tiny_model(), np.zeros((0, 3)), np.array([], dtype=int))
+
+    @pytest.mark.parametrize("y", [
+        np.array([0, 1]),  # one label short
+        np.zeros((3, 2)),  # a matrix one output short
+        np.zeros((1, 3)),  # one row, which would broadcast over the batch
+    ], ids=["labels", "matrix-width", "matrix-rows"])
+    def test_targets_that_do_not_fit_the_batch_rejected(self, y):
+        with pytest.raises(ConfigError, match="targets have shape"):
+            learners.gradient(tiny_model(), np.zeros((3, 3)), y)
 
 
 class TestTrain:
@@ -422,13 +432,18 @@ class TestStackMatchesPerModelTrain:
     @given(
         dims=st.tuples(st.integers(1, 6), st.integers(1, 8), st.integers(1, 9)),
         batch=st.integers(1, 7),
-        sizes=st.lists(st.integers(1, 30), min_size=1, max_size=5),
+        # up to 6 sizes drawn from at most 4 values, so sizes often repeat
+        # and equal ragged last batches step as one stack
+        sizes=st.lists(st.integers(1, 30), min_size=1, max_size=4).flatmap(
+            lambda values: st.lists(st.sampled_from(values), min_size=1, max_size=6)
+        ),
         epochs=st.integers(1, 3),
         lr=st.floats(0.01, 1.0),
         seed=st.integers(0, 2**31 - 1),
     )
     @example(dims=(3, 4, 3), batch=4, sizes=[12, 8, 4], epochs=2, lr=0.1, seed=0)  # batch divides every n
     @example(dims=(3, 4, 3), batch=4, sizes=[3, 13, 9, 13, 6], epochs=2, lr=0.1, seed=0)  # it does not
+    @example(dims=(3, 4, 3), batch=4, sizes=[9, 13, 9, 13, 6, 9], epochs=2, lr=0.1, seed=0)  # equal ragged sets
     def test_params_and_losses_bit_identical(self, targets, l2, dims, batch, sizes, epochs, lr, seed):
         i, h, o = dims
         rng = np.random.default_rng(seed)
@@ -577,47 +592,54 @@ class TestPreallocatedBuffers:
         seed=st.integers(0, 2**31 - 1),
     )
     def test_gradient_into_buffers_is_bit_equal(self, targets, l2, stack, dims, n, seed):
-        # every buffer starts as nan, so an entry the call leaves unwritten shows
+        # one scratch, sized for n rows, serves a work per batch length: n,
+        # then shrinking, then n again over what the shorter steps left. The
+        # scratch and the gradients start as nan, so an entry a call reads
+        # before it writes it shows
         i, h, o = dims
         rng = np.random.default_rng(seed)
         shapes = [(h, i), (h,), (o, h), (o,)]
         model = learners.VectorClassifier(i, h, o, *(rng.normal(size=stack + shape) for shape in shapes))
-        X = rng.normal(size=stack + (n, i)) * 3.0
-        if targets == "labels":
-            y = rng.integers(0, o, size=stack + (n,))
-        else:
-            y = (rng.random(stack + (n, o)) < 0.5).astype(float)
-        expected = learners.gradient(model, X, y, l2)
+        sigmoid = targets == "matrix"
+        scratch = [np.full(a.shape, np.nan, a.dtype) for a in learners._scratch(dims, math.prod(stack) * n, sigmoid)]
         out = learners.Gradients(*(np.full(stack + shape, np.nan) for shape in shapes))
-        work = tuple(np.full(stack + (n, width), np.nan) for width in (h, h, o, h))
-        got = learners.gradient(model, X, y, l2, out, work)
-        for name in ("dW1", "db1", "dW2", "db2"):
-            assert getattr(got, name) is getattr(out, name), name
-            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+        for rows in [n, *range(n - 1, 0, -2), n]:
+            X = rng.normal(size=stack + (rows, i)) * 3.0
+            if sigmoid:
+                y = (rng.random(stack + (rows, o)) < 0.5).astype(float)
+            else:
+                y = rng.integers(0, o, size=stack + (rows,))
+            expected = learners.gradient(model, X, y, l2)
+            work = learners._step_work(model, stack + (rows,), sigmoid, scratch, out)
+            Y = y if sigmoid else learners._one_hot(y, o)
+            got = learners.gradient(model, X, Y, l2, work)
+            for name in ("dW1", "db1", "dW2", "db2"):
+                assert getattr(got, name) is getattr(out, name), name
+                assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), (name, rows)
 
     @pytest.mark.parametrize("targets", ["labels", "matrix"])
     def test_strided_output_buffer(self, targets):
-        # a column slice of a wider array: ravel would copy it, so labels
-        # must raise rather than lose their term; a matrix needs no ravel
+        # the output layer's scratch is a column slice of a wider array:
+        # one-hot targets need no ravel, so labels too are bit-equal
         rng = np.random.default_rng(3)
         model = tiny_model(seed=1)
         X = rng.normal(size=(4, model.input_dim))
-        if targets == "labels":
-            y = rng.integers(0, model.output_dim, 4)
+        dims = (model.input_dim, model.hidden_dim, model.output_dim)
+        o = model.output_dim
+        sigmoid = targets == "matrix"
+        if sigmoid:
+            y = Y = (rng.random((4, o)) < 0.5).astype(float)
         else:
-            y = (rng.random((4, model.output_dim)) < 0.5).astype(float)
-        h, o = model.hidden_dim, model.output_dim
-        Z2 = np.full((4, o + 2), np.nan)[:, :o]
-        assert not Z2.flags.c_contiguous
-        work = (np.empty((4, h)), np.empty((4, h)), Z2, np.empty((4, h)))
-        if targets == "labels":
-            with pytest.raises(ConfigError, match="C-contiguous"):
-                learners.gradient(model, X, y, 0.0, None, work)
-        else:
-            got = learners.gradient(model, X, y, 0.0, None, work)
-            expected = learners.gradient(model, X, y)
-            for name in ("dW1", "db1", "dW2", "db2"):
-                assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+            y = rng.integers(0, o, 4)
+            Y = learners._one_hot(y, o)
+        scratch = learners._scratch(dims, 4, sigmoid)
+        scratch[2] = np.full((4, o + 2), np.nan)[:, :o]
+        assert not scratch[2].flags.c_contiguous
+        out = learners.Gradients(*(np.empty_like(a) for a in (model.W1, model.b1, model.W2, model.b2)))
+        got = learners.gradient(model, X, Y, 0.0, learners._step_work(model, (4,), sigmoid, scratch, out))
+        expected = learners.gradient(model, X, y)
+        for name in ("dW1", "db1", "dW2", "db2"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
 
     @pytest.mark.parametrize("targets", ["labels", "matrix"])
     def test_shrinking_steps_leave_no_stale_rows(self, targets, monkeypatch):

@@ -322,6 +322,17 @@ class TestCacheUnit:
             cache_request(cache, [1, 1, 1])
         assert cache.loaded == {0: 1}
 
+    @pytest.mark.parametrize("frames", [0, -2])
+    def test_a_miss_of_fewer_than_one_frame_rejected(self, frames):
+        # a miss stores frames - 1 uses for the loaded top model; below one
+        # frame that count is negative and the LFU pick would favour it
+        cache, empty = ModelCache(2), ModelCache(2)
+        cache_request(cache, [0, 1, 2])
+        for c in (cache, empty):
+            with pytest.raises(ConfigError, match="at least one frame"):
+                cache_request(c, [1, 0, 2], frames=frames)
+        assert (cache.loaded, empty.loaded) == ({0: 1}, {})
+
     @pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])
     def test_returns_a_python_int_and_a_bool(self, as_array):
         # a cold miss, a hit, a miss the old resident serves, and a miss that
