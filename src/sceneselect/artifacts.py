@@ -13,7 +13,7 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import ArtifactMismatchError, ParseError
+from .errors import ArtifactMismatchError, ConfigError, ParseError
 
 FORMAT_VERSION = 1
 
@@ -97,6 +97,17 @@ def read_artifact(path, kind: str, **upstream) -> dict:
     for name, expected in upstream.items():
         require_match(name, body.get(f"{name}_hash"), expected, path)
     return body
+
+
+@contextmanager
+def artifact_body(path):
+    """Raise a `ConfigError` from the block, which turns the body of the
+    artifact read from ``path`` into objects, as an `ArtifactMismatchError`
+    naming the file: its hash held, so the body was written malformed."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ArtifactMismatchError(f"{path}: {exc}") from None
 
 
 def require_match(name: str, recorded, actual: str, path=None) -> None:

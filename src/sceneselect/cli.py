@@ -18,7 +18,7 @@ import numpy as np
 
 from . import decision as decision_mod
 from . import profiling, runtime, sampling
-from .artifacts import not_utf8, read_artifact, require_match, sha256_file, write_artifact
+from .artifacts import artifact_body, not_utf8, read_artifact, require_match, sha256_file, write_artifact
 from .dataset import (
     DatasetSchema,
     GeneratorConfig,
@@ -268,10 +268,21 @@ def cmd_train_decision(args) -> int:
     cfg = load_run_config(args.config)
     ds = load_dataset(args.dataset)
     dataset_hash = sha256_file(args.dataset)
-    _, repo_hash, encoder, encoder_hash = _load_profile(args, ds, dataset_hash)
+    repo, repo_hash, encoder, encoder_hash = _load_profile(args, ds, dataset_hash)
     pools_body = read_artifact(args.pools, "pools", dataset=dataset_hash, repository=repo_hash)
-    indices = np.array([r["sample_index"] for r in pools_body["rows"]], dtype=int)
-    labels = np.array([r["bits"] for r in pools_body["rows"]], dtype=float)
+    rows = pools_body.get("rows")
+    n, dataset_rows = len(repo), range(len(ds))
+    with artifact_body(args.pools):
+        if not isinstance(rows, list):
+            raise ConfigError("rows must be a list")
+        for i, r in enumerate(rows):
+            bits = r.get("bits") if isinstance(r, dict) else None
+            if not (isinstance(bits, list) and len(bits) == n and bits.count(0) + bits.count(1) == n):
+                raise ConfigError(f"rows[{i}]: bits must be {n} values, each 0 or 1")
+            if r.get("sample_index") not in dataset_rows:
+                raise ConfigError(f"rows[{i}]: sample_index must be a row of the dataset")
+    indices = np.array([r["sample_index"] for r in rows], dtype=int)
+    labels = np.array([r["bits"] for r in rows], dtype=float)
     model = decision_mod.train_decision(encoder, ds, indices, labels, cfg.head_hidden, cfg.decision_train)
     decision_mod.save_decision(args.out, model, encoder_hash, repo_hash)
     print(f"wrote {args.out}: decision head over {model.n} models")

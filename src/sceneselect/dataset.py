@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from itertools import islice
-from typing import NamedTuple
 
 import numpy as np
 
@@ -129,20 +128,11 @@ class Dataset(Rows):
     split: SplitDataset
 
 
-class Frame(NamedTuple):
-    features: np.ndarray
-    label: int
-
-
 @dataclass(eq=False)
 class Trace(Rows):
     """Dataset rows in replay order; ``rows`` holds their dataset indices."""
 
     rows: np.ndarray
-
-    def __iter__(self):
-        """(features, label) per frame, for code that walks a trace frame by frame."""
-        return map(Frame, self.features, self.labels.tolist())
 
 
 def box_muller(rng: np.random.Generator, n: int) -> np.ndarray:

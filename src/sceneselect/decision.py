@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learners
-from .artifacts import read_artifact, write_artifact
+from .artifacts import artifact_body, read_artifact, write_artifact
 from .errors import ConfigError
 from .learners import TrainConfig, VectorClassifier
 
@@ -74,22 +74,19 @@ def rank_models(decision: DecisionModel, X: np.ndarray):
     return learners.expit(learners.row_max(z)[:, 0]), np.argsort(-z, axis=1, kind="stable")
 
 
-def decision_payload(decision: DecisionModel, encoder_hash: str, repository_hash: str) -> dict:
-    return {
+def save_decision(path, decision: DecisionModel, encoder_hash: str, repository_hash: str) -> str:
+    return write_artifact(path, {
         "kind": "decision",
         "encoder_hash": encoder_hash,
         "repository_hash": repository_hash,
         "head": learners.model_to_dict(decision.head),
-    }
-
-
-def save_decision(path, decision, encoder_hash, repository_hash) -> str:
-    return write_artifact(path, decision_payload(decision, encoder_hash, repository_hash))
+    })
 
 
 def load_decision(path, encoder: VectorClassifier, encoder_hash: str, repository_hash: str):
     body = read_artifact(path, "decision", encoder=encoder_hash, repository=repository_hash)
-    head = learners.model_from_dict(body["head"])
+    with artifact_body(path):
+        head = learners.model_from_dict(body.get("head"))
     if head.input_dim != encoder.hidden_dim:
         raise ConfigError("decision head does not fit the encoder's embedding width")
     return DecisionModel(backbone=encoder, head=head), body

@@ -270,18 +270,10 @@ def cross_entropy(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: flo
         per_row = (np.logaddexp(0.0, Z2) - y * Z2).sum(axis=1)
     else:
         P = softmax(Z2)
-        per_row = -np.log(np.maximum(P.ravel()[_flat_index(y, P.shape[1])], 1e-300))
+        per_row = -np.log(np.maximum(np.take_along_axis(P, y[:, None], axis=1)[:, 0], 1e-300))
     # a zero penalty is still added: it turns the -0.0 mean of certain outputs into 0.0
     penalty = 0.5 * l2 * (np.sum(model.W1**2) + np.sum(model.W2**2)) if l2 else 0.0
     return float(np.mean(per_row) + penalty)
-
-
-def _flat_index(y: np.ndarray, width: int) -> np.ndarray:
-    """Positions of each label in the row-major ravel of an array whose last
-    axis has ``width`` entries and whose other axes are ``y``'s."""
-    flat = np.arange(0, y.size * width, width).reshape(y.shape)
-    flat += y
-    return flat
 
 
 def _bias_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -594,10 +586,6 @@ def train_stack(models: list, X: np.ndarray, y: np.ndarray, rows: list, cfgs: li
                 getattr(models[i], name)[...] = getattr(alone[p], name)
 
 
-def param_count(model: VectorClassifier) -> int:
-    return model.W1.size + model.b1.size + model.W2.size + model.b2.size
-
-
 def model_to_dict(model: VectorClassifier) -> dict:
     """JSON-ready form: dims plus flat row-major parameter arrays."""
     return {
@@ -613,12 +601,18 @@ def model_to_dict(model: VectorClassifier) -> dict:
 
 
 def model_from_dict(d: dict) -> VectorClassifier:
+    """The model `model_to_dict` wrote as ``d``; anything else raises `ConfigError`."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"a model must be a JSON object, got {type(d).__name__}")
     if d.get("model_format") != MODEL_FORMAT:
         raise ConfigError(f"unsupported model format {d.get('model_format')!r}")
-    i, h, o = d["input_dim"], d["hidden_dim"], d["output_dim"]
+    i, h, o = d.get("input_dim"), d.get("hidden_dim"), d.get("output_dim")
     if not all(isinstance(dim, int) and dim >= 1 for dim in (i, h, o)):
         raise ConfigError(f"model dims must be positive integers, got {i}, {h}, {o}")
-    params = {name: np.asarray(d[name], dtype=float) for name in PARAMS}
+    try:
+        params = {name: np.asarray(d.get(name), dtype=float) for name in PARAMS}
+    except (TypeError, ValueError):
+        raise ConfigError("model parameters must be lists of numbers") from None
     for name, size in (("W1", h * i), ("b1", h), ("W2", o * h), ("b2", o)):
         if params[name].shape != (size,):
             raise ConfigError(f"{name} has shape {params[name].shape}, but the dims give ({size},)")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learners
-from .artifacts import read_artifact, write_artifact
+from .artifacts import artifact_body, read_artifact, write_artifact
 from .dataset import Dataset, part_indices
 from .errors import ConfigError, InsufficientModelsError
 from .learners import TrainConfig, VectorClassifier
@@ -119,10 +119,6 @@ def segment_semantic_scenes(ds: Dataset) -> list:
     ]
 
 
-def scene_of_attrs(scenes) -> dict:
-    return {scene.attrs: scene.scene_id for scene in scenes}
-
-
 def train_scene_encoder(ds: Dataset, scenes, hidden_dim: int, cfg: TrainConfig) -> VectorClassifier:
     """Classifier over scene indices; its hidden layer is the scene embedding."""
     if len(scenes) < 2:
@@ -143,15 +139,6 @@ def embed_scenes(encoder: VectorClassifier, scenes, ds: Dataset) -> np.ndarray:
         H = learners.embed(encoder, ds.features[scene.sample_indices])
         centroids[scene.scene_id] = H.mean(axis=0)
     return centroids
-
-
-def encoder_confusion(encoder: VectorClassifier, scenes, ds: Dataset) -> np.ndarray:
-    """Scene confusion counts on the validation split (rows: true, cols: predicted)."""
-    rows = np.concatenate([s.valid_indices for s in scenes])
-    true = np.concatenate([np.full(len(s.valid_indices), s.scene_id) for s in scenes])
-    counts = np.zeros((len(scenes), len(scenes)), dtype=int)
-    np.add.at(counts, (true, learners.predict(encoder, ds.features[rows])), 1)
-    return counts
 
 
 @dataclass
@@ -475,26 +462,23 @@ def build_repository(ds: Dataset, scenes, encoder: VectorClassifier, cfg: Profil
 # ---------------------------------------------------------------------------
 # Artifact I/O
 
-def encoder_payload(encoder: VectorClassifier, num_scenes: int, dataset_hash: str) -> dict:
-    return {
+def save_encoder(path, encoder: VectorClassifier, num_scenes: int, dataset_hash: str) -> str:
+    return write_artifact(path, {
         "kind": "encoder",
         "dataset_hash": dataset_hash,
         "num_scenes": num_scenes,
         "model": learners.model_to_dict(encoder),
-    }
-
-
-def save_encoder(path, encoder: VectorClassifier, num_scenes: int, dataset_hash: str) -> str:
-    return write_artifact(path, encoder_payload(encoder, num_scenes, dataset_hash))
+    })
 
 
 def load_encoder(path, dataset_hash: str):
     body = read_artifact(path, "encoder", dataset=dataset_hash)
-    return learners.model_from_dict(body["model"]), body
+    with artifact_body(path):
+        return learners.model_from_dict(body.get("model")), body
 
 
-def repository_payload(repo: ModelRepository, cfg: ProfilingConfig, dataset_hash: str, encoder_hash: str) -> dict:
-    return {
+def save_repository(path, repo: ModelRepository, cfg: ProfilingConfig, dataset_hash: str, encoder_hash: str) -> str:
+    return write_artifact(path, {
         "kind": "repository",
         "dataset_hash": dataset_hash,
         "encoder_hash": encoder_hash,
@@ -516,11 +500,7 @@ def repository_payload(repo: ModelRepository, cfg: ProfilingConfig, dataset_hash
             }
             for e in repo.entries
         ],
-    }
-
-
-def save_repository(path, repo, cfg, dataset_hash, encoder_hash) -> str:
-    return write_artifact(path, repository_payload(repo, cfg, dataset_hash, encoder_hash))
+    })
 
 
 def load_repository(path, ds: Dataset, dataset_hash: str):
@@ -528,16 +508,19 @@ def load_repository(path, ds: Dataset, dataset_hash: str):
     body = read_artifact(path, "repository", dataset=dataset_hash)
     scenes = segment_semantic_scenes(ds)
     entries = []
-    for rec in body["models"]:
-        members = rec["member_scene_ids"]
-        if not all(0 <= m < len(scenes) for m in members):
-            raise ConfigError("repository references scenes missing from the dataset")
-        entries.append(
-            RepositoryEntry(
-                model=learners.model_from_dict(rec["model"]),
-                source=tuple(rec["source"]),
-                scene=_cluster_scene(scenes, members),
-                validation_f1=rec["validation_f1"],
-            )
-        )
+    with artifact_body(path):
+        records = body.get("models")
+        if not isinstance(records, list) or not all(isinstance(rec, dict) for rec in records):
+            raise ConfigError("models must be a list of records")
+        for i, rec in enumerate(records):
+            members, source, f1 = rec.get("member_scene_ids"), rec.get("source"), rec.get("validation_f1")
+            if not (isinstance(members, list) and members
+                    and all(isinstance(m, int) and 0 <= m < len(scenes) for m in members)):
+                raise ConfigError(f"models[{i}]: member_scene_ids must be a non-empty list of the dataset's scenes")
+            if not (isinstance(source, list) and len(source) == 2 and all(isinstance(v, int) for v in source)):
+                raise ConfigError(f"models[{i}]: source must be a [k, cluster_id] pair")
+            if not isinstance(f1, float):
+                raise ConfigError(f"models[{i}]: validation_f1 must be a number")
+            entries.append(RepositoryEntry(model=learners.model_from_dict(rec.get("model")), source=tuple(source),
+                                           scene=_cluster_scene(scenes, members), validation_f1=f1))
     return ModelRepository(entries=entries), body

@@ -69,14 +69,6 @@ class ArmState:
         self.stop = size if self.threshold >= size else math.floor(self.threshold) + 1
 
     @property
-    def exhausted(self) -> bool:
-        return self.drawn == len(self.gamma)
-
-    @property
-    def well_sampled(self) -> bool:
-        return self.drawn > self.threshold
-
-    @property
     def active(self) -> bool:
         return self.drawn < self.stop
 
@@ -110,30 +102,6 @@ class SamplingState:
     @property
     def distinct_drawn(self) -> int:
         return len(self.rows)
-
-
-def new_state(repo, theta: float, kappa: int, seed: int) -> SamplingState:
-    arms = []
-    for i, entry in enumerate(repo.entries):
-        gamma = np.asarray(entry.scene.train_indices, dtype=int)
-        arms.append(
-            ArmState(
-                model_index=i,
-                alpha=1.0,
-                beta=1.0,
-                drawn=0,
-                gamma=gamma,
-                threshold=well_sampled_threshold(len(gamma), theta),
-            )
-        )
-    return SamplingState(
-        arms=arms,
-        rows=[],
-        bits=np.zeros((0, len(repo.entries)), dtype=bool),
-        theta=theta,
-        kappa=kappa,
-        seed=seed,
-    )
 
 
 def thompson_round(state: SamplingState, rng: np.random.Generator):
@@ -212,9 +180,14 @@ def adaptive_sampling(ds: Dataset, repo, cfg: SamplingConfig) -> SamplingState:
     cfg.validate()
     if len(repo.entries) == 0:
         raise ConfigError("repository is empty")
-    state = new_state(repo, cfg.theta, cfg.kappa, cfg.seed)
+    arms = []
+    for i, entry in enumerate(repo.entries):
+        gamma = np.asarray(entry.scene.train_indices, dtype=int)
+        threshold = well_sampled_threshold(len(gamma), cfg.theta)
+        arms.append(ArmState(model_index=i, alpha=1.0, beta=1.0, drawn=0, gamma=gamma, threshold=threshold))
+    rows = []
+    state = SamplingState(arms, rows, np.zeros((0, len(arms)), dtype=bool), cfg.theta, cfg.kappa, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
-    arms, rows = state.arms, state.rows
     union = np.unique(np.concatenate([arm.gamma for arm in arms]))
     if cfg.kappa < len(union):
         state.arm_cap = math.ceil(cfg.kappa / len(arms))
@@ -258,8 +231,8 @@ def positives_per_model(state: SamplingState) -> np.ndarray:
     return state.bits.sum(axis=0)
 
 
-def pools_payload(state: SamplingState, dataset_hash: str, repository_hash: str) -> dict:
-    return {
+def save_pools(path, state: SamplingState, dataset_hash: str, repository_hash: str) -> str:
+    return write_artifact(path, {
         "kind": "pools",
         "dataset_hash": dataset_hash,
         "repository_hash": repository_hash,
@@ -274,8 +247,4 @@ def pools_payload(state: SamplingState, dataset_hash: str, repository_hash: str)
             {"sample_index": idx, "bits": bits}
             for idx, bits in zip(state.rows, state.bits.astype(int).tolist())
         ],
-    }
-
-
-def save_pools(path, state, dataset_hash, repository_hash) -> str:
-    return write_artifact(path, pools_payload(state, dataset_hash, repository_hash))
+    })

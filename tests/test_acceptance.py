@@ -65,8 +65,7 @@ def ten_seed_results():
         )
         sdm_model = sdm_models[0]
         seg = cfg.trace.segment_len
-        X = np.stack([t.features for t in p.trace])
-        y = np.array([t.label for t in p.trace])
+        X, y = p.trace.features, p.trace.labels
         segments = []
         for s in range(cfg.trace.num_segments):
             sl = slice(s * seg, (s + 1) * seg)
@@ -282,7 +281,7 @@ def test_09_power_law_utility(bench42):
 def test_10_decision_competence(bench42):
     """One-hot fixture: held-out top-1 scene selection accuracy >= 0.9."""
     ds, scenes, encoder = bench42.ds, bench42.scenes, bench42.encoder
-    lookup = profiling.scene_of_attrs(scenes)
+    lookup = {s.attrs: s.scene_id for s in scenes}
     train_idx = dataset.part_indices(ds, "train")
     labels = np.zeros((len(train_idx), len(scenes)))
     for row, i in enumerate(train_idx):

@@ -439,6 +439,32 @@ def truncated_repository(workdir, tmp_path):
     ]
 
 
+def malformed(kind, change):
+    """Case builder: the workdir's ``kind`` artifact, re-stamped after
+    ``change(body)`` so that its own content hash still holds, read by
+    train-decision, or by simulate for a decision artifact."""
+
+    def build(workdir, tmp_path):
+        paths = {"encoder": workdir["prof"] / "encoder.json", "repository": workdir["prof"] / "repository.json",
+                 "pools": workdir["pools"], "decision": workdir["dec"]}
+        body = read_artifact(paths[kind], kind)
+        change(body)
+        paths[kind] = tmp_path / f"{kind}.json"
+        write_artifact(paths[kind], body)
+        if kind == "encoder":  # the repository records the encoder's file hash
+            repo = read_artifact(paths["repository"], "repository")
+            repo["encoder_hash"] = sha(paths["encoder"])
+            paths["repository"] = tmp_path / "repository.json"
+            write_artifact(paths["repository"], repo)
+        inputs = ["--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
+                  "--repository", str(paths["repository"]), "--encoder", str(paths["encoder"])]
+        if kind == "decision":
+            return ["simulate", *inputs, "--decision", str(paths["decision"]), "--out", str(tmp_path / "x")]
+        return ["train-decision", *inputs, "--pools", str(paths["pools"]), "--out", str(tmp_path / "d.json")]
+
+    return build
+
+
 def anole_without_artifacts(workdir, tmp_path):
     return [
         "simulate", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
@@ -579,6 +605,38 @@ FAILURES = {
     ),
     "encoder from another build": (
         encoder_from_another_build, ArtifactMismatchError, "repository.json: encoder hash mismatch"
+    ),
+    "repository model without scenes": (
+        malformed("repository", lambda b: b["models"][0].update(member_scene_ids=[])), ArtifactMismatchError,
+        "repository.json: models[0]: member_scene_ids must be a non-empty list",
+    ),
+    "repository model without source": (
+        malformed("repository", lambda b: b["models"][1].pop("source")), ArtifactMismatchError,
+        "repository.json: models[1]: source must be a [k, cluster_id] pair",
+    ),
+    "repository model without validation_f1": (
+        malformed("repository", lambda b: b["models"][2].pop("validation_f1")), ArtifactMismatchError,
+        "repository.json: models[2]: validation_f1 must be a number",
+    ),
+    "encoder without model": (
+        malformed("encoder", lambda b: b.pop("model")), ArtifactMismatchError,
+        "encoder.json: a model must be a JSON object, got NoneType",
+    ),
+    "decision without head": (
+        malformed("decision", lambda b: b.pop("head")), ArtifactMismatchError,
+        "decision.json: a model must be a JSON object, got NoneType",
+    ),
+    "pools row with short bits": (
+        malformed("pools", lambda b: b["rows"][0]["bits"].pop()), ArtifactMismatchError,
+        "pools.json: rows[0]: bits must be 3 values, each 0 or 1",
+    ),
+    "pools row with a bit other than 0 or 1": (
+        malformed("pools", lambda b: b["rows"][2].update(bits=[1, 2, 0])), ArtifactMismatchError,
+        "pools.json: rows[2]: bits must be 3 values, each 0 or 1",
+    ),
+    "pools row outside the dataset": (
+        malformed("pools", lambda b: b["rows"][1].update(sample_index=10**6)), ArtifactMismatchError,
+        "pools.json: rows[1]: sample_index must be a row of the dataset",
     ),
     "missing anole artifacts": (anole_without_artifacts, ConfigError, "needs --repository"),
     "nan learning rate": (nan_learning_rate, ConfigError, "learning_rate must be finite"),

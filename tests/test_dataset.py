@@ -320,10 +320,6 @@ class TestTrace:
         trace = synthesize_trace(traceable, 3, 10, 4, seed=7)
         for column in ("features", "labels", "attrs", "clip_ids", "frame_indices"):
             assert np.array_equal(getattr(trace, column), getattr(traceable, column)[trace.rows])
-        frames = list(trace)
-        assert len(frames) == len(trace)
-        assert np.array_equal(np.stack([f.features for f in frames]), trace.features)
-        assert [f.label for f in frames] == trace.labels.tolist()
 
     def test_rows_found_in_a_shuffled_dataset(self, traceable):
         order = np.random.default_rng(0).permutation(len(traceable))

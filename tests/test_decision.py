@@ -21,10 +21,7 @@ def fake_state(rows, n):
 
 def allocation_labels(state):
     """(sample indices, 0/1 label matrix) as train-decision reads them from pools.json."""
-    rows = sampling.pools_payload(state, "dhash", "rhash")["rows"]
-    indices = np.array([r["sample_index"] for r in rows], dtype=int)
-    labels = np.array([r["bits"] for r in rows], dtype=float)
-    return indices, labels
+    return np.array(state.rows, dtype=int), state.bits.astype(float)
 
 
 def rank_one(model, x):

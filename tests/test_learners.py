@@ -911,11 +911,8 @@ class TestSerialization:
             ({"W2": [0.5] * 99}, "W2 has shape (99,)"),
             ({"b1": [float("nan")] * 6}, "b1 holds a non-finite value"),
             ({"b2": [0.0, 0.0, 0.0, float("inf")]}, "b2 holds a non-finite value"),
+            ({"b1": ["a"] * 6}, "model parameters must be lists of numbers"),
         ]:
             d = {**learners.model_to_dict(tiny_model(5, 6, 4)), **change}
             with pytest.raises(ConfigError, match=re.escape(text)):
                 learners.model_from_dict(d)
-
-    def test_param_count(self):
-        m = tiny_model(3, 4, 3)
-        assert learners.param_count(m) == 3 * 4 + 4 + 4 * 3 + 3

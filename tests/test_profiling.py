@@ -18,7 +18,6 @@ from sceneselect.profiling import (
     binary_f1,
     build_repository,
     embed_scenes,
-    encoder_confusion,
     kmeans,
     macro_f1,
     segment_semantic_scenes,
@@ -83,19 +82,9 @@ class TestEncoder:
         ds = generate_dataset(small_generator_config(num_cells=2, cards=(2, 1), spread=0.15))
         scenes = segment_semantic_scenes(ds)
         enc = train_scene_encoder(ds, scenes, 8, quick_train_cfg())
-        conf = encoder_confusion(enc, scenes, ds)
-        assert np.trace(conf) / conf.sum() >= 0.95
-
-    def test_confusion_rows_sum_to_scene_counts(self, small_ds):
-        scenes = segment_semantic_scenes(small_ds)
-        enc = train_scene_encoder(small_ds, scenes, 8, quick_train_cfg())
-        conf = encoder_confusion(enc, scenes, small_ds)
-        assert conf.shape == (4, 4)
-        lookup = {s.attrs: s.scene_id for s in scenes}
-        counts = np.zeros(4, dtype=int)
-        for i in part_indices(small_ds, "valid"):
-            counts[lookup[tuple(small_ds.attrs[i])]] += 1
-        assert (conf.sum(axis=1) == counts).all()
+        rows = np.concatenate([s.valid_indices for s in scenes])
+        true = np.concatenate([np.full(len(s.valid_indices), s.scene_id) for s in scenes])
+        assert np.mean(learners.predict(enc, ds.features[rows]) == true) >= 0.95
 
     def test_single_scene_rejected(self):
         ds = generate_dataset(small_generator_config(num_cells=1, cards=(1, 1)))

@@ -104,7 +104,7 @@ class TestThompsonRound:
         state = two_arm_state()
         for arm in state.arms:
             arm.drawn = len(arm.gamma)
-        assert all(arm.exhausted for arm in state.arms)
+        assert all(arm.drawn == len(arm.gamma) for arm in state.arms)
         before = [(a.alpha, a.beta) for a in state.arms]
         assert thompson_round(state, np.random.default_rng(0)) is None
         assert [(a.alpha, a.beta) for a in state.arms] == before
@@ -182,7 +182,7 @@ class TestAdaptive:
         small = type(repo)(entries=[tiny])
         state = adaptive_sampling(ds, small, SamplingConfig(0.9, 10, 3))
         assert state.arms[0].drawn == 3
-        assert state.arms[0].exhausted
+        assert state.arms[0].drawn == len(state.arms[0].gamma)
         assert state.distinct_drawn == 3
 
     def test_stopping_soundness_freeze_before_exhaustion(self, small_repo):
@@ -199,7 +199,7 @@ class TestAdaptive:
         state = adaptive_sampling(ds, type(repo)(entries=[tiny]), SamplingConfig(0.1, 10, 3))
         arm = state.arms[0]
         assert arm.drawn == 2
-        assert arm.well_sampled and not arm.exhausted
+        assert arm.drawn > arm.threshold and arm.drawn < len(arm.gamma)
         assert state.distinct_drawn == 2
         # a frozen arm receives no further draws or posterior updates
         before = (arm.alpha, arm.beta)
@@ -328,13 +328,13 @@ class TestAdaptiveMatchesReference:
         for seed in range(5):
             state = self.check(ds, repo.models, gammas, theta, kappa, seed)
             if case == "well-sampled freeze":
-                assert any(a.well_sampled and not a.exhausted for a in state.arms)
+                assert any(a.threshold < a.drawn < len(a.gamma) for a in state.arms)
             elif case == "share cap raised":
                 assert kappa < union and state.arm_cap > math.ceil(kappa / len(gammas))
                 assert state.distinct_drawn == kappa
             else:
                 assert kappa >= union and state.rows and sorted(state.rows) == sorted(set().union(*gammas))
-                assert all(a.exhausted for a in state.arms)
+                assert all(a.drawn == len(a.gamma) for a in state.arms)
 
     @settings(max_examples=60, deadline=None)
     @given(
