@@ -30,6 +30,12 @@ def sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def is_int(value) -> bool:
+    """Whether a JSON value is an integer: ``json`` reads ``true`` as True,
+    which isinstance counts as an int, and ``1.0`` as a float."""
+    return type(value) is int
+
+
 def not_utf8(path) -> ParseError:
     """ParseError for a file that does not decode as UTF-8, naming the file
     and the line of its first undecodable byte."""
@@ -80,7 +86,7 @@ def read_artifact(path, kind: str, **upstream) -> dict:
         raise not_utf8(path) from exc
     if not isinstance(body, dict):
         raise ArtifactMismatchError(f"{path}: artifact must be a JSON object")
-    if body.get("format_version") != FORMAT_VERSION:
+    if not is_int(body.get("format_version")) or body["format_version"] != FORMAT_VERSION:
         raise ArtifactMismatchError(
             f"{path}: unsupported format_version {body.get('format_version')!r}"
         )

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import decision as decision_mod
 from . import profiling, runtime, sampling
-from .artifacts import artifact_body, not_utf8, read_artifact, require_match, sha256_file, write_artifact
+from .artifacts import artifact_body, is_int, not_utf8, read_artifact, require_match, sha256_file, write_artifact
 from .dataset import (
     DatasetSchema,
     GeneratorConfig,
@@ -256,7 +256,7 @@ def cmd_sample(args) -> int:
     repo, _ = profiling.load_repository(args.repository, ds, dataset_hash)
     repo_hash = sha256_file(args.repository)
     state = sampling.adaptive_sampling(ds, repo, cfg.sampling)
-    sampling.save_pools(args.out, state, dataset_hash, repo_hash)
+    sampling.save_pools(args.out, state, cfg.sampling, dataset_hash, repo_hash)
     print(
         f"wrote {args.out}: {state.distinct_drawn} distinct samples probed, "
         f"positives per model {sampling.positives_per_model(state).tolist()}"
@@ -277,9 +277,10 @@ def cmd_train_decision(args) -> int:
             raise ConfigError("rows must be a list")
         for i, r in enumerate(rows):
             bits = r.get("bits") if isinstance(r, dict) else None
-            if not (isinstance(bits, list) and len(bits) == n and bits.count(0) + bits.count(1) == n):
+            if not (isinstance(bits, list) and len(bits) == n and all(is_int(b) and b in (0, 1) for b in bits)):
                 raise ConfigError(f"rows[{i}]: bits must be {n} values, each 0 or 1")
-            if r.get("sample_index") not in dataset_rows:
+            index = r.get("sample_index")
+            if not (is_int(index) and index in dataset_rows):
                 raise ConfigError(f"rows[{i}]: sample_index must be a row of the dataset")
     indices = np.array([r["sample_index"] for r in rows], dtype=int)
     labels = np.array([r["bits"] for r in rows], dtype=float)
@@ -375,6 +376,14 @@ def cmd_report(args) -> int:
     rows = [read_artifact(path, "summary") for path in args.inputs]
     by_method = {}
     for path, row in zip(args.inputs, rows):
+        with artifact_body(path):
+            if not isinstance(row.get("method"), str):
+                raise ConfigError("method must be a string")
+            if not is_int(row.get("capacity")):
+                raise ConfigError("capacity must be an integer")
+            for key in ("mean_window_f1", "miss_rate"):
+                if not isinstance(row.get(key), float):
+                    raise ConfigError(f"{key} must be a number")
         if row.get("dataset_hash") != rows[0].get("dataset_hash"):
             raise ConfigError(f"summaries of different datasets: {args.inputs[0]} and {path}")
         by_method.setdefault(row["method"], []).append((path, row))

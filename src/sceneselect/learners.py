@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import is_int
 from .errors import ConfigError, DivergedError
 
 MODEL_FORMAT = 1
@@ -387,7 +388,6 @@ def train(model: VectorClassifier, X: np.ndarray, y: np.ndarray, cfg: TrainConfi
     computed only when `_loss_bounds` cannot rule it out (see
     `train_stack`). A stack of one in `train_stack`, over every row of ``X``.
     """
-    X = np.asarray(X, dtype=float)
     train_stack([model], X, y, [np.arange(len(X))], [cfg])
 
 
@@ -604,10 +604,10 @@ def model_from_dict(d: dict) -> VectorClassifier:
     """The model `model_to_dict` wrote as ``d``; anything else raises `ConfigError`."""
     if not isinstance(d, dict):
         raise ConfigError(f"a model must be a JSON object, got {type(d).__name__}")
-    if d.get("model_format") != MODEL_FORMAT:
+    if not is_int(d.get("model_format")) or d["model_format"] != MODEL_FORMAT:
         raise ConfigError(f"unsupported model format {d.get('model_format')!r}")
     i, h, o = d.get("input_dim"), d.get("hidden_dim"), d.get("output_dim")
-    if not all(isinstance(dim, int) and dim >= 1 for dim in (i, h, o)):
+    if not all(is_int(dim) and dim >= 1 for dim in (i, h, o)):
         raise ConfigError(f"model dims must be positive integers, got {i}, {h}, {o}")
     try:
         params = {name: np.asarray(d.get(name), dtype=float) for name in PARAMS}

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import logging
 import os
 import pickle
 from dataclasses import dataclass
@@ -24,12 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learners
-from .artifacts import artifact_body, read_artifact, write_artifact
+from .artifacts import artifact_body, is_int, read_artifact, write_artifact
 from .dataset import Dataset, part_indices
 from .errors import ConfigError, InsufficientModelsError
 from .learners import TrainConfig, VectorClassifier
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -449,9 +446,7 @@ def build_repository(ds: Dataset, scenes, encoder: VectorClassifier, cfg: Profil
                 f1 = macro_f1(preds, ds.labels[cluster.valid_indices], ds.schema.num_classes)
             else:
                 f1 = 0.0
-            accepted = f1 > cfg.delta
-            log.debug("k=%d cluster=%d f1=%.4f accepted=%s", *source, f1, accepted)
-            if accepted:
+            if f1 > cfg.delta:
                 entries.append(
                     RepositoryEntry(model=model, source=source, scene=cluster, validation_f1=f1)
                 )
@@ -515,9 +510,9 @@ def load_repository(path, ds: Dataset, dataset_hash: str):
         for i, rec in enumerate(records):
             members, source, f1 = rec.get("member_scene_ids"), rec.get("source"), rec.get("validation_f1")
             if not (isinstance(members, list) and members
-                    and all(isinstance(m, int) and 0 <= m < len(scenes) for m in members)):
+                    and all(is_int(m) and 0 <= m < len(scenes) for m in members)):
                 raise ConfigError(f"models[{i}]: member_scene_ids must be a non-empty list of the dataset's scenes")
-            if not (isinstance(source, list) and len(source) == 2 and all(isinstance(v, int) for v in source)):
+            if not (isinstance(source, list) and len(source) == 2 and all(is_int(v) for v in source)):
                 raise ConfigError(f"models[{i}]: source must be a [k, cluster_id] pair")
             if not isinstance(f1, float):
                 raise ConfigError(f"models[{i}]: validation_f1 must be a number")

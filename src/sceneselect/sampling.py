@@ -24,7 +24,7 @@ whole union, and the bandit only chooses the order of the rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,14 +59,7 @@ class ArmState:
     beta: float
     drawn: int  # draws from gamma; without replacement, so all distinct
     gamma: np.ndarray  # candidate sample indices (the model's training scene)
-    threshold: float
-    stop: int = field(init=False)  # the draw count at which the arm freezes
-
-    def __post_init__(self):
-        # drawn > threshold first holds at floor(threshold) + 1 draws,
-        # unless the scene is drained before that
-        size = len(self.gamma)
-        self.stop = size if self.threshold >= size else math.floor(self.threshold) + 1
+    stop: int  # the draw count at which the arm freezes
 
     @property
     def active(self) -> bool:
@@ -94,9 +87,6 @@ class SamplingState:
     arms: list
     rows: list
     bits: np.ndarray  # (len(rows), n) bool
-    theta: float
-    kappa: int
-    seed: int
     arm_cap: float = math.inf  # draws after which an arm sits out a round
 
     @property
@@ -183,10 +173,13 @@ def adaptive_sampling(ds: Dataset, repo, cfg: SamplingConfig) -> SamplingState:
     arms = []
     for i, entry in enumerate(repo.entries):
         gamma = np.asarray(entry.scene.train_indices, dtype=int)
-        threshold = well_sampled_threshold(len(gamma), cfg.theta)
-        arms.append(ArmState(model_index=i, alpha=1.0, beta=1.0, drawn=0, gamma=gamma, threshold=threshold))
+        size, threshold = len(gamma), well_sampled_threshold(len(gamma), cfg.theta)
+        # drawn > threshold first holds at floor(threshold) + 1 draws,
+        # unless the scene is drained before that
+        stop = size if threshold >= size else math.floor(threshold) + 1
+        arms.append(ArmState(model_index=i, alpha=1.0, beta=1.0, drawn=0, gamma=gamma, stop=stop))
     rows = []
-    state = SamplingState(arms, rows, np.zeros((0, len(arms)), dtype=bool), cfg.theta, cfg.kappa, cfg.seed)
+    state = SamplingState(arms, rows, np.zeros((0, len(arms)), dtype=bool))
     rng = np.random.default_rng(cfg.seed)
     union = np.unique(np.concatenate([arm.gamma for arm in arms]))
     if cfg.kappa < len(union):
@@ -217,13 +210,12 @@ def adaptive_sampling(ds: Dataset, repo, cfg: SamplingConfig) -> SamplingState:
 
 def random_sampling(ds: Dataset, repo, kappa: int, seed: int) -> SamplingState:
     """Uniform draws (without replacement) from the training split, same
-    probing. There are no arms and no stopping rule, so theta is nan."""
+    probing. There are no arms and no stopping rule."""
     if kappa < 0:
         raise ConfigError("kappa must be non-negative")
     train = part_indices(ds, "train")
     picks = train[np.random.default_rng(seed).permutation(len(train))[:kappa]]
-    return SamplingState(arms=[], rows=picks.tolist(), bits=_probe_rows(ds, repo.models, picks, picks),
-                         theta=float("nan"), kappa=kappa, seed=seed)
+    return SamplingState(arms=[], rows=picks.tolist(), bits=_probe_rows(ds, repo.models, picks, picks))
 
 
 def positives_per_model(state: SamplingState) -> np.ndarray:
@@ -231,14 +223,14 @@ def positives_per_model(state: SamplingState) -> np.ndarray:
     return state.bits.sum(axis=0)
 
 
-def save_pools(path, state: SamplingState, dataset_hash: str, repository_hash: str) -> str:
+def save_pools(path, state: SamplingState, cfg: SamplingConfig, dataset_hash: str, repository_hash: str) -> str:
     return write_artifact(path, {
         "kind": "pools",
         "dataset_hash": dataset_hash,
         "repository_hash": repository_hash,
-        "theta": None if math.isnan(state.theta) else state.theta,
-        "kappa": state.kappa,
-        "seed": state.seed,
+        "theta": cfg.theta,
+        "kappa": cfg.kappa,
+        "seed": cfg.seed,
         "arms": [
             {"alpha": arm.alpha, "beta": arm.beta, "sampled": arm.drawn}
             for arm in state.arms

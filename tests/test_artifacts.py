@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sceneselect import artifacts, decision, learners, profiling
-from sceneselect.artifacts import canonical_dumps, read_artifact, write_artifact
+from sceneselect.artifacts import canonical_dumps, read_artifact, sha256_text, write_artifact
 from sceneselect.errors import ArtifactMismatchError
 
 
@@ -12,6 +12,17 @@ def test_written_bytes_are_canonical_json(tmp_path):
     body = read_artifact(path, "report")
     assert body["content_hash"] == digest
     assert path.read_text(encoding="utf-8") == canonical_dumps(body) + "\n"
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_non_integer_format_version_refused(tmp_path, version):
+    # json reads true as True == 1 and 1.0 == 1; neither is the format's integer
+    path = tmp_path / "a.json"
+    body = {"kind": "report", "format_version": version}
+    body["content_hash"] = sha256_text(canonical_dumps(body))
+    path.write_text(canonical_dumps(body) + "\n", encoding="utf-8")
+    with pytest.raises(ArtifactMismatchError, match=f"a.json: unsupported format_version {version!r}"):
+        read_artifact(path, "report")
 
 
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):

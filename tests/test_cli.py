@@ -161,9 +161,20 @@ class TestProfile:
 class TestChain:
     def test_pools_artifact(self, workdir):
         body = read_artifact(workdir["pools"], "pools")
-        assert body["kappa"] == 150
+        assert (body["theta"], body["kappa"], body["seed"]) == (0.9, 150, 11)
         assert body["repository_hash"] == sha(workdir["prof"] / "repository.json")
         assert len(body["arms"]) == 3
+
+    def test_sample_flags_reach_the_pools_header(self, tmp_path, workdir):
+        out = tmp_path / "p.json"
+        assert cli.main([
+            "sample", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
+            "--repository", str(workdir["prof"] / "repository.json"), "--out", str(out),
+            "--theta", "0.5", "--kappa", "40", "--seed", "12",
+        ]) == 0
+        body = read_artifact(out, "pools")
+        assert (body["theta"], body["kappa"], body["seed"]) == (0.5, 40, 12)
+        assert len(body["rows"]) == 40
 
     def test_decision_artifact(self, workdir):
         body = read_artifact(workdir["dec"], "decision")
@@ -465,6 +476,13 @@ def malformed(kind, change):
     return build
 
 
+def one_hidden_unit_dim_true(body):
+    """Cut the encoder to its first hidden unit and record that dim as ``true``."""
+    model = body["model"]
+    i, h = model["input_dim"], model["hidden_dim"]
+    model.update(hidden_dim=True, W1=model["W1"][:i], b1=model["b1"][:1], W2=model["W2"][::h])
+
+
 def anole_without_artifacts(workdir, tmp_path):
     return [
         "simulate", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
@@ -558,6 +576,19 @@ def write_summaries(tmp_path, *changes):
         paths.append(str(tmp_path / f"summary_{i}.json"))
         write_artifact(paths[-1], body)
     return paths
+
+
+def report_of_summary_without(key):
+    """Case builder: report on two ssm summaries of a sweep, the first lacking ``key``."""
+
+    def build(workdir, tmp_path):
+        paths = write_summaries(tmp_path, {}, {"capacity": 2})
+        body = read_artifact(paths[0], "summary")
+        body.pop(key)
+        write_artifact(paths[0], body)
+        return ["report", *paths]
+
+    return build
 
 
 class TestReport:
@@ -701,6 +732,47 @@ FAILURES = {
         "generate.ini: unknown section [DEFAULT]",
     ),
     "non-UTF-8 config": (not_utf8_config, ParseError, "generate.ini: not UTF-8 text"),
+    "summary without method": (
+        report_of_summary_without("method"), ArtifactMismatchError, "summary_0.json: method must be a string"
+    ),
+    "summary without capacity": (
+        report_of_summary_without("capacity"), ArtifactMismatchError, "summary_0.json: capacity must be an integer"
+    ),
+    "summary without mean_window_f1": (
+        report_of_summary_without("mean_window_f1"), ArtifactMismatchError,
+        "summary_0.json: mean_window_f1 must be a number",
+    ),
+    "summary without miss_rate": (
+        report_of_summary_without("miss_rate"), ArtifactMismatchError, "summary_0.json: miss_rate must be a number"
+    ),
+    "pools row with a boolean sample_index": (
+        malformed("pools", lambda b: b["rows"][1].update(sample_index=True)), ArtifactMismatchError,
+        "pools.json: rows[1]: sample_index must be a row of the dataset",
+    ),
+    "pools row with a float sample_index": (
+        malformed("pools", lambda b: b["rows"][1].update(sample_index=1.0)), ArtifactMismatchError,
+        "pools.json: rows[1]: sample_index must be a row of the dataset",
+    ),
+    "pools row with boolean bits": (
+        malformed("pools", lambda b: b["rows"][0].update(bits=[True, False, True])), ArtifactMismatchError,
+        "pools.json: rows[0]: bits must be 3 values, each 0 or 1",
+    ),
+    "pools row with a float bit": (
+        malformed("pools", lambda b: b["rows"][0].update(bits=[0.0, 1, 1])), ArtifactMismatchError,
+        "pools.json: rows[0]: bits must be 3 values, each 0 or 1",
+    ),
+    "repository model with a boolean scene id": (
+        malformed("repository", lambda b: b["models"][0].update(member_scene_ids=[True])), ArtifactMismatchError,
+        "repository.json: models[0]: member_scene_ids must be a non-empty list",
+    ),
+    "repository model with a boolean source": (
+        malformed("repository", lambda b: b["models"][1].update(source=[True, 0])), ArtifactMismatchError,
+        "repository.json: models[1]: source must be a [k, cluster_id] pair",
+    ),
+    "encoder with a boolean dim": (
+        malformed("encoder", one_hidden_unit_dim_true), ArtifactMismatchError,
+        "encoder.json: model dims must be positive integers, got",
+    ),
 }
 
 

@@ -14,9 +14,7 @@ from conftest import params_hash
 def fake_state(rows, n):
     """SamplingState stub holding the given rows of (index, bits)."""
     bits = np.array([bits for _, bits in rows], dtype=bool).reshape(len(rows), n)
-    return sampling.SamplingState(
-        arms=[], rows=[idx for idx, _ in rows], bits=bits, theta=0.9, kappa=10, seed=0
-    )
+    return sampling.SamplingState(arms=[], rows=[idx for idx, _ in rows], bits=bits)
 
 
 def allocation_labels(state):

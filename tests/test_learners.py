@@ -906,6 +906,8 @@ class TestSerialization:
     def test_bad_format_version(self):
         for change, text in [
             ({"model_format": 99}, "unsupported model format"),
+            ({"model_format": True}, "unsupported model format"),
+            ({"model_format": 1.0}, "unsupported model format"),
             ({"hidden_dim": 0}, "dims must be positive"),
             ({"W1": [0.5] * 5}, "W1 has shape (5,)"),
             ({"W2": [0.5] * 99}, "W2 has shape (99,)"),

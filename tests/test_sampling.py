@@ -69,13 +69,12 @@ class TestThreshold:
 
 
 def two_arm_state(a0=(3.0, 2.0), a1=(1.0, 1.0), gammas=((0, 1, 2), (3, 4, 5))):
+    # each arm freezes only when its scene is drained, as at theta = 0.9
     arms = [
-        sampling.ArmState(0, a0[0], a0[1], 0, np.array(gammas[0]), well_sampled_threshold(3, 0.9)),
-        sampling.ArmState(1, a1[0], a1[1], 0, np.array(gammas[1]), well_sampled_threshold(3, 0.9)),
+        sampling.ArmState(0, a0[0], a0[1], 0, np.array(gammas[0]), len(gammas[0])),
+        sampling.ArmState(1, a1[0], a1[1], 0, np.array(gammas[1]), len(gammas[1])),
     ]
-    return sampling.SamplingState(
-        arms=arms, rows=[], bits=np.zeros((0, 2), dtype=bool), theta=0.9, kappa=10, seed=0
-    )
+    return sampling.SamplingState(arms=arms, rows=[], bits=np.zeros((0, 2), dtype=bool))
 
 
 class TestThompsonRound:
@@ -199,7 +198,7 @@ class TestAdaptive:
         state = adaptive_sampling(ds, type(repo)(entries=[tiny]), SamplingConfig(0.1, 10, 3))
         arm = state.arms[0]
         assert arm.drawn == 2
-        assert arm.drawn > arm.threshold and arm.drawn < len(arm.gamma)
+        assert arm.drawn > well_sampled_threshold(3, 0.1) and arm.drawn < len(arm.gamma)
         assert state.distinct_drawn == 2
         # a frozen arm receives no further draws or posterior updates
         before = (arm.alpha, arm.beta)
@@ -328,7 +327,7 @@ class TestAdaptiveMatchesReference:
         for seed in range(5):
             state = self.check(ds, repo.models, gammas, theta, kappa, seed)
             if case == "well-sampled freeze":
-                assert any(a.threshold < a.drawn < len(a.gamma) for a in state.arms)
+                assert any(well_sampled_threshold(len(a.gamma), theta) < a.drawn < len(a.gamma) for a in state.arms)
             elif case == "share cap raised":
                 assert kappa < union and state.arm_cap > math.ceil(kappa / len(gammas))
                 assert state.distinct_drawn == kappa
@@ -406,9 +405,10 @@ class TestBalance:
 class TestPoolsIO:
     def test_payload_round_trip(self, tmp_path, small_repo):
         ds, repo = small_repo
-        state = adaptive_sampling(ds, repo, SamplingConfig(0.9, 25, 8))
+        cfg = SamplingConfig(0.9, 25, 8)
+        state = adaptive_sampling(ds, repo, cfg)
         path = tmp_path / "pools.json"
-        sampling.save_pools(path, state, "dhash", "rhash")
+        sampling.save_pools(path, state, cfg, "dhash", "rhash")
         from sceneselect.artifacts import read_artifact
 
         body = read_artifact(path, "pools")
