@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import os
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +25,7 @@ from .artifacts import artifact_body, is_int, read_artifact, write_artifact
 from .dataset import Dataset, part_indices
 from .errors import ConfigError, InsufficientModelsError
 from .learners import TrainConfig, VectorClassifier
+from .shares import run_shares, usable_cpus
 
 
 @dataclass
@@ -279,13 +278,6 @@ def macro_f1(predictions, labels, num_classes: int, window: int | None = None):
     return float(scores[0]) if window is None else scores
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on; 1 where the platform
-    cannot tell."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else 1
-
-
 def split_shares(costs, shares: int) -> list:
     """Split models of the given costs into ``shares`` lists of model
     indices, each ascending: the models go largest cost first (ties by
@@ -307,21 +299,21 @@ def train_on_row_sets(ds: Dataset, row_sets, hidden_dims, cfg: TrainConfig,
     ``init_seeds[j]`` and trained with ``train_seeds[j]``.
 
     The models are split into one share per usable CPU, at most one per
-    model, by `split_shares` on rows times width. The first share trains in
-    this process and every other one at the same time in a forked child,
-    which pickles its models into a pipe for this process to unpickle;
-    within a share, the models of one width train as one
-    `learners.train_stack` call. A model's parameters do not depend on what
-    it is stacked with, so every split gives the same bits. If any share
-    raises, a child exits non-zero or its pickle is cut short, the whole
-    set is trained again in this process, so an error is the one a single
-    process raises.
+    model, by `split_shares` on rows times width, and trained side by side
+    by `shares.run_shares`; within a share, the models of one width train
+    as one `learners.train_stack` call. A model's parameters do not depend
+    on what it is stacked with, so every split gives the same bits. If
+    `run_shares` gives None, the whole set is trained again in this
+    process, so an error is the one a single process raises.
     """
     train = functools.partial(_train_models, ds, row_sets, hidden_dims, cfg, init_seeds, train_seeds)
     costs = [len(rows) * hidden for rows, hidden in zip(row_sets, hidden_dims)]
-    shares = split_shares(costs, min(_usable_cpus(), len(costs)))
-    trained = _train_shares(train, shares) if len(shares) > 1 else None
-    return train(range(len(costs))) if trained is None else trained
+    shares = split_shares(costs, min(usable_cpus(), len(costs)))
+    trained = run_shares(train, shares)
+    if trained is None:
+        return train(range(len(costs)))
+    by_model = {j: model for share, models in zip(shares, trained) for j, model in zip(share, models)}
+    return [by_model[j] for j in range(len(costs))]
 
 
 def _train_models(ds: Dataset, row_sets, hidden_dims, cfg: TrainConfig, init_seeds, train_seeds,
@@ -341,48 +333,6 @@ def _train_models(ds: Dataset, row_sets, hidden_dims, cfg: TrainConfig, init_see
             [dataclasses.replace(cfg, seed=train_seeds[j]) for j in stack],
         )
     return list(models.values())
-
-
-def _train_shares(train, shares) -> list | None:
-    """Every model of ``shares``, in model order: ``train(share)`` for the
-    first share in this process and for each other share in a forked child,
-    which pickles its models straight into a pipe and exits 0 only once that
-    pipe has closed cleanly. None if any share raised, a child exited
-    non-zero or its pickle was cut short. Every read end is closed, then
-    every child reaped, before this returns: a child still training meets a
-    closed pipe and exits non-zero by itself."""
-    children = []  # (pid, read end of its pipe)
-    try:
-        try:
-            for share in shares[1:]:
-                read_end, write_end = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(read_end)
-                    os.close(write_end)
-                    raise
-                if pid == 0:
-                    status = 1
-                    try:
-                        os.close(read_end)
-                        with open(write_end, "wb") as pipe:
-                            pickle.dump(train(share), pipe, pickle.HIGHEST_PROTOCOL)
-                        status = 0
-                    finally:
-                        os._exit(status)
-                os.close(write_end)
-                children.append((pid, open(read_end, "rb")))
-            by_model = dict(zip(shares[0], train(shares[0])))
-            for share, (_, pipe) in zip(shares[1:], children):
-                by_model.update(zip(share, pickle.load(pipe)))
-        except Exception:
-            return None  # the caller trains the whole set again and raises what that raises
-    finally:
-        for _, pipe in children:
-            pipe.close()
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    return None if any(statuses) else [by_model[j] for j in sorted(by_model)]
 
 
 def _cluster_scene(scenes, member_ids) -> ClusterScene:

@@ -769,6 +769,18 @@ FAILURES = {
         malformed("repository", lambda b: b["models"][1].update(source=[True, 0])), ArtifactMismatchError,
         "repository.json: models[1]: source must be a [k, cluster_id] pair",
     ),
+    "encoder with a boolean weight": (
+        malformed("encoder", lambda b: b["model"]["W1"].__setitem__(0, True)), ArtifactMismatchError,
+        "encoder.json: model parameters must be lists of numbers, and W1 is not",
+    ),
+    "repository model with a string bias": (
+        malformed("repository", lambda b: b["models"][1]["model"]["b1"].__setitem__(2, "0.5")),
+        ArtifactMismatchError, "repository.json: model parameters must be lists of numbers, and b1 is not",
+    ),
+    "decision head with a boolean bias": (
+        malformed("decision", lambda b: b["head"]["b2"].__setitem__(0, False)), ArtifactMismatchError,
+        "decision.json: model parameters must be lists of numbers, and b2 is not",
+    ),
     "encoder with a boolean dim": (
         malformed("encoder", one_hidden_unit_dim_true), ArtifactMismatchError,
         "encoder.json: model dims must be positive integers, got",

@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
 import json
+import os
+import pickle
 import re
 import tempfile
 import tracemalloc
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sceneselect import dataset
 from sceneselect.dataset import (
     PARTS,
     _parse_header,
@@ -25,6 +29,7 @@ from sceneselect.dataset import (
 from sceneselect.errors import ConfigError, ParseError, SchemaError
 
 from conftest import small_generator_config
+from test_profiling import cpus_usable, no_child_left
 
 
 def assert_same_rows(a, b):
@@ -478,10 +483,10 @@ def reference_check_index(clips, frames, split) -> None:
 def reference_parse_sample(obj, schema, lineno):
     try:
         features = np.asarray(obj["f"], dtype=float)
-        label = int(obj["y"])
-        attrs = tuple(int(a) for a in obj["a"])
-        clip = int(obj["clip"])
-        frame = int(obj["frame"])
+        label = reference_integer(obj["y"], "y")
+        attrs = tuple(reference_integer(a, "a") for a in obj["a"])
+        clip = reference_integer(obj["clip"], "clip")
+        frame = reference_integer(obj["frame"], "frame")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(lineno, f"malformed sample: {exc}") from exc
     if features.shape != (schema.feature_dim,):
@@ -501,6 +506,14 @@ def reference_parse_sample(obj, schema, lineno):
     return Sample(features, label, attrs, clip, frame)
 
 
+def reference_integer(value, key):
+    """A JSON integer field: ``json`` reads ``true`` as True and ``1.0`` as a
+    float, and neither is an integer of the format."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def load_outcome(load, path):
     """(schema, split, columns) of a load, or the error's type and message."""
     try:
@@ -512,16 +525,27 @@ def load_outcome(load, path):
     return ds.schema, ds.split, {c: getattr(ds, c) for c in ("features", "labels", "attrs", "clip_ids", "frame_indices")}
 
 
+def assert_same_outcome(new, ref):
+    """Two `load_outcome`s are the same error, or the same columns bit for bit."""
+    assert new[:2] == ref[:2]
+    if not isinstance(ref[0], type):
+        for column, values in ref[2].items():
+            assert new[2][column].dtype == values.dtype and new[2][column].shape == values.shape, column
+            assert new[2][column].tobytes() == values.tobytes(), column
+
+
 def assert_same_load(path):
+    """`load_dataset` loads ``path`` as the reference does; its outcome."""
     new, ref = load_outcome(load_dataset, path), load_outcome(reference_load_dataset, path)
     if isinstance(ref[0], type):
         assert new == ref
-        return
+        return new
     assert new[:2] == ref[:2]
     for column, values in ref[2].items():
         assert new[2][column].dtype == values.dtype, column
         assert new[2][column].shape == values.shape, column
         assert np.array_equal(new[2][column], values), column
+    return new
 
 
 small_configs = st.builds(
@@ -605,6 +629,16 @@ def row_split_across_lines(lines):
     lines[9:10] = [lines[9][:cut], lines[9][cut:]]
 
 
+def row_parted_by_a_carriage_return(lines):
+    # text mode ends a line at a lone carriage return, so neither half parses
+    cut = lines[699].index('"f": [') + 6
+    lines[699] = lines[699][:cut] + "\r" + lines[699][cut:]
+
+
+def header_and_row_parted_by_a_carriage_return(lines):
+    lines[0] = lines[0] + "\r" + lines.pop(1)
+
+
 def schema_error_before_json_error(lines):
     edit_row(300, y=99)(lines)
     lines[399] = "{not json"
@@ -648,6 +682,8 @@ CORRUPTIONS = {
     "schema error before a JSON error in one chunk": schema_error_before_json_error,
     "two rows on one line": two_rows_on_one_line,
     "one row over two lines": row_split_across_lines,
+    "one row over two lines at a carriage return": row_parted_by_a_carriage_return,
+    "header and first row parted by a carriage return": header_and_row_parted_by_a_carriage_return,
     "repeated clip and frame": repeat_clip_frame,
     "overlapping split parts": edit_header(lambda splits, clip: splits["ranges"][clip].update(valid=[0, 70])),
     "seen clip without ranges": edit_header(lambda splits, clip: splits["ranges"].pop(clip)),
@@ -657,22 +693,34 @@ CORRUPTIONS = {
 
 
 @pytest.fixture(scope="module")
-def saved_800(tmp_path_factory):
-    """Text of an 800-row dataset file (3 features, 2 x 2 attributes)."""
-    ds = generate_dataset(small_generator_config(num_cells=4, clips_per_cell=2, frames_per_clip=100, feature_dim=3))
+def ds_800():
+    """An 800-row dataset (3 features, 2 x 2 attributes)."""
+    return generate_dataset(small_generator_config(num_cells=4, clips_per_cell=2, frames_per_clip=100, feature_dim=3))
+
+
+@pytest.fixture(scope="module")
+def saved_800(tmp_path_factory, ds_800):
+    """Text of ds_800's dataset file."""
     path = tmp_path_factory.mktemp("io") / "data.jsonl"
-    save_dataset(ds, path)
+    save_dataset(ds_800, path)
     return path.read_text()
 
 
 class TestCorruptionMatchesPerLineReference:
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
-    def test_same_error_or_same_columns(self, tmp_path, saved_800, name):
+    def test_same_error_or_same_columns(self, tmp_path, saved_800, name, monkeypatch):
         lines = saved_800.splitlines()
         CORRUPTIONS[name](lines)
         path = tmp_path / "data.jsonl"
         path.write_text("".join(line + "\n" for line in lines))
-        assert_same_load(path)
+        with cpus_usable(1):
+            alone = assert_same_load(path)
+        # split in two, lines 400 on in a child's share, the file loads or
+        # fails as in one process, with the same line number
+        monkeypatch.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
+        with cpus_usable(2):
+            assert_same_outcome(load_outcome(load_dataset, path), alone)
+        assert no_child_left()
 
     def test_error_past_the_first_chunk_names_its_line(self, tmp_path, saved_800):
         lines = saved_800.splitlines()
@@ -718,3 +766,168 @@ def test_load_peak_memory(tmp_path, bench42):
     finally:
         tracemalloc.stop()
     assert peak < 3.8e6, f"load_dataset peaked at {peak / 1e6:.2f} MB"
+
+
+# ---------------------------------------------------------------------------
+# Integer fields hold JSON integers only: json reads ``true`` as True and
+# ``1.0`` as a float, and int() or an int64 array would take either.
+
+NON_INTEGERS = {"y": [0.9, True], "a": [[0, 1.0], [False, 0]], "clip": [1.0, True], "frame": [2.5, False]}
+
+
+@pytest.mark.parametrize("key", sorted(NON_INTEGERS))
+def test_non_integer_field_refused(tmp_path, saved_800, key):
+    # alone in its chunk, the chunk's array checks must see the value; before
+    # a JSON error in its chunk, the line-by-line parse must; at line 700 it
+    # lies in a child's share when two CPUs split the file
+    for value in NON_INTEGERS[key]:
+        shown = json.dumps(next(v for v in value if type(v) is not int) if key == "a" else value)
+        for number, cpus, also in [(5, 1, None), (300, 1, replace_line(310, "{not json")), (700, 2, None)]:
+            lines = saved_800.splitlines()
+            edit_row(number, **{key: value})(lines)
+            if also:
+                also(lines)
+            path = tmp_path / "data.jsonl"
+            path.write_text("".join(line + "\n" for line in lines))
+            with pytest.MonkeyPatch.context() as mp, cpus_usable(cpus) as forks:
+                mp.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
+                with pytest.raises(ParseError) as err:
+                    load_dataset(path)
+            assert len(forks) == cpus - 1
+            assert str(err.value) == f"line {number}: {path}: malformed sample: {key} must be an integer, got {shown}"
+        assert_same_load(path)  # the reference refuses it too
+
+
+# ---------------------------------------------------------------------------
+# Dataset I/O split into one share per usable CPU, pinned to one process.
+
+
+@contextlib.contextmanager
+def small_shares():
+    """Chunks of 3 lines, and a fork for a share of one chunk, so that small
+    datasets split."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_CHUNK_LINES", 3)
+        mp.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
+        yield
+
+
+def awkward_features(ds, seed):
+    """``ds`` with features of every form repr gives a float: -0.0,
+    subnormals, exponents from the smallest to the largest, and a few
+    short decimals."""
+    rng = np.random.default_rng(seed)
+    shape = ds.features.shape
+    features = np.ldexp(rng.uniform(0.5, 1.0, shape), rng.integers(-1074, 1024, shape)) * rng.choice([-1, 1], shape)
+    specials = [0.0, -0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308, 1e16, 1e-07, 0.1]
+    pick = rng.random(shape) < 0.3
+    features[pick] = rng.choice(specials, pick.sum())
+    return dataclasses.replace(ds, features=features)
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def saved_alone(ds, path):
+    """Save ``ds`` to ``path`` in one process; its bytes and its load."""
+    with cpus_usable(1):
+        save_dataset(ds, path)
+        return path.read_bytes(), load_outcome(load_dataset, path)
+
+
+class TestSharesMatchOneProcess:
+    @settings(max_examples=10, deadline=None)
+    @given(cfg=small_configs, seed=st.integers(0, 2**32 - 1), cpus=st.sampled_from([2, 3]))
+    def test_bytes_and_columns(self, cfg, seed, cpus):
+        ds = awkward_features(generate_dataset(cfg), seed)
+        with tempfile.TemporaryDirectory() as tmp, small_shares():
+            one, split = Path(tmp) / "one.jsonl", Path(tmp) / "split.jsonl"
+            data, alone = saved_alone(ds, one)
+            with cpus_usable(cpus) as save_forks:
+                save_dataset(ds, split)
+            with cpus_usable(cpus) as load_forks:
+                shared = load_outcome(load_dataset, split)
+            assert split.read_bytes() == data
+        assert len(save_forks) == min(cpus, -(-len(ds) // 3)) - 1
+        # a load counts its chunks from the first line's length, so only a
+        # longer file is sure to split
+        assert len(load_forks) < cpus
+        assert load_forks or len(ds) < 60
+        assert_same_outcome(shared, alone)
+        assert no_child_left()
+
+    def test_shares_of_the_fewest_chunks(self, tmp_path):
+        # six chunks of 12 features, as in the default dataset: three shares of two chunks
+        ds = generate_dataset(small_generator_config(clips_per_cell=2, frames_per_clip=192, feature_dim=12))
+        data, alone = saved_alone(ds, tmp_path / "one.jsonl")
+        path = tmp_path / "data.jsonl"
+        with cpus_usable(3) as forks:
+            save_dataset(ds, path)
+            shared = load_outcome(load_dataset, path)
+        assert path.read_bytes() == data
+        assert_same_outcome(shared, alone)
+        assert len(forks) == 4
+
+    @pytest.mark.parametrize("failure", ["fork", "child"])
+    def test_a_failed_share_gives_the_one_process_result(self, tmp_path, ds_800, failure, monkeypatch):
+        # a fork that fails, or a child that writes half its pickle and
+        # raises: this process does the whole save or load again
+        monkeypatch.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
+        data, alone = saved_alone(ds_800, tmp_path / "one.jsonl")
+        path = tmp_path / "data.jsonl"
+        path.write_text("earlier file\n")
+        fds = open_fds()
+
+        def failed_fork():
+            raise OSError("fork failed")
+
+        def broken_dump(obj, file, protocol):
+            whole = pickle.dumps(obj, protocol)
+            file.write(whole[: len(whole) // 2])
+            raise OSError("pickling failed")
+
+        with cpus_usable(2) as forks:
+            if failure == "fork":
+                monkeypatch.setattr(os, "fork", failed_fork)
+            else:
+                monkeypatch.setattr(pickle, "dump", broken_dump)
+            save_dataset(ds_800, path)
+            shared = load_outcome(load_dataset, path)
+            monkeypatch.undo()
+        assert path.read_bytes() == data
+        assert_same_outcome(shared, alone)
+        assert len(forks) == (0 if failure == "fork" else 2)
+        assert open_fds() == fds
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "one.jsonl"]
+        assert no_child_left()
+
+    @pytest.mark.parametrize("row", [0, 799], ids=["parent's share", "child's share"])
+    def test_a_share_that_raises_leaves_the_earlier_file(self, tmp_path, ds_800, row, monkeypatch):
+        monkeypatch.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
+        path = tmp_path / "data.jsonl"
+        path.write_text("earlier file\n")
+        labels = ds_800.labels.astype(object)
+        labels[row] = "not a label"
+        fds = open_fds()
+        with cpus_usable(2) as forks, pytest.raises(TypeError):
+            save_dataset(dataclasses.replace(ds_800, labels=labels), path)
+        assert len(forks) == 1
+        assert path.read_text() == "earlier file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+        assert open_fds() == fds
+        assert no_child_left()
+
+    def test_one_usable_cpu_forks_nothing(self, tmp_path, ds_800):
+        path = tmp_path / "data.jsonl"
+        with small_shares(), cpus_usable(1):  # a fork fails the test
+            save_dataset(ds_800, path)
+            load_dataset(path)
+
+    def test_shares_below_the_minimum_fork_nothing(self, tmp_path, small_ds):
+        # 400 rows are two chunks: one share's worth, so there is one share
+        path = tmp_path / "data.jsonl"
+        with cpus_usable(2) as forks:
+            save_dataset(small_ds, path)
+            load_dataset(path)
+        assert forks == []

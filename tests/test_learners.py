@@ -913,7 +913,12 @@ class TestSerialization:
             ({"W2": [0.5] * 99}, "W2 has shape (99,)"),
             ({"b1": [float("nan")] * 6}, "b1 holds a non-finite value"),
             ({"b2": [0.0, 0.0, 0.0, float("inf")]}, "b2 holds a non-finite value"),
-            ({"b1": ["a"] * 6}, "model parameters must be lists of numbers"),
+            ({"b1": ["a"] * 6}, "model parameters must be lists of numbers, and b1 is not"),
+            ({"W1": [True] + [0.5] * 29}, "model parameters must be lists of numbers, and W1 is not"),
+            ({"b1": [0.5] * 5 + [False]}, "model parameters must be lists of numbers, and b1 is not"),
+            ({"W2": ["0.5"] * 24}, "model parameters must be lists of numbers, and W2 is not"),
+            ({"b2": [[0.5]] * 4}, "model parameters must be lists of numbers, and b2 is not"),
+            ({"b2": None}, "model parameters must be lists of numbers, and b2 is not"),
         ]:
             d = {**learners.model_to_dict(tiny_model(5, 6, 4)), **change}
             with pytest.raises(ConfigError, match=re.escape(text)):
