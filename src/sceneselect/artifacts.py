@@ -49,14 +49,20 @@ def not_utf8(path) -> ParseError:
 
 def write_artifact(path, payload: dict) -> str:
     """Stamp ``payload`` with format version and self-hash, write it atomically,
-    return the hash."""
-    body = dict(payload)
-    body["format_version"] = FORMAT_VERSION
+    return the hash.
+
+    The file is ``canonical_dumps`` of the stamped body. Each top-level
+    value is encoded once: ``canonical_dumps`` of an object is its sorted
+    ``"key":value`` pieces joined by commas, each value encoded as it would
+    be alone, so the hashed text and the file are both joins of the same
+    pieces, the file's with the hash's piece added."""
+    body = dict(payload, format_version=FORMAT_VERSION)
     body.pop("content_hash", None)
-    digest = sha256_text(canonical_dumps(body))
-    body["content_hash"] = digest
+    pieces = {key: f"{canonical_dumps(key)}:{canonical_dumps(value)}" for key, value in body.items()}
+    digest = sha256_text("{" + ",".join(pieces[key] for key in sorted(pieces)) + "}")
+    pieces["content_hash"] = f'"content_hash":"{digest}"'
     with atomic_path(path) as tmp:
-        tmp.write_text(canonical_dumps(body) + "\n", encoding="utf-8")
+        tmp.write_text("{" + ",".join(pieces[key] for key in sorted(pieces)) + "}\n", encoding="utf-8")
     return digest
 
 

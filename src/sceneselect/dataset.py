@@ -458,21 +458,31 @@ def _loads(text, lineno):
 
 def _parse_chunk(numbered, schema):
     """Columns of consecutive (line number, text) sample lines."""
-    try:
-        rows = json.loads("[" + ",".join(text for _, text in numbered) + "]")
-        if len(rows) == len(numbered):
-            return _columns(rows, schema)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        pass
+    joined = ",".join(text for _, text in numbered)
+    # numpy reads a true in a row of numbers as 1.0, so a chunk that may
+    # hold a true or a false goes to the per-line parse, which refuses one
+    # in a feature; no key or number of a sample line holds a "t" or an "s"
+    if "t" not in joined and "s" not in joined:
+        try:
+            rows = json.loads("[" + joined + "]")
+            if len(rows) == len(numbered):
+                return _columns(rows, schema)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            pass
     return _columns([_parse_sample(_loads(text, n), schema, n) for n, text in numbered], schema)
 
 
 def _columns(rows, schema):
     """(features, labels, attrs, clips, frames) of parsed sample rows.
-    ValueError if an integer field holds another JSON value, or a row fails
-    a per-sample check."""
+    ValueError if the features are not all numbers, an integer field holds
+    another JSON value, or a row fails a per-sample check. A feature that
+    is a string or null makes the features' dtype a string or object one;
+    one that is a boolean in a row of numbers does not, so `_parse_chunk`
+    keeps such rows from here."""
     m, d, cards = len(rows), schema.feature_dim, np.array(schema.attr_cardinalities)
-    features = np.array([r["f"] for r in rows], dtype=float)
+    features = np.array([r["f"] for r in rows])
+    if features.dtype.kind not in "fiu":
+        raise ValueError("a feature is not a number")
     labels, attrs, clips, frames = ([r[k] for r in rows] for k in ("y", "a", "clip", "frame"))
     if not set(map(type, chain(labels, chain.from_iterable(attrs), clips, frames))) <= {int}:
         raise ValueError("an integer field holds another value")
@@ -483,7 +493,7 @@ def _columns(rows, schema):
         or ((labels < 0) | (labels >= schema.num_classes)).any() or ((attrs < 0) | (attrs >= cards)).any()
     ):
         raise ValueError("a sample fails a per-sample check")
-    return features.reshape(m, d), labels, attrs.reshape(m, len(cards)), clips, frames
+    return features.reshape(m, d).astype(float, copy=False), labels, attrs.reshape(m, len(cards)), clips, frames
 
 
 def _check_index(ds: Dataset) -> None:
@@ -517,18 +527,19 @@ def _parse_header(obj, lineno):
     try:
         sc = obj["schema"]
         schema = DatasetSchema(
-            feature_dim=int(sc["feature_dim"]),
-            num_classes=int(sc["num_classes"]),
-            attr_cardinalities=tuple(int(c) for c in sc["attr_cardinalities"]),
+            feature_dim=_integer(sc["feature_dim"], "feature_dim"),
+            num_classes=_integer(sc["num_classes"], "num_classes"),
+            attr_cardinalities=tuple(_integer(c, "attr_cardinalities") for c in sc["attr_cardinalities"]),
         )
         sp = obj["splits"]
         ranges = {
-            int(clip): {p: tuple(int(v) for v in r[p]) for p in PARTS}
+            # a JSON object's keys are strings
+            int(clip): {p: tuple(_integer(v, f"ranges[{clip}].{p}") for v in r[p]) for p in PARTS}
             for clip, r in sp["ranges"].items()
         }
         split = SplitDataset(
-            seen_clips=tuple(int(c) for c in sp["seen_clips"]),
-            unseen_clips=tuple(int(c) for c in sp["unseen_clips"]),
+            seen_clips=tuple(_integer(c, "seen_clips") for c in sp["seen_clips"]),
+            unseen_clips=tuple(_integer(c, "unseen_clips") for c in sp["unseen_clips"]),
             ranges=ranges,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -540,12 +551,16 @@ def _parse_header(obj, lineno):
 def _parse_sample(obj, schema, lineno):
     """One sample row with its fields converted and checked against the schema."""
     try:
+        # numpy would read true as 1.0 and "0.5" as 0.5
+        for value in obj["f"] if isinstance(obj["f"], list) else []:
+            if isinstance(value, (bool, str)):
+                raise TypeError(f"f must hold numbers, got {json.dumps(value)}")
         features = np.asarray(obj["f"], dtype=float)
         label = _integer(obj["y"], "y")
         attrs = tuple(_integer(a, "a") for a in obj["a"])
         clip = _integer(obj["clip"], "clip")
         frame = _integer(obj["frame"], "frame")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # an int past float range overflows
         raise ParseError(lineno, f"malformed sample: {exc}") from exc
     if features.shape != (schema.feature_dim,):
         raise SchemaError(

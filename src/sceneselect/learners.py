@@ -211,7 +211,9 @@ def embed(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
 def expit(z: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """Logistic sigmoid ``1 / (1 + exp(-z))``, elementwise, into ``out`` if given
     (``out`` may be ``z`` itself). Never warns. ``scratch``, if given, is a
-    complex array shaped like ``z`` that receives the exponentials.
+    complex array shaped like ``z`` whose imaginary part is +0.0, as in a
+    zeroed array; it receives the exponentials and its imaginary part stays
+    +0.0, so it can be passed again.
 
     The result is bit-equal, for |z| <= 709, to that formula evaluated in C
     doubles with the C library's ``exp``, which is how the common reference
@@ -220,15 +222,20 @@ def expit(z: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | No
     in the last bit on a few percent of inputs. numpy's complex ``exp``
     calls the C library's ``cexp`` instead, whose real part for a zero
     imaginary part is the C library's ``exp`` of the real part, so
-    ``exp(-z + 0j).real`` is the C result. Below z of about -709.78 the
-    exponential overflows to inf and the sigmoid is 0.0, silently.
+    ``exp(-z + 0j).real`` is the C result; its imaginary part is +0.0 for
+    every real part, ±inf and nan included. Only ``-z`` is written to the
+    strided real part; ``1 + e`` and its reciprocal, a correctly rounded
+    ``1.0 / x``, run in ``out``, which a training step keeps contiguous.
+    Below z of about -709.78 the exponential overflows to inf and the
+    sigmoid is 0.0, silently.
     """
-    e = np.negative(z, dtype=complex, out=scratch)
+    if scratch is None:
+        scratch = np.zeros(np.shape(z), complex)
+    np.negative(z, out=scratch.real)
     with np.errstate(over="ignore"):
-        np.exp(e, out=e)
-    e = e.real
-    e += 1.0
-    return np.divide(1.0, e, out=out)
+        np.exp(scratch, out=scratch)
+    out = np.add(scratch.real, 1.0, out=out)
+    return np.reciprocal(out, out=out)
 
 
 def sigmoid_probs(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
@@ -299,14 +306,14 @@ def _rows(pool: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _scratch(dims, rows: int, sigmoid: bool) -> list:
-    """Uninitialised buffers of ``rows`` rows for `_step_work`: Z1, H, Z2,
-    dZ1 and the ReLU mask, then the activation's own, the complex
-    exponentials of `expit` for sigmoid outputs, else the row max and row
-    total columns of `softmax`."""
+    """Zeroed buffers of ``rows`` rows for `_step_work`: Z1, H, Z2, dZ1 and
+    the ReLU mask, then the activation's own, the complex exponentials of
+    `expit` for sigmoid outputs, whose imaginary part `expit` needs at
+    +0.0, else the row max and row total columns of `softmax`."""
     _, hidden, outputs = dims
     widths = [(hidden, float)] * 2 + [(outputs, float)] + [(hidden, float)] * 2
     widths += [(outputs, complex)] if sigmoid else [(1, float)] * 2
-    return [np.empty((rows, width), dtype) for width, dtype in widths]
+    return [np.zeros((rows, width), dtype) for width, dtype in widths]
 
 
 def _step_work(model: VectorClassifier, shape: tuple, sigmoid: bool, scratch: list, grads: Gradients) -> tuple:
@@ -314,14 +321,15 @@ def _step_work(model: VectorClassifier, shape: tuple, sigmoid: bool, scratch: li
     is (n,), or (k, n) for a stack of k models: both layers'
     `_affine_views`, the forward and backward buffers cut from ``scratch``
     (`_scratch`, at least prod(``shape``) rows) and their transposes, the
-    activation and its buffers, the batch size n, and ``grads``, which
-    receives the gradients. Everything one step touches but the batch and
-    its targets."""
+    activation and its buffers, the batch size n as a float, so that the
+    step's division converts nothing, and ``grads``, which receives the
+    gradients. Everything one step touches but the batch and its
+    targets."""
     Z1, H, Z2, dZ1, mask, *act = (_rows(a, shape) for a in scratch)
     activate, act = (expit, act[0]) if sigmoid else (softmax, tuple(act))
     views = (_affine_views(model.W1, model.b1), _affine_views(model.W2, model.b2))
     return (views, Z1, H, Z2, Z2.swapaxes(-1, -2), dZ1, dZ1.swapaxes(-1, -2), mask,
-            activate, act, shape[-1], grads)
+            activate, act, float(shape[-1]), grads)
 
 
 def gradient(model: VectorClassifier, X: np.ndarray, y: np.ndarray, l2: float = 0.0,

@@ -14,6 +14,24 @@ def test_written_bytes_are_canonical_json(tmp_path):
     assert path.read_text(encoding="utf-8") == canonical_dumps(body) + "\n"
 
 
+@pytest.mark.parametrize("payload", [
+    {"kind": "report", "nested": {"b": [1, {"z": None, "a": [True, False]}], "a": {}}, "list": [[], [[0.5]]]},
+    {"kind": "report", "name": "scène été ☃ \"quoted\" \\ \n tab\t", "ékey": "ü", "Zed": 1},
+    {"kind": "report", "x": [0.1, -0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-07, 3.0, -2]},
+    {"kind": "report", "content_hash": "stale", "format_version": 7, "a_key": "", "zz": 2**70},
+])
+def test_written_bytes_are_one_canonical_dump(tmp_path, payload):
+    # each value is encoded once and the pieces joined: the same bytes as
+    # encoding the stamped body whole
+    path = tmp_path / "a.json"
+    digest = write_artifact(path, payload)
+    body = {k: v for k, v in payload.items() if k != "content_hash"}
+    body["format_version"] = artifacts.FORMAT_VERSION
+    assert digest == sha256_text(canonical_dumps(body))
+    body["content_hash"] = digest
+    assert path.read_bytes() == (canonical_dumps(body) + "\n").encode("utf-8")
+
+
 @pytest.mark.parametrize("version", [True, 1.0])
 def test_non_integer_format_version_refused(tmp_path, version):
     # json reads true as True == 1 and 1.0 == 1; neither is the format's integer

@@ -482,6 +482,10 @@ def reference_check_index(clips, frames, split) -> None:
 
 def reference_parse_sample(obj, schema, lineno):
     try:
+        if isinstance(obj["f"], list):
+            for value in obj["f"]:
+                if isinstance(value, (bool, str)):
+                    raise TypeError(f"f must hold numbers, got {json.dumps(value)}")
         features = np.asarray(obj["f"], dtype=float)
         label = reference_integer(obj["y"], "y")
         attrs = tuple(reference_integer(a, "a") for a in obj["a"])
@@ -796,6 +800,99 @@ def test_non_integer_field_refused(tmp_path, saved_800, key):
             assert len(forks) == cpus - 1
             assert str(err.value) == f"line {number}: {path}: malformed sample: {key} must be an integer, got {shown}"
         assert_same_load(path)  # the reference refuses it too
+
+
+# Features hold JSON numbers only: numpy reads ``true`` as 1.0 and "0.5" as
+# 0.5 in a float array.
+
+@pytest.mark.parametrize("value", [True, False, "0.5"])
+def test_non_number_feature_refused(tmp_path, saved_800, value):
+    # as for the integer fields: alone in its chunk, before a JSON error in
+    # its chunk, and in a child's share
+    for number, cpus, also in [(5, 1, None), (300, 1, replace_line(310, "{not json")), (700, 2, None)]:
+        lines = saved_800.splitlines()
+        edit_row(number, f=[0.5, value, 0.5])(lines)
+        if also:
+            also(lines)
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.MonkeyPatch.context() as mp, cpus_usable(cpus) as forks:
+            mp.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
+            with pytest.raises(ParseError) as err:
+                load_dataset(path)
+        assert len(forks) == cpus - 1
+        assert str(err.value) == f"line {number}: {path}: malformed sample: f must hold numbers, got {json.dumps(value)}"
+    assert_same_load(path)  # the reference refuses it too
+
+
+def test_integer_feature_past_float_range_names_its_line(tmp_path, saved_800):
+    lines = saved_800.splitlines()
+    edit_row(5, f=[0.5, 10**400, 0.5])(lines)
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ParseError, match=r"^line 5: .*: malformed sample: int too large to convert to float$"):
+        load_dataset(path)
+
+
+def test_valid_chunks_skip_the_per_line_parse(tmp_path, ds_800, monkeypatch):
+    # the chunk checks that keep booleans and strings out of the features
+    # must pass every valid line, floats in every repr form among them
+    path = tmp_path / "data.jsonl"
+    save_dataset(awkward_features(ds_800, 0), path)
+
+    def per_line(*args):
+        raise AssertionError("a valid chunk was parsed line by line")
+
+    monkeypatch.setattr(dataset, "_parse_sample", per_line)
+    with cpus_usable(1):
+        load_dataset(path)
+
+
+def test_integer_features_load_as_floats(tmp_path, saved_800):
+    # a row of JSON integers parses to an integer array before the cast
+    lines = saved_800.splitlines()
+    edit_row(5, f=[1, -2, 3])(lines)
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    _, _, columns = assert_same_load(path)
+    assert columns["features"].dtype == np.float64
+    assert columns["features"][3].tolist() == [1.0, -2.0, 3.0]
+
+
+HEADER_INTEGERS = {
+    "feature_dim": lambda h, v: h["schema"].update(feature_dim=v),
+    "num_classes": lambda h, v: h["schema"].update(num_classes=v),
+    "attr_cardinalities": lambda h, v: h["schema"]["attr_cardinalities"].__setitem__(0, v),
+    "seen_clips": lambda h, v: h["splits"]["seen_clips"].__setitem__(0, v),
+    "unseen_clips": lambda h, v: h["splits"]["unseen_clips"].append(v),
+}
+
+
+@pytest.mark.parametrize("key", sorted(HEADER_INTEGERS))
+@pytest.mark.parametrize("value", [2.0, True, "3"])
+def test_non_integer_header_field_refused(tmp_path, saved_800, key, value):
+    lines = saved_800.splitlines()
+    header = json.loads(lines[0])
+    HEADER_INTEGERS[key](header, value)
+    lines[0] = json.dumps(header)
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ParseError) as err:
+        load_dataset(path)
+    assert err.value.line_number == 1
+    assert str(err.value) == f"line 1: {path}: malformed header: {key} must be an integer, got {json.dumps(value)}"
+
+
+def test_non_integer_split_bound_refused(tmp_path, saved_800):
+    lines = saved_800.splitlines()
+    header = json.loads(lines[0])
+    clip = next(iter(header["splits"]["ranges"]))
+    header["splits"]["ranges"][clip]["valid"][1] = 70.0
+    lines[0] = json.dumps(header)
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ParseError, match=rf"^line 1: .*: malformed header: ranges\[{clip}\].valid must be an integer, got 70.0$"):
+        load_dataset(path)
 
 
 # ---------------------------------------------------------------------------

@@ -895,6 +895,20 @@ class TestExpitMatchesScipy:
         assert learners.expit(aliased, out=aliased) is aliased
         assert np.array_equal(bits(aliased), bits(expected))
 
+    def test_reused_scratch(self):
+        # a training step passes the same zeroed scratch to every call; the
+        # special values must leave its imaginary part +0.0 for the next one
+        special = np.array([[np.inf, -np.inf, np.nan, 0.0], [-0.0, 709.5, -709.5, 1e4], [-1e4, 745.2, -745.2, 2.0]])
+        normal = np.random.default_rng(3).normal(0.0, 5.0, special.shape)
+        scratch = np.zeros(special.shape, complex)
+        for z in (special, normal, special):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = learners.expit(z, scratch=scratch)
+            assert np.array_equal(bits(out), bits(learners.expit(z)))
+            assert np.array_equal(bits(scratch.imag), np.zeros(z.shape, np.uint64))
+        assert np.array_equal(bits(learners.expit(normal)), bits(expit(normal)))
+
 
 class TestSerialization:
     def test_round_trip_bitwise(self):

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import itertools
 import os
 import pickle
 import warnings
@@ -607,18 +608,56 @@ def three_sets(ds):
 
 
 class TestSharedTraining:
-    def test_split_known_answer(self):
-        costs = [5, 9, 2, 9, 4]
-        assert profiling.split_shares(costs, 1) == [[0, 1, 2, 3, 4]]
-        # 9, 9, 5, 4, 2 in turn to the least-loaded share, ties to the lower
-        assert profiling.split_shares(costs, 2) == [[0, 1], [2, 3, 4]]
-        assert profiling.split_shares(costs, 3) == [[1, 2], [3], [0, 4]]
-        # shaped like the default baselines: sdm (3,300 rows, 96 wide)
-        # apart from the twelve 8-wide models, whose rows add up to three
-        # times sdm's
-        rows = [3300, 3300] + [275] * 12 + [1100] * 3
-        costs = [rows[0] * 96] + [n * 8 for n in rows[1:]]
-        assert profiling.split_shares(costs, 2) == [[0], list(range(1, 17))]
+    # training-set sizes at the defaults (batch size 128): the nine 8-wide
+    # models of the build's one round, and sdm (96 wide) before ssm, cdg x 8
+    # and dmm x 3 (8 wide) in a `baselines` op
+    BUILD_ROUND = ([1200, 2100, 900, 1800, 600, 1200, 1200, 600, 300], [8] * 9)
+    BASELINES = ([3300, 3300, 600, 297, 600, 300, 600, 600, 159, 144, 900, 1200, 1200], [96] + [8] * 12)
+
+    def test_split_known_answer(self, monkeypatch):
+        # the same splits for any fixed cost per call from 20 to 60 µs
+        for call_us in (20.0, 30.0, 60.0):
+            monkeypatch.setattr(profiling, "STEP_CALL_US", call_us)
+            # the 2,100- and 1,800-row models share their 16 full-batch calls
+            assert profiling.split_shares(*self.BUILD_ROUND, 128, 2) == [[1, 3], [0, 2, 4, 5, 6, 7, 8]]
+            assert profiling.split_shares(*self.BASELINES, 128, 2) == [[0], list(range(1, 13))]
+            assert profiling.split_shares(*self.BUILD_ROUND, 128, 1) == [list(range(9))]
+            assert profiling.split_shares(*self.BASELINES, 128, 1) == [list(range(13))]
+
+    def test_share_cost_known_answer(self):
+        # 2,100 and 1,800 rows: 16 full-batch calls and ragged batches of 52
+        # and 8 rows, 17 + 15 model-steps; with a 12-row model of width 4,
+        # one call and one model-step more
+        assert profiling.share_cost([2100, 1800], [8, 8], 128) == pytest.approx(18 * 30.0 + 32 * (5.0 + 0.57 * 8))
+        assert profiling.share_cost([2100, 12, 1800], [8, 4, 8], 128) == pytest.approx(
+            18 * 30.0 + 32 * (5.0 + 0.57 * 8) + 30.0 + (5.0 + 0.57 * 4)
+        )
+        # no ragged batch: 2 calls, 2 + 1 model-steps
+        assert profiling.share_cost([256, 128], [8, 8], 128) == pytest.approx(2 * 30.0 + 3 * (5.0 + 0.57 * 8))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        models=st.lists(st.tuples(st.integers(1, 700), st.sampled_from([4, 8, 96])), min_size=1, max_size=7),
+        shares=st.integers(1, 4),
+    )
+    def test_split_takes_the_best_contiguous_cuts(self, models, shares):
+        sizes, widths = [n for n, _ in models], [w for _, w in models]
+        shares = min(shares, len(models))
+        split = profiling.split_shares(sizes, widths, 64, shares)
+
+        def cost(share):
+            return profiling.share_cost([sizes[j] for j in share], [widths[j] for j in share], 64)
+
+        assert len(split) == shares and all(split) and all(s == sorted(s) for s in split)
+        assert sorted(j for s in split for j in s) == list(range(len(models)))
+        # against every way to cut the models, ordered by their own cost,
+        # into `shares` runs
+        order = sorted(range(len(models)), key=lambda j: -cost([j]))
+        best = min(
+            max(cost(order[lo:hi]) for lo, hi in zip((0,) + cuts, cuts + (len(order),)))
+            for cuts in itertools.combinations(range(1, len(order)), shares - 1)
+        )
+        assert max(map(cost, split)) == best
 
     @settings(max_examples=25, deadline=None)
     @given(
