@@ -38,12 +38,15 @@ def is_int(value) -> bool:
 
 def not_utf8(path) -> ParseError:
     """ParseError for a file that does not decode as UTF-8, naming the file
-    and the line of its first undecodable byte."""
+    and the line of its first undecodable byte, with lines ended as text
+    mode ends them: at a ``\\n``, a ``\\r\\n`` or a lone ``\\r``."""
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        return ParseError(data.count(b"\n", 0, exc.start) + 1, f"{path}: not UTF-8 text ({exc.reason})")
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return ParseError(line, f"{path}: not UTF-8 text ({exc.reason})")
     return ParseError(1, f"{path}: not UTF-8 text")
 
 

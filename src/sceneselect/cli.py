@@ -282,6 +282,8 @@ def cmd_train_decision(args) -> int:
             index = r.get("sample_index")
             if not (is_int(index) and index in dataset_rows):
                 raise ConfigError(f"rows[{i}]: sample_index must be a row of the dataset")
+    if not rows:
+        raise ConfigError(f"{args.pools}: the pools file holds no probed rows to train on")
     indices = np.array([r["sample_index"] for r in rows], dtype=int)
     labels = np.array([r["bits"] for r in rows], dtype=float)
     model = decision_mod.train_decision(encoder, ds, indices, labels, cfg.head_hidden, cfg.decision_train)

@@ -14,6 +14,7 @@ own cell easily. A trace is a row subset of a dataset, in replay order.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from dataclasses import dataclass, fields
@@ -368,7 +369,7 @@ def _chunk_text(ds: Dataset, lo: int) -> str:
 
 
 def load_dataset(path) -> Dataset:
-    """Parse a dataset file into columns.
+    r"""Parse a dataset file into columns.
 
     Sample lines are parsed a chunk at a time: one ``json.loads`` over the
     chunk as a JSON array, then array checks. A chunk that fails any of them
@@ -377,20 +378,36 @@ def load_dataset(path) -> Dataset:
     names the file, as ``line N: <path>: ...`` and ``<path>: ...``; so does
     the ParseError for a file that is not UTF-8.
 
-    The sample lines are split at line ends into byte ranges, one per share
-    of `_share_count`, and each share's columns are parsed by
-    `shares.run_shares`. Without shares, or if a share fails, this process
-    parses every line in turn, so an error names the line it would name
-    without shares.
+    `_lines` reads every line, as text mode does. The file is cut after
+    ``\n`` bytes into byte ranges, one per share of `_share_count`, the
+    first from byte 0 and past line 1, the header; each share's columns are
+    parsed by `shares.run_shares`. Without shares, or if a share fails, this
+    process parses the whole file as that first range, so an error names
+    the file's line.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            numbered = ((n, text) for n, text in enumerate(map(str.strip, fh), start=1) if text)
-            first = next(numbered, None)
-            if first is None or first[0] != 1:
-                raise ParseError(1, "missing header line")
-            schema, split = _parse_header(_loads(first[1], 1), 1)
-            chunks = _parse_in_shares(path, schema) or _parse_lines(numbered, schema)
+        first = next(_lines(path, 0), None)
+        if first is None or first[0] != 1:
+            raise ParseError(1, "missing header line")
+        schema, split = _parse_header(_loads(first[1], 1), 1)
+
+        def parse(lo, hi=None):
+            numbered = _lines(path, lo, hi)
+            if lo == 0:
+                next(numbered)  # the header
+            return [_parse_chunk(c, schema) for c in iter(lambda: list(islice(numbered, _CHUNK_LINES)), [])]
+
+        with open(path, "rb") as fh:
+            header, line = fh.readline(), fh.readline()
+            start, size = len(header), os.fstat(fh.fileno()).st_size
+            count = _share_count((size - start) // (len(line) * _CHUNK_LINES or 1))
+            cuts = [0]
+            for k in range(1, count):
+                fh.seek(start + (size - start) * k // count)
+                fh.readline()
+                cuts.append(fh.tell())
+        shares = run_shares(lambda span: parse(*span), list(zip(cuts, cuts[1:] + [None])))
+        chunks = [chunk for share in shares for chunk in share] if shares else parse(0)
         features, labels, attrs, clips, frames = (np.concatenate(c) for c in zip(*chunks or [_columns([], schema)]))
         ds = Dataset(schema=schema, split=split, features=features, labels=labels, attrs=attrs,
                      clip_ids=clips, frame_indices=frames)
@@ -405,48 +422,24 @@ def load_dataset(path) -> Dataset:
     return ds
 
 
-def _parse_in_shares(path, schema):
-    """The columns of each chunk of sample lines, parsed in shares of one
-    byte range of ``path`` each; None when the lines are too few to split or
-    a share fails. Each range starts after a line end and runs to the next
-    share's start."""
-    with open(path, "rb") as fh:
-        header, first = fh.readline(), fh.readline()
-        if b"\r" in header.rstrip(b"\r\n"):
-            return None  # text mode ends line 1 at that carriage return
-        lo, hi = len(header), os.fstat(fh.fileno()).st_size
-        count = _share_count((hi - lo) // (len(first) * _CHUNK_LINES or 1))
-        cuts = [lo]
-        for k in range(1, count):
-            fh.seek(lo + (hi - lo) * k // count)
-            fh.readline()
-            cuts.append(fh.tell())
-    shares = run_shares(lambda span: _parse_lines(_range_lines(path, *span), schema), list(zip(cuts, cuts[1:] + [hi])))
-    return None if shares is None else [chunk for share in shares for chunk in share]
-
-
-def _range_lines(path, lo, hi):
-    """(n, text) of each non-blank line of ``path`` that starts in bytes
-    ``lo`` to ``hi``, stripped, as text mode reads it; ``lo`` must follow a
-    line end. n counts from ``lo``, so these numbers name no line of the
-    file. A carriage return inside a line, which text mode reads as a line
-    end, raises ValueError."""
-    with open(path, "rb") as fh:
-        fh.seek(lo)
-        n = 0
-        while fh.tell() < hi:
-            n += 1
-            text = fh.readline().decode("utf-8").strip()
-            if "\r" in text:
-                raise ValueError(f"line {n} from byte {lo}: a carriage return inside the line")
-            if text:
-                yield n, text
-
-
-def _parse_lines(numbered, schema):
-    """The columns of each chunk of consecutive (line number, text) sample
-    lines."""
-    return [_parse_chunk(c, schema) for c in iter(lambda: list(islice(numbered, _CHUNK_LINES)), [])]
+def _lines(path, lo, hi=None):
+    r"""(n, text) of each non-blank line of ``path`` that starts in bytes
+    ``lo`` to ``hi`` (to the end if None), stripped, as text mode reads it:
+    a ``\n``, a ``\r\n`` or a lone ``\r`` ends a line. n counts from 1 at
+    ``lo``, which must start a line. Before a ``hi``, ``newline=""`` keeps
+    each line's ending so that its bytes can be counted; text mode's
+    default, which reads faster, strips to the same text."""
+    with open(path, "rb") as raw:
+        raw.seek(lo)
+        with io.TextIOWrapper(raw, encoding="utf-8", newline=None if hi is None else "") as fh:
+            for n, line in enumerate(fh, start=1):
+                if hi is not None:
+                    if lo >= hi:
+                        return
+                    lo += len(line.encode("utf-8"))
+                text = line.strip()
+                if text:
+                    yield n, text
 
 
 def _loads(text, lineno):

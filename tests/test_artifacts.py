@@ -43,6 +43,13 @@ def test_non_integer_format_version_refused(tmp_path, version):
         read_artifact(path, "report")
 
 
+def test_read_artifact_refuses_a_non_object(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text("[1, 2]\n", encoding="utf-8")
+    with pytest.raises(ArtifactMismatchError, match="a.json: artifact must be a JSON object$"):
+        read_artifact(path, "report")
+
+
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "a.json"
     write_artifact(path, {"kind": "report", "x": 1})

@@ -538,6 +538,21 @@ def not_utf8_config(workdir, tmp_path):
     return ["generate", "--config", str(ini), "--out", str(tmp_path / "data.jsonl")]
 
 
+def pools_without_rows(workdir, tmp_path):
+    # sample --kappa 0 probes no rows and exits 0
+    pools = tmp_path / "pools.json"
+    assert cli.main([
+        "sample", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
+        "--repository", str(workdir["prof"] / "repository.json"), "--kappa", "0", "--out", str(pools),
+    ]) == 0
+    return [
+        "train-decision", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
+        "--repository", str(workdir["prof"] / "repository.json"),
+        "--encoder", str(workdir["prof"] / "encoder.json"), "--pools", str(pools),
+        "--out", str(tmp_path / "decision.json"),
+    ]
+
+
 def zero_capacity(workdir, tmp_path):
     return [
         "simulate", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
@@ -637,6 +652,10 @@ FAILURES = {
     "encoder from another build": (
         encoder_from_another_build, ArtifactMismatchError, "repository.json: encoder hash mismatch"
     ),
+    "repository models not a list": (
+        malformed("repository", lambda b: b.update(models={})), ArtifactMismatchError,
+        "repository.json: models must be a list of records",
+    ),
     "repository model without scenes": (
         malformed("repository", lambda b: b["models"][0].update(member_scene_ids=[])), ArtifactMismatchError,
         "repository.json: models[0]: member_scene_ids must be a non-empty list",
@@ -665,6 +684,10 @@ FAILURES = {
         malformed("pools", lambda b: b["rows"][2].update(bits=[1, 2, 0])), ArtifactMismatchError,
         "pools.json: rows[2]: bits must be 3 values, each 0 or 1",
     ),
+    "pools rows not a list": (
+        malformed("pools", lambda b: b.update(rows={})), ArtifactMismatchError, "pools.json: rows must be a list",
+    ),
+    "pools without rows": (pools_without_rows, ConfigError, "pools.json: the pools file holds no probed rows"),
     "pools row outside the dataset": (
         malformed("pools", lambda b: b["rows"][1].update(sample_index=10**6)), ArtifactMismatchError,
         "pools.json: rows[1]: sample_index must be a row of the dataset",
@@ -786,6 +809,15 @@ FAILURES = {
         "encoder.json: model dims must be positive integers, got",
     ),
 }
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_non_utf8_config_names_its_line(tmp_path, capsys, end):
+    # line 12 of SMALL_INI, which starts with a blank line, is the dataset's seed
+    ini = tmp_path / "generate.ini"
+    ini.write_bytes(SMALL_INI.replace("seed = 42", "seed = 4\xff2").replace("\n", end).encode("latin-1"))
+    assert cli.main(["generate", "--config", str(ini), "--out", str(tmp_path / "data.jsonl")]) == 1
+    assert capsys.readouterr().err == f"error: line 12: {ini}: not UTF-8 text (invalid start byte)\n"
 
 
 class TestFailureMatrix:

@@ -90,6 +90,16 @@ class TestGenerate:
             # more cells than attribute combinations
             generate_dataset(small_generator_config(num_cells=5, cards=(2, 2)))
 
+        for change, message in [
+            (dict(feature_dim=0), "feature_dim and num_classes must be positive"),
+            (dict(cards=(2, 0)), "attr_cardinalities must be positive"),
+            (dict(noise=1.5), "label_rule_noise must be in [0, 1]"),
+            (dict(cell_weights=(1, 1)), "cell_weights length must equal num_semantic_cells"),
+            (dict(cell_weights=(1, 0, 1, 1)), "cell_weights must be positive integers"),
+        ]:
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                generate_dataset(small_generator_config(**change))
+
     def test_drift_is_constant_offset_per_clip(self):
         # with spread ~ 0 the two clips of a cell differ by one constant
         # offset vector (difference of their drift draws), same for every class
@@ -315,6 +325,16 @@ class TestTrace:
         with pytest.raises(ConfigError) as err:
             synthesize_trace(traceable, 3, 1000, 1, seed=1)
         assert "clip" in str(err.value)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda ds: part_indices(ds, "bogus"), "unknown split part 'bogus'"),
+        (lambda ds: synthesize_trace(ds, 0, 10, 3, seed=7), "trace parameters must be positive"),
+        (lambda ds: synthesize_trace(ds, 99, 10, 3, seed=7), "requested 99 source clips, dataset has 11 seen clips"),
+    ], ids=["split part", "non-positive", "too many clips"])
+    def test_bad_argument_named(self, traceable, call, message):
+        assert len(traceable.split.seen_clips) == 11
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            call(traceable)
 
     def test_deterministic(self, traceable):
         t1 = synthesize_trace(traceable, 3, 10, 4, seed=7)
@@ -643,6 +663,20 @@ def header_and_row_parted_by_a_carriage_return(lines):
     lines[0] = lines[0] + "\r" + lines.pop(1)
 
 
+def crlf_line_ends(lines):
+    lines[:] = [line + "\r" for line in lines]
+
+
+def cr_line_ends(lines):
+    # every line end but the file's last, a \n, is a lone carriage return
+    lines[:] = ["\r".join(lines)]
+
+
+def cr_line_ends_and_a_bad_row_past_the_first_chunk(lines):
+    edit_row(700, y=99)(lines)
+    cr_line_ends(lines)
+
+
 def schema_error_before_json_error(lines):
     edit_row(300, y=99)(lines)
     lines[399] = "{not json"
@@ -688,6 +722,9 @@ CORRUPTIONS = {
     "one row over two lines": row_split_across_lines,
     "one row over two lines at a carriage return": row_parted_by_a_carriage_return,
     "header and first row parted by a carriage return": header_and_row_parted_by_a_carriage_return,
+    "CRLF line ends": crlf_line_ends,
+    "CR line ends": cr_line_ends,
+    "CR line ends and a bad row past the first chunk": cr_line_ends_and_a_bad_row_past_the_first_chunk,
     "repeated clip and frame": repeat_clip_frame,
     "overlapping split parts": edit_header(lambda splits, clip: splits["ranges"][clip].update(valid=[0, 70])),
     "seen clip without ranges": edit_header(lambda splits, clip: splits["ranges"].pop(clip)),
@@ -733,6 +770,26 @@ class TestCorruptionMatchesPerLineReference:
         path.write_text("".join(line + "\n" for line in lines))
         with pytest.raises(SchemaError, match="sample at line 700: label 99 out of range"):
             load_dataset(path)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("number", [10, 700])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_bad_utf8_byte_names_its_line(tmp_path, saved_800, end, number, cpus, monkeypatch):
+    # the reference raises the decoder's own error, so the line is checked
+    # here; the header's read decodes line 10 before any fork, and at line
+    # 700 the byte lies in a child's range when two CPUs split the file,
+    # which a file without a \n byte never is
+    lines = [line.encode() for line in saved_800.splitlines()]
+    lines[number - 1] = lines[number - 1][:5] + b"\xff" + lines[number - 1][5:]
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b"".join(line + end.encode() for line in lines))
+    monkeypatch.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
+    with cpus_usable(cpus) as forks, pytest.raises(ParseError) as err:
+        load_dataset(path)
+    assert len(forks) == (cpus - 1 if number == 700 and end != "\r" else 0)
+    assert str(err.value) == f"line {number}: {path}: not UTF-8 text (invalid start byte)"
+    assert no_child_left()
 
 
 class TestAtomicSave:

@@ -94,6 +94,12 @@ class TestTrainDecision:
         with pytest.raises(ConfigError):
             train_decision(enc, small_ds, np.array([], dtype=int), np.zeros((0, 3)), 8, TrainConfig(0.2, 5, 4))
 
+    @pytest.mark.parametrize("labels", [np.zeros(5), np.zeros((4, 3))], ids=["a vector", "a row short"])
+    def test_labels_not_one_row_per_sample_rejected(self, small_ds, labels):
+        enc = learners.new_classifier(small_ds.schema.feature_dim, 6, 4, seed=3)
+        with pytest.raises(ConfigError, match="^labels must be one allocation vector per sample$"):
+            train_decision(enc, small_ds, np.arange(5), labels, 8, TrainConfig(0.2, 5, 4))
+
 
 class TestRanking:
     def test_ranking_with_tie_break(self):
@@ -187,3 +193,12 @@ class TestDecisionIO:
             decision.load_decision(path, enc, "WRONG", "rhash")
         with pytest.raises(ArtifactMismatchError):
             decision.load_decision(path, enc, "ehash", "WRONG")
+
+    def test_head_of_another_embedding_width_rejected(self, tmp_path, small_ds):
+        enc = learners.new_classifier(small_ds.schema.feature_dim, 6, 4, seed=3)
+        model = train_decision(enc, small_ds, np.arange(10), np.ones((10, 3)), 8, TrainConfig(0.2, 2, 8, seed=7))
+        path = tmp_path / "decision.json"
+        decision.save_decision(path, model, "ehash", "rhash")
+        narrower = learners.new_classifier(small_ds.schema.feature_dim, 5, 4, seed=3)
+        with pytest.raises(ConfigError, match="^decision head does not fit the encoder's embedding width$"):
+            decision.load_decision(path, narrower, "ehash", "rhash")

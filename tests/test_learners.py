@@ -271,6 +271,19 @@ class TestTrain:
             with pytest.raises(ConfigError):
                 learners.train(tiny_model(o=3), np.ones((2, 3)), Y, TrainConfig(0.1, 1, 2))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: TrainConfig(0.1, 0, 2).validate(), "epochs and batch_size must be positive"),
+        (lambda: TrainConfig(0.1, 1, 0).validate(), "epochs and batch_size must be positive"),
+        (lambda: learners.new_classifier(3, 0, 3, seed=0), "all dimensions must be positive"),
+        (lambda: learners.train(tiny_model(), np.ones((2, 3)), np.zeros((2, 3, 1)), TrainConfig(0.1, 1, 2)),
+         "targets have shape (2, 3, 1), expected (n,) labels or an (n, output) matrix"),
+        (lambda: learners.train(tiny_model(), np.ones((2, 5)), np.array([0, 1]), TrainConfig(0.1, 1, 2)),
+         "training set has shape (2, 5), expected (n, 3)"),
+    ], ids=["epochs", "batch size", "dimension", "3-D targets", "feature width"])
+    def test_bad_argument_named(self, call, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            call()
+
 
 def reference_row(model, x):
     """Per-sample reference: relu(W1 x + b1), then softmax(W2 h + b2)."""

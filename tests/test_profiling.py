@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import os
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sceneselect import learners, profiling
-from sceneselect.dataset import generate_dataset, part_indices
+from sceneselect.dataset import SplitDataset, generate_dataset, part_indices
 from sceneselect.errors import ConfigError, DivergedError, InsufficientModelsError
 from sceneselect.learners import TrainConfig
 from sceneselect.profiling import (
@@ -46,6 +47,28 @@ def quick_profiling_cfg(n=3, delta=0.0, **kw):
     )
     base.update(kw)
     return ProfilingConfig(**base)
+
+
+def without_seen_clips():
+    """A one-clip dataset whose clip is unseen, so its training split is empty."""
+    ds = generate_dataset(small_generator_config(num_cells=1, clips_per_cell=1, frames_per_clip=5))
+    return dataclasses.replace(ds, split=SplitDataset(seen_clips=(), unseen_clips=(0,), ranges={}))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: quick_profiling_cfg(n=0).validate(), "repository size n must be >= 1"),
+    (lambda: quick_profiling_cfg(delta=1.5).validate(), "delta must lie in [0, 1]"),
+    (lambda: quick_profiling_cfg(k_start=1).validate(), "k_start must be >= 2"),
+    (lambda: quick_profiling_cfg(k_start=4, k_max=3).validate(), "k_max must be >= k_start"),
+    (lambda: quick_profiling_cfg(compressed_hidden=0).validate(), "hidden widths must be positive"),
+    (lambda: segment_semantic_scenes(without_seen_clips()), "training split is empty"),
+    (lambda: kmeans(np.zeros((0, 2)), 1, seed=0), "kmeans expects a non-empty 2-D point array"),
+    (lambda: kmeans(np.ones((3, 2)), 0, seed=0), "k must be positive"),
+    (lambda: macro_f1([0], [0, 1], 2), "predictions and labels disagree in length"),
+], ids=["n", "delta", "k_start", "k_max", "hidden", "empty training split", "no points", "k", "lengths"])
+def test_bad_argument_named(call, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestScenes:

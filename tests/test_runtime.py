@@ -694,6 +694,10 @@ class TestRunTrace:
         with pytest.raises(ConfigError, match="window"):
             run_trace(bench42.trace, bench42.decision, bench42.repo, 2, window=window)
 
+    def test_decision_of_another_repository_size_rejected(self, bench42):
+        with pytest.raises(ConfigError, match="^decision output width does not match the repository size$"):
+            run_trace(bench42.trace, bench42.decision, bench42.repo.models[:3], 2)
+
 
 class TestSummarize:
     def test_single_model_histogram(self, bench42):
@@ -735,6 +739,11 @@ class TestSummarize:
             write_metrics_csv(dataclasses.replace(metrics, served=served), path)
         assert path.read_text() == "earlier file\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["frames.csv"]
+
+    def test_empty_metrics_rejected(self, bench42):
+        metrics = run_trace(bench42.trace, runtime.constant_ranker(1), [bench42.repo.models[0]], 1)
+        with pytest.raises(ConfigError, match="^metrics are empty$"):
+            summarize(dataclasses.replace(metrics, served=metrics.served[:0]))
 
 
 class TestBaselines:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -235,6 +236,16 @@ class TestAdaptive:
         ds, repo = small_repo
         with pytest.raises(ConfigError):
             adaptive_sampling(ds, type(repo)(entries=[]), SamplingConfig(0.9, 5, 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ds, repo: adaptive_sampling(ds, repo, SamplingConfig(1.0, 5, 1)), "theta must lie strictly inside (0, 1)"),
+    (lambda ds, repo: adaptive_sampling(ds, repo, SamplingConfig(0.9, -1, 1)), "kappa must be non-negative"),
+    (lambda ds, repo: random_sampling(ds, repo, -1, seed=1), "kappa must be non-negative"),
+], ids=["theta", "kappa", "random kappa"])
+def test_bad_argument_named(small_repo, call, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call(*small_repo)
 
 
 @dataclass
