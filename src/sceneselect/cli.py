@@ -269,23 +269,7 @@ def cmd_train_decision(args) -> int:
     ds = load_dataset(args.dataset)
     dataset_hash = sha256_file(args.dataset)
     repo, repo_hash, encoder, encoder_hash = _load_profile(args, ds, dataset_hash)
-    pools_body = read_artifact(args.pools, "pools", dataset=dataset_hash, repository=repo_hash)
-    rows = pools_body.get("rows")
-    n, dataset_rows = len(repo), range(len(ds))
-    with artifact_body(args.pools):
-        if not isinstance(rows, list):
-            raise ConfigError("rows must be a list")
-        for i, r in enumerate(rows):
-            bits = r.get("bits") if isinstance(r, dict) else None
-            if not (isinstance(bits, list) and len(bits) == n and all(is_int(b) and b in (0, 1) for b in bits)):
-                raise ConfigError(f"rows[{i}]: bits must be {n} values, each 0 or 1")
-            index = r.get("sample_index")
-            if not (is_int(index) and index in dataset_rows):
-                raise ConfigError(f"rows[{i}]: sample_index must be a row of the dataset")
-    if not rows:
-        raise ConfigError(f"{args.pools}: the pools file holds no probed rows to train on")
-    indices = np.array([r["sample_index"] for r in rows], dtype=int)
-    labels = np.array([r["bits"] for r in rows], dtype=float)
+    indices, labels = sampling.load_pools(args.pools, dataset_hash, repo_hash, len(repo), len(ds))
     model = decision_mod.train_decision(encoder, ds, indices, labels, cfg.head_hidden, cfg.decision_train)
     decision_mod.save_decision(args.out, model, encoder_hash, repo_hash)
     print(f"wrote {args.out}: decision head over {model.n} models")

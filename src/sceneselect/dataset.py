@@ -22,7 +22,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .artifacts import atomic_path, is_int, not_utf8
+from .artifacts import atomic_path, is_int, line_ends, not_utf8
 from .errors import ConfigError, ParseError, SchemaError
 from .shares import run_shares, usable_cpus
 
@@ -48,6 +48,10 @@ _CHUNK_LINES = 256
 # and 1.6 ms to format one chunk of 12 features (one 2-core x86 VM), so a
 # share of two chunks is where splitting starts to gain.
 _MIN_SHARE_CHUNKS = 2
+
+# Bytes per read when a share counts the lines of its range: the range is
+# never held whole, so loading in shares costs no more peak memory.
+_READ_BYTES = 1 << 16
 
 # One sample line exactly as json.dumps(row, sort_keys=True) writes it.
 _ROW = '{"a": [%s], "clip": %d, "f": [%s], "frame": %d, "y": %d}\n'
@@ -426,17 +430,20 @@ def _lines(path, lo, hi=None):
     r"""(n, text) of each non-blank line of ``path`` that starts in bytes
     ``lo`` to ``hi`` (to the end if None), stripped, as text mode reads it:
     a ``\n``, a ``\r\n`` or a lone ``\r`` ends a line. n counts from 1 at
-    ``lo``, which must start a line. Before a ``hi``, ``newline=""`` keeps
-    each line's ending so that its bytes can be counted; text mode's
-    default, which reads faster, strips to the same text."""
+    ``lo``, which must start a line. Before a ``hi``, the range's lines are
+    counted from its bytes, ``_READ_BYTES`` at a time, and text mode reads
+    that many."""
     with open(path, "rb") as raw:
+        count = None
+        if hi is not None:
+            raw.seek(lo)
+            count = line_ends(raw.read(min(_READ_BYTES, hi - at)) for at in range(lo, hi, _READ_BYTES))
+            if lo < hi:
+                raw.seek(hi - 1)
+                count += raw.read(1) not in b"\r\n"  # the range ends inside its last line
         raw.seek(lo)
-        with io.TextIOWrapper(raw, encoding="utf-8", newline=None if hi is None else "") as fh:
-            for n, line in enumerate(fh, start=1):
-                if hi is not None:
-                    if lo >= hi:
-                        return
-                    lo += len(line.encode("utf-8"))
+        with io.TextIOWrapper(raw, encoding="utf-8") as fh:
+            for n, line in enumerate(islice(fh, count), start=1):
                 text = line.strip()
                 if text:
                     yield n, text

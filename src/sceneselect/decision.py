@@ -52,23 +52,18 @@ def train_decision(
     return DecisionModel(backbone=encoder, head=head)
 
 
-def decision_probs(decision: DecisionModel, X: np.ndarray) -> np.ndarray:
-    """Per-model suitability probabilities (n, models) for a batch, each in (0, 1)."""
-    return learners.sigmoid_probs(decision.head, learners.embed(decision.backbone, X))
-
-
 def rank_models(decision: DecisionModel, X: np.ndarray):
     """(confidence, rankings) for a batch: each row's top suitability
     probability (n,), and its model indices (n, models) by descending
     logit, ties by index.
 
-    The confidence is bit-equal to the row max of `decision_probs`: the
-    sigmoid is non-decreasing, so the top logit's probability is the top
-    probability. The rankings equal the stable argsort of `decision_probs`
-    on every row but one where two distinct logits' probabilities round to
-    the same value (above a logit of about 37 both round to 1.0): the
-    probabilities then put the lower index first, these rankings the larger
-    logit.
+    The confidence is bit-equal to the row max of the per-model
+    probabilities, the `learners.expit` of the logits: the sigmoid is
+    non-decreasing, so the top logit's probability is the top probability.
+    The rankings equal the probabilities' stable argsort on every row but
+    one where two distinct logits' probabilities round to the same value
+    (above a logit of about 37 both round to 1.0): the probabilities then
+    put the lower index first, these rankings the larger logit.
     """
     z = learners.logits(decision.head, learners.embed(decision.backbone, X))
     return learners.expit(learners.row_max(z)[:, 0]), np.argsort(-z, axis=1, kind="stable")

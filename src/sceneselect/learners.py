@@ -179,12 +179,6 @@ def _layers(model: VectorClassifier, X: np.ndarray, Z1=None, H=None, Z2=None, vi
     return Z1, H, Z2
 
 
-def forward(model: VectorClassifier, X: np.ndarray):
-    """(n, input_dim) batch forward; returns hidden (n, hidden) and softmax probs (n, output)."""
-    _, H, Z2 = _layers(model, X)
-    return H, softmax(Z2)
-
-
 def logits(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
     """Output logits (n, output) of a batch, before softmax or sigmoid."""
     return _layers(model, X)[2]
@@ -194,7 +188,7 @@ def predict(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
     """Argmax class per row of the output logits; ties resolve to the lowest
     index.
 
-    This equals ``np.argmax`` of `forward`'s softmax probabilities on every
+    This equals ``np.argmax`` of the softmax probabilities on every
     row but one where a lower-index class's probability rounds equal to the
     top one's while its logit is smaller: the probabilities' argmax is then
     that lower index, this one the top logit's.
@@ -236,14 +230,6 @@ def expit(z: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | No
         np.exp(scratch, out=scratch)
     out = np.add(scratch.real, 1.0, out=out)
     return np.reciprocal(out, out=out)
-
-
-def sigmoid_probs(model: VectorClassifier, X: np.ndarray) -> np.ndarray:
-    """Independent per-output probabilities (n, output) in [0, 1]: the outputs
-    a model trained on a 2-D 0/1 target matrix fits, through `expit`. Each
-    lies in (0, 1) for moderate logits; it rounds to exactly 1.0 above a
-    logit of about 37 and to 0.0 below about -709.78."""
-    return expit(logits(model, X))
 
 
 def _targets(y, ndim: int = 2) -> np.ndarray:

@@ -221,20 +221,14 @@ def _kmeans_pp(pts, k, rng):
     return centroids
 
 
-def binary_f1(tp: int, fp: int, fn: int) -> float:
-    """F1 = 2pr/(p+r) from counts; 0 when precision and recall are both 0."""
-    p = tp / (tp + fp) if tp + fp else 0.0
-    r = tp / (tp + fn) if tp + fn else 0.0
-    return 2 * p * r / (p + r) if p + r else 0.0
-
-
 def macro_f1(predictions, labels, num_classes: int, window: int | None = None):
     """Unweighted mean of per-class F1 over the classes present in labels.
 
     Without ``window``, one float for the whole sequence. With it, a float64
     array holding one score per run of ``window`` frames (the last run may
-    be short), each scored as its own sequence. Per-class F1 is `binary_f1`
-    done elementwise on (class, window) count tables, so every score is
+    be short), each scored as its own sequence. Per-class F1 is 2pr/(p+r)
+    from the counts, 0 where precision and recall are both 0, done
+    elementwise on (class, window) count tables, so every score is
     bit-equal to scoring its slice alone.
     """
     preds = np.asarray(predictions, dtype=int)

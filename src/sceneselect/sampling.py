@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import learners
-from .artifacts import write_artifact
-from .dataset import Dataset, part_indices
+from . import artifacts, learners
+from .artifacts import artifact_body, is_int, write_artifact
+from .dataset import Dataset
 from .errors import ConfigError
 
 
@@ -208,16 +208,6 @@ def adaptive_sampling(ds: Dataset, repo, cfg: SamplingConfig) -> SamplingState:
     return state
 
 
-def random_sampling(ds: Dataset, repo, kappa: int, seed: int) -> SamplingState:
-    """Uniform draws (without replacement) from the training split, same
-    probing. There are no arms and no stopping rule."""
-    if kappa < 0:
-        raise ConfigError("kappa must be non-negative")
-    train = part_indices(ds, "train")
-    picks = train[np.random.default_rng(seed).permutation(len(train))[:kappa]]
-    return SamplingState(arms=[], rows=picks.tolist(), bits=_probe_rows(ds, repo.models, picks, picks))
-
-
 def positives_per_model(state: SamplingState) -> np.ndarray:
     """Count of suitable probes per model (the balance measure for pools)."""
     return state.bits.sum(axis=0)
@@ -240,3 +230,30 @@ def save_pools(path, state: SamplingState, cfg: SamplingConfig, dataset_hash: st
             for idx, bits in zip(state.rows, state.bits.astype(int).tolist())
         ],
     })
+
+
+def load_pools(path, dataset_hash: str, repository_hash: str, num_models: int, num_rows: int):
+    """(sample indices, suitability bits) of the pools file at ``path``: an
+    (r,) int array of distinct rows of a ``num_rows``-row dataset and an
+    (r, ``num_models``) bool array, row for row. A file that holds no rows
+    is refused, as there is nothing to train on."""
+    body = artifacts.read_artifact(path, "pools", dataset=dataset_hash, repository=repository_hash)
+    rows = body.get("rows")
+    dataset_rows, first_row = range(num_rows), {}
+    with artifact_body(path):
+        if not isinstance(rows, list):
+            raise ConfigError("rows must be a list")
+        for i, r in enumerate(rows):
+            bits = r.get("bits") if isinstance(r, dict) else None
+            if not (isinstance(bits, list) and len(bits) == num_models
+                    and all(is_int(b) and b in (0, 1) for b in bits)):
+                raise ConfigError(f"rows[{i}]: bits must be {num_models} values, each 0 or 1")
+            index = r.get("sample_index")
+            if not (is_int(index) and index in dataset_rows):
+                raise ConfigError(f"rows[{i}]: sample_index must be a row of the dataset")
+            if first_row.setdefault(index, i) != i:
+                raise ConfigError(f"rows[{i}]: sample_index {index} repeats rows[{first_row[index]}]")
+    if not rows:
+        raise ConfigError(f"{path}: the pools file holds no probed rows to train on")
+    indices = np.array([r["sample_index"] for r in rows], dtype=int)
+    return indices, np.array([r["bits"] for r in rows], dtype=bool)

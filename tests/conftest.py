@@ -8,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 from sceneselect import cli, dataset, decision, learners, profiling, sampling
+from sceneselect.errors import ConfigError
 
 # CI runs with HYPOTHESIS_PROFILE=ci: examples are drawn from a fixed seed,
 # so a property that fails there fails the same way on a rerun.
@@ -110,7 +111,7 @@ def skew_results():
         repo = profiling.build_repository(ds, scenes, encoder, cfg.profiling)
         kappa = 800
         ad = sampling.adaptive_sampling(ds, repo, sampling.SamplingConfig(0.9, kappa, seed))
-        rn = sampling.random_sampling(ds, repo, kappa, seed)
+        rn = random_sampling(ds, repo, kappa, seed)
         rows.append(
             {
                 "seed": seed,
@@ -119,6 +120,24 @@ def skew_results():
             }
         )
     return rows
+
+
+def random_sampling(ds, repo, kappa: int, seed: int) -> sampling.SamplingState:
+    """Uniform draws (without replacement) from the training split, same
+    probing. There are no arms and no stopping rule. The baseline that
+    `test_05_sampling_balance` holds adaptive pools against."""
+    if kappa < 0:
+        raise ConfigError("kappa must be non-negative")
+    train = dataset.part_indices(ds, "train")
+    picks = train[np.random.default_rng(seed).permutation(len(train))[:kappa]]
+    bits = sampling._probe_rows(ds, repo.models, picks, picks)
+    return sampling.SamplingState(arms=[], rows=picks.tolist(), bits=bits)
+
+
+def decision_probs(dm, X):
+    """Per-model suitability probabilities (n, models) of a batch: the
+    sigmoid of the decision head's logits."""
+    return learners.expit(learners.logits(dm.head, learners.embed(dm.backbone, X)))
 
 
 def train_pooled(models, Xs, ys, cfgs):

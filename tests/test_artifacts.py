@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sceneselect import artifacts, decision, learners, profiling
-from sceneselect.artifacts import canonical_dumps, read_artifact, sha256_text, write_artifact
+from sceneselect.artifacts import canonical_dumps, line_ends, read_artifact, sha256_text, write_artifact
 from sceneselect.errors import ArtifactMismatchError
 
 
@@ -112,3 +114,15 @@ def test_read_artifact_refuses_a_missing_or_non_string_upstream_hash(tmp_path, r
     assert read_artifact(path, "pools", repository="rhash")["repository_hash"] == "rhash"
     with pytest.raises(ArtifactMismatchError, match="no dataset_hash"):
         read_artifact(path, "pools", dataset="dhash", repository="rhash")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.lists(st.sampled_from([b"a", b"\r", b"\n", b"\r\n"]), max_size=30).map(b"".join),
+    cuts=st.lists(st.integers(0, 60), max_size=6).map(sorted),
+)
+def test_line_ends_are_text_modes_in_any_blocks(data, cuts):
+    # however the bytes are cut into blocks, a \r\n split between two of
+    # them among the cuts, each line end counts once, as text mode reads it
+    blocks = [data[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(data)])]
+    assert line_ends(blocks) == data.decode().replace("\r\n", "\n").replace("\r", "\n").count("\n")

@@ -1,15 +1,22 @@
 import configparser
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sceneselect import cli
+from sceneselect import cli, dataset, decision, profiling, sampling
 from sceneselect.artifacts import read_artifact, write_artifact
+from sceneselect.dataset import load_dataset
 from sceneselect.errors import (
     ArtifactMismatchError,
     ConfigError,
@@ -19,6 +26,9 @@ from sceneselect.errors import (
     ParseError,
     SchemaError,
 )
+from sceneselect.sampling import well_sampled_threshold
+
+from test_profiling import cpus_usable, no_child_left
 
 SMALL_INI = """
 [dataset]
@@ -483,6 +493,13 @@ def one_hidden_unit_dim_true(body):
     model.update(hidden_dim=True, W1=model["W1"][:i], b1=model["b1"][:1], W2=model["W2"][::h])
 
 
+def two_rows_at_the_last_sample(body):
+    """Give rows 0 and 2 the index of the dataset's last sample (4 cells x 2
+    clips x 60 frames), a test frame, which no probed row is."""
+    for row in (body["rows"][0], body["rows"][2]):
+        row["sample_index"] = 479
+
+
 def anole_without_artifacts(workdir, tmp_path):
     return [
         "simulate", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
@@ -692,6 +709,10 @@ FAILURES = {
         malformed("pools", lambda b: b["rows"][1].update(sample_index=10**6)), ArtifactMismatchError,
         "pools.json: rows[1]: sample_index must be a row of the dataset",
     ),
+    "pools rows repeating a sample_index": (
+        malformed("pools", two_rows_at_the_last_sample), ArtifactMismatchError,
+        "pools.json: rows[2]: sample_index 479 repeats rows[0]",
+    ),
     "missing anole artifacts": (anole_without_artifacts, ConfigError, "needs --repository"),
     "nan learning rate": (nan_learning_rate, ConfigError, "learning_rate must be finite"),
     "zero window": (simulate_anole_with("window = 10", "window = 0"), ConfigError, "window must be >= 1"),
@@ -840,3 +861,128 @@ class TestFailureMatrix:
 
     def test_every_error_class_is_covered(self):
         assert {error for _, error, _ in FAILURES.values()} == set(Error.__subclasses__())
+
+
+# ---------------------------------------------------------------------------
+# The whole chain over small configs around bench/tiny.ini, at 1 and 2 CPUs.
+
+TINY_INI = Path(__file__).resolve().parent.parent / "bench" / "tiny.ini"
+
+
+
+@st.composite
+def chain_settings(draw):
+    """{(section, key): value} changes to bench/tiny.ini. Most chains run
+    through; some stop at a repository that cannot fill, empty pools or a
+    trace longer than a clip's test frames."""
+    frames = draw(st.integers(20, 80))
+    return {
+        ("dataset", "clips_per_cell"): draw(st.integers(1, 3)),
+        ("dataset", "frames_per_clip"): frames,
+        ("profiling", "n"): draw(st.integers(1, 4)),
+        ("profiling", "k_max"): draw(st.integers(2, 6)),
+        ("profiling", "delta"): draw(st.sampled_from([0.0, 0.0, 0.3])),
+        ("sampling", "theta"): draw(st.sampled_from([0.05, 0.3, 0.9])),
+        ("sampling", "kappa"): draw(st.integers(0, 400)),
+        ("trace", "num_source_clips"): draw(st.integers(1, 5)),
+        ("trace", "segment_len"): draw(st.integers(1, frames * 2 // 10 + 1)),
+        ("trace", "num_segments"): draw(st.integers(1, 5)),
+    }
+
+
+def run_chain(root, changes):
+    """Run generate, profile, sample, train-decision and simulate on the
+    tiny config with ``changes`` in ``root`` until a command fails; the
+    (command, exit code, stdout, stderr) of each, with ``root`` cut out."""
+    parser = configparser.ConfigParser()
+    parser.read(TINY_INI)
+    for (section, key), value in changes.items():
+        parser[section][key] = str(value)
+    with open(root / "tiny.ini", "w") as fh:
+        parser.write(fh)
+    ini, data, pools, dec = (str(root / name) for name in ("tiny.ini", "data.jsonl", "pools.json", "decision.json"))
+    common = ["--config", ini, "--dataset", data]
+    repository = ["--repository", str(root / "prof" / "repository.json")]
+    encoder = ["--encoder", str(root / "prof" / "encoder.json")]
+    commands = [
+        ["generate", "--config", ini, "--out", data],
+        ["profile", *common, "--out", str(root / "prof")],
+        ["sample", *common, *repository, "--out", pools],
+        ["train-decision", *common, *repository, *encoder, "--pools", pools, "--out", dec],
+        ["simulate", *common, *repository, *encoder, "--decision", dec, "--out", str(root / "sim")],
+    ]
+    runs = []
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exit_:
+                code = exit_.code
+        runs.append((argv[0], code, *(s.getvalue().replace(str(root), "<root>") for s in (out, err))))
+        if code != 0:
+            break
+    return runs
+
+
+def artifact_tree(root):
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def check_artifacts(root, theta, kappa):
+    """Reload every artifact the chain wrote in ``root`` through its loader,
+    with the hashes it was built against; check the pools' rows."""
+    data, prof = root / "data.jsonl", root / "prof"
+    if not data.exists():
+        return
+    ds, data_hash = load_dataset(data), sha(data)
+    if not (prof / "repository.json").exists():
+        return
+    encoder, _ = profiling.load_encoder(prof / "encoder.json", data_hash)
+    repo, body = profiling.load_repository(prof / "repository.json", ds, data_hash)
+    assert body["encoder_hash"] == sha(prof / "encoder.json")
+    pools = root / "pools.json"
+    if not pools.exists():
+        return
+    repo_hash = sha(prof / "repository.json")
+    rows = read_artifact(pools, "pools", dataset=data_hash, repository=repo_hash)["rows"]
+    gammas = [e.scene.train_indices for e in repo.entries]
+    union = set(np.concatenate(gammas).tolist())
+    indices = [r["sample_index"] for r in rows]
+    assert len(set(indices)) == len(indices) and set(indices) <= union
+    if all(well_sampled_threshold(len(g), theta) >= len(g) - 1 for g in gammas):  # no arm can freeze
+        assert len(indices) == min(kappa, len(union))
+    if rows:
+        loaded, bits = sampling.load_pools(pools, data_hash, repo_hash, len(repo), len(ds))
+        assert loaded.tolist() == indices and bits.shape == (len(rows), len(repo))
+    if (root / "decision.json").exists():
+        decision.load_decision(root / "decision.json", encoder, sha(prof / "encoder.json"), repo_hash)
+    for path in sorted((root / "sim").glob("summary_*.json")):
+        summary = read_artifact(path, "summary")
+        assert summary["dataset_hash"] == data_hash
+        assert 0.0 <= summary["miss_rate"] <= 1.0 and 0.0 <= summary["mean_window_f1"] <= 1.0
+
+
+@settings(max_examples=10, deadline=None)
+@given(changes=chain_settings())
+def test_chain_over_small_configs(changes):
+    results = {}
+    with pytest.MonkeyPatch.context() as mp:
+        # chunks of 32 lines, and a fork for a share of one, so that these
+        # small datasets are also saved and loaded in shares
+        mp.setattr(dataset, "_CHUNK_LINES", 32)
+        mp.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
+        for cpus in (1, 2):
+            with tempfile.TemporaryDirectory() as tmp, cpus_usable(cpus) as forks:
+                root = Path(tmp)
+                runs = run_chain(root, changes)
+                assert bool(forks) == (cpus > 1)  # at 2 CPUs generate saves in shares
+                for command, code, _, err in runs:
+                    if code == 0:
+                        assert err == "", command
+                    else:
+                        assert code in (1, 2) and err.count("error:") == 1 and "Traceback" not in err, (command, err)
+                check_artifacts(root, changes[("sampling", "theta")], changes[("sampling", "kappa")])
+                results[cpus] = runs, artifact_tree(root)
+    assert results[1] == results[2]
+    assert no_child_left()

@@ -672,6 +672,13 @@ def cr_line_ends(lines):
     lines[:] = ["\r".join(lines)]
 
 
+def mixed_cr_and_crlf_line_ends(lines):
+    # every tenth line ends in a lone carriage return, the others in a \r\n,
+    # so the file still splits after its \n bytes
+    text = "".join(line + ("\r" if n % 10 == 9 else "\r\n") for n, line in enumerate(lines))
+    lines[:] = [text.removesuffix("\n")]
+
+
 def cr_line_ends_and_a_bad_row_past_the_first_chunk(lines):
     edit_row(700, y=99)(lines)
     cr_line_ends(lines)
@@ -724,6 +731,7 @@ CORRUPTIONS = {
     "header and first row parted by a carriage return": header_and_row_parted_by_a_carriage_return,
     "CRLF line ends": crlf_line_ends,
     "CR line ends": cr_line_ends,
+    "CR and CRLF line ends mixed": mixed_cr_and_crlf_line_ends,
     "CR line ends and a bad row past the first chunk": cr_line_ends_and_a_bad_row_past_the_first_chunk,
     "repeated clip and frame": repeat_clip_frame,
     "overlapping split parts": edit_header(lambda splits, clip: splits["ranges"][clip].update(valid=[0, 70])),
@@ -757,8 +765,11 @@ class TestCorruptionMatchesPerLineReference:
         with cpus_usable(1):
             alone = assert_same_load(path)
         # split in two, lines 400 on in a child's share, the file loads or
-        # fails as in one process, with the same line number
+        # fails as in one process, with the same line number; each share
+        # counts its lines 5 bytes at a time, so many a \r\n is split
+        # between two reads
         monkeypatch.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
+        monkeypatch.setattr(dataset, "_READ_BYTES", 5)
         with cpus_usable(2):
             assert_same_outcome(load_outcome(load_dataset, path), alone)
         assert no_child_left()

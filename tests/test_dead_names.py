@@ -1,12 +1,16 @@
-"""No dead names in src/: every name a module imports is used in it, and
-every module-level private function, class or constant is read in it."""
+"""No dead names in src/: every name a module imports is used in it,
+every module-level private function, class or constant is read in it, and
+every module-level public function or class is read somewhere in src/ or
+bench/, so that an API only the tests use does not live in src/."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "sceneselect").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "sceneselect").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 
 def bound_names(tree):
@@ -60,3 +64,54 @@ def public():
     return os.sep
 """
     assert dead_names(source) == [(3, "js"), (4, "run_shares"), (5, "_LIMIT"), (7, "_helper"), (9, "_Spare")]
+
+
+def unread_public_names(sources, readers):
+    """(index into ``sources``, line, name) of each module-level public def
+    or class of a source that no source or reader reads, by name or as an
+    attribute."""
+    read = set()
+    for text in [*sources, *readers]:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [
+        (i, node.lineno, node.name)
+        for i, text in enumerate(sources)
+        for node in ast.parse(text).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in read
+    ]
+
+
+def test_every_public_name_is_read_by_src_or_bench():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    readers = [path.read_text(encoding="utf-8") for path in BENCH]
+    assert [(SOURCES[i].name, line, name) for i, line, name in unread_public_names(sources, readers)] == []
+
+
+def test_unread_public_names_are_found():
+    module = """\
+from .other import helper
+def called():
+    return helper(1)
+def only_tested():
+    return called()
+class Unused:
+    pass
+class Annotated:
+    pass
+def _private():
+    return 0
+def used_by_bench():
+    pass
+"""
+    other = """\
+def helper(x: Annotated):
+    return x
+"""
+    bench = "import sceneselect\nsceneselect.module.used_by_bench()\n"
+    assert unread_public_names([module, other], [bench]) == [(0, 4, "only_tested"), (0, 6, "Unused")]
+    assert unread_public_names([module, other], [])[-1] == (0, 12, "used_by_bench")

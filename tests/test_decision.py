@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sceneselect import decision, learners, sampling
-from sceneselect.decision import DecisionModel, decision_probs, rank_models, train_decision
+from sceneselect.decision import DecisionModel, rank_models, train_decision
 from sceneselect.errors import ArtifactMismatchError, ConfigError
 from sceneselect.learners import TrainConfig
 
-from conftest import params_hash
+from conftest import decision_probs, params_hash
 
 
 def fake_state(rows, n):

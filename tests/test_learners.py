@@ -26,21 +26,21 @@ class TestForward:
         m = tiny_model()
         for arr in (m.W1, m.b1, m.W2, m.b2):
             arr[...] = 0.0
-        _, probs = learners.forward(m, np.ones((1, 3)))
+        probs = learners.softmax(learners.logits(m, np.ones((1, 3))))
         assert np.allclose(probs, 1.0 / 3.0)
 
     def test_single_output_is_certain(self):
         m = tiny_model(o=1)
-        _, (probs,) = learners.forward(m, np.array([[1.0, -2.0, 0.5]]))
+        (probs,) = learners.softmax(learners.logits(m, np.array([[1.0, -2.0, 0.5]])))
         assert probs.shape == (1,)
         assert probs[0] == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
-            learners.forward(tiny_model(), np.ones((1, 5)))
+            learners.logits(tiny_model(), np.ones((1, 5)))
 
     def test_single_sample_must_be_a_batch_of_one(self):
-        for fn in (learners.forward, learners.predict, learners.embed, learners.sigmoid_probs):
+        for fn in (learners.logits, learners.predict, learners.embed):
             with pytest.raises(ConfigError):
                 fn(tiny_model(), np.ones(3))
 
@@ -91,7 +91,7 @@ class TestPredictEmbed:
         m = learners.VectorClassifier(n, n, o, np.eye(n), np.zeros(n), logits.T.copy(), np.zeros(o))
         X = np.eye(n)
         assert np.array_equal(learners._layers(m, X)[2], logits)
-        _, P = learners.forward(m, X)
+        P = learners.softmax(learners.logits(m, X))
         pred = learners.predict(m, X)
         top = P == P.max(axis=1, keepdims=True)
         # softmax is monotone: the top logit always has a top probability
@@ -106,7 +106,7 @@ class TestPredictEmbed:
         for arr in (m.W1, m.b1, m.W2):
             arr[...] = 0.0
         m.b2[:] = [0.1, np.nextafter(0.1, 1.0), -3.0]
-        _, P = learners.forward(m, np.zeros((1, 3)))
+        P = learners.softmax(learners.logits(m, np.zeros((1, 3))))
         assert P[0, 0] == P[0, 1] and np.argmax(P, axis=1)[0] == 0
         assert learners.predict(m, np.zeros((1, 3)))[0] == 1
 
@@ -307,13 +307,13 @@ class TestBatchAgainstPerRowReference:
         m.b1[:] = rng.normal(size=h)
         m.b2[:] = rng.normal(size=o)
         X = rng.normal(size=(n, i)) * scale
-        H, P = learners.forward(m, X)
+        P = learners.softmax(learners.logits(m, X))
         E = learners.embed(m, X)
         pred = learners.predict(m, X)
-        assert H.shape == E.shape == (n, h) and P.shape == (n, o) and pred.shape == (n,)
+        assert E.shape == (n, h) and P.shape == (n, o) and pred.shape == (n,)
         for r in range(n):
             h_ref, p_ref = reference_row(m, X[r])
-            assert np.allclose(H[r], h_ref) and np.allclose(E[r], h_ref)
+            assert np.allclose(E[r], h_ref)
             assert np.allclose(P[r], p_ref)
             top = np.sort(p_ref)[::-1]
             if o == 1 or top[0] - top[1] > 1e-9:
@@ -856,7 +856,7 @@ class TestExtremeLogits:
         m.b1[:] = 1.0
         m.W2[:, 0] = logits
         m.b2[:] = 0.0
-        probs = learners.sigmoid_probs(m, np.zeros((1, 2)))
+        probs = learners.expit(learners.logits(m, np.zeros((1, 2))))
         assert probs.shape == (1, len(logits))
         assert np.isfinite(probs).all() and np.all((probs >= 0.0) & (probs <= 1.0))
 

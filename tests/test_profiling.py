@@ -17,7 +17,6 @@ from sceneselect.errors import ConfigError, DivergedError, InsufficientModelsErr
 from sceneselect.learners import TrainConfig
 from sceneselect.profiling import (
     ProfilingConfig,
-    binary_f1,
     build_repository,
     embed_scenes,
     kmeans,
@@ -315,9 +314,21 @@ class TestKMeansMatchesBroadcast:
             assert_same_kmeans(kmeans(features, k, seed=k), expected)
 
 
+def binary_f1(tp: int, fp: int, fn: int) -> float:
+    """F1 = 2pr/(p+r) from counts; 0 when precision and recall are both 0."""
+    p = tp / (tp + fp) if tp + fp else 0.0
+    r = tp / (tp + fn) if tp + fn else 0.0
+    return 2 * p * r / (p + r) if p + r else 0.0
+
+
 class TestMacroF1:
     def test_point_six_point_four(self):
-        assert binary_f1(6, 4, 9) == pytest.approx(0.48)
+        # class 1 has 6 true positives, 4 false positives (class 0 frames)
+        # and 9 misses (predicted as the absent class 2): precision 0.6,
+        # recall 0.4, F1 0.48; class 0 is never predicted and scores 0
+        labels = [1] * 15 + [0] * 4
+        preds = [1] * 6 + [2] * 9 + [1] * 4
+        assert macro_f1(preds, labels, 3) == pytest.approx(0.48 / 2)
 
     def test_symmetric_construction(self):
         labels = [1] * 15 + [0] * 10
@@ -328,10 +339,12 @@ class TestMacroF1:
         assert macro_f1([0, 1, 2], [0, 1, 2], 3) == 1.0
 
     def test_binary_tp_fp_fn_one_each(self):
-        assert binary_f1(1, 1, 1) == pytest.approx(0.5)
+        # each class has one true positive, one false positive and one miss
+        assert macro_f1([1, 0, 1, 0], [1, 1, 0, 0], 2) == pytest.approx(0.5)
 
     def test_zero_when_no_predictions_correct(self):
-        assert binary_f1(0, 3, 2) == 0.0
+        # class 1: 0 true positives, 3 false positives, 2 misses; class 0: 0, 2 and 3
+        assert macro_f1([0, 0, 1, 1, 1], [1, 1, 0, 0, 0], 2) == 0.0
 
     def test_macro_over_classes_present_only(self):
         # class 2 never appears in labels and must not enter the mean

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sceneselect import learners, profiling, runtime
-from sceneselect.decision import decision_probs
 from sceneselect.dataset import generate_dataset, part_indices, synthesize_trace
 from sceneselect.errors import ConfigError
 from sceneselect.runtime import (
@@ -24,7 +23,7 @@ from sceneselect.runtime import (
     write_metrics_csv,
 )
 
-from conftest import params_hash, small_generator_config
+from conftest import decision_probs, params_hash, small_generator_config
 from test_profiling import cpus_usable, quick_train_cfg
 
 

@@ -17,12 +17,11 @@ from sceneselect.sampling import (
     SamplingConfig,
     adaptive_sampling,
     probe_suitability,
-    random_sampling,
     thompson_round,
     well_sampled_threshold,
 )
 
-from conftest import small_generator_config
+from conftest import random_sampling, small_generator_config
 from test_profiling import quick_profiling_cfg, quick_train_cfg
 
 
