@@ -36,29 +36,17 @@ def is_int(value) -> bool:
     return type(value) is int
 
 
-def line_ends(blocks) -> int:
-    """The line ends in the bytes ``blocks`` hold one after another, as text
-    mode ends lines: each ``\\n``, ``\\r\\n`` and lone ``\\r`` is one,
-    a ``\\r\\n`` split between two blocks too."""
-    count, after_cr = 0, False
-    for block in blocks:
-        count += block.count(b"\n")
-        if b"\r" in block:  # finding none costs far less than counting \r\n
-            count += block.count(b"\r") - block.count(b"\r\n")
-        count -= after_cr and block.startswith(b"\n")
-        after_cr = block.endswith(b"\r") or after_cr and not block
-    return count
-
-
 def not_utf8(path) -> ParseError:
     """ParseError for a file that does not decode as UTF-8, naming the file
     and the line of its first undecodable byte, with lines ended as text
-    mode ends them (see `line_ends`)."""
+    mode ends them: each ``\\n``, ``\\r\\n`` and lone ``\\r`` is one."""
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        return ParseError(line_ends([data[: exc.start]]) + 1, f"{path}: not UTF-8 text ({exc.reason})")
+        head = data[: exc.start]
+        ends = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return ParseError(ends + 1, f"{path}: not UTF-8 text ({exc.reason})")
     return ParseError(1, f"{path}: not UTF-8 text")
 
 

@@ -269,7 +269,7 @@ def cmd_train_decision(args) -> int:
     ds = load_dataset(args.dataset)
     dataset_hash = sha256_file(args.dataset)
     repo, repo_hash, encoder, encoder_hash = _load_profile(args, ds, dataset_hash)
-    indices, labels = sampling.load_pools(args.pools, dataset_hash, repo_hash, len(repo), len(ds))
+    indices, labels = sampling.load_pools(args.pools, dataset_hash, repo_hash, repo)
     model = decision_mod.train_decision(encoder, ds, indices, labels, cfg.head_hidden, cfg.decision_train)
     decision_mod.save_decision(args.out, model, encoder_hash, repo_hash)
     print(f"wrote {args.out}: decision head over {model.n} models")

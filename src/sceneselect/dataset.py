@@ -14,7 +14,6 @@ own cell easily. A trace is a row subset of a dataset, in replay order.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from dataclasses import dataclass, fields
@@ -22,7 +21,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .artifacts import atomic_path, is_int, line_ends, not_utf8
+from .artifacts import atomic_path, is_int
 from .errors import ConfigError, ParseError, SchemaError
 from .shares import run_shares, usable_cpus
 
@@ -48,10 +47,6 @@ _CHUNK_LINES = 256
 # and 1.6 ms to format one chunk of 12 features (one 2-core x86 VM), so a
 # share of two chunks is where splitting starts to gain.
 _MIN_SHARE_CHUNKS = 2
-
-# Bytes per read when a share counts the lines of its range: the range is
-# never held whole, so loading in shares costs no more peak memory.
-_READ_BYTES = 1 << 16
 
 # One sample line exactly as json.dumps(row, sort_keys=True) writes it.
 _ROW = '{"a": [%s], "clip": %d, "f": [%s], "frame": %d, "y": %d}\n'
@@ -375,34 +370,27 @@ def _chunk_text(ds: Dataset, lo: int) -> str:
 def load_dataset(path) -> Dataset:
     r"""Parse a dataset file into columns.
 
-    Sample lines are parsed a chunk at a time: one ``json.loads`` over the
-    chunk as a JSON array, then array checks. A chunk that fails any of them
-    is parsed again line by line, which raises the first bad line's error.
+    The file is JSON Lines: a ``\n`` byte ends a line and nothing else
+    does, so a ``\r`` before it or inside a row is JSON whitespace. Sample
+    lines are parsed a chunk at a time: one ``json.loads`` over the chunk
+    as a JSON array, then array checks. A chunk that fails any of them is
+    parsed again line by line, which raises the first bad line's error.
     Blank lines are skipped but counted. Every ParseError and SchemaError
     names the file, as ``line N: <path>: ...`` and ``<path>: ...``; so does
-    the ParseError for a file that is not UTF-8.
+    the ParseError for a line that is not UTF-8.
 
-    `_lines` reads every line, as text mode does. The file is cut after
-    ``\n`` bytes into byte ranges, one per share of `_share_count`, the
-    first from byte 0 and past line 1, the header; each share's columns are
-    parsed by `shares.run_shares`. Without shares, or if a share fails, this
-    process parses the whole file as that first range, so an error names
-    the file's line.
+    The file is cut after ``\n`` bytes into byte ranges, one per share of
+    `_share_count`, the first from byte 0 and past line 1, the header; each
+    share's columns are parsed by `shares.run_shares`. Without shares, or
+    if a share fails, this process parses the whole file as that first
+    range, so an error names the file's line.
     """
     try:
-        first = next(_lines(path, 0), None)
-        if first is None or first[0] != 1:
-            raise ParseError(1, "missing header line")
-        schema, split = _parse_header(_loads(first[1], 1), 1)
-
-        def parse(lo, hi=None):
-            numbered = _lines(path, lo, hi)
-            if lo == 0:
-                next(numbered)  # the header
-            return [_parse_chunk(c, schema) for c in iter(lambda: list(islice(numbered, _CHUNK_LINES)), [])]
-
         with open(path, "rb") as fh:
             header, line = fh.readline(), fh.readline()
+            if not header.strip():
+                raise ParseError(1, "missing header line")
+            schema, split = _parse_header(_loads(header.strip(), 1), 1)
             start, size = len(header), os.fstat(fh.fileno()).st_size
             count = _share_count((size - start) // (len(line) * _CHUNK_LINES or 1))
             cuts = [0]
@@ -410,6 +398,13 @@ def load_dataset(path) -> Dataset:
                 fh.seek(start + (size - start) * k // count)
                 fh.readline()
                 cuts.append(fh.tell())
+
+        def parse(lo, hi=None):
+            numbered = _lines(path, lo, hi)
+            if lo == 0:
+                next(numbered)  # the header
+            return [_parse_chunk(c, schema) for c in iter(lambda: list(islice(numbered, _CHUNK_LINES)), [])]
+
         shares = run_shares(lambda span: parse(*span), list(zip(cuts, cuts[1:] + [None])))
         chunks = [chunk for share in shares for chunk in share] if shares else parse(0)
         features, labels, attrs, clips, frames = (np.concatenate(c) for c in zip(*chunks or [_columns([], schema)]))
@@ -417,8 +412,6 @@ def load_dataset(path) -> Dataset:
                      clip_ids=clips, frame_indices=frames)
         _check_finite(ds)
         _check_index(ds)
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path) from exc
     except ParseError as exc:
         raise ParseError(exc.line_number, f"{path}: {exc.message}") from exc
     except SchemaError as exc:
@@ -427,49 +420,48 @@ def load_dataset(path) -> Dataset:
 
 
 def _lines(path, lo, hi=None):
-    r"""(n, text) of each non-blank line of ``path`` that starts in bytes
-    ``lo`` to ``hi`` (to the end if None), stripped, as text mode reads it:
-    a ``\n``, a ``\r\n`` or a lone ``\r`` ends a line. n counts from 1 at
-    ``lo``, which must start a line. Before a ``hi``, the range's lines are
-    counted from its bytes, ``_READ_BYTES`` at a time, and text mode reads
-    that many."""
-    with open(path, "rb") as raw:
-        count = None
-        if hi is not None:
-            raw.seek(lo)
-            count = line_ends(raw.read(min(_READ_BYTES, hi - at)) for at in range(lo, hi, _READ_BYTES))
-            if lo < hi:
-                raw.seek(hi - 1)
-                count += raw.read(1) not in b"\r\n"  # the range ends inside its last line
-        raw.seek(lo)
-        with io.TextIOWrapper(raw, encoding="utf-8") as fh:
-            for n, line in enumerate(islice(fh, count), start=1):
-                text = line.strip()
-                if text:
-                    yield n, text
+    r"""(n, bytes) of each non-blank line of ``path`` that starts in bytes
+    ``lo`` to ``hi`` (to the end if None), stripped; a ``\n`` byte ends a
+    line. n counts from 1 at ``lo``, which must start a line."""
+    with open(path, "rb") as fh:
+        fh.seek(lo)
+        for n, line in enumerate(fh, start=1):
+            if hi is not None and lo >= hi:
+                break
+            lo += len(line)
+            line = line.strip()
+            if line:
+                yield n, line
 
 
-def _loads(text, lineno):
+def _loads(line, lineno):
+    """The JSON value of one line's bytes; a ParseError naming ``lineno``
+    if they are not UTF-8 or not JSON. The bytes are decoded here, as
+    strict UTF-8: given bytes, ``json.loads`` would also read UTF-16 and
+    UTF-32 and drop a byte order mark."""
     try:
-        return json.loads(text)
+        return json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(lineno, f"not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(lineno, f"invalid JSON: {exc.msg}") from exc
 
 
 def _parse_chunk(numbered, schema):
-    """Columns of consecutive (line number, text) sample lines."""
-    joined = ",".join(text for _, text in numbered)
+    """Columns of consecutive (line number, bytes) sample lines. The
+    chunk's bytes are decoded once, as `_loads` decodes one line's."""
+    joined = b",".join(line for _, line in numbered)
     # numpy reads a true in a row of numbers as 1.0, so a chunk that may
     # hold a true or a false goes to the per-line parse, which refuses one
     # in a feature; no key or number of a sample line holds a "t" or an "s"
-    if "t" not in joined and "s" not in joined:
+    if b"t" not in joined and b"s" not in joined:
         try:
-            rows = json.loads("[" + joined + "]")
+            rows = json.loads("[" + joined.decode("utf-8") + "]")
             if len(rows) == len(numbered):
                 return _columns(rows, schema)
         except (KeyError, TypeError, ValueError, OverflowError):
             pass
-    return _columns([_parse_sample(_loads(text, n), schema, n) for n, text in numbered], schema)
+    return _columns([_parse_sample(_loads(line, n), schema, n) for n, line in numbered], schema)
 
 
 def _columns(rows, schema):

@@ -181,7 +181,7 @@ def adaptive_sampling(ds: Dataset, repo, cfg: SamplingConfig) -> SamplingState:
     rows = []
     state = SamplingState(arms, rows, np.zeros((0, len(arms)), dtype=bool))
     rng = np.random.default_rng(cfg.seed)
-    union = np.unique(np.concatenate([arm.gamma for arm in arms]))
+    union = _training_union(repo)
     if cfg.kappa < len(union):
         state.arm_cap = math.ceil(cfg.kappa / len(arms))
     remaining = [arm.gamma.tolist() for arm in arms]
@@ -208,6 +208,13 @@ def adaptive_sampling(ds: Dataset, repo, cfg: SamplingConfig) -> SamplingState:
     return state
 
 
+def _training_union(repo) -> np.ndarray:
+    """∪Γ: the sorted distinct dataset rows of the repository's training
+    scenes; none for a repository of no models."""
+    gammas = [entry.scene.train_indices for entry in repo.entries]
+    return np.unique(np.concatenate([np.zeros(0, dtype=int), *gammas]))
+
+
 def positives_per_model(state: SamplingState) -> np.ndarray:
     """Count of suitable probes per model (the balance measure for pools)."""
     return state.bits.sum(axis=0)
@@ -232,14 +239,15 @@ def save_pools(path, state: SamplingState, cfg: SamplingConfig, dataset_hash: st
     })
 
 
-def load_pools(path, dataset_hash: str, repository_hash: str, num_models: int, num_rows: int):
+def load_pools(path, dataset_hash: str, repository_hash: str, repo):
     """(sample indices, suitability bits) of the pools file at ``path``: an
-    (r,) int array of distinct rows of a ``num_rows``-row dataset and an
-    (r, ``num_models``) bool array, row for row. A file that holds no rows
-    is refused, as there is nothing to train on."""
+    (r,) int array of distinct rows of ``repo``'s training scenes (∪Γ), the
+    only rows `adaptive_sampling` probes, and an (r, ``len(repo)``) bool
+    array, row for row. A file that holds no rows is refused, as there is
+    nothing to train on."""
     body = artifacts.read_artifact(path, "pools", dataset=dataset_hash, repository=repository_hash)
     rows = body.get("rows")
-    dataset_rows, first_row = range(num_rows), {}
+    num_models, union, first_row = len(repo), set(_training_union(repo).tolist()), {}
     with artifact_body(path):
         if not isinstance(rows, list):
             raise ConfigError("rows must be a list")
@@ -249,8 +257,8 @@ def load_pools(path, dataset_hash: str, repository_hash: str, num_models: int, n
                     and all(is_int(b) and b in (0, 1) for b in bits)):
                 raise ConfigError(f"rows[{i}]: bits must be {num_models} values, each 0 or 1")
             index = r.get("sample_index")
-            if not (is_int(index) and index in dataset_rows):
-                raise ConfigError(f"rows[{i}]: sample_index must be a row of the dataset")
+            if not (is_int(index) and index in union):
+                raise ConfigError(f"rows[{i}]: sample_index must be a row of the repository's training scenes")
             if first_row.setdefault(index, i) != i:
                 raise ConfigError(f"rows[{i}]: sample_index {index} repeats rows[{first_row[index]}]")
     if not rows:

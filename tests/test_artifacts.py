@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sceneselect import artifacts, decision, learners, profiling
-from sceneselect.artifacts import canonical_dumps, line_ends, read_artifact, sha256_text, write_artifact
+from sceneselect.artifacts import canonical_dumps, not_utf8, read_artifact, sha256_text, write_artifact
 from sceneselect.errors import ArtifactMismatchError
 
 
@@ -117,12 +117,11 @@ def test_read_artifact_refuses_a_missing_or_non_string_upstream_hash(tmp_path, r
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    data=st.lists(st.sampled_from([b"a", b"\r", b"\n", b"\r\n"]), max_size=30).map(b"".join),
-    cuts=st.lists(st.integers(0, 60), max_size=6).map(sorted),
-)
-def test_line_ends_are_text_modes_in_any_blocks(data, cuts):
-    # however the bytes are cut into blocks, a \r\n split between two of
-    # them among the cuts, each line end counts once, as text mode reads it
-    blocks = [data[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(data)])]
-    assert line_ends(blocks) == data.decode().replace("\r\n", "\n").replace("\r", "\n").count("\n")
+@given(data=st.lists(st.sampled_from([b"a", b"\r", b"\n", b"\r\n"]), max_size=30).map(b"".join))
+def test_not_utf8_names_the_line_text_mode_ends(tmp_path_factory, data):
+    # configs and artifacts are read in text mode, where each \n, \r\n and
+    # lone \r ends a line, so their undecodable byte's line is counted so
+    path = tmp_path_factory.mktemp("text") / "run.ini"
+    path.write_bytes(data + b"\xff")
+    line = data.decode().replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+    assert str(not_utf8(path)) == f"line {line}: {path}: not UTF-8 text (invalid start byte)"

@@ -493,11 +493,9 @@ def one_hidden_unit_dim_true(body):
     model.update(hidden_dim=True, W1=model["W1"][:i], b1=model["b1"][:1], W2=model["W2"][::h])
 
 
-def two_rows_at_the_last_sample(body):
-    """Give rows 0 and 2 the index of the dataset's last sample (4 cells x 2
-    clips x 60 frames), a test frame, which no probed row is."""
-    for row in (body["rows"][0], body["rows"][2]):
-        row["sample_index"] = 479
+def row_0_repeated_at_row_2(body):
+    """Give row 2 row 0's sample index, a training frame that sampling probed."""
+    body["rows"][2]["sample_index"] = body["rows"][0]["sample_index"]
 
 
 def anole_without_artifacts(workdir, tmp_path):
@@ -707,11 +705,17 @@ FAILURES = {
     "pools without rows": (pools_without_rows, ConfigError, "pools.json: the pools file holds no probed rows"),
     "pools row outside the dataset": (
         malformed("pools", lambda b: b["rows"][1].update(sample_index=10**6)), ArtifactMismatchError,
-        "pools.json: rows[1]: sample_index must be a row of the dataset",
+        "pools.json: rows[1]: sample_index must be a row of the repository's training scenes",
+    ),
+    "pools row at a test frame": (
+        # the dataset's last sample (4 cells x 2 clips x 60 frames), which no
+        # repository model trains on, so sampling never probes it
+        malformed("pools", lambda b: b["rows"][1].update(sample_index=479)), ArtifactMismatchError,
+        "pools.json: rows[1]: sample_index must be a row of the repository's training scenes",
     ),
     "pools rows repeating a sample_index": (
-        malformed("pools", two_rows_at_the_last_sample), ArtifactMismatchError,
-        "pools.json: rows[2]: sample_index 479 repeats rows[0]",
+        malformed("pools", row_0_repeated_at_row_2), ArtifactMismatchError,
+        "pools.json: rows[2]: sample_index 438 repeats rows[0]",
     ),
     "missing anole artifacts": (anole_without_artifacts, ConfigError, "needs --repository"),
     "nan learning rate": (nan_learning_rate, ConfigError, "learning_rate must be finite"),
@@ -791,11 +795,11 @@ FAILURES = {
     ),
     "pools row with a boolean sample_index": (
         malformed("pools", lambda b: b["rows"][1].update(sample_index=True)), ArtifactMismatchError,
-        "pools.json: rows[1]: sample_index must be a row of the dataset",
+        "pools.json: rows[1]: sample_index must be a row of the repository's training scenes",
     ),
     "pools row with a float sample_index": (
         malformed("pools", lambda b: b["rows"][1].update(sample_index=1.0)), ArtifactMismatchError,
-        "pools.json: rows[1]: sample_index must be a row of the dataset",
+        "pools.json: rows[1]: sample_index must be a row of the repository's training scenes",
     ),
     "pools row with boolean bits": (
         malformed("pools", lambda b: b["rows"][0].update(bits=[True, False, True])), ArtifactMismatchError,
@@ -953,7 +957,7 @@ def check_artifacts(root, theta, kappa):
     if all(well_sampled_threshold(len(g), theta) >= len(g) - 1 for g in gammas):  # no arm can freeze
         assert len(indices) == min(kappa, len(union))
     if rows:
-        loaded, bits = sampling.load_pools(pools, data_hash, repo_hash, len(repo), len(ds))
+        loaded, bits = sampling.load_pools(pools, data_hash, repo_hash, repo)
         assert loaded.tolist() == indices and bits.shape == (len(rows), len(repo))
     if (root / "decision.json").exists():
         decision.load_decision(root / "decision.json", encoder, sha(prof / "encoder.json"), repo_hash)

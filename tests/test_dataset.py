@@ -440,7 +440,8 @@ def reference_parse_dataset(path):
     samples = []
     schema = None
     split = None
-    with open(path, "r", encoding="utf-8") as fh:
+    # JSON Lines: a \n ends a line, and a \r is JSON whitespace
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -654,7 +655,7 @@ def row_split_across_lines(lines):
 
 
 def row_parted_by_a_carriage_return(lines):
-    # text mode ends a line at a lone carriage return, so neither half parses
+    # a carriage return inside a row is JSON whitespace, so the row loads
     cut = lines[699].index('"f": [') + 6
     lines[699] = lines[699][:cut] + "\r" + lines[699][cut:]
 
@@ -668,13 +669,14 @@ def crlf_line_ends(lines):
 
 
 def cr_line_ends(lines):
-    # every line end but the file's last, a \n, is a lone carriage return
+    # every line end but the file's last, a \n, is a lone carriage return,
+    # so the whole file is line 1
     lines[:] = ["\r".join(lines)]
 
 
 def mixed_cr_and_crlf_line_ends(lines):
     # every tenth line ends in a lone carriage return, the others in a \r\n,
-    # so the file still splits after its \n bytes
+    # so line 10 holds two rows
     text = "".join(line + ("\r" if n % 10 == 9 else "\r\n") for n, line in enumerate(lines))
     lines[:] = [text.removesuffix("\n")]
 
@@ -682,6 +684,11 @@ def mixed_cr_and_crlf_line_ends(lines):
 def cr_line_ends_and_a_bad_row_past_the_first_chunk(lines):
     edit_row(700, y=99)(lines)
     cr_line_ends(lines)
+
+
+def byte_order_mark(lines):
+    # strict UTF-8 reads UTF-8's byte order mark as U+FEFF, which JSON refuses
+    lines[0] = "\ufeff" + lines[0]
 
 
 def schema_error_before_json_error(lines):
@@ -727,12 +734,13 @@ CORRUPTIONS = {
     "schema error before a JSON error in one chunk": schema_error_before_json_error,
     "two rows on one line": two_rows_on_one_line,
     "one row over two lines": row_split_across_lines,
-    "one row over two lines at a carriage return": row_parted_by_a_carriage_return,
+    "a carriage return inside a row": row_parted_by_a_carriage_return,
     "header and first row parted by a carriage return": header_and_row_parted_by_a_carriage_return,
     "CRLF line ends": crlf_line_ends,
     "CR line ends": cr_line_ends,
     "CR and CRLF line ends mixed": mixed_cr_and_crlf_line_ends,
     "CR line ends and a bad row past the first chunk": cr_line_ends_and_a_bad_row_past_the_first_chunk,
+    "byte order mark": byte_order_mark,
     "repeated clip and frame": repeat_clip_frame,
     "overlapping split parts": edit_header(lambda splits, clip: splits["ranges"][clip].update(valid=[0, 70])),
     "seen clip without ranges": edit_header(lambda splits, clip: splits["ranges"].pop(clip)),
@@ -761,15 +769,12 @@ class TestCorruptionMatchesPerLineReference:
         lines = saved_800.splitlines()
         CORRUPTIONS[name](lines)
         path = tmp_path / "data.jsonl"
-        path.write_text("".join(line + "\n" for line in lines))
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         with cpus_usable(1):
             alone = assert_same_load(path)
         # split in two, lines 400 on in a child's share, the file loads or
-        # fails as in one process, with the same line number; each share
-        # counts its lines 5 bytes at a time, so many a \r\n is split
-        # between two reads
+        # fails as in one process, with the same line number
         monkeypatch.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
-        monkeypatch.setattr(dataset, "_READ_BYTES", 5)
         with cpus_usable(2):
             assert_same_outcome(load_outcome(load_dataset, path), alone)
         assert no_child_left()
@@ -788,9 +793,9 @@ class TestCorruptionMatchesPerLineReference:
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_bad_utf8_byte_names_its_line(tmp_path, saved_800, end, number, cpus, monkeypatch):
     # the reference raises the decoder's own error, so the line is checked
-    # here; the header's read decodes line 10 before any fork, and at line
-    # 700 the byte lies in a child's range when two CPUs split the file,
-    # which a file without a \n byte never is
+    # here; a line is decoded where it is parsed, so two CPUs split the
+    # file first, unless its lines end in a lone \r: without a \n byte
+    # before its end, the file is line 1, refused as the header is read
     lines = [line.encode() for line in saved_800.splitlines()]
     lines[number - 1] = lines[number - 1][:5] + b"\xff" + lines[number - 1][5:]
     path = tmp_path / "data.jsonl"
@@ -798,8 +803,47 @@ def test_bad_utf8_byte_names_its_line(tmp_path, saved_800, end, number, cpus, mo
     monkeypatch.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
     with cpus_usable(cpus) as forks, pytest.raises(ParseError) as err:
         load_dataset(path)
-    assert len(forks) == (cpus - 1 if number == 700 and end != "\r" else 0)
-    assert str(err.value) == f"line {number}: {path}: not UTF-8 text (invalid start byte)"
+    assert len(forks) == (cpus - 1 if end != "\r" else 0)
+    line = number if end != "\r" else 1
+    assert str(err.value) == f"line {line}: {path}: not UTF-8 text (invalid start byte)"
+    assert no_child_left()
+
+
+# a \r right after each of these is at a JSON-whitespace position of a row
+WHITESPACE_AFTER = ('"f": [', '"clip": ', "], ")
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    crlf=st.one_of(st.just(range(1, 802)), st.sets(st.integers(1, 801), max_size=30)),
+    blank_after=st.sets(st.integers(1, 801), max_size=3),
+    inner=st.dictionaries(st.integers(2, 801), st.sampled_from(WHITESPACE_AFTER), max_size=3),
+    lone=st.none() | st.integers(1, 800),
+)
+def test_line_end_mixes_load_as_the_reference(tmp_path_factory, saved_800, ds_800, crlf, blank_after, inner, lone):
+    # saved_800's 801 lines, numbered from 1: those in crlf end in \r\n,
+    # a blank \r\n line follows those in blank_after, the rows in inner
+    # hold a \r, and line lone, if any, ends in a lone \r before the next
+    lines = saved_800.splitlines()
+    for n, token in inner.items():
+        at = lines[n - 1].index(token) + len(token)
+        lines[n - 1] = lines[n - 1][:at] + "\r" + lines[n - 1][at:]
+    text = "".join(
+        line + ("\r" if n == lone else ("\r\n" if n in crlf else "\n") + "\r\n" * (n in blank_after))
+        for n, line in enumerate(lines, start=1)
+    )
+    path = tmp_path_factory.mktemp("ends") / "data.jsonl"
+    path.write_bytes(text.encode())
+    with cpus_usable(1):
+        alone = assert_same_load(path)
+    if lone is None:  # the columns of the file as saved, bit for bit
+        assert_same_outcome(alone, load_outcome(lambda _: ds_800, path))
+    else:
+        line = lone + sum(n < lone for n in blank_after)
+        assert alone == (ParseError, f"line {line}: {path}: invalid JSON: Extra data")
+    with pytest.MonkeyPatch.context() as mp, cpus_usable(2):
+        mp.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
+        assert_same_outcome(load_outcome(load_dataset, path), alone)
     assert no_child_left()
 
 
