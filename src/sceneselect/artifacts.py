@@ -17,9 +17,12 @@ from .errors import ArtifactMismatchError, ConfigError, ParseError
 
 FORMAT_VERSION = 1
 
+# Bytes per read when a file is hashed.
+_HASH_BLOCK = 1 << 18
 
-def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+def canonical_dumps(obj, allow_nan=True) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=allow_nan)
 
 
 def sha256_text(text: str) -> str:
@@ -27,7 +30,13 @@ def sha256_text(text: str) -> str:
 
 
 def sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The SHA-256 of the file's bytes, read ``_HASH_BLOCK`` bytes at a time."""
+    digest, block = hashlib.sha256(), bytearray(_HASH_BLOCK)
+    view = memoryview(block)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(block):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 def is_int(value) -> bool:
@@ -85,7 +94,9 @@ def atomic_path(path):
 
 def read_artifact(path, kind: str, **upstream) -> dict:
     """Load an artifact, verifying its self-hash and ``kind`` tag, and that for
-    each ``name=hash`` in ``upstream`` it records ``hash`` as its ``<name>_hash``."""
+    each ``name=hash`` in ``upstream`` it records ``hash`` as its ``<name>_hash``.
+    A number JSON does not define (``NaN``, ``Infinity``) or one past float
+    range (``1e400``, which reads as infinity) is refused."""
     path = Path(path)
     try:
         body = json.loads(path.read_text(encoding="utf-8"))
@@ -106,7 +117,10 @@ def read_artifact(path, kind: str, **upstream) -> dict:
     stored = body.get("content_hash")
     check = dict(body)
     check.pop("content_hash", None)
-    actual = sha256_text(canonical_dumps(check))
+    try:
+        actual = sha256_text(canonical_dumps(check, allow_nan=False))
+    except ValueError:  # json reads NaN and Infinity, and a float past range as infinity
+        raise ArtifactMismatchError(f"{path}: artifact holds a non-finite number") from None
     if stored != actual:
         raise ArtifactMismatchError(f"{path}: content hash mismatch")
     for name, expected in upstream.items():

@@ -24,6 +24,7 @@ from .dataset import (
     GeneratorConfig,
     generate_dataset,
     load_dataset,
+    save_columns,
     save_dataset,
     synthesize_trace,
 )
@@ -217,6 +218,7 @@ def cmd_generate(args) -> int:
         cfg.generator.seed = _check_seed(args.seed, "--seed")
     ds = generate_dataset(cfg.generator)
     save_dataset(ds, args.out)
+    save_columns(ds, args.out)
     print(
         f"wrote {args.out}: {len(ds)} samples, "
         f"{len(ds.split.seen_clips)} seen clips, {len(ds.split.unseen_clips)} unseen clips"

@@ -15,13 +15,14 @@ own cell easily. A trace is a row subset of a dataset, in replay order.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 from itertools import chain, islice
 
 import numpy as np
 
-from .artifacts import atomic_path, is_int
+from .artifacts import atomic_path, is_int, sha256_file
 from .errors import ConfigError, ParseError, SchemaError
 from .shares import run_shares, usable_cpus
 
@@ -50,6 +51,11 @@ _MIN_SHARE_CHUNKS = 2
 
 # One sample line exactly as json.dumps(row, sort_keys=True) writes it.
 _ROW = '{"a": [%s], "clip": %d, "f": [%s], "frame": %d, "y": %d}\n'
+
+# The column file `save_columns` writes beside a dataset file: line 1 is
+# `_columns_header`, then each column's raw little-endian bytes, in the order
+# of `Rows`' fields.
+_COLUMNS_FORMAT = {"format": "sceneselect-columns", "version": 1}
 
 
 @dataclass(frozen=True)
@@ -367,6 +373,67 @@ def _chunk_text(ds: Dataset, lo: int) -> str:
     )
 
 
+def columns_path(path) -> str:
+    """The path of the column file beside the dataset file ``path``."""
+    return f"{os.fspath(path)}.columns"
+
+
+def _column_layout(schema, rows) -> list:
+    """(name, dtype, shape) of each column of a ``rows``-row dataset of ``schema``."""
+    widths = {"features": [schema.feature_dim], "attrs": [len(schema.attr_cardinalities)]}
+    return [(f.name, "<f8" if f.name == "features" else "<i8", [rows, *widths.get(f.name, [])]) for f in fields(Rows)]
+
+
+def _columns_header(schema, rows, dataset_sha256) -> bytes:
+    """Line 1 of the column file of a ``rows``-row dataset file of
+    ``schema`` whose SHA-256 is ``dataset_sha256``."""
+    header = dict(_COLUMNS_FORMAT, dataset_sha256=dataset_sha256, columns=_column_layout(schema, rows))
+    return (json.dumps(header) + "\n").encode("ascii")
+
+
+def save_columns(ds: Dataset, path) -> None:
+    """Write ``ds``'s columns to `columns_path` ``(path)``, keyed to the
+    SHA-256 of the dataset file ``path`` that `save_dataset` wrote ``ds``
+    to, so that `load_dataset` can read them instead of parsing that file.
+    Written beside the target and renamed over it, as `save_dataset` is."""
+    header = _columns_header(ds.schema, len(ds), sha256_file(path))
+    with atomic_path(columns_path(path)) as tmp, open(tmp, "wb") as fh:
+        fh.write(header)
+        for name, dtype, _ in _column_layout(ds.schema, len(ds)):
+            fh.write(np.ascontiguousarray(getattr(ds, name), dtype=dtype).data)
+
+
+def _load_columns(path, schema, split) -> Dataset | None:
+    """The dataset read from the column file beside ``path``, or None unless
+    that file exists, its line 1 is byte for byte `_columns_header` for
+    ``schema``, the row count its size gives and the SHA-256 of ``path``,
+    and its rows pass every check `load_dataset` makes on parsed rows."""
+    row_bytes = sum(np.dtype(dtype).itemsize * math.prod(shape) for _, dtype, shape in _column_layout(schema, 1))
+    try:
+        with open(columns_path(path), "rb") as fh:
+            header = fh.readline()
+            rows, extra = divmod(os.fstat(fh.fileno()).st_size - len(header), row_bytes)
+            if extra or header != _columns_header(schema, rows, sha256_file(path)):
+                return None
+            columns = {}
+            for name, dtype, shape in _column_layout(schema, rows):
+                column = np.empty(shape, dtype=dtype)
+                if fh.readinto(column.reshape(-1).view(np.uint8)) != column.nbytes:
+                    return None
+                columns[name] = column.astype(column.dtype.newbyteorder("="), copy=False)  # native, as parsed
+    except OSError:
+        return None
+    ds = Dataset(schema=schema, split=split, **columns)
+    if _out_of_range(ds.labels, ds.attrs, schema):
+        return None
+    try:
+        _check_finite(ds)
+        _check_index(ds)
+    except SchemaError:
+        return None
+    return ds
+
+
 def load_dataset(path) -> Dataset:
     r"""Parse a dataset file into columns.
 
@@ -384,6 +451,11 @@ def load_dataset(path) -> Dataset:
     share's columns are parsed by `shares.run_shares`. Without shares, or
     if a share fails, this process parses the whole file as that first
     range, so an error names the file's line.
+
+    The schema and splits always come from line 1. The rows come from the
+    column file `save_columns` wrote beside the file instead, where
+    `_load_columns` finds that file still keyed to this one; otherwise the
+    file is parsed as above.
     """
     try:
         with open(path, "rb") as fh:
@@ -391,6 +463,9 @@ def load_dataset(path) -> Dataset:
             if not header.strip():
                 raise ParseError(1, "missing header line")
             schema, split = _parse_header(_loads(header.strip(), 1), 1)
+            ds = _load_columns(path, schema, split)
+            if ds is not None:
+                return ds
             start, size = len(header), os.fstat(fh.fileno()).st_size
             count = _share_count((size - start) // (len(line) * _CHUNK_LINES or 1))
             cuts = [0]
@@ -471,7 +546,7 @@ def _columns(rows, schema):
     is a string or null makes the features' dtype a string or object one;
     one that is a boolean in a row of numbers does not, so `_parse_chunk`
     keeps such rows from here."""
-    m, d, cards = len(rows), schema.feature_dim, np.array(schema.attr_cardinalities)
+    m, d, k = len(rows), schema.feature_dim, len(schema.attr_cardinalities)
     features = np.array([r["f"] for r in rows])
     if features.dtype.kind not in "fiu":
         raise ValueError("a feature is not a number")
@@ -480,12 +555,20 @@ def _columns(rows, schema):
         raise ValueError("an integer field holds another value")
     labels, attrs, clips, frames = (np.array(v, dtype=np.int64) for v in (labels, attrs, clips, frames))
     if m and (
-        features.shape != (m, d) or attrs.shape != (m, len(cards))
+        features.shape != (m, d) or attrs.shape != (m, k)
         or not labels.shape == clips.shape == frames.shape == (m,)
-        or ((labels < 0) | (labels >= schema.num_classes)).any() or ((attrs < 0) | (attrs >= cards)).any()
+        or _out_of_range(labels, attrs, schema)
     ):
         raise ValueError("a sample fails a per-sample check")
-    return features.reshape(m, d).astype(float, copy=False), labels, attrs.reshape(m, len(cards)), clips, frames
+    return features.reshape(m, d).astype(float, copy=False), labels, attrs.reshape(m, k), clips, frames
+
+
+def _out_of_range(labels, attrs, schema) -> bool:
+    """Whether a label or an attribute lies outside ``schema``'s range."""
+    return bool(
+        ((labels < 0) | (labels >= schema.num_classes)).any()
+        or ((attrs < 0) | (attrs >= np.array(schema.attr_cardinalities))).any()
+    )
 
 
 def _check_index(ds: Dataset) -> None:

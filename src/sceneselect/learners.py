@@ -603,11 +603,15 @@ def model_from_dict(d: dict) -> VectorClassifier:
     i, h, o = d.get("input_dim"), d.get("hidden_dim"), d.get("output_dim")
     if not all(is_int(dim) and dim >= 1 for dim in (i, h, o)):
         raise ConfigError(f"model dims must be positive integers, got {i}, {h}, {o}")
-    # numpy would read true as 1.0 and "0.5" as 0.5
+    params = {}
     for name in PARAMS:
+        # numpy would read true as 1.0 and "0.5" as 0.5
         if not isinstance(d.get(name), list) or not set(map(type, d[name])) <= {int, float}:
             raise ConfigError(f"model parameters must be lists of numbers, and {name} is not")
-    params = {name: np.array(d[name], dtype=float) for name in PARAMS}
+        try:
+            params[name] = np.array(d[name], dtype=float)
+        except OverflowError:
+            raise ConfigError(f"{name} holds an integer past float range") from None
     for name, size in (("W1", h * i), ("b1", h), ("W2", o * h), ("b2", o)):
         if params[name].shape != (size,):
             raise ConfigError(f"{name} has shape {params[name].shape}, but the dims give ({size},)")

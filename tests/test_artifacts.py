@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sceneselect import artifacts, decision, learners, profiling
-from sceneselect.artifacts import canonical_dumps, not_utf8, read_artifact, sha256_text, write_artifact
+from sceneselect.artifacts import canonical_dumps, not_utf8, read_artifact, sha256_file, sha256_text, write_artifact
 from sceneselect.errors import ArtifactMismatchError
 
 
@@ -125,3 +127,24 @@ def test_not_utf8_names_the_line_text_mode_ends(tmp_path_factory, data):
     path.write_bytes(data + b"\xff")
     line = data.decode().replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
     assert str(not_utf8(path)) == f"line {line}: {path}: not UTF-8 text (invalid start byte)"
+
+
+@pytest.mark.parametrize("size", [0, 1, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_sha256_file_in_blocks_is_the_whole_file_digest(tmp_path, size, monkeypatch):
+    monkeypatch.setattr(artifacts, "_HASH_BLOCK", 4096)
+    path = tmp_path / "data.bin"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+def test_read_artifact_refuses_a_non_finite_number(tmp_path, token):
+    # write_artifact writes the token json writes for it, and the hash over
+    # that text; json reads 1e400 as infinity, so its hash is Infinity's
+    path = tmp_path / "a.json"
+    write_artifact(path, {"kind": "report", "x": [0.5, float(token)]})
+    if token.endswith("e400"):
+        path.write_text(path.read_text().replace("Infinity", "1e400"))
+    assert token in path.read_text()
+    with pytest.raises(ArtifactMismatchError, match="a.json: artifact holds a non-finite number"):
+        read_artifact(path, "report")

@@ -147,6 +147,41 @@ class TestGenerate:
         cli.main(["generate", "--config", str(workdir["ini"]), "--out", str(out)])
         assert sha(out) == sha(workdir["data"])
 
+    def test_column_file_beside_the_dataset_is_read(self, workdir, monkeypatch):
+        columns = Path(dataset.columns_path(workdir["data"]))
+        with columns.open("rb") as fh:
+            assert json.loads(fh.readline())["dataset_sha256"] == sha(workdir["data"])
+        moved = columns.rename(columns.with_name("aside"))
+        try:
+            parsed = load_dataset(workdir["data"])
+        finally:
+            moved.rename(columns)
+
+        def no_parse(*args):
+            raise AssertionError("the sample lines were parsed")
+
+        monkeypatch.setattr(dataset, "_lines", no_parse)
+        read = load_dataset(workdir["data"])
+        for column in ("features", "labels", "attrs", "clip_ids", "frame_indices"):
+            assert getattr(read, column).tobytes() == getattr(parsed, column).tobytes(), column
+
+    @pytest.mark.parametrize("failure", ["dataset", "column file"])
+    def test_failed_generate_leaves_no_temp_file(self, tmp_path, workdir, capsys, monkeypatch, failure):
+        out = tmp_path / "data.jsonl"
+        if failure == "dataset":
+            def full_disk(ds, lo):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(dataset, "_chunk_text", full_disk)
+        else:
+            Path(dataset.columns_path(out)).mkdir()  # the rename over it fails
+        with cpus_usable(1):
+            assert cli.main(["generate", "--config", str(workdir["ini"]), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ([] if failure == "dataset" else ["data.jsonl", "data.jsonl.columns"])
+
 
 class TestProfile:
     def test_repository_has_n_models(self, workdir):
@@ -608,6 +643,25 @@ def write_summaries(tmp_path, *changes):
     return paths
 
 
+def report_of_nan_summary(workdir, tmp_path):
+    # write_artifact writes a NaN as the bare token NaN, which json and its hash check read back
+    paths = write_summaries(tmp_path, {"mean_window_f1": float("nan")})
+    return ["report", *paths, "--out", str(tmp_path / "report.json")]
+
+
+def repository_with_a_number_past_float_range(workdir, tmp_path):
+    # json reads 1e400 as infinity, which its hash check writes back as Infinity
+    repo = tmp_path / "repository.json"
+    body = read_artifact(workdir["prof"] / "repository.json", "repository")
+    body["models"][1]["validation_f1"] = float("inf")
+    write_artifact(repo, body)
+    repo.write_text(repo.read_text().replace("Infinity", "1e400"))
+    return [
+        "sample", "--config", str(workdir["ini"]), "--dataset", str(workdir["data"]),
+        "--repository", str(repo), "--out", str(tmp_path / "p.json"),
+    ]
+
+
 def report_of_summary_without(key):
     """Case builder: report on two ssm summaries of a sweep, the first lacking ``key``."""
 
@@ -828,6 +882,21 @@ FAILURES = {
     "decision head with a boolean bias": (
         malformed("decision", lambda b: b["head"]["b2"].__setitem__(0, False)), ArtifactMismatchError,
         "decision.json: model parameters must be lists of numbers, and b2 is not",
+    ),
+    "repository model with an integer past float range": (
+        malformed("repository", lambda b: b["models"][0]["model"]["b2"].__setitem__(0, 10**400)),
+        ArtifactMismatchError, "repository.json: b2 holds an integer past float range",
+    ),
+    "decision head with an integer past float range": (
+        malformed("decision", lambda b: b["head"]["W1"].__setitem__(3, -(10**400))), ArtifactMismatchError,
+        "decision.json: W1 holds an integer past float range",
+    ),
+    "summary with a NaN": (
+        report_of_nan_summary, ArtifactMismatchError, "summary_0.json: artifact holds a non-finite number",
+    ),
+    "repository with a number past float range": (
+        repository_with_a_number_past_float_range, ArtifactMismatchError,
+        "repository.json: artifact holds a non-finite number",
     ),
     "encoder with a boolean dim": (
         malformed("encoder", one_hidden_unit_dim_true), ArtifactMismatchError,

@@ -26,6 +26,7 @@ from sceneselect.dataset import (
     save_dataset,
     synthesize_trace,
 )
+from sceneselect.artifacts import sha256_file
 from sceneselect.errors import ConfigError, ParseError, SchemaError
 
 from conftest import small_generator_config
@@ -1140,3 +1141,216 @@ class TestSharesMatchOneProcess:
             save_dataset(small_ds, path)
             load_dataset(path)
         assert forks == []
+
+
+# ---------------------------------------------------------------------------
+# The column file `save_columns` writes beside a dataset file, which
+# `generate` writes and `load_dataset` reads while it is keyed to that file,
+# pinned to the parse of the file itself.
+
+COLUMNS = ("features", "labels", "attrs", "clip_ids", "frame_indices")
+
+
+def save_with_columns(ds, path):
+    """Save ``ds`` to ``path`` and its column file beside it, as generate does;
+    the column file's path."""
+    save_dataset(ds, path)
+    dataset.save_columns(ds, path)
+    return Path(dataset.columns_path(path))
+
+
+def parsed_outcome(path):
+    """`load_outcome` of ``path`` with its column file, if any, moved away."""
+    columns = Path(dataset.columns_path(path))
+    aside = columns.with_name(columns.name + ".aside")
+    moved = columns.exists()
+    if moved:
+        columns.rename(aside)
+    try:
+        return load_outcome(load_dataset, path)
+    finally:
+        if moved:
+            aside.rename(columns)
+
+
+class TestColumnFileMatchesParse:
+    @settings(max_examples=20, deadline=None)
+    @given(cfg=small_configs, awkward=st.booleans(), seed=st.integers(0, 2**32 - 1), cpus=st.sampled_from([1, 2]))
+    def test_same_columns_as_the_parse(self, cfg, awkward, seed, cpus):
+        ds = generate_dataset(cfg)
+        if awkward:
+            ds = awkward_features(ds, seed)
+        with tempfile.TemporaryDirectory() as tmp, small_shares(), cpus_usable(cpus):
+            path = Path(tmp) / "data.jsonl"
+            columns = save_with_columns(ds, path)
+            read = load_dataset(path)
+            columns.unlink()
+            parsed = load_dataset(path)
+        assert (read.schema, read.split) == (parsed.schema, parsed.split)
+        for column in COLUMNS:
+            new, ref = getattr(read, column), getattr(parsed, column)
+            assert new.dtype == ref.dtype and new.shape == ref.shape and new.tobytes() == ref.tobytes(), column
+            assert new.flags.c_contiguous and new.flags.writeable, column
+        assert no_child_left()
+
+    def test_read_without_parsing_a_row(self, tmp_path, ds_800, monkeypatch):
+        path = tmp_path / "data.jsonl"
+        save_with_columns(ds_800, path)
+
+        def no_parse(*args):
+            raise AssertionError("the sample lines were parsed")
+
+        expected = parsed_outcome(path)
+        monkeypatch.setattr(dataset, "_lines", no_parse)
+        with cpus_usable(1):  # a fork fails the test
+            assert_same_outcome(load_outcome(load_dataset, path), expected)
+
+    def test_layout(self, tmp_path, ds_800):
+        path = tmp_path / "data.jsonl"
+        data = save_with_columns(ds_800, path).read_bytes()
+        header, body = data[: data.index(b"\n") + 1], data[data.index(b"\n") + 1 :]
+        assert json.loads(header) == {
+            "format": "sceneselect-columns", "version": 1, "dataset_sha256": sha256_file(path),
+            "columns": [["features", "<f8", [800, 3]], ["labels", "<i8", [800]], ["attrs", "<i8", [800, 2]],
+                        ["clip_ids", "<i8", [800]], ["frame_indices", "<i8", [800]]],
+        }
+        assert body == b"".join(getattr(ds_800, c).astype("<f8" if c == "features" else "<i8").tobytes() for c in COLUMNS)
+
+    def test_peak_memory_holds_no_copy_of_the_file(self, tmp_path, bench42):
+        # the columns and one hash block peak near 1.27x the columns' bytes;
+        # reading the file whole first would add another 1.0x
+        path = tmp_path / "data.jsonl"
+        save_with_columns(bench42.ds, path)
+        load_dataset(path)
+        tracemalloc.start()
+        try:
+            ds = load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = sum(getattr(ds, column).nbytes for column in COLUMNS)
+        assert peak < 1.6 * size, f"load_dataset peaked at {peak / size:.2f}x the columns' bytes"
+
+
+def column_file(path):
+    """(header, {name: array}) of the column file at ``path``."""
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        arrays = {name: np.frombuffer(fh.read(np.dtype(dtype).itemsize * int(np.prod(shape))), dtype).reshape(shape)
+                  for name, dtype, shape in header["columns"]}
+    return header, arrays
+
+
+def rewrite_columns(edit):
+    """Corruption: the column file rewritten after ``edit(header, arrays)``,
+    each array written as its own bytes, so its header still matches its body."""
+
+    def corrupt(path, columns):
+        header, arrays = column_file(columns)
+        arrays = {name: a.copy() for name, a in arrays.items()}
+        edit(header, arrays)
+        columns.write_bytes(json.dumps(header).encode() + b"\n" + b"".join(a.tobytes() for a in arrays.values()))
+
+    return corrupt
+
+
+def one_feature_wider(header, arrays):
+    header["columns"][0][2][1] += 1
+    arrays["features"] = np.hstack([arrays["features"], arrays["features"][:, :1]])
+
+
+def one_row_short(header, arrays):
+    header["columns"][1][2][0] -= 1
+    arrays["labels"] = arrays["labels"][:-1]
+
+
+def retyped_labels(header, arrays):
+    header["columns"][1][1] = "<i4"
+    arrays["labels"] = arrays["labels"].astype("<i4")
+
+
+def renamed_labels(header, arrays):
+    header["columns"][1][0] = "label"
+    arrays["label"] = arrays.pop("labels")
+
+
+def repeated_clip_frame(header, arrays):
+    arrays["frame_indices"][1] = arrays["frame_indices"][0]
+
+
+def set_value(name, index, value):
+    """Array edit: column ``name``'s entry at ``index`` set to ``value``; the header keeps the file's hash."""
+
+    def edit(header, arrays):
+        arrays[name][index] = value
+
+    return edit
+
+
+def edit_dataset_line(number, old, new):
+    def corrupt(path, columns):
+        lines = path.read_text().splitlines()
+        lines[number - 1] = lines[number - 1].replace(old, new, 1)
+        path.write_text("".join(line + "\n" for line in lines))
+
+    return corrupt
+
+
+def truncate_dataset(path, columns):
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
+def cut_columns(count):
+    def corrupt(path, columns):
+        columns.write_bytes(columns.read_bytes()[:-count])
+
+    return corrupt
+
+
+# (dataset path, column file path) -> None; a row of ds_800's columns is 64 bytes
+COLUMN_CORRUPTIONS = {
+    "missing": lambda path, columns: columns.unlink(),
+    "a directory": lambda path, columns: (columns.unlink(), columns.mkdir()),
+    "wrong format": rewrite_columns(lambda h, a: h.update(format="sceneselect-rows")),
+    "wrong version": rewrite_columns(lambda h, a: h.update(version=2)),
+    "version true": rewrite_columns(lambda h, a: h.update(version=True)),
+    "stale hash after an edited row": edit_dataset_line(5, '"f": [', '"f": [0.25, '),
+    "stale hash after an edited header": edit_dataset_line(1, '"seen_clips": [', '"seen_clips": [99, '),
+    "stale hash after a truncated dataset": truncate_dataset,
+    "hash of another file": rewrite_columns(lambda h, a: h.update(dataset_sha256="0" * 64)),
+    "truncated by a byte": cut_columns(1),
+    "truncated by a row": cut_columns(64),
+    "one extra byte": lambda path, columns: columns.write_bytes(columns.read_bytes() + b"\0"),
+    "one extra row": lambda path, columns: columns.write_bytes(columns.read_bytes() + bytes(64)),
+    "a column renamed": rewrite_columns(renamed_labels),
+    "a column retyped": rewrite_columns(retyped_labels),
+    "a column one row short": rewrite_columns(one_row_short),
+    "a feature column one wider": rewrite_columns(one_feature_wider),
+    "a NaN feature": rewrite_columns(set_value("features", (5, 1), np.nan)),
+    "an infinite feature": rewrite_columns(set_value("features", (700, 0), -np.inf)),
+    "a label out of range": rewrite_columns(set_value("labels", 7, 3)),
+    "a negative label": rewrite_columns(set_value("labels", 799, -1)),
+    "an attribute out of range": rewrite_columns(set_value("attrs", (3, 1), 2)),
+    "a repeated (clip, frame)": rewrite_columns(repeated_clip_frame),
+    "a row moved to another clip": rewrite_columns(set_value("clip_ids", 0, 99)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_CORRUPTIONS))
+def test_corrupt_column_file_loads_as_the_parse(tmp_path, ds_800, name, monkeypatch):
+    path = tmp_path / "data.jsonl"
+    columns = save_with_columns(ds_800, path)
+    COLUMN_CORRUPTIONS[name](path, columns)
+    expected = parsed_outcome(path)
+    parses, lines = [], dataset._lines
+
+    def counted_lines(*args):
+        parses.append(args)
+        return lines(*args)
+
+    monkeypatch.setattr(dataset, "_lines", counted_lines)
+    with cpus_usable(1):
+        outcome = load_outcome(load_dataset, path)
+    assert_same_outcome(outcome, expected)
+    assert parses, "the column file was read"
