@@ -24,7 +24,6 @@ import numpy as np
 
 from .artifacts import atomic_path, is_int, sha256_file
 from .errors import ConfigError, ParseError, SchemaError
-from .shares import run_shares, usable_cpus
 
 SEEN_UNSEEN_RATIO = (9, 1)
 TRAIN_VALID_TEST_RATIO = (6, 2, 2)
@@ -42,12 +41,6 @@ ANCHOR_SEPARATION = 1.0
 # Sample lines per json.loads call when loading, and per write when saving.
 # Parsing the whole file in one call costs more peak memory than it saves.
 _CHUNK_LINES = 256
-
-# Fewest chunks in a share worth a fork of its own. A share forked, run and
-# sent back with no work costs about 1.5 ms, against about 1.0 ms to parse
-# and 1.6 ms to format one chunk of 12 features (one 2-core x86 VM), so a
-# share of two chunks is where splitting starts to gain.
-_MIN_SHARE_CHUNKS = 2
 
 # One sample line exactly as json.dumps(row, sort_keys=True) writes it.
 _ROW = '{"a": [%s], "clip": %d, "f": [%s], "frame": %d, "y": %d}\n'
@@ -318,25 +311,14 @@ def _check_finite(ds: Dataset) -> None:
         raise SchemaError(f"sample in clip {clip} frame {frame}: non-finite feature")
 
 
-def _share_count(chunks) -> int:
-    """Shares to split ``chunks`` chunks of sample lines into: one per usable
-    CPU, each of at least ``_MIN_SHARE_CHUNKS`` chunks; below two, the work
-    is not split."""
-    return min(usable_cpus(), chunks // _MIN_SHARE_CHUNKS)
-
-
 def save_dataset(ds: Dataset, path) -> None:
     """JSON-lines: header object on line 1, one sample per following line.
 
     Each sample line is what ``json.dumps(row, sort_keys=True)`` writes. The
     file is written beside ``path`` and renamed over it, so a failed save
     leaves any earlier file in place. Non-finite features are refused before
-    any byte is written: the loader would refuse them.
-
-    The rows are formatted in shares of whole chunks by `shares.run_shares`,
-    before the file is opened, and this process writes each share's chunks
-    in order; without shares, or if a share fails, this process formats and
-    writes every chunk in turn.
+    any byte is written: the loader would refuse them. Then each chunk of
+    ``_CHUNK_LINES`` rows is formatted and written in turn.
     """
     _check_finite(ds)
     header = {
@@ -354,14 +336,10 @@ def save_dataset(ds: Dataset, path) -> None:
             },
         },
     }
-    starts = range(0, len(ds), _CHUNK_LINES)
-    count = _share_count(len(starts))
-    shares = [starts[len(starts) * k // count : len(starts) * (k + 1) // count] for k in range(count)]
-    texts = run_shares(lambda share: [_chunk_text(ds, lo) for lo in share], shares)
     with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for chunks in texts or [(_chunk_text(ds, lo) for lo in starts)]:
-            fh.writelines(chunks)
+        for lo in range(0, len(ds), _CHUNK_LINES):
+            fh.write(_chunk_text(ds, lo))
 
 
 def _chunk_text(ds: Dataset, lo: int) -> str:
@@ -438,19 +416,14 @@ def load_dataset(path) -> Dataset:
     r"""Parse a dataset file into columns.
 
     The file is JSON Lines: a ``\n`` byte ends a line and nothing else
-    does, so a ``\r`` before it or inside a row is JSON whitespace. Sample
-    lines are parsed a chunk at a time: one ``json.loads`` over the chunk
-    as a JSON array, then array checks. A chunk that fails any of them is
-    parsed again line by line, which raises the first bad line's error.
+    does, so a ``\r`` before it or inside a row is JSON whitespace. The
+    sample lines are read on from the handle that read line 1, and parsed
+    a chunk at a time: one ``json.loads`` over the chunk as a JSON array,
+    then array checks. A chunk that fails any of them is parsed again line
+    by line, which raises the first bad line's error.
     Blank lines are skipped but counted. Every ParseError and SchemaError
     names the file, as ``line N: <path>: ...`` and ``<path>: ...``; so does
     the ParseError for a line that is not UTF-8.
-
-    The file is cut after ``\n`` bytes into byte ranges, one per share of
-    `_share_count`, the first from byte 0 and past line 1, the header; each
-    share's columns are parsed by `shares.run_shares`. Without shares, or
-    if a share fails, this process parses the whole file as that first
-    range, so an error names the file's line.
 
     The schema and splits always come from line 1. The rows come from the
     column file `save_columns` wrote beside the file instead, where
@@ -459,29 +432,15 @@ def load_dataset(path) -> Dataset:
     """
     try:
         with open(path, "rb") as fh:
-            header, line = fh.readline(), fh.readline()
+            header = fh.readline()
             if not header.strip():
                 raise ParseError(1, "missing header line")
             schema, split = _parse_header(_loads(header.strip(), 1), 1)
             ds = _load_columns(path, schema, split)
             if ds is not None:
                 return ds
-            start, size = len(header), os.fstat(fh.fileno()).st_size
-            count = _share_count((size - start) // (len(line) * _CHUNK_LINES or 1))
-            cuts = [0]
-            for k in range(1, count):
-                fh.seek(start + (size - start) * k // count)
-                fh.readline()
-                cuts.append(fh.tell())
-
-        def parse(lo, hi=None):
-            numbered = _lines(path, lo, hi)
-            if lo == 0:
-                next(numbered)  # the header
-            return [_parse_chunk(c, schema) for c in iter(lambda: list(islice(numbered, _CHUNK_LINES)), [])]
-
-        shares = run_shares(lambda span: parse(*span), list(zip(cuts, cuts[1:] + [None])))
-        chunks = [chunk for share in shares for chunk in share] if shares else parse(0)
+            numbered = _lines(fh)
+            chunks = [_parse_chunk(c, schema) for c in iter(lambda: list(islice(numbered, _CHUNK_LINES)), [])]
         features, labels, attrs, clips, frames = (np.concatenate(c) for c in zip(*chunks or [_columns([], schema)]))
         ds = Dataset(schema=schema, split=split, features=features, labels=labels, attrs=attrs,
                      clip_ids=clips, frame_indices=frames)
@@ -494,19 +453,13 @@ def load_dataset(path) -> Dataset:
     return ds
 
 
-def _lines(path, lo, hi=None):
-    r"""(n, bytes) of each non-blank line of ``path`` that starts in bytes
-    ``lo`` to ``hi`` (to the end if None), stripped; a ``\n`` byte ends a
-    line. n counts from 1 at ``lo``, which must start a line."""
-    with open(path, "rb") as fh:
-        fh.seek(lo)
-        for n, line in enumerate(fh, start=1):
-            if hi is not None and lo >= hi:
-                break
-            lo += len(line)
-            line = line.strip()
-            if line:
-                yield n, line
+def _lines(fh):
+    r"""(n, bytes) of each non-blank line left in ``fh``, stripped, where
+    ``fh`` has read line 1, so n counts from 2; a ``\n`` byte ends a line."""
+    for n, line in enumerate(fh, start=2):
+        line = line.strip()
+        if line:
+            yield n, line
 
 
 def _loads(line, lineno):
@@ -635,6 +588,9 @@ def _parse_sample(obj, schema, lineno):
         attrs = tuple(_integer(a, "a") for a in obj["a"])
         clip = _integer(obj["clip"], "clip")
         frame = _integer(obj["frame"], "frame")
+        for key, value in (("clip", clip), ("frame", frame)):
+            if not -(2**63) <= value < 2**63:  # the columns are int64
+                raise ValueError(f"{key} {value} is past int64 range")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # an int past float range overflows
         raise ParseError(lineno, f"malformed sample: {exc}") from exc
     if features.shape != (schema.feature_dim,):

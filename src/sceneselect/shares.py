@@ -1,11 +1,10 @@
 """Work split into shares, run side by side: one share in this process and
 each other one in a forked child.
 
-Training (`profiling.train_on_row_sets`) and dataset I/O
-(`dataset.save_dataset`, `dataset.load_dataset`) split their work into one
-share per usable CPU through `run_shares`. Each caller redoes the whole work
-in one process when it gets None back, so an error is the one a single
-process raises, and a result never depends on the number of CPUs.
+Training (`profiling.train_on_row_sets`) splits its models into one share
+per usable CPU through `run_shares`. It redoes the whole work in one process
+when it gets None back, so an error is the one a single process raises, and
+a result never depends on the number of CPUs.
 """
 
 from __future__ import annotations

@@ -416,6 +416,20 @@ def truncated_dataset_for_train_decision(workdir, tmp_path):
     ]
 
 
+def dataset_row_with(key, value):
+    """Case builder: profile on a copy of the dataset, without its column
+    file, whose line 6 holds ``key`` = ``value``."""
+
+    def build(workdir, tmp_path):
+        data = tmp_path / "data.jsonl"
+        lines = Path(workdir["data"]).read_text().splitlines()
+        lines[5] = json.dumps({**json.loads(lines[5]), key: value}, sort_keys=True)
+        data.write_text("\n".join(lines) + "\n")
+        return ["profile", "--config", str(workdir["ini"]), "--dataset", str(data), "--out", str(tmp_path / "p")]
+
+    return build
+
+
 def label_out_of_range(workdir, tmp_path):
     data = tmp_path / "data.jsonl"
     lines = Path(workdir["data"]).read_text().splitlines()
@@ -711,6 +725,14 @@ FAILURES = {
     ),
     "truncated artifact": (truncated_repository, ParseError, "repository.json"),
     "label out of range": (label_out_of_range, SchemaError, "out of range"),
+    "dataset frame past int64": (
+        dataset_row_with("frame", 9 * 10**30), ParseError,
+        "data.jsonl: malformed sample: frame 9000000000000000000000000000000 is past int64 range",
+    ),
+    "dataset clip past int64": (
+        dataset_row_with("clip", -1234567890123456789012345), ParseError,
+        "data.jsonl: malformed sample: clip -1234567890123456789012345 is past int64 range",
+    ),
     "diverging training": (diverging_encoder, DivergedError, "training diverged"),
     "insufficient models": (unreachable_delta, InsufficientModelsError, "accepted only"),
     "pools passed as repository": (pools_as_repository, ArtifactMismatchError, "found 'pools'"),
@@ -1041,15 +1063,12 @@ def check_artifacts(root, theta, kappa):
 def test_chain_over_small_configs(changes):
     results = {}
     with pytest.MonkeyPatch.context() as mp:
-        # chunks of 32 lines, and a fork for a share of one, so that these
-        # small datasets are also saved and loaded in shares
+        # chunks of 32 lines, so that these small datasets span several
         mp.setattr(dataset, "_CHUNK_LINES", 32)
-        mp.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
         for cpus in (1, 2):
-            with tempfile.TemporaryDirectory() as tmp, cpus_usable(cpus) as forks:
+            with tempfile.TemporaryDirectory() as tmp, cpus_usable(cpus):
                 root = Path(tmp)
                 runs = run_chain(root, changes)
-                assert bool(forks) == (cpus > 1)  # at 2 CPUs generate saves in shares
                 for command, code, _, err in runs:
                     if code == 0:
                         assert err == "", command

@@ -513,6 +513,10 @@ def reference_parse_sample(obj, schema, lineno):
         attrs = tuple(reference_integer(a, "a") for a in obj["a"])
         clip = reference_integer(obj["clip"], "clip")
         frame = reference_integer(obj["frame"], "frame")
+        # a dataset's clip ids and frame indices are int64 columns
+        for key, value in (("clip", clip), ("frame", frame)):
+            if not np.iinfo(np.int64).min <= value <= np.iinfo(np.int64).max:
+                raise ValueError(f"{key} {value} is past int64 range")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(lineno, f"malformed sample: {exc}") from exc
     if features.shape != (schema.feature_dim,):
@@ -726,6 +730,8 @@ CORRUPTIONS = {
     "attr tuple too short": edit_row(6, a=[0]),
     "string label": edit_row(7, y="x"),
     "float label": edit_row(7, y=1.0),
+    "frame past int64": edit_row(5, frame=9 * 10**30),
+    "clip past int64": edit_row(500, clip=-1234567890123456789012345),
     "NaN feature": first_feature_as(8, "NaN"),
     "1e999 feature": first_feature_as(600, "1e999"),
     "blank lines between rows": blank_lines,
@@ -766,19 +772,18 @@ def saved_800(tmp_path_factory, ds_800):
 
 class TestCorruptionMatchesPerLineReference:
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
-    def test_same_error_or_same_columns(self, tmp_path, saved_800, name, monkeypatch):
+    def test_same_error_or_same_columns(self, tmp_path, saved_800, name):
         lines = saved_800.splitlines()
         CORRUPTIONS[name](lines)
         path = tmp_path / "data.jsonl"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         with cpus_usable(1):
             alone = assert_same_load(path)
-        # split in two, lines 400 on in a child's share, the file loads or
-        # fails as in one process, with the same line number
-        monkeypatch.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
-        with cpus_usable(2):
+        # at two usable CPUs the file loads or fails as at one, with the
+        # same line number, and nothing forks
+        with cpus_usable(2) as forks:
             assert_same_outcome(load_outcome(load_dataset, path), alone)
-        assert no_child_left()
+        assert forks == []
 
     def test_error_past_the_first_chunk_names_its_line(self, tmp_path, saved_800):
         lines = saved_800.splitlines()
@@ -792,22 +797,20 @@ class TestCorruptionMatchesPerLineReference:
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
 @pytest.mark.parametrize("number", [10, 700])
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_bad_utf8_byte_names_its_line(tmp_path, saved_800, end, number, cpus, monkeypatch):
+def test_bad_utf8_byte_names_its_line(tmp_path, saved_800, end, number, cpus):
     # the reference raises the decoder's own error, so the line is checked
-    # here; a line is decoded where it is parsed, so two CPUs split the
-    # file first, unless its lines end in a lone \r: without a \n byte
-    # before its end, the file is line 1, refused as the header is read
+    # here; a line is decoded where it is parsed, unless the file's lines
+    # end in a lone \r: without a \n byte before its end, the file is
+    # line 1, refused as the header is read
     lines = [line.encode() for line in saved_800.splitlines()]
     lines[number - 1] = lines[number - 1][:5] + b"\xff" + lines[number - 1][5:]
     path = tmp_path / "data.jsonl"
     path.write_bytes(b"".join(line + end.encode() for line in lines))
-    monkeypatch.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
     with cpus_usable(cpus) as forks, pytest.raises(ParseError) as err:
         load_dataset(path)
-    assert len(forks) == (cpus - 1 if end != "\r" else 0)
+    assert forks == []
     line = number if end != "\r" else 1
     assert str(err.value) == f"line {line}: {path}: not UTF-8 text (invalid start byte)"
-    assert no_child_left()
 
 
 # a \r right after each of these is at a JSON-whitespace position of a row
@@ -842,10 +845,9 @@ def test_line_end_mixes_load_as_the_reference(tmp_path_factory, saved_800, ds_80
     else:
         line = lone + sum(n < lone for n in blank_after)
         assert alone == (ParseError, f"line {line}: {path}: invalid JSON: Extra data")
-    with pytest.MonkeyPatch.context() as mp, cpus_usable(2):
-        mp.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
+    with cpus_usable(2) as forks:
         assert_same_outcome(load_outcome(load_dataset, path), alone)
-    assert no_child_left()
+    assert forks == []
 
 
 class TestAtomicSave:
@@ -896,7 +898,7 @@ NON_INTEGERS = {"y": [0.9, True], "a": [[0, 1.0], [False, 0]], "clip": [1.0, Tru
 def test_non_integer_field_refused(tmp_path, saved_800, key):
     # alone in its chunk, the chunk's array checks must see the value; before
     # a JSON error in its chunk, the line-by-line parse must; at line 700 it
-    # lies in a child's share when two CPUs split the file
+    # lies past the first chunk, loaded at two usable CPUs
     for value in NON_INTEGERS[key]:
         shown = json.dumps(next(v for v in value if type(v) is not int) if key == "a" else value)
         for number, cpus, also in [(5, 1, None), (300, 1, replace_line(310, "{not json")), (700, 2, None)]:
@@ -906,11 +908,9 @@ def test_non_integer_field_refused(tmp_path, saved_800, key):
                 also(lines)
             path = tmp_path / "data.jsonl"
             path.write_text("".join(line + "\n" for line in lines))
-            with pytest.MonkeyPatch.context() as mp, cpus_usable(cpus) as forks:
-                mp.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
-                with pytest.raises(ParseError) as err:
-                    load_dataset(path)
-            assert len(forks) == cpus - 1
+            with cpus_usable(cpus) as forks, pytest.raises(ParseError) as err:
+                load_dataset(path)
+            assert forks == []
             assert str(err.value) == f"line {number}: {path}: malformed sample: {key} must be an integer, got {shown}"
         assert_same_load(path)  # the reference refuses it too
 
@@ -921,7 +921,7 @@ def test_non_integer_field_refused(tmp_path, saved_800, key):
 @pytest.mark.parametrize("value", [True, False, "0.5"])
 def test_non_number_feature_refused(tmp_path, saved_800, value):
     # as for the integer fields: alone in its chunk, before a JSON error in
-    # its chunk, and in a child's share
+    # its chunk, and past the first chunk
     for number, cpus, also in [(5, 1, None), (300, 1, replace_line(310, "{not json")), (700, 2, None)]:
         lines = saved_800.splitlines()
         edit_row(number, f=[0.5, value, 0.5])(lines)
@@ -929,11 +929,9 @@ def test_non_number_feature_refused(tmp_path, saved_800, value):
             also(lines)
         path = tmp_path / "data.jsonl"
         path.write_text("".join(line + "\n" for line in lines))
-        with pytest.MonkeyPatch.context() as mp, cpus_usable(cpus) as forks:
-            mp.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
-            with pytest.raises(ParseError) as err:
-                load_dataset(path)
-        assert len(forks) == cpus - 1
+        with cpus_usable(cpus) as forks, pytest.raises(ParseError) as err:
+            load_dataset(path)
+        assert forks == []
         assert str(err.value) == f"line {number}: {path}: malformed sample: f must hold numbers, got {json.dumps(value)}"
     assert_same_load(path)  # the reference refuses it too
 
@@ -1009,16 +1007,14 @@ def test_non_integer_split_bound_refused(tmp_path, saved_800):
 
 
 # ---------------------------------------------------------------------------
-# Dataset I/O split into one share per usable CPU, pinned to one process.
+# Dataset I/O runs in one process, whatever the number of usable CPUs.
 
 
 @contextlib.contextmanager
-def small_shares():
-    """Chunks of 3 lines, and a fork for a share of one chunk, so that small
-    datasets split."""
+def small_chunks():
+    """Chunks of 3 lines, so that small datasets span many chunks."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "_CHUNK_LINES", 3)
-        mp.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
         yield
 
 
@@ -1040,50 +1036,49 @@ def open_fds():
 
 
 def saved_alone(ds, path):
-    """Save ``ds`` to ``path`` in one process; its bytes and its load."""
+    """Save ``ds`` to ``path`` with one usable CPU; its bytes and its load."""
     with cpus_usable(1):
         save_dataset(ds, path)
         return path.read_bytes(), load_outcome(load_dataset, path)
 
 
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_dataset_io_never_forks(tmp_path, ds_800, saved_800, cpus):
+    # a save, a parse and a column-file read: the bytes and columns of one CPU
+    path = tmp_path / "data.jsonl"
+    with cpus_usable(cpus) as forks:
+        save_dataset(ds_800, path)
+        parsed = load_outcome(load_dataset, path)
+        dataset.save_columns(ds_800, path)
+        read = load_outcome(load_dataset, path)
+    assert forks == []
+    assert path.read_bytes() == saved_800.encode()
+    assert_same_outcome(parsed, load_outcome(lambda _: ds_800, path))
+    assert_same_outcome(read, parsed)
+
+
 class TestSharesMatchOneProcess:
+    """Dataset I/O at several usable CPUs gives what it gives at one, and
+    forks nothing: only training splits into shares."""
+
     @settings(max_examples=10, deadline=None)
     @given(cfg=small_configs, seed=st.integers(0, 2**32 - 1), cpus=st.sampled_from([2, 3]))
     def test_bytes_and_columns(self, cfg, seed, cpus):
         ds = awkward_features(generate_dataset(cfg), seed)
-        with tempfile.TemporaryDirectory() as tmp, small_shares():
-            one, split = Path(tmp) / "one.jsonl", Path(tmp) / "split.jsonl"
+        with tempfile.TemporaryDirectory() as tmp, small_chunks():
+            one, other = Path(tmp) / "one.jsonl", Path(tmp) / "other.jsonl"
             data, alone = saved_alone(ds, one)
-            with cpus_usable(cpus) as save_forks:
-                save_dataset(ds, split)
-            with cpus_usable(cpus) as load_forks:
-                shared = load_outcome(load_dataset, split)
-            assert split.read_bytes() == data
-        assert len(save_forks) == min(cpus, -(-len(ds) // 3)) - 1
-        # a load counts its chunks from the first line's length, so only a
-        # longer file is sure to split
-        assert len(load_forks) < cpus
-        assert load_forks or len(ds) < 60
-        assert_same_outcome(shared, alone)
-        assert no_child_left()
-
-    def test_shares_of_the_fewest_chunks(self, tmp_path):
-        # six chunks of 12 features, as in the default dataset: three shares of two chunks
-        ds = generate_dataset(small_generator_config(clips_per_cell=2, frames_per_clip=192, feature_dim=12))
-        data, alone = saved_alone(ds, tmp_path / "one.jsonl")
-        path = tmp_path / "data.jsonl"
-        with cpus_usable(3) as forks:
-            save_dataset(ds, path)
-            shared = load_outcome(load_dataset, path)
-        assert path.read_bytes() == data
-        assert_same_outcome(shared, alone)
-        assert len(forks) == 4
+            with cpus_usable(cpus) as forks:
+                save_dataset(ds, other)
+                loaded = load_outcome(load_dataset, other)
+            assert other.read_bytes() == data
+        assert forks == []
+        assert_same_outcome(loaded, alone)
 
     @pytest.mark.parametrize("failure", ["fork", "child"])
     def test_a_failed_share_gives_the_one_process_result(self, tmp_path, ds_800, failure, monkeypatch):
-        # a fork that fails, or a child that writes half its pickle and
-        # raises: this process does the whole save or load again
-        monkeypatch.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
+        # a fork that fails, or a pickle that breaks as a child's would:
+        # dataset I/O uses neither, so a save and a load are unchanged
         data, alone = saved_alone(ds_800, tmp_path / "one.jsonl")
         path = tmp_path / "data.jsonl"
         path.write_text("earlier file\n")
@@ -1093,8 +1088,6 @@ class TestSharesMatchOneProcess:
             raise OSError("fork failed")
 
         def broken_dump(obj, file, protocol):
-            whole = pickle.dumps(obj, protocol)
-            file.write(whole[: len(whole) // 2])
             raise OSError("pickling failed")
 
         with cpus_usable(2) as forks:
@@ -1103,18 +1096,17 @@ class TestSharesMatchOneProcess:
             else:
                 monkeypatch.setattr(pickle, "dump", broken_dump)
             save_dataset(ds_800, path)
-            shared = load_outcome(load_dataset, path)
+            loaded = load_outcome(load_dataset, path)
             monkeypatch.undo()
         assert path.read_bytes() == data
-        assert_same_outcome(shared, alone)
-        assert len(forks) == (0 if failure == "fork" else 2)
+        assert_same_outcome(loaded, alone)
+        assert forks == []
         assert open_fds() == fds
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "one.jsonl"]
-        assert no_child_left()
 
     @pytest.mark.parametrize("row", [0, 799], ids=["parent's share", "child's share"])
-    def test_a_share_that_raises_leaves_the_earlier_file(self, tmp_path, ds_800, row, monkeypatch):
-        monkeypatch.setattr(dataset, "_MIN_SHARE_CHUNKS", 1)
+    def test_a_share_that_raises_leaves_the_earlier_file(self, tmp_path, ds_800, row):
+        # a row that fails to format, in the first chunk or in the last
         path = tmp_path / "data.jsonl"
         path.write_text("earlier file\n")
         labels = ds_800.labels.astype(object)
@@ -1122,26 +1114,10 @@ class TestSharesMatchOneProcess:
         fds = open_fds()
         with cpus_usable(2) as forks, pytest.raises(TypeError):
             save_dataset(dataclasses.replace(ds_800, labels=labels), path)
-        assert len(forks) == 1
+        assert forks == []
         assert path.read_text() == "earlier file\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
         assert open_fds() == fds
-        assert no_child_left()
-
-    def test_one_usable_cpu_forks_nothing(self, tmp_path, ds_800):
-        path = tmp_path / "data.jsonl"
-        with small_shares(), cpus_usable(1):  # a fork fails the test
-            save_dataset(ds_800, path)
-            load_dataset(path)
-
-    def test_shares_below_the_minimum_fork_nothing(self, tmp_path, small_ds):
-        # 400 rows are two chunks: one share's worth, so there is one share
-        path = tmp_path / "data.jsonl"
-        with cpus_usable(2) as forks:
-            save_dataset(small_ds, path)
-            load_dataset(path)
-        assert forks == []
-
 
 # ---------------------------------------------------------------------------
 # The column file `save_columns` writes beside a dataset file, which
@@ -1180,7 +1156,7 @@ class TestColumnFileMatchesParse:
         ds = generate_dataset(cfg)
         if awkward:
             ds = awkward_features(ds, seed)
-        with tempfile.TemporaryDirectory() as tmp, small_shares(), cpus_usable(cpus):
+        with tempfile.TemporaryDirectory() as tmp, small_chunks(), cpus_usable(cpus):
             path = Path(tmp) / "data.jsonl"
             columns = save_with_columns(ds, path)
             read = load_dataset(path)
