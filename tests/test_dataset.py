@@ -1075,6 +1075,26 @@ class TestSharesMatchOneProcess:
         assert forks == []
         assert_same_outcome(loaded, alone)
 
+    def test_shares_of_the_fewest_chunks(self, tmp_path):
+        # six chunks of 12 features, as in the default dataset, at 3 CPUs
+        ds = generate_dataset(small_generator_config(clips_per_cell=2, frames_per_clip=192, feature_dim=12))
+        data, alone = saved_alone(ds, tmp_path / "one.jsonl")
+        path = tmp_path / "data.jsonl"
+        with cpus_usable(3) as forks:
+            save_dataset(ds, path)
+            loaded = load_outcome(load_dataset, path)
+        assert path.read_bytes() == data
+        assert_same_outcome(loaded, alone)
+        assert forks == []
+
+    def test_shares_below_the_minimum_fork_nothing(self, tmp_path, small_ds):
+        # 400 rows, two chunks, at 2 CPUs
+        path = tmp_path / "data.jsonl"
+        with cpus_usable(2) as forks:
+            save_dataset(small_ds, path)
+            load_dataset(path)
+        assert forks == []
+
     @pytest.mark.parametrize("failure", ["fork", "child"])
     def test_a_failed_share_gives_the_one_process_result(self, tmp_path, ds_800, failure, monkeypatch):
         # a fork that fails, or a pickle that breaks as a child's would:
