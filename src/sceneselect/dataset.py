@@ -24,6 +24,7 @@ import numpy as np
 
 from .artifacts import atomic_path, is_int, sha256_file
 from .errors import ConfigError, ParseError, SchemaError
+from .learners import MAX_FLOATS
 
 SEEN_UNSEEN_RATIO = (9, 1)
 TRAIN_VALID_TEST_RATIO = (6, 2, 2)
@@ -60,6 +61,10 @@ class DatasetSchema:
     def validate(self) -> None:
         if self.feature_dim < 1 or self.num_classes < 1:
             raise ConfigError("feature_dim and num_classes must be positive")
+        if max(self.feature_dim, self.num_classes) > MAX_FLOATS:
+            raise ConfigError(
+                f"feature_dim and num_classes must be at most {MAX_FLOATS}, the most floats a numpy array holds"
+            )
         if not self.attr_cardinalities or any(c < 1 for c in self.attr_cardinalities):
             raise ConfigError("attr_cardinalities must be positive")
 
@@ -570,7 +575,7 @@ def _parse_header(obj, lineno):
             unseen_clips=tuple(_integer(c, "unseen_clips") for c in sp["unseen_clips"]),
             ranges=ranges,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:  # AttributeError: ranges not an object
         raise ParseError(lineno, f"malformed header: {exc}") from exc
     schema.validate()
     return schema, split

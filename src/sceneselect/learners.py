@@ -24,6 +24,9 @@ from .errors import ConfigError, DivergedError
 
 MODEL_FORMAT = 1
 
+# The most floats one numpy array holds: its size in bytes must fit an index.
+MAX_FLOATS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
 
 @dataclass
 class VectorClassifier:
@@ -71,6 +74,10 @@ def new_classifier(input_dim: int, hidden_dim: int, output_dim: int, seed: int) 
     """Fresh classifier with Glorot-uniform weights and zero biases."""
     if min(input_dim, hidden_dim, output_dim) < 1:
         raise ConfigError("all dimensions must be positive")
+    if hidden_dim * max(input_dim, output_dim) > MAX_FLOATS:
+        raise ConfigError(
+            f"a {input_dim}-{hidden_dim}-{output_dim} classifier has a weight matrix past numpy's array size"
+        )
     rng = np.random.default_rng(seed)
 
     def glorot(rows, cols):

@@ -8,10 +8,11 @@ serves this frame as a fallback and the missing top model is loaded
 afterwards, evicting the least-frequently-used resident if the cache is
 full. Use counts reset on load, so eviction is LFU over residency. After any
 request the top model is resident, so every later frame of a run of equal
-top-1 is a hit that adds one use: the cache is asked once per such run, for
-the run's first frame and its length. Once the cache has picked every
-frame's model, each served model predicts its frames in one batch. A run's
-per-frame results are columns: one array per field, indexed by frame.
+top-1 is a hit that adds one use: the cache walks the trace's runs in one
+call, each given by its first frame's ranking and its length, and answers
+once per run. Once the cache has picked every frame's model, each served
+model predicts its frames in one batch. A run's per-frame results are
+columns: one array per field, indexed by frame.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import csv
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -48,52 +48,71 @@ class ModelCache:
             raise ConfigError("cache capacity must be >= 1")
 
 
-def cache_request(cache: ModelCache, ranking, frames: int = 1) -> tuple:
-    """Serve one frame given a ranking, a permutation of the model indices;
-    returns (served_model_index, was_miss).
+def cache_request(cache: ModelCache, rankings, lengths=None) -> tuple:
+    """Serve every run of a trace in one walk, in order; returns (served,
+    missed), two lists with one entry per run: the model that served the
+    run's first frame and whether its top model was missing (a bool).
+    Without ``lengths``, ``rankings`` is one frame's ranking, and the answer
+    is that one request's (served, missed) pair, the form in which the
+    acceptance criteria state the cache.
 
-    Hit: the top-ranked model is resident and serves. Miss: the best-ranked
-    resident serves this frame, then the LFU resident is evicted (if the
-    cache is full) and the top model is loaded for subsequent frames. The
-    eviction victim is picked by the use counts as they stood when the
-    request arrived, so a resident can serve the frame and still be the one
-    evicted. Among equal counts the victim is the first in ``loaded``, the
-    oldest load. An empty cache loads and serves the top model immediately,
-    counted as a miss. A miss whose ranking names no resident model (so it
-    is no permutation of the model indices) is a ConfigError.
+    Run r is ``lengths[r]`` frames whose top model is ``rankings[r][0]``,
+    served from that one ranking, a permutation of the model indices given
+    as a list of Python ints (as ``ndarray.tolist`` gives them); a served
+    model is an element of its run's ranking. Hit:
+    the top model is resident, serves, and gains one use per frame. Miss:
+    the best-ranked resident serves the first frame, then the LFU resident
+    is evicted (if the cache is full) and the top model is loaded for the
+    run's later frames, which are hits on it, so it starts with
+    ``frames - 1`` uses. The eviction victim is picked by the use counts as
+    they stood when the run arrived, so a resident can serve the frame and
+    still be the one evicted. Among equal counts the victim is the first in
+    ``loaded``, the oldest load. An empty cache loads and serves the top
+    model immediately, with ``frames`` uses, counted as a miss. The cache
+    ends as after one request per frame.
 
-    ``frames`` > 1 serves a run of that many frames with the same top model
-    from the run's first ranking: the later frames are hits on the top
-    model, so it gains ``frames - 1`` more uses, and the cache ends as after
-    one request per frame. The answer is the first frame's. A miss with
-    ``frames`` < 1 is a ConfigError: it would store a negative use count.
-    A hit, which stores no new count, does not check ``frames``.
+    A miss whose ranking names no resident model (so it is no permutation
+    of the model indices) is a ConfigError, and so is a miss of fewer than
+    one frame, which would store a negative use count; a hit, which stores
+    no new count, does not check its length. Either error leaves the cache
+    as the runs before it left it.
     """
-    top = int(ranking[0])
-    loaded = cache.loaded
-    if top in loaded:
-        loaded[top] += frames
-        return top, False
-    if frames < 1:
-        raise ConfigError(f"a request serves at least one frame, got frames={frames}")
-    if not loaded:
-        loaded[top] = frames
-        return top, True
-    for m in ranking:
-        if m in loaded:
-            served = int(m)
-            break
-    else:
-        raise ConfigError("ranking names no resident model")
-    if len(loaded) >= cache.capacity:
-        # min keeps the first of equal counts: the oldest load
-        victim = min(loaded, key=loaded.__getitem__)
-        loaded[served] += 1
-        del loaded[victim]
-    else:
-        loaded[served] += 1
-    loaded[top] = frames - 1  # served != top: the first frame is not a use
-    return served, True
+    if lengths is None:
+        [served], [missed] = cache_request(cache, [[int(m) for m in rankings]], [1])
+        return served, missed
+    loaded, capacity = cache.loaded, cache.capacity
+    served, missed = [], []
+    for ranking, frames in zip(rankings, lengths):
+        top = ranking[0]
+        if top in loaded:
+            loaded[top] += frames
+            served.append(top)
+            missed.append(False)
+            continue
+        if frames < 1:
+            raise ConfigError(f"a request serves at least one frame, got frames={frames}")
+        if not loaded:
+            loaded[top] = frames
+            served.append(top)
+            missed.append(True)
+            continue
+        for m in ranking:
+            if m in loaded:
+                fallback = m
+                break
+        else:
+            raise ConfigError("ranking names no resident model")
+        if len(loaded) >= capacity:
+            # min keeps the first of equal counts: the oldest load
+            victim = min(loaded, key=loaded.__getitem__)
+            loaded[fallback] += 1
+            del loaded[victim]
+        else:
+            loaded[fallback] += 1
+        loaded[top] = frames - 1  # fallback != top: the first frame is not a use
+        served.append(fallback)
+        missed.append(True)
+    return served, missed
 
 
 @dataclass
@@ -102,7 +121,7 @@ class TraceMetrics:
     per-frame columns of length F: the model that served frame f, the model
     ranked first for it, whether that model was missing from the cache, and
     whether the served model's prediction was right. Frame f falls in window
-    f // window.
+    f // window. ``capacity`` is the cache's number of slots.
     """
 
     served: np.ndarray  # (F,) int
@@ -113,6 +132,7 @@ class TraceMetrics:
     top1_counts: np.ndarray  # (num models,) int, frames each model ranked first
     low_confidence_events: int
     window: int
+    capacity: int
 
     @property
     def cache_accesses(self) -> int:
@@ -121,6 +141,16 @@ class TraceMetrics:
     @property
     def cache_misses(self) -> int:
         return int(self.missed.sum())
+
+    @property
+    def cache_hits(self) -> int:
+        return self.cache_accesses - self.cache_misses
+
+    @property
+    def cache_evictions(self) -> int:
+        """Each miss loads a model into a free slot until the cache is full,
+        and evicts one on every miss after that."""
+        return max(0, self.cache_misses - self.capacity)
 
     @property
     def miss_rate(self) -> float:
@@ -186,14 +216,15 @@ def run_trace(
     ``trace`` is a `dataset.Trace`. ``decision`` is either a DecisionModel or
     a batch ranker, a callable trace -> rankings (F, n) giving each frame's
     model order, so baselines and oracle rankers take the same path. The
-    whole trace is ranked in one call, the LFU cache is asked once per run
-    of frames with equal top-1 (the later frames of a run hit their top
-    model), and each served model then predicts all of its frames in one
-    batch. F1 is computed per ``window`` frames (macro over classes present;
-    the last window may be short), every window in one `macro_f1` call; a
-    ``window`` below 1 is a ConfigError. Only a DecisionModel has a
-    confidence: a frame whose top suitability is below ``low_confidence`` is
-    recorded as a no-suitable-model event and is still served. A batch ranker
+    whole trace is ranked in one call, the LFU cache walks every run of
+    frames with equal top-1 in one `cache_request` call (the later frames of
+    a run hit their top model), and each served model then predicts all of
+    its frames in one batch. F1 is computed per ``window`` frames (macro
+    over classes present; the last window may be short), every window in one
+    `macro_f1` call; a ``window`` below 1 is a ConfigError. Only a
+    DecisionModel has a confidence: a frame whose top suitability is below
+    ``low_confidence`` is recorded as a no-suitable-model event and is still
+    served. A batch ranker
     records none, and its answer is checked before the cache runs: anything
     but an (F, n) integer array whose rows are permutations of 0..n-1 is a
     ConfigError, which names the first frame at fault.
@@ -217,17 +248,13 @@ def run_trace(
     np.not_equal(top1[1:], top1[:-1], out=edges[1:-1])
     bounds = np.flatnonzero(edges)  # each run's first frame, then the trace length
     starts = bounds[:-1]
-    cache = ModelCache(cache_capacity)
-    answers = np.fromiter(
-        chain.from_iterable(
-            map(cache_request, repeat(cache), rankings[starts].tolist(), np.diff(bounds).tolist())
-        ),
-        dtype=int, count=2 * len(starts),
+    run_served, run_missed = cache_request(
+        ModelCache(cache_capacity), rankings[starts].tolist(), np.diff(bounds).tolist()
     )
     served = top1.astype(int)  # a copy in int64, whatever the ranker's dtype
-    served[starts] = answers[::2]
+    served[starts] = run_served
     missed = np.zeros(frames, dtype=bool)
-    missed[starts] = answers[1::2]
+    missed[starts] = run_missed
 
     preds = predict_served(models, X, served)
     labels = trace.labels
@@ -241,6 +268,7 @@ def run_trace(
         top1_counts=np.bincount(top1, minlength=len(models)),
         low_confidence_events=low_confidence_events,
         window=window,
+        capacity=cache_capacity,
     )
 
 

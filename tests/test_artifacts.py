@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -34,6 +35,56 @@ def test_written_bytes_are_one_canonical_dump(tmp_path, payload):
     assert digest == sha256_text(canonical_dumps(body))
     body["content_hash"] = digest
     assert path.read_bytes() == (canonical_dumps(body) + "\n").encode("utf-8")
+
+
+def one_dump(obj, allow_nan):
+    """The text of one ``json.dumps`` call, or the ValueError it raises."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=allow_nan)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def chunked_dump(obj, allow_nan):
+    try:
+        return canonical_dumps(obj, allow_nan=allow_nan)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+# lists around the chunk size, of scalars or of small nested values, inside objects and lists
+LONG_LISTS = st.lists(
+    JSON_SCALARS | st.lists(JSON_SCALARS, max_size=2) | st.dictionaries(st.text(max_size=2), JSON_SCALARS, max_size=2),
+    min_size=250, max_size=520,
+)
+BODIES = st.recursive(
+    JSON_VALUES | LONG_LISTS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(body=BODIES, allow_nan=st.booleans())
+def test_chunked_encoding_is_one_json_dumps(body, allow_nan):
+    # floats() draws NaN and infinities, which allow_nan=False refuses
+    assert chunked_dump(body, allow_nan) == one_dump(body, allow_nan)
+
+
+@pytest.mark.parametrize("size", [256, 257, 512, 513, 3300])
+def test_chunked_encoding_at_the_chunk_bounds(size):
+    rows = [{"i": i, "x": [i / 7, -0.0]} for i in range(size)]
+    for body in (rows, tuple(rows), {"kind": "pools", "rows": rows}):
+        assert canonical_dumps(body) == one_dump(body, True)
+    rows[-1]["x"][0] = float("nan")
+    assert chunked_dump({"rows": rows}, False) == one_dump({"rows": rows}, False)
+    assert chunked_dump({"rows": rows}, False).startswith("ValueError: Out of range float values")
 
 
 @pytest.mark.parametrize("version", [True, 1.0])

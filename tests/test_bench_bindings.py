@@ -63,8 +63,8 @@ def test_run_trace_calls_each_traced_layer(small_ds, monkeypatch):
     # the per-layer metrics count calls through these bindings; a call
     # inlined into run_trace would silently read as zero; every window of
     # the trace is scored in one macro_f1 call, as every frame is ranked in
-    # one, and the cache is asked once per run of equal top-1 (head seed 12
-    # gives this trace 9 such runs)
+    # one, and the cache walks every run of equal top-1 in one call (head
+    # seed 12 gives this trace 9 such runs)
     from sceneselect import dataset, decision, learners, runtime
 
     calls = {}
@@ -85,7 +85,7 @@ def test_run_trace_calls_each_traced_layer(small_ds, monkeypatch):
     assert 1 < runs < len(trace)
     assert calls == {
         "rank_models": 1,
-        "cache_request": runs,
+        "cache_request": 1,
         "macro_f1": 1,
         "predict": len(served),
     }

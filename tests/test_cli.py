@@ -430,6 +430,22 @@ def dataset_row_with(key, value):
     return build
 
 
+def dataset_header_with(edit):
+    """Case builder: profile on a copy of the dataset, without its column
+    file, whose header has had ``edit`` applied."""
+
+    def build(workdir, tmp_path):
+        data = tmp_path / "data.jsonl"
+        lines = Path(workdir["data"]).read_text().splitlines()
+        header = json.loads(lines[0])
+        edit(header)
+        lines[0] = json.dumps(header, sort_keys=True)
+        data.write_text("\n".join(lines) + "\n")
+        return ["profile", "--config", str(workdir["ini"]), "--dataset", str(data), "--out", str(tmp_path / "p")]
+
+    return build
+
+
 def label_out_of_range(workdir, tmp_path):
     data = tmp_path / "data.jsonl"
     lines = Path(workdir["data"]).read_text().splitlines()
@@ -732,6 +748,18 @@ FAILURES = {
     "dataset clip past int64": (
         dataset_row_with("clip", -1234567890123456789012345), ParseError,
         "data.jsonl: malformed sample: clip -1234567890123456789012345 is past int64 range",
+    ),
+    "dataset ranges not an object": (
+        dataset_header_with(lambda h: h["splits"].update(ranges=[])), ParseError,
+        "data.jsonl: malformed header: 'list' object has no attribute 'items'",
+    ),
+    "dataset num_classes past numpy's array size": (
+        dataset_header_with(lambda h: h["schema"].update(num_classes=10**30)), ConfigError,
+        "feature_dim and num_classes must be at most 1152921504606846975, the most floats a numpy array holds",
+    ),
+    "dataset feature_dim past numpy's array size": (
+        dataset_header_with(lambda h: h["schema"].update(feature_dim=2**63 - 1)), ConfigError,
+        "feature_dim and num_classes must be at most 1152921504606846975, the most floats a numpy array holds",
     ),
     "diverging training": (diverging_encoder, DivergedError, "training diverged"),
     "insufficient models": (unreachable_delta, InsufficientModelsError, "accepted only"),

@@ -27,7 +27,7 @@ from sceneselect.dataset import (
     synthesize_trace,
 )
 from sceneselect.artifacts import sha256_file
-from sceneselect.errors import ConfigError, ParseError, SchemaError
+from sceneselect.errors import ConfigError, Error, ParseError, SchemaError
 
 from conftest import small_generator_config
 from test_profiling import cpus_usable, no_child_left
@@ -751,6 +751,7 @@ CORRUPTIONS = {
     "repeated clip and frame": repeat_clip_frame,
     "overlapping split parts": edit_header(lambda splits, clip: splits["ranges"][clip].update(valid=[0, 70])),
     "seen clip without ranges": edit_header(lambda splits, clip: splits["ranges"].pop(clip)),
+    "ranges not an object": edit_header(lambda splits, clip: splits.update(ranges=[])),
     "header only": header_only,
     "empty file": lambda lines: lines.clear(),
 }
@@ -779,6 +780,8 @@ class TestCorruptionMatchesPerLineReference:
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         with cpus_usable(1):
             alone = assert_same_load(path)
+        if isinstance(alone[0], type):
+            assert issubclass(alone[0], Error), alone  # an error line, not a traceback
         # at two usable CPUs the file loads or fails as at one, with the
         # same line number, and nothing forks
         with cpus_usable(2) as forks:
@@ -992,6 +995,37 @@ def test_non_integer_header_field_refused(tmp_path, saved_800, key, value):
         load_dataset(path)
     assert err.value.line_number == 1
     assert str(err.value) == f"line 1: {path}: malformed header: {key} must be an integer, got {json.dumps(value)}"
+
+
+@pytest.mark.parametrize("ranges", [[], "0", None, 3])
+def test_ranges_not_an_object_refused(tmp_path, saved_800, ranges):
+    lines = saved_800.splitlines()
+    header = json.loads(lines[0])
+    header["splits"]["ranges"] = ranges
+    lines[0] = json.dumps(header)
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ParseError, match=rf"^line 1: {re.escape(str(path))}: malformed header: ") as err:
+        load_dataset(path)
+    assert err.value.line_number == 1
+
+
+@pytest.mark.parametrize("key", ["feature_dim", "num_classes"])
+@pytest.mark.parametrize("value", [10**30, 2**63 - 1])
+@pytest.mark.parametrize("rows", [True, False], ids=["with rows", "header only"])
+def test_dimension_past_numpy_array_size_refused(tmp_path, saved_800, key, value, rows):
+    # numpy refuses a row of that many floats without allocating anything
+    lines = saved_800.splitlines()
+    header = json.loads(lines[0])
+    header["schema"][key] = value
+    lines[0] = json.dumps(header)
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(line + "\n" for line in (lines if rows else lines[:1])))
+    with pytest.raises(ConfigError, match="^feature_dim and num_classes must be at most 1152921504606846975, "):
+        load_dataset(path)
+    schema = dataclasses.replace(small_generator_config().schema, **{key: value})
+    with pytest.raises(ConfigError, match="the most floats a numpy array holds$"):
+        schema.validate()
 
 
 def test_non_integer_split_bound_refused(tmp_path, saved_800):

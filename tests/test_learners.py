@@ -284,6 +284,14 @@ class TestTrain:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             call()
 
+    @pytest.mark.parametrize("dims", [
+        (3, 10**30, 3), (10**30, 4, 3), (3, 4, 2**63 - 1), (3, 8, 2**59),
+    ], ids=["hidden 1e30", "input 1e30", "output 2**63-1", "8 x 2**59 floats"])
+    def test_weights_past_numpy_array_size_refused(self, dims):
+        # each allocation numpy would refuse with a ValueError, allocating nothing
+        with pytest.raises(ConfigError, match="weight matrix past numpy's array size$"):
+            learners.new_classifier(*dims, seed=0)
+
 
 def reference_row(model, x):
     """Per-sample reference: relu(W1 x + b1), then softmax(W2 h + b2)."""

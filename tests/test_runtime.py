@@ -34,6 +34,7 @@ class ReferenceCache:
         self.capacity = capacity
         self.entries = []  # [model, use_count, load_order]
         self.clock = 0
+        self.evictions = 0
 
     def request(self, ranking):
         ranking = list(ranking)
@@ -56,9 +57,17 @@ class ReferenceCache:
                 e[1] += 1
         if victim is not None:
             self.entries.remove(victim)
+            self.evictions += 1
         self.entries.append([top, 0, self.clock])
         self.clock += 1
         return served, True
+
+
+def request(cache, ranking, frames=1):
+    """One request of ``frames`` frames, as a walk over one run: its
+    (served, missed)."""
+    [served], [missed] = cache_request(cache, [ranking], [frames])
+    return served, missed
 
 
 @dataclasses.dataclass
@@ -115,7 +124,7 @@ def reference_run_trace(trace, decision, models, cache_capacity, window=10, low_
         top1_counts[top1] += 1
         if confidence is not None and confidence < low_confidence:
             low_conf += 1
-        served, miss = cache_request(cache, ranking)
+        served, miss = request(cache, ranking)
         misses += int(miss)
         if prev_served is not None and served != prev_served:
             switch_frames.append(frame)
@@ -288,14 +297,14 @@ class TestCacheUnit:
 
     def test_hit_increments_use_count(self):
         cache = ModelCache(2)
-        cache_request(cache, [0, 1, 2])
-        served, miss = cache_request(cache, [0, 1, 2])
+        request(cache, [0, 1, 2])
+        served, miss = request(cache, [0, 1, 2])
         assert (served, miss) == (0, False)
         assert cache.loaded == {0: 2}  # model -> use count
 
     def test_empty_cache_loads_and_serves_top(self):
         cache = ModelCache(2)
-        served, miss = cache_request(cache, [2, 0, 1])
+        served, miss = request(cache, [2, 0, 1])
         assert (served, miss) == (2, True)
         assert set(cache.loaded) == {2}
 
@@ -304,11 +313,11 @@ class TestCacheUnit:
         # B outranks A in the ranking so B serves the frame, yet B is still
         # the LFU victim (pre-serve counts) and C replaces it.
         cache = ModelCache(2)
-        cache_request(cache, [0, 1, 2])  # A loaded+served
-        cache_request(cache, [1, 0, 2])  # miss: A serves, B loaded (no eviction below capacity)
-        cache_request(cache, [0, 1, 2])  # hit A
-        cache_request(cache, [1, 0, 2])  # hit B
-        served, miss = cache_request(cache, [2, 1, 0])
+        request(cache, [0, 1, 2])  # A loaded+served
+        request(cache, [1, 0, 2])  # miss: A serves, B loaded (no eviction below capacity)
+        request(cache, [0, 1, 2])  # hit A
+        request(cache, [1, 0, 2])  # hit B
+        served, miss = request(cache, [2, 1, 0])
         assert miss is True
         assert served == 1
         assert set(cache.loaded) == {0, 2}
@@ -316,9 +325,9 @@ class TestCacheUnit:
     def test_ranking_without_a_resident_rejected(self):
         # not a permutation: it repeats model 1 and leaves out the resident 0
         cache = ModelCache(2)
-        cache_request(cache, [0, 1, 2])
+        request(cache, [0, 1, 2])
         with pytest.raises(ConfigError, match="names no resident model"):
-            cache_request(cache, [1, 1, 1])
+            request(cache, [1, 1, 1])
         assert cache.loaded == {0: 1}
 
     @pytest.mark.parametrize("frames", [0, -2])
@@ -326,10 +335,10 @@ class TestCacheUnit:
         # a miss stores frames - 1 uses for the loaded top model; below one
         # frame that count is negative and the LFU pick would favour it
         cache, empty = ModelCache(2), ModelCache(2)
-        cache_request(cache, [0, 1, 2])
+        request(cache, [0, 1, 2])
         for c in (cache, empty):
             with pytest.raises(ConfigError, match="at least one frame"):
-                cache_request(c, [1, 0, 2], frames=frames)
+                request(c, [1, 0, 2], frames=frames)
         assert (cache.loaded, empty.loaded) == ({0: 1}, {})
 
     @pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])
@@ -344,6 +353,21 @@ class TestCacheUnit:
             assert type(served) is int and type(miss) is bool
         assert set(cache.loaded) == {0, 1}
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_one_frame_without_lengths_is_a_walk_of_one_run(self, data):
+        # cache_request(cache, ranking) answers one frame's request as a pair
+        n = data.draw(st.integers(1, 6))
+        capacity = data.draw(st.integers(1, n))
+        rankings = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=30))
+        as_row = data.draw(st.sampled_from([list, np.array]))
+        single, walked = ModelCache(capacity), ModelCache(capacity)
+        for ranking in rankings:
+            served, missed = cache_request(single, as_row(ranking))
+            assert (served, missed) == request(walked, ranking)
+            assert type(served) is int and type(missed) is bool
+            assert list(single.loaded.items()) == list(walked.loaded.items())
+
     def test_capacity_at_least_n_only_cold_misses(self):
         cache = ModelCache(4)
         rng = np.random.default_rng(0)
@@ -352,7 +376,7 @@ class TestCacheUnit:
         for _ in range(100):
             ranking = rng.permutation(4)
             tops.append(ranking[0])
-            _, miss = cache_request(cache, ranking)
+            _, miss = request(cache, ranking)
             misses += int(miss)
         assert misses == len(set(tops))
 
@@ -366,7 +390,7 @@ class TestCacheUnit:
         hits = misses = 0
         for requests, ranking in enumerate(rankings, start=1):
             before = set(cache.loaded)
-            served, miss = cache_request(cache, ranking)
+            served, miss = request(cache, ranking)
             hits += not miss
             misses += miss
             assert len(cache.loaded) <= capacity
@@ -393,7 +417,7 @@ class TestCacheUnit:
         cache, ref = ModelCache(capacity), ReferenceCache(capacity)
         misses = 0
         for ranking in rankings:
-            answer = cache_request(cache, ranking)
+            answer = request(cache, ranking)
             assert answer == ref.request(ranking)
             misses += answer[1]
             assert list(cache.loaded.items()) == [(m, uses) for m, uses, _ in ref.entries]
@@ -416,7 +440,7 @@ class TestCacheUnit:
             for top in rnd.sample(range(n), n):
                 ranking = [top] + rnd.sample([m for m in range(n) if m != top], n - 1)
                 length = rnd.randint(1, 3)
-                answer = cache_request(cache, ranking, length)
+                answer = request(cache, ranking, length)
                 assert answer == ref.request(ranking)
                 for _ in range(length - 1):
                     assert ref.request(ranking) == (top, False)
@@ -434,7 +458,7 @@ class TestCacheUnit:
         rankings = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=40))
         big, exact = ModelCache(capacity), ModelCache(n)
         for ranking in rankings:
-            assert cache_request(big, ranking) == cache_request(exact, ranking)
+            assert request(big, ranking) == request(exact, ranking)
             assert list(big.loaded.items()) == list(exact.loaded.items())
 
     def test_matches_reference_on_random_traces(self):
@@ -445,13 +469,65 @@ class TestCacheUnit:
             cache, ref = ModelCache(capacity), ReferenceCache(capacity)
             for _ in range(int(rng.integers(5, 60))):
                 ranking = rng.permutation(n)
-                assert cache_request(cache, ranking) == ref.request(list(ranking))
+                assert request(cache, ranking) == ref.request(list(ranking))
                 assert len(cache.loaded) <= capacity
 
 
 class TestCachePerRun:
-    """run_trace asks the cache once per run of equal top-1, for the run's
-    first frame and its length; it must give what one request per frame gives."""
+    """run_trace asks the cache once per trace, with each run of equal
+    top-1 given by its first frame's ranking and its length; it must give
+    what one request per frame gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_walk_matches_per_frame_reference(self, data):
+        # one call over every run against one reference request per frame:
+        # each run's answer, then every resident's use count and the load order
+        n = data.draw(st.integers(1, 6))
+        capacity = data.draw(st.integers(1, n + 1))
+        runs = data.draw(st.lists(st.tuples(st.permutations(range(n)), st.integers(1, 6)), max_size=40))
+        cache, ref = ModelCache(capacity), ReferenceCache(capacity)
+        served, missed = cache_request(cache, [r for r, _ in runs], [length for _, length in runs])
+        expected = []
+        for ranking, length in runs:
+            expected.append(ref.request(ranking))
+            for _ in range(length - 1):
+                assert ref.request(ranking) == (ranking[0], False)
+        assert list(zip(served, missed)) == expected
+        assert {type(m) for m in served} <= {int} and {type(m) for m in missed} <= {bool}
+        assert list(cache.loaded.items()) == [(m, uses) for m, uses, _ in ref.entries]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_an_error_mid_walk_leaves_the_state_of_per_run_calls(self, data):
+        # a miss that names no resident, or of fewer than one frame, inserted
+        # at a random run: the walk raises what the per-run call raises, and
+        # leaves the cache as the runs before it left it
+        n = data.draw(st.integers(2, 6))
+        capacity = data.draw(st.integers(1, n - 1))  # so some model is never resident
+        runs = data.draw(
+            st.lists(st.tuples(st.permutations(range(n)), st.integers(1, 4)), min_size=1, max_size=30)
+        )
+        fault = data.draw(st.sampled_from(["names no resident model", "at least one frame"]))
+        # a cold miss checks its length but not its ranking
+        at = data.draw(st.integers(int(fault == "names no resident model"), len(runs)))
+        per_run = ModelCache(capacity)
+        for ranking, length in runs[:at]:
+            request(per_run, ranking, length)
+        before = list(per_run.loaded.items())
+        top = data.draw(st.sampled_from([m for m in range(n) if m not in per_run.loaded]))
+        if fault == "names no resident model":
+            bad = ([top] * n, 1)
+        else:
+            bad = ([top] + [m for m in range(n) if m != top], data.draw(st.integers(-2, 0)))
+        with pytest.raises(ConfigError, match=fault):
+            request(per_run, *bad)
+        assert list(per_run.loaded.items()) == before
+        walked = runs[:at] + [bad] + runs[at:]
+        walk = ModelCache(capacity)
+        with pytest.raises(ConfigError, match=fault):
+            cache_request(walk, [r for r, _ in walked], [length for _, length in walked])
+        assert list(walk.loaded.items()) == before
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -464,13 +540,13 @@ class TestCachePerRun:
         ))
         per_run, per_frame = ModelCache(capacity), ModelCache(capacity)
         for ranking, length, rnd in runs:
-            answer = cache_request(per_run, ranking, length)
-            assert answer == cache_request(per_frame, ranking)
+            answer = request(per_run, ranking, length)
+            assert answer == request(per_frame, ranking)
             for _ in range(length - 1):
                 # a later frame of the run: the same top, the rest in any order
                 rest = ranking[1:]
                 rnd.shuffle(rest)
-                assert cache_request(per_frame, [ranking[0]] + rest) == (ranking[0], False)
+                assert request(per_frame, [ranking[0]] + rest) == (ranking[0], False)
             assert list(per_run.loaded.items()) == list(per_frame.loaded.items())
 
     @settings(max_examples=40, deadline=None)
@@ -508,6 +584,32 @@ class TestCachePerRun:
         assert narrow.served.tolist() == wide.served.tolist()
         assert narrow.missed.tolist() == wide.missed.tolist()
         assert wide.missed.any() and not wide.missed.all()
+
+
+class TestTraceCacheCounts:
+    """TraceMetrics derives its hits and evictions from the misses and the
+    capacity; they must be what a per-frame reference cache counts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_hits_and_evictions_match_reference(self, small_ds, data):
+        trace = synthesize_trace(small_ds, 2, 7, 5, seed=0)
+        d, c = small_ds.schema.feature_dim, small_ds.schema.num_classes
+        n = data.draw(st.integers(1, 6))
+        capacity = data.draw(st.integers(1, n + 2))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # a few distinct rankings, each held for a random run of frames
+        pool = np.array([rng.permutation(n) for _ in range(data.draw(st.integers(1, 6)))])
+        held = np.repeat(rng.integers(0, len(pool), len(trace)), rng.integers(1, 6, len(trace)))
+        rankings = pool[held[: len(trace)]]
+        models = [learners.new_classifier(d, 4, c, seed) for seed in range(n)]
+        metrics = run_trace(trace, lambda trace: rankings, models, capacity)
+        ref = ReferenceCache(capacity)
+        misses = sum(ref.request(ranking)[1] for ranking in rankings.tolist())
+        assert metrics.capacity == capacity
+        assert metrics.cache_misses == misses == ref.clock
+        assert metrics.cache_hits == len(trace) - misses
+        assert metrics.cache_evictions == ref.evictions
 
 
 def reference_predictions(models, X, served):
