@@ -471,7 +471,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (Error, OSError) as exc:
+    except (Error, OSError, MemoryError) as exc:  # MemoryError: a size numpy can address but not allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -39,8 +39,9 @@ PARTS = ("train", "valid", "test")
 CELL_RANGE = 1.5
 ANCHOR_SEPARATION = 1.0
 
-# Sample lines per json.loads call when loading, and per write when saving.
-# Parsing the whole file in one call costs more peak memory than it saves.
+# Sample lines per write when saving, and per stack of parsed rows into
+# columns when loading: the chunks bound the parse's memory, which holds one
+# chunk's rows at a time rather than every row of the file.
 _CHUNK_LINES = 256
 
 # One sample line exactly as json.dumps(row, sort_keys=True) writes it.
@@ -422,12 +423,11 @@ def load_dataset(path) -> Dataset:
 
     The file is JSON Lines: a ``\n`` byte ends a line and nothing else
     does, so a ``\r`` before it or inside a row is JSON whitespace. The
-    sample lines are read on from the handle that read line 1, and parsed
-    a chunk at a time: one ``json.loads`` over the chunk as a JSON array,
-    then array checks. A chunk that fails any of them is parsed again line
-    by line, which raises the first bad line's error.
-    Blank lines are skipped but counted. Every ParseError and SchemaError
-    names the file, as ``line N: <path>: ...`` and ``<path>: ...``; so does
+    sample lines are read on from the handle that read line 1. Each is
+    parsed and checked on its own by `_parse_sample`, so the first bad line
+    raises its error, and the rows are stacked into columns a chunk of
+    ``_CHUNK_LINES`` at a time. Blank lines are skipped but counted. Every
+    ParseError and SchemaError names the file, as ``line N: <path>: ...`` and ``<path>: ...``; so does
     the ParseError for a line that is not UTF-8.
 
     The schema and splits always come from line 1. The rows come from the
@@ -446,7 +446,7 @@ def load_dataset(path) -> Dataset:
                 return ds
             numbered = _lines(fh)
             chunks = [_parse_chunk(c, schema) for c in iter(lambda: list(islice(numbered, _CHUNK_LINES)), [])]
-        features, labels, attrs, clips, frames = (np.concatenate(c) for c in zip(*chunks or [_columns([], schema)]))
+        features, labels, attrs, clips, frames = (np.concatenate(c) for c in zip(*chunks or [_parse_chunk([], schema)]))
         ds = Dataset(schema=schema, split=split, features=features, labels=labels, attrs=attrs,
                      clip_ids=clips, frame_indices=frames)
         _check_finite(ds)
@@ -481,44 +481,12 @@ def _loads(line, lineno):
 
 
 def _parse_chunk(numbered, schema):
-    """Columns of consecutive (line number, bytes) sample lines. The
-    chunk's bytes are decoded once, as `_loads` decodes one line's."""
-    joined = b",".join(line for _, line in numbered)
-    # numpy reads a true in a row of numbers as 1.0, so a chunk that may
-    # hold a true or a false goes to the per-line parse, which refuses one
-    # in a feature; no key or number of a sample line holds a "t" or an "s"
-    if b"t" not in joined and b"s" not in joined:
-        try:
-            rows = json.loads("[" + joined.decode("utf-8") + "]")
-            if len(rows) == len(numbered):
-                return _columns(rows, schema)
-        except (KeyError, TypeError, ValueError, OverflowError):
-            pass
-    return _columns([_parse_sample(_loads(line, n), schema, n) for n, line in numbered], schema)
-
-
-def _columns(rows, schema):
-    """(features, labels, attrs, clips, frames) of parsed sample rows.
-    ValueError if the features are not all numbers, an integer field holds
-    another JSON value, or a row fails a per-sample check. A feature that
-    is a string or null makes the features' dtype a string or object one;
-    one that is a boolean in a row of numbers does not, so `_parse_chunk`
-    keeps such rows from here."""
+    """(features, labels, attrs, clips, frames) of consecutive (line number,
+    bytes) sample lines, each parsed and checked by `_parse_sample`."""
+    rows = [_parse_sample(_loads(line, n), schema, n) for n, line in numbered]
     m, d, k = len(rows), schema.feature_dim, len(schema.attr_cardinalities)
-    features = np.array([r["f"] for r in rows])
-    if features.dtype.kind not in "fiu":
-        raise ValueError("a feature is not a number")
-    labels, attrs, clips, frames = ([r[k] for r in rows] for k in ("y", "a", "clip", "frame"))
-    if not set(map(type, chain(labels, chain.from_iterable(attrs), clips, frames))) <= {int}:
-        raise ValueError("an integer field holds another value")
-    labels, attrs, clips, frames = (np.array(v, dtype=np.int64) for v in (labels, attrs, clips, frames))
-    if m and (
-        features.shape != (m, d) or attrs.shape != (m, k)
-        or not labels.shape == clips.shape == frames.shape == (m,)
-        or _out_of_range(labels, attrs, schema)
-    ):
-        raise ValueError("a sample fails a per-sample check")
-    return features.reshape(m, d).astype(float, copy=False), labels, attrs.reshape(m, k), clips, frames
+    labels, attrs, clips, frames = (np.array([r[key] for r in rows], dtype=np.int64) for key in ("y", "a", "clip", "frame"))
+    return np.array([r["f"] for r in rows], dtype=float).reshape(m, d), labels, attrs.reshape(m, k), clips, frames
 
 
 def _out_of_range(labels, attrs, schema) -> bool:

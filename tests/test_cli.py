@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sceneselect import cli, dataset, decision, profiling, sampling
+from sceneselect import cli, dataset, decision, learners, profiling, sampling
 from sceneselect.artifacts import read_artifact, write_artifact
 from sceneselect.dataset import load_dataset
 from sceneselect.errors import (
@@ -981,6 +981,23 @@ class TestFailureMatrix:
         if argv[0] in ("generate", "simulate"):
             # settings are checked before the dataset is read or --out is made
             assert not Path(argv[argv.index("--out") + 1]).exists()
+
+    def test_allocation_past_memory_is_one_line_message(self, workdir, tmp_path, capsys, monkeypatch):
+        # num_classes 10**12 passes every size check, and its classifier asks
+        # numpy for 58.2 TiB; the stub fails that allocation as numpy does,
+        # before it starts, since an overcommitting kernel may grant it
+        argv = dataset_header_with(lambda h: h["schema"].update(num_classes=10**12))(workdir, tmp_path)
+        new_classifier = learners.new_classifier
+
+        def refuse_past_memory(input_dim, hidden_dim, output_dim, seed):
+            if output_dim >= 10**12:
+                raise MemoryError("Unable to allocate 58.2 TiB")
+            return new_classifier(input_dim, hidden_dim, output_dim, seed)
+
+        monkeypatch.setattr(learners, "new_classifier", refuse_past_memory)
+        with cpus_usable(1):
+            assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 58.2 TiB\n"
 
     def test_every_error_class_is_covered(self):
         assert {error for _, error, _ in FAILURES.values()} == set(Error.__subclasses__())

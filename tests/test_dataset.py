@@ -738,6 +738,9 @@ CORRUPTIONS = {
     "truncated last line": truncate_last,
     "bad JSON past the first chunk": replace_line(700, "{not json"),
     "bad row past the first chunk": edit_row(700, y=99),
+    # the first chunk holds lines 2 to 257, the second starts at line 258
+    "bad row on the first chunk's last line": edit_row(257, y=99),
+    "bad row on the second chunk's first line": edit_row(258, y=99),
     "schema error before a JSON error in one chunk": schema_error_before_json_error,
     "two rows on one line": two_rows_on_one_line,
     "one row over two lines": row_split_across_lines,
@@ -877,7 +880,7 @@ class TestAtomicSave:
 
 
 def test_load_peak_memory(tmp_path, bench42):
-    """A whole-file parse peaks near 9.5 MB on this file, the chunked one near 2.3 MB."""
+    """A whole-file parse peaks near 6.3 MB on this file, the chunked one near 1.9 MB."""
     path = tmp_path / "data.jsonl"
     save_dataset(bench42.ds, path)
     load_dataset(path)  # warm any lazily built parser state
@@ -899,9 +902,9 @@ NON_INTEGERS = {"y": [0.9, True], "a": [[0, 1.0], [False, 0]], "clip": [1.0, Tru
 
 @pytest.mark.parametrize("key", sorted(NON_INTEGERS))
 def test_non_integer_field_refused(tmp_path, saved_800, key):
-    # alone in its chunk, the chunk's array checks must see the value; before
-    # a JSON error in its chunk, the line-by-line parse must; at line 700 it
-    # lies past the first chunk, loaded at two usable CPUs
+    # each line's own parse must see the value: alone in its chunk, before a
+    # JSON error in its chunk, which must not be raised first, and at line
+    # 700, past the first chunk, loaded at two usable CPUs
     for value in NON_INTEGERS[key]:
         shown = json.dumps(next(v for v in value if type(v) is not int) if key == "a" else value)
         for number, cpus, also in [(5, 1, None), (300, 1, replace_line(310, "{not json")), (700, 2, None)]:
@@ -923,8 +926,9 @@ def test_non_integer_field_refused(tmp_path, saved_800, key):
 
 @pytest.mark.parametrize("value", [True, False, "0.5"])
 def test_non_number_feature_refused(tmp_path, saved_800, value):
-    # as for the integer fields: alone in its chunk, before a JSON error in
-    # its chunk, and past the first chunk
+    # as for the integer fields, each line's own parse must see the value:
+    # alone in its chunk, before a JSON error in its chunk, and past the
+    # first chunk
     for number, cpus, also in [(5, 1, None), (300, 1, replace_line(310, "{not json")), (700, 2, None)]:
         lines = saved_800.splitlines()
         edit_row(number, f=[0.5, value, 0.5])(lines)
@@ -945,20 +949,6 @@ def test_integer_feature_past_float_range_names_its_line(tmp_path, saved_800):
     path = tmp_path / "data.jsonl"
     path.write_text("".join(line + "\n" for line in lines))
     with pytest.raises(ParseError, match=r"^line 5: .*: malformed sample: int too large to convert to float$"):
-        load_dataset(path)
-
-
-def test_valid_chunks_skip_the_per_line_parse(tmp_path, ds_800, monkeypatch):
-    # the chunk checks that keep booleans and strings out of the features
-    # must pass every valid line, floats in every repr form among them
-    path = tmp_path / "data.jsonl"
-    save_dataset(awkward_features(ds_800, 0), path)
-
-    def per_line(*args):
-        raise AssertionError("a valid chunk was parsed line by line")
-
-    monkeypatch.setattr(dataset, "_parse_sample", per_line)
-    with cpus_usable(1):
         load_dataset(path)
 
 
